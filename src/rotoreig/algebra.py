@@ -9,7 +9,7 @@ beats sparse maps for the n <= 4 algebras used in practice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,11 +51,11 @@ class Signature:
         if self.p < 0 or self.q < 0 or not (1 <= self.p + self.q <= 8):
             raise ValueError(f"unsupported signature ({self.p}, {self.q})")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.p + self.q
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return 1 << self.n
 
@@ -161,6 +161,15 @@ class Multivector:
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _wrap(cls, sig: Signature, coeffs: np.ndarray) -> "Multivector":
+        """Internal constructor for float64 coefficients of shape (dim,)
+        that the caller has already produced; skips ``__init__``'s checks."""
+        mv = object.__new__(cls)
+        mv.sig = sig
+        mv.coeffs = coeffs
+        return mv
+
     # ---- constructors -------------------------------------------------
     @classmethod
     def zero(cls, sig: Signature) -> "Multivector":
@@ -201,18 +210,22 @@ class Multivector:
             raise ValueError(f"signature mismatch: {self.sig} vs {other.sig}")
 
     def _product(self, other: "Multivector", sign_key: str) -> "Multivector":
-        self._check_sig(other)
-        t = _tables(self.sig.p, self.sig.q)
-        w = t[sign_key] * np.outer(self.coeffs, other.coeffs).ravel()
-        out = np.bincount(t["res"], weights=w, minlength=self.sig.dim)
-        return Multivector(self.sig, out)
+        sig = self.sig
+        if other.sig is not sig:
+            self._check_sig(other)
+        t = _tables(sig.p, sig.q)
+        # a[:, None] * b is np.outer's own computation, so the bits match
+        w = t[sign_key] * (self.coeffs[:, None] * other.coeffs).ravel()
+        out = np.bincount(t["res"], weights=w, minlength=sig.dim)
+        return Multivector._wrap(sig, out)
 
     # ---- arithmetic ---------------------------------------------------
     def __add__(self, other):
         if isinstance(other, Multivector):
-            self._check_sig(other)
-            return Multivector(self.sig, self.coeffs + other.coeffs)
-        return Multivector(self.sig, self.coeffs + Multivector.scalar(self.sig, other).coeffs)
+            if other.sig is not self.sig:
+                self._check_sig(other)
+            return Multivector._wrap(self.sig, self.coeffs + other.coeffs)
+        return Multivector._wrap(self.sig, self.coeffs + Multivector.scalar(self.sig, other).coeffs)
 
     __radd__ = __add__
 
@@ -223,18 +236,18 @@ class Multivector:
         return (-self) + other
 
     def __neg__(self):
-        return Multivector(self.sig, -self.coeffs)
+        return Multivector._wrap(self.sig, -self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return self._product(other, "gp_sign")
-        return Multivector(self.sig, self.coeffs * float(other))
+        return Multivector._wrap(self.sig, self.coeffs * float(other))
 
     def __rmul__(self, other):
-        return Multivector(self.sig, self.coeffs * float(other))
+        return Multivector._wrap(self.sig, self.coeffs * float(other))
 
     def __truediv__(self, other):
-        return Multivector(self.sig, self.coeffs / float(other))
+        return Multivector._wrap(self.sig, self.coeffs / float(other))
 
     def __xor__(self, other):
         return self._product(other, "outer_sign")
@@ -244,7 +257,7 @@ class Multivector:
 
     def __invert__(self):
         t = _tables(self.sig.p, self.sig.q)
-        return Multivector(self.sig, self.coeffs * t["rev_sign"])
+        return Multivector._wrap(self.sig, self.coeffs * t["rev_sign"])
 
     # ---- queries ------------------------------------------------------
     def scalar_part(self) -> float:
@@ -254,7 +267,7 @@ class Multivector:
         if not 0 <= k <= self.sig.n:
             raise ValueError(f"grade {k} out of range for n={self.sig.n}")
         t = _tables(self.sig.p, self.sig.q)
-        return Multivector(self.sig, np.where(t["grades"] == k, self.coeffs, 0.0))
+        return Multivector._wrap(self.sig, np.where(t["grades"] == k, self.coeffs, 0.0))
 
     def grades_present(self, tol: float = 0.0) -> set[int]:
         t = _tables(self.sig.p, self.sig.q)
@@ -366,7 +379,7 @@ def spatial_inversion(m: Multivector) -> Multivector:
     t = _tables(m.sig.p, m.sig.q)
     if t["inv_sign"] is None:
         raise ValueError("spatial inversion requires signature (3, 1)")
-    return Multivector(m.sig, m.coeffs * t["inv_sign"])
+    return Multivector._wrap(m.sig, m.coeffs * t["inv_sign"])
 
 
 def dagger(m: Multivector) -> Multivector:

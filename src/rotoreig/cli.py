@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 
@@ -169,6 +170,17 @@ class SystemExit2(Exception):
     """Usage error surfaced with exit code 2."""
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rotoreig",
@@ -180,15 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model(p):
         p.add_argument("--model", required=True,
                        choices=["monolayer", "qw", "atoms", "bilayer"])
-        p.add_argument("--alpha", type=float, default=0.0,
+        p.add_argument("--alpha", type=_finite_float, default=0.0,
                        help="Rashba coupling (qw)")
-        p.add_argument("--omega", type=float, default=0.0,
+        p.add_argument("--omega", type=_finite_float, default=0.0,
                        help="level splitting (atoms)")
-        p.add_argument("--gamma", type=float, default=0.0,
+        p.add_argument("--gamma", type=_finite_float, default=0.0,
                        help="dipole coupling (atoms)")
-        p.add_argument("--gamma1", type=float, default=0.0,
+        p.add_argument("--gamma1", type=_finite_float, default=0.0,
                        help="interlayer coupling (bilayer)")
-        p.add_argument("--bias-u", type=float, default=0.0,
+        p.add_argument("--bias-u", type=_finite_float, default=0.0,
                        help="half interlayer bias U (bilayer)")
         p.add_argument("--eta", type=int, default=1, choices=[1, -1],
                        help="valley index (bilayer)")
@@ -196,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="band-energy sweep (CSV or JSON)")
     add_model(p_spec)
-    p_spec.add_argument("--kmin", type=float, required=True,
+    p_spec.add_argument("--kmin", type=_finite_float, required=True,
                         help="sweep start (Gamma start for atoms)")
-    p_spec.add_argument("--kmax", type=float, required=True,
+    p_spec.add_argument("--kmax", type=_finite_float, required=True,
                         help="sweep end (Gamma end for atoms)")
     p_spec.add_argument("--samples", type=int, default=101)
     p_spec.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -206,14 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eig = sub.add_parser("eigens", help="eigensolutions at one point (JSON)")
     add_model(p_eig)
-    p_eig.add_argument("--kx", type=float, default=0.0)
-    p_eig.add_argument("--ky", type=float, default=0.0)
+    p_eig.add_argument("--kx", type=_finite_float, default=0.0)
+    p_eig.add_argument("--ky", type=_finite_float, default=0.0)
     p_eig.set_defaults(func=cmd_eigens)
 
     p_ver = sub.add_parser("verify", help="randomized rotor-vs-oracle check")
     p_ver.add_argument("--trials", type=int, default=100)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--tol", type=float, default=1e-10)
+    p_ver.add_argument("--tol", type=_finite_float, default=1e-10)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(func=cmd_verify)
     return parser
@@ -226,7 +238,15 @@ def main(argv=None) -> int:
         if args.out:
             with open(args.out, "w", newline="") as fh:
                 return args.func(args, fh)
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (e.g. `| head`); point stdout at devnull so
+        # the flush at interpreter exit cannot raise again, and exit 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

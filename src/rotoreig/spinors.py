@@ -52,27 +52,32 @@ _CL30_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
 _CL31_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
 
 
+# algebra tag and the blade masks outside the spinor subspace, per signature
+_SUBSPACES = {
+    sig: (tag, np.array([m for m in range(sig.dim) if m not in masks]))
+    for sig, tag, masks in (
+        (CL30, "cl30", CL30_SPINOR_MASKS),
+        (CL31, "cl31", CL31_SPINOR_MASKS),
+    )
+}
+
+
 class Spinor:
     """GA spinor: a multivector confined to the algebra's spinor subspace."""
 
     __slots__ = ("algebra", "mv")
 
     def __init__(self, mv: Multivector, tol: float = TOL) -> None:
-        if mv.sig == CL30:
-            self.algebra = "cl30"
-            masks = CL30_SPINOR_MASKS
-        elif mv.sig == CL31:
-            self.algebra = "cl31"
-            masks = CL31_SPINOR_MASKS
-        else:
-            raise ValueError(f"no spinor subspace defined for {mv.sig}")
-        outside = [m for m in range(mv.sig.dim) if m not in masks]
-        leak = float(np.max(np.abs(mv.coeffs[outside]))) if outside else 0.0
+        try:
+            self.algebra, outside = _SUBSPACES[mv.sig]
+        except KeyError:
+            raise ValueError(f"no spinor subspace defined for {mv.sig}") from None
+        leak = float(np.max(np.abs(mv.coeffs[outside])))
         if leak > tol * max(1.0, mv.norm()):
             raise ValueError(f"multivector leaves the spinor subspace (leak {leak:.2e})")
         clean = mv.coeffs.copy()
         clean[outside] = 0.0
-        self.mv = Multivector(mv.sig, clean)
+        self.mv = Multivector._wrap(mv.sig, clean)
 
     # ---- coefficient views --------------------------------------------
     @classmethod

@@ -79,6 +79,22 @@ class TestGeometricProduct:
     def test_signature_mismatch(self):
         with pytest.raises(ValueError):
             geometric_product(e(CL30, 1), e(CL31, 1))
+        for op in (outer_product, inner_product, lambda a, b: a + b):
+            with pytest.raises(ValueError):
+                op(e(CL30, 1), e(CL31, 1))
+
+    def test_equal_distinct_signatures_combine(self):
+        # products skip the signature comparison only for the same object;
+        # an equal signature built separately must still be accepted
+        other = Signature(3, 0)
+        assert other == CL30 and other is not CL30
+        rng = np.random.default_rng(9)
+        a = Multivector(CL30, rng.standard_normal(8))
+        b_coeffs = rng.standard_normal(8)
+        b_same, b_other = Multivector(CL30, b_coeffs), Multivector(other, b_coeffs)
+        for op in (geometric_product, outer_product, inner_product,
+                   lambda x, y: x + y):
+            assert op(a, b_other) == op(a, b_same)
 
     @settings(max_examples=60, deadline=None)
     @given(mv_strategy(CL31), mv_strategy(CL31), mv_strategy(CL31))

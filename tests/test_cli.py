@@ -173,3 +173,45 @@ class TestUsageErrors:
             "eigens", "--model", "bilayer", "--kx", "1", "--eta", "3",
         )
         assert r.returncode == 2
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv", [
+        ("eigens", "--model", "monolayer", "--kx", "nan"),
+        ("eigens", "--model", "qw", "--kx", "1", "--alpha", "inf"),
+        ("eigens", "--model", "bilayer", "--kx", "1", "--bias-u=-inf"),
+        ("eigens", "--model", "atoms", "--omega", "1", "--gamma", "NaN"),
+        ("spectrum", "--model", "monolayer", "--kmin", "0", "--kmax", "nan"),
+        ("spectrum", "--model", "bilayer", "--kmin=-inf", "--kmax", "1"),
+        ("verify", "--trials", "1", "--tol", "inf"),
+    ])
+    def test_rejected_as_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
+    def test_non_number_keeps_float_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eigens", "--model", "monolayer", "--kx", "one"])
+        assert exc.value.code == 2
+        assert "invalid float value: 'one'" in capsys.readouterr().err
+
+
+class TestBrokenPipe:
+    def test_closed_reader_exits_one_without_traceback(self):
+        # far more output than a pipe buffers, so the writer must hit the
+        # closed pipe whatever the timing
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "rotoreig.cli", "spectrum", "--model",
+             "monolayer", "--kmin", "0", "--kmax", "1", "--samples", "20000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"k,E1,E2\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err

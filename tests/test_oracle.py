@@ -1,11 +1,13 @@
 """Matrix oracle: hand-rolled eigensolvers and rotor cross-checks."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from rotoreig.models import ModelParams
+from rotoreig import cli, oracle
+from rotoreig.models import MODELS, ModelParams
 from rotoreig.oracle import (
     cross_check,
     eig_dense,
@@ -39,7 +41,91 @@ class TestModelMatrices:
         assert np.allclose(m, np.diag([1.0, 0.0, 0.0, -1.0]))
 
 
+def numpy_jacobi_eigh(a, vectors=False, tol=1e-14, max_sweeps=100):
+    """Reference: cyclic Jacobi with every rotation done on numpy arrays.
+
+    ``jacobi_eigh`` must return exactly these bits."""
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    a = (a + a.T) / 2.0
+    v = np.eye(n)
+    scale = max(1.0, float(np.max(np.abs(a))))
+    offdiag = ~np.eye(n, dtype=bool)
+    for _ in range(max_sweeps):
+        off = np.sqrt(np.sum(a[offdiag] ** 2))
+        if off <= tol * scale * n:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= tol * scale / n:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                if theta == 0.0:
+                    t = 1.0
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                ap, aq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * ap - s * aq
+                a[:, q] = s * ap + c * aq
+                ap, aq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * ap - s * aq
+                a[q, :] = s * ap + c * aq
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    else:
+        raise RuntimeError("Jacobi iteration failed to converge")
+    vals = np.diag(a).copy()
+    order = np.argsort(vals)
+    if vectors:
+        return vals[order], v[:, order]
+    return vals[order]
+
+
+def assert_bit_identical(m):
+    assert np.array_equal(jacobi_eigh(m), numpy_jacobi_eigh(m))
+    vals, vecs = jacobi_eigh(m, vectors=True)
+    ref_vals, ref_vecs = numpy_jacobi_eigh(m, vectors=True)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+
 class TestJacobi:
+    def test_bit_identical_to_numpy_reference(self):
+        rng = np.random.default_rng(55)
+        for n in range(2, 9):
+            for _ in range(25):
+                m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+                assert_bit_identical((m + m.T) / 2.0)
+        # exact ties and zero rotation angles (theta == 0)
+        assert_bit_identical(np.ones((4, 4)))
+        assert_bit_identical([[1.0, 2.0], [2.0, 1.0]])
+
+    def test_bit_identical_on_hermitian_embeddings(self):
+        rng = np.random.default_rng(56)
+        mats = [matrix_monolayer(0.3, -1.2), matrix_qw(0.4, 0.9, 0.6),
+                matrix_two_atoms(0.7, 1.3)]
+        for n in (2, 4):
+            for _ in range(25):
+                m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                mats.append((m + m.conj().T) / 2.0)
+        for m in mats:
+            assert_bit_identical(np.block([[m.real, -m.imag], [m.imag, m.real]]))
+
+    def test_rejects_zero_dimensional(self):
+        with pytest.raises(ValueError):
+            jacobi_eigh(np.float64(1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(4)
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            jacobi_eigh(m)
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            eig_dense(m.astype(complex))
+
     def test_identity(self):
         assert jacobi_eigh(np.eye(4)) == pytest.approx([1.0] * 4)
 
@@ -160,3 +246,62 @@ class TestCrossCheck:
         assert doc["pass"] is True
         assert doc["model"] == "qw"
         assert len(doc["rotor_energies"]) == len(doc["oracle_energies"]) == 2
+
+
+@pytest.fixture
+def fresh_action_check():
+    """Clear the per-process action-check result before and after a test."""
+    oracle._action_equivalence_ok.cache_clear()
+    yield
+    oracle._action_equivalence_ok.cache_clear()
+
+
+class TestActionCheckOncePerAlgebra:
+    def test_broken_action_fails_the_report(self, monkeypatch, fresh_action_check):
+        real = oracle.pauli_action_cl30
+
+        def broken(i, psi):
+            out = real(i, psi)
+            return out if i != 2 else oracle.Spinor(-out.mv)
+
+        monkeypatch.setattr(oracle, "pauli_action_cl30", broken)
+        report = cross_check(ModelParams("monolayer", kx=3.0, ky=4.0))
+        assert report.max_delta <= 1e-12
+        assert report.action_equivalence is False
+        assert report.passed is False
+        assert report.to_json_dict()["action_equivalence"] is False
+
+    def test_broken_cl31_action_fails_the_report(self, monkeypatch, fresh_action_check):
+        real = oracle.ga_action_cl31
+
+        def broken(kind, psi, *idx):
+            out = real(kind, psi, *idx)
+            return out if kind != "imaginary" else psi
+
+        monkeypatch.setattr(oracle, "ga_action_cl31", broken)
+        report = cross_check(ModelParams("atoms", omega=3.0, Gamma=4.0))
+        assert not report.action_equivalence and not report.passed
+
+    def test_runs_once_per_algebra(self, monkeypatch, fresh_action_check):
+        calls = {"cl30": 0, "cl31": 0}
+
+        def counting(name, algebra):
+            real = getattr(oracle, name)
+
+            def wrapper(*args):
+                calls[algebra] += 1
+                return real(*args)
+
+            monkeypatch.setattr(oracle, name, wrapper)
+
+        counting("pauli_action_cl30", "cl30")
+        counting("ga_action_cl31", "cl31")
+        rng = random.Random(3)
+        for model in MODELS:
+            for _ in range(50):
+                report = cross_check(cli._draw_params(model, rng))
+                assert report.action_equivalence and report.passed
+        # one spot check: 3 Pauli actions per cl30 column, 4 vector actions
+        # and the imaginary unit per cl31 column
+        assert calls == {"cl30": 3 * len(oracle._SPOT_COLS_2),
+                         "cl31": 5 * len(oracle._SPOT_COLS_4)}

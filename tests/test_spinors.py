@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rotoreig.algebra import CL30, CL31, Multivector, pseudoscalar
+from rotoreig.algebra import CL30, CL31, Multivector, Signature, pseudoscalar
 from rotoreig.spinors import (
     CL30_SPINOR_MASKS,
     CL31_SPINOR_MASKS,
@@ -40,6 +40,13 @@ class TestSpinorType:
         bad = Multivector.basis_vector(CL30, 1)  # odd grade, outside subspace
         with pytest.raises(ValueError):
             Spinor(bad)
+        # a leak in the Cl(3,1) odd-grade blades is caught as well
+        with pytest.raises(ValueError):
+            Spinor(Multivector.basis_vector(CL31, 4) + blade31(1, 2))
+
+    def test_no_spinor_subspace_outside_cl30_cl31(self):
+        with pytest.raises(ValueError):
+            Spinor(Multivector.scalar(Signature(2, 0), 1.0))
 
     def test_coeff_vector_round_trip(self):
         rng = np.random.default_rng(31)
