@@ -337,7 +337,7 @@ class Multivector:
 
 def _fmt_float(x: float) -> str:
     x = float(x)
-    if x == int(x) and abs(x) < 1e16:
+    if x.is_integer() and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
 

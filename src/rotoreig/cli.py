@@ -25,44 +25,31 @@ def _fmt(x: float) -> str:
     return repr(float(x) + 0.0)
 
 
-def _sweep_energies(model: str, x: float, args) -> list[float]:
-    if model == "monolayer":
-        return [-x, x]
-    if model == "qw":
-        return sorted([x * x / 2.0 - x * args.alpha, x * x / 2.0 + x * args.alpha])
-    if model == "atoms":
-        # x is the coupling constant Gamma; level splitting comes from --omega
-        root = math.hypot(args.omega, x)
-        return sorted([-x, x, -root, root])
-    return models.bilayer_spectrum(x, args.bias_u, args.gamma1)
-
-
 def cmd_spectrum(args, out) -> int:
     if args.samples < 2:
         raise SystemExit2("--samples must be at least 2")
     if args.kmin > args.kmax:
         raise SystemExit2("--kmin must not exceed --kmax")
-    sweep_name = "Gamma" if args.model == "atoms" else "k"
-    n_bands = 4 if args.model in ("atoms", "bilayer") else 2
+    spec, params = models.MODELS[args.model], _point_params(args)
     rows = []
     for i in range(args.samples):
         x = args.kmin + (args.kmax - args.kmin) * i / (args.samples - 1)
-        energies = [e + 0.0 for e in _sweep_energies(args.model, x, args)]
+        energies = [e + 0.0 for e in spec.spectrum(x, params)]
         rows.append((x + 0.0, energies))
     if args.format == "csv":
-        header = sweep_name + "," + ",".join(f"E{j + 1}" for j in range(n_bands))
-        out.write(header + "\n")
+        bands = ",".join(f"E{j + 1}" for j in range(len(rows[0][1])))
+        out.write(f"{spec.sweep},{bands}\n")
         for x, energies in rows:
             out.write(",".join([_fmt(x)] + [_fmt(e) for e in energies]) + "\n")
     else:
         json_rows = []
         for x, energies in rows:
-            row = {sweep_name: x, "energies": energies}
+            row = {spec.sweep: x, "energies": energies}
             # the rotor construction is singular here, so no eigenspinors
             if abs(x) <= models.DEGENERACY_TOL:
                 row["degenerate"] = True
             json_rows.append(row)
-        doc = {"model": args.model, "sweep": sweep_name, "rows": json_rows}
+        doc = {"model": args.model, "sweep": spec.sweep, "rows": json_rows}
         out.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
@@ -82,18 +69,11 @@ def _point_params(args) -> ModelParams:
 
 
 def cmd_eigens(args, out) -> int:
-    params = _point_params(args)
+    spec, params = models.MODELS[args.model], _point_params(args)
     doc = {"model": params.model, "params": params.to_json_dict()}
     try:
-        if params.model == "monolayer":
-            sols = models.solve_monolayer(params.kx, params.ky)
-        elif params.model == "qw":
-            sols = models.solve_qw(params.kx, params.ky, params.alphaR)
-        elif params.model == "atoms":
-            sols = models.solve_two_atoms(params.omega, params.Gamma)
-        else:
-            sols = models.solve_bilayer(params)
-    except ValueError as exc:
+        sols = spec.solve(params)
+    except models.DegenerateError as exc:
         doc["degenerate"] = True
         doc["reason"] = str(exc)
         out.write(json.dumps(doc, indent=2) + "\n")
@@ -101,10 +81,9 @@ def cmd_eigens(args, out) -> int:
     records = []
     for s in sols:
         rec = s.to_json_dict()
-        if s.spinor is not None and params.model in ("monolayer", "qw"):
+        if s.spinor is not None and spec.average:
             avg = models.pseudospin_average(s.spinor)
-            key = "pseudospin" if params.model == "monolayer" else "spin"
-            rec[key] = [float(v) for v in avg]
+            rec[spec.average] = [float(v) for v in avg]
         records.append(rec)
     doc["solutions"] = records
     out.write(json.dumps(doc, indent=2) + "\n")
@@ -112,22 +91,16 @@ def cmd_eigens(args, out) -> int:
 
 
 def _draw_params(model: str, rng: random.Random) -> ModelParams:
-    def coupling() -> float:
-        return rng.uniform(0.01, 2.0)
-
+    # the draw order fixes `verify`'s output per seed: k and phi for every
+    # model, then the model's couplings in order, then eta
+    spec = models.MODELS[model]
     k = 10.0 ** rng.uniform(math.log10(0.01), math.log10(5.0))
     phi = rng.uniform(0.0, 2.0 * math.pi)
-    kx, ky = k * math.cos(phi), k * math.sin(phi)
-    if model == "monolayer":
-        return ModelParams("monolayer", kx=kx, ky=ky)
-    if model == "qw":
-        return ModelParams("qw", kx=kx, ky=ky, alphaR=coupling())
-    if model == "atoms":
-        return ModelParams("atoms", omega=coupling(), Gamma=coupling())
-    return ModelParams(
-        "bilayer", kx=kx, ky=ky, gamma1=coupling(), U=coupling(),
-        eta=rng.choice([1, -1]),
-    )
+    drawn = {"kx": k * math.cos(phi), "ky": k * math.sin(phi)}
+    drawn.update((name, rng.uniform(0.01, 2.0)) for name in spec.couplings)
+    if "eta" in spec.fields:
+        drawn["eta"] = rng.choice([1, -1])
+    return ModelParams(model, **{name: drawn[name] for name in spec.fields})
 
 
 def cmd_verify(args, out) -> int:
@@ -136,12 +109,12 @@ def cmd_verify(args, out) -> int:
     rng = random.Random(args.seed)
     all_pass = True
     first_failure = None
-    for model in models.MODELS:
+    for name in models.MODELS:
         max_delta = 0.0
         max_residual = 0.0
         ok = True
         for _ in range(args.trials):
-            report = oracle.cross_check(_draw_params(model, rng), tol=args.tol)
+            report = oracle.cross_check(_draw_params(name, rng), tol=args.tol)
             max_delta = max(max_delta, report.max_delta)
             if report.residuals:
                 max_residual = max(max_residual, max(report.residuals))
@@ -151,7 +124,7 @@ def cmd_verify(args, out) -> int:
                     first_failure = report
         all_pass = all_pass and ok
         out.write(
-            f"model={model} trials={args.trials} max_delta={_fmt(max_delta)} "
+            f"model={name} trials={args.trials} max_delta={_fmt(max_delta)} "
             f"max_residual={_fmt(max_residual)} "
             f"status={'pass' if ok else 'FAIL'}\n"
         )
@@ -190,8 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model(p):
-        p.add_argument("--model", required=True,
-                       choices=["monolayer", "qw", "atoms", "bilayer"])
+        p.add_argument("--model", required=True, choices=models.MODELS)
         p.add_argument("--alpha", type=_finite_float, default=0.0,
                        help="Rashba coupling (qw)")
         p.add_argument("--omega", type=_finite_float, default=0.0,
@@ -214,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep end (Gamma end for atoms)")
     p_spec.add_argument("--samples", type=int, default=101)
     p_spec.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_spec.set_defaults(func=cmd_spectrum)
+    # a sweep's parameters hold no wave vector; it is the sweep variable
+    p_spec.set_defaults(func=cmd_spectrum, kx=0.0, ky=0.0)
 
     p_eig = sub.add_parser("eigens", help="eigensolutions at one point (JSON)")
     add_model(p_eig)

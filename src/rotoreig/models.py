@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +27,9 @@ from .spinors import Spinor
 
 __all__ = [
     "MODELS",
+    "ModelSpec",
     "ModelParams",
+    "DegenerateError",
     "EigenSolution",
     "DEGENERACY_TOL",
     "h_monolayer",
@@ -45,8 +48,6 @@ __all__ = [
     "expectation_energy",
 ]
 
-MODELS = ("monolayer", "qw", "atoms", "bilayer")
-
 #: |k| (or coupling) below this counts as a degenerate point of the rotor map
 DEGENERACY_TOL = 1e-10
 
@@ -57,9 +58,7 @@ _E12_30 = _E1_30 * _E2_30
 
 _E2_31 = Multivector.basis_vector(CL31, 2)
 _E3_31 = Multivector.basis_vector(CL31, 3)
-_E4_31 = Multivector.basis_vector(CL31, 4)
 _E23_31 = _E2_31 * _E3_31
-_E34_31 = _E3_31 * _E4_31
 _I31 = pseudoscalar(CL31)
 _IE3_31 = _I31 * _E3_31
 
@@ -89,16 +88,29 @@ class ModelParams:
         return math.hypot(self.kx, self.ky)
 
     def to_json_dict(self) -> dict:
-        d = {"model": self.model}
-        fields = {
-            "monolayer": ("kx", "ky"),
-            "qw": ("kx", "ky", "alphaR"),
-            "atoms": ("omega", "Gamma"),
-            "bilayer": ("kx", "ky", "U", "gamma1", "eta"),
-        }[self.model]
-        for name in fields:
-            d[name] = getattr(self, name)
-        return d
+        return {"model": self.model,
+                **{name: getattr(self, name) for name in MODELS[self.model].fields}}
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One model: its algebra, parameters, Hamiltonian, solver and spectrum.
+
+    The callables take a ``ModelParams`` and call the module functions by
+    name, so a patched module attribute (``models.solve_qw``) reaches them."""
+
+    algebra: str
+    fields: tuple[str, ...]     # the model's ModelParams fields, in JSON order
+    couplings: tuple[str, ...]  # the couplings `verify` draws, in draw order
+    sweep: str                  # the ModelParams attribute `spectrum` sweeps
+    h: Callable[[Spinor, ModelParams], Spinor]
+    solve: Callable[[ModelParams], list[EigenSolution]]
+    spectrum: Callable[[float, ModelParams], list[float]]  # sorted energies
+    average: str | None         # JSON key of the eigenspinors' e3 average
+
+
+class DegenerateError(ValueError):
+    """A singular point of the model, where the rotor map is undefined."""
 
 
 @dataclass
@@ -149,7 +161,7 @@ def solve_monolayer(kx: float, ky: float) -> list[EigenSolution]:
     """Both bands E = -|k|, +|k| with rotor eigenspinors (1 +- khat e3)/sqrt2."""
     k = math.hypot(kx, ky)
     if k <= DEGENERACY_TOL:
-        raise ValueError("degenerate Dirac point: rotor undefined at k = 0")
+        raise DegenerateError("degenerate Dirac point: rotor undefined at k = 0")
     khat = _k_vector(kx / k, ky / k)
     out = []
     for sign, label in ((-1.0, "valence"), (1.0, "conduction")):
@@ -195,7 +207,7 @@ def solve_qw(kx: float, ky: float, alphaR: float) -> list[EigenSolution]:
     """Spin-split bands E = k^2/2 -+ k alphaR with in-plane rotor targets."""
     k = math.hypot(kx, ky)
     if k <= DEGENERACY_TOL:
-        raise ValueError("degenerate point: rotor undetermined at k = 0")
+        raise DegenerateError("degenerate point: rotor undetermined at k = 0")
     if abs(alphaR) <= 1e-12:
         k2 = k * k / 2.0
         return [
@@ -231,10 +243,6 @@ def h_two_atoms(psi: Spinor, omega: float, Gamma: float) -> Spinor:
     """
     if psi.algebra != "cl31":
         raise ValueError("two-atom model lives in Cl(3,1)")
-    # identity used by the splitting: e34 psi e34 == e3 psibar e3
-    assert (
-        _E34_31 * psi.mv * _E34_31 - _E3_31 * spatial_inversion(psi.mv) * _E3_31
-    ).norm() <= 1e-12 * max(1.0, psi.mv.norm())
     odd_part = (psi.mv - spatial_inversion(psi.mv)) / 2.0
     return Spinor(
         omega * (_E3_31 * odd_part * _E3_31) - Gamma * (_E2_31 * psi.mv * _E3_31)
@@ -250,7 +258,7 @@ def solve_two_atoms(omega: float, Gamma: float) -> list[EigenSolution]:
     """
     root = math.hypot(omega, Gamma)
     if root <= DEGENERACY_TOL:
-        raise ValueError("fully degenerate: omega = Gamma = 0")
+        raise DegenerateError("fully degenerate: omega = Gamma = 0")
     out = []
     # even sector
     if abs(Gamma) <= DEGENERACY_TOL:
@@ -385,20 +393,10 @@ def solve_bilayer(params: ModelParams) -> list[EigenSolution]:
 # ---------------------------------------------------------------------
 
 
-def _apply_model(psi: Spinor, params: ModelParams) -> Spinor:
-    if params.model == "monolayer":
-        return h_monolayer(psi, params.kx, params.ky)
-    if params.model == "qw":
-        return h_qw(psi, params.kx, params.ky, params.alphaR)
-    if params.model == "atoms":
-        return h_two_atoms(psi, params.omega, params.Gamma)
-    return h_bilayer(psi, params)
-
-
 def expectation_energy(psi: Spinor, params: ModelParams) -> float:
     """Rayleigh value <psi~ H(psi)> / <psi~ psi> (dagger in Cl(3,1));
     equals the eigenenergy on eigenspinors."""
-    h_psi = _apply_model(psi, params)
+    h_psi = MODELS[params.model].h(psi, params)
     if psi.algebra == "cl30":
         bra = ~psi.mv
     else:
@@ -407,3 +405,43 @@ def expectation_energy(psi: Spinor, params: ModelParams) -> float:
     if abs(norm) < 1e-14:
         raise ValueError("cannot normalize a null spinor")
     return (bra * h_psi.mv).scalar_part() / norm
+
+
+# ---------------------------------------------------------------------
+# the model registry, in the paper's order
+# ---------------------------------------------------------------------
+
+
+MODELS: dict[str, ModelSpec] = {
+    "monolayer": ModelSpec(
+        "cl30", ("kx", "ky"), (), "k",
+        h=lambda psi, p: h_monolayer(psi, p.kx, p.ky),
+        solve=lambda p: solve_monolayer(p.kx, p.ky),
+        spectrum=lambda k, p: [-k, k],
+        average="pseudospin",
+    ),
+    "qw": ModelSpec(
+        "cl30", ("kx", "ky", "alphaR"), ("alphaR",), "k",
+        h=lambda psi, p: h_qw(psi, p.kx, p.ky, p.alphaR),
+        solve=lambda p: solve_qw(p.kx, p.ky, p.alphaR),
+        spectrum=lambda k, p: sorted([k * k / 2.0 - k * p.alphaR,
+                                      k * k / 2.0 + k * p.alphaR]),
+        average="spin",
+    ),
+    "atoms": ModelSpec(
+        # the sweep variable is the coupling Gamma; omega splits the levels
+        "cl31", ("omega", "Gamma"), ("omega", "Gamma"), "Gamma",
+        h=lambda psi, p: h_two_atoms(psi, p.omega, p.Gamma),
+        solve=lambda p: solve_two_atoms(p.omega, p.Gamma),
+        spectrum=lambda g, p: sorted([-g, g, -math.hypot(p.omega, g),
+                                      math.hypot(p.omega, g)]),
+        average=None,
+    ),
+    "bilayer": ModelSpec(
+        "cl31", ("kx", "ky", "U", "gamma1", "eta"), ("gamma1", "U"), "k",
+        h=lambda psi, p: h_bilayer(psi, p),
+        solve=lambda p: solve_bilayer(p),
+        spectrum=lambda k, p: bilayer_spectrum(k, p.U, p.gamma1),
+        average=None,
+    ),
+}

@@ -151,6 +151,8 @@ def eig_dense(m) -> np.ndarray:
     """Sorted real eigenvalues of a real symmetric or complex hermitian
     matrix (each hermitian eigenvalue reported once)."""
     m = np.asarray(m)
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
     if np.iscomplexobj(m):
         if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
             raise ValueError("complex input must be hermitian")
@@ -212,6 +214,17 @@ def _collapse_pairs(vals: np.ndarray, tol: float = 1e-8) -> list[float]:
     return out
 
 
+#: the oracle's sorted energies per model, independent of ``models.MODELS``:
+#: Hilbert-space matrices, and for bilayer the real linearization of H
+_ORACLES = {
+    "monolayer": lambda p: list(eig_dense(matrix_monolayer(p.kx, p.ky))),
+    "qw": lambda p: list(eig_dense(matrix_qw(p.kx, p.ky, p.alphaR))),
+    "atoms": lambda p: list(eig_dense(matrix_two_atoms(p.omega, p.Gamma))),
+    "bilayer": lambda p: _collapse_pairs(jacobi_eigh(
+        ga_operator_matrix(lambda s: models.h_bilayer(s, p), "cl31"))),
+}
+
+
 # fixed spinors used for the action-equivalence spot check
 _SPOT_RNG = np.random.RandomState(20140)
 _SPOT_COLS_2 = _SPOT_RNG.standard_normal((2, 2)) + 1j * _SPOT_RNG.standard_normal((2, 2))
@@ -255,27 +268,13 @@ def cross_check(params: models.ModelParams, tol: float = MATCH_TOL) -> CrossChec
     The report also carries the algebra's action-equivalence result, which
     ``passed`` requires; that check runs once per algebra per process (see
     ``_action_equivalence_ok``) and its result is copied into every report."""
-    if params.model == "monolayer":
-        sols = models.solve_monolayer(params.kx, params.ky)
-        oracle = list(eig_dense(matrix_monolayer(params.kx, params.ky)))
-        algebra = "cl30"
-    elif params.model == "qw":
-        sols = models.solve_qw(params.kx, params.ky, params.alphaR)
-        oracle = list(eig_dense(matrix_qw(params.kx, params.ky, params.alphaR)))
-        algebra = "cl30"
-    elif params.model == "atoms":
-        sols = models.solve_two_atoms(params.omega, params.Gamma)
-        oracle = list(eig_dense(matrix_two_atoms(params.omega, params.Gamma)))
-        algebra = "cl31"
-    else:
-        sols = models.solve_bilayer(params)
-        hop = ga_operator_matrix(lambda s: models.h_bilayer(s, params), "cl31")
-        oracle = _collapse_pairs(jacobi_eigh(hop))
-        algebra = "cl31"
+    spec = models.MODELS[params.model]
+    sols = spec.solve(params)
+    oracle = _ORACLES[params.model](params)
     rotor = [s.energy for s in sols]
     residuals = [s.residual for s in sols]
     max_delta = _energy_delta(rotor, oracle)
-    action_ok = _action_equivalence_ok(algebra)
+    action_ok = _action_equivalence_ok(spec.algebra)
     passed = max_delta <= tol and action_ok
     return CrossCheckReport(
         params=params,

@@ -245,6 +245,13 @@ class TestSerialization:
         assert str(2.0 * e(CL31, 1, 3, 4)) == "2e134"
         assert str(Multivector.zero(CL30)) == "0"
 
+    def test_text_form_of_non_finite_coefficients(self):
+        m = Multivector(CL30, [math.nan, math.inf, -math.inf, 0.0, 0.0, 0.0, 0.0, 2.0])
+        assert str(m) == "nan + infe1 - infe2 + 2e123"
+        # finite values keep their form
+        assert str(Multivector.scalar(CL30, 1e16)) == "1e+16"
+        assert str(Multivector.scalar(CL30, -3.0)) == "-3"
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(11)
         for sig in (CL30, CL31):

@@ -134,6 +134,26 @@ class TestEigens:
         assert doc["degenerate"] is True and "solutions" not in doc
 
 
+    def test_nan_rotor_is_an_error_not_a_degeneracy(self, capsys):
+        # k = 1e200 overflows k^2 in the qw rotor target, so the rotor is NaN
+        code = cli.main(["eigens", "--model", "qw", "--kx", "1e200", "--alpha", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: not a rotor: nan")
+
+    def test_solver_value_error_exits_one(self, monkeypatch, capsys):
+        def leak(kx, ky):
+            raise ValueError("spinor leaves the spinor subspace")
+
+        monkeypatch.setattr(cli.models, "solve_monolayer", leak)
+        code = cli.main(["eigens", "--model", "monolayer", "--kx", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "leaves the spinor subspace" in captured.err
+
+
 class TestVerify:
     def test_small_run_passes(self):
         code, out = run_cli("verify", "--trials", "3", "--seed", "7")

@@ -24,6 +24,36 @@ CASES = {
                             "--gamma1", "0.4", "--bias-u", "0.2", "--eta", "1"],
     "eigens_qw.json": ["eigens", "--model", "qw", "--kx", "0.3", "--ky", "1.1",
                        "--alpha", "0.7"],
+    # degenerate points: the three singular points and two degenerate sectors
+    "eigens_monolayer_k0.json": ["eigens", "--model", "monolayer", "--kx", "0", "--ky", "0"],
+    "eigens_qw_k0.json": ["eigens", "--model", "qw", "--alpha", "0.5"],
+    "eigens_qw_alpha0.json": ["eigens", "--model", "qw", "--kx", "0.6", "--ky", "0.8",
+                              "--alpha", "0"],
+    "eigens_atoms_gamma0.json": ["eigens", "--model", "atoms", "--omega", "1.5",
+                                 "--gamma", "0"],
+    "eigens_atoms_origin.json": ["eigens", "--model", "atoms"],
+    # the four README sweeps
+    "spectrum_monolayer.csv": ["spectrum", "--model", "monolayer", "--kmin", "0",
+                               "--kmax", "2", "--samples", "101"],
+    "spectrum_qw.csv": ["spectrum", "--model", "qw", "--alpha", "0.25", "--kmin", "0",
+                        "--kmax", "2", "--samples", "101"],
+    "spectrum_atoms.csv": ["spectrum", "--model", "atoms", "--omega", "1", "--kmin", "0",
+                           "--kmax", "2", "--samples", "101"],
+    "spectrum_bilayer.csv": ["spectrum", "--model", "bilayer", "--bias-u", "0.3",
+                             "--gamma1", "0.4", "--kmin", "0", "--kmax", "1.5",
+                             "--samples", "301"],
+    # JSON sweeps through a degenerate row, and over negative sweep values
+    "spectrum_monolayer_k0.json": ["spectrum", "--model", "monolayer", "--kmin", "0",
+                                   "--kmax", "2", "--samples", "5", "--format", "json"],
+    "spectrum_bilayer_k0.json": ["spectrum", "--model", "bilayer", "--bias-u", "0.3",
+                                 "--gamma1", "0.4", "--kmin", "0", "--kmax", "1.5",
+                                 "--samples", "7", "--format", "json"],
+    "spectrum_qw_negative.json": ["spectrum", "--model", "qw", "--alpha=-0.25",
+                                  "--kmin=-1", "--kmax", "1", "--samples", "9",
+                                  "--format", "json"],
+    "spectrum_atoms_negative.json": ["spectrum", "--model", "atoms", "--omega", "1",
+                                     "--kmin=-2", "--kmax", "2", "--samples", "9",
+                                     "--format", "json"],
 }
 
 

@@ -2,12 +2,19 @@
 
 import math
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rotoreig import cli, models
 from rotoreig.algebra import CL30, CL31, Multivector, pseudoscalar, spatial_inversion
 from rotoreig.models import (
     DEGENERACY_TOL,
+    MODELS,
+    DegenerateError,
     EigenSolution,
     ModelParams,
     bilayer_mexican_hat_k,
@@ -79,7 +86,7 @@ class TestMonolayer:
         assert [s.band_label for s in sols] == ["valence", "conduction"]
 
     def test_dirac_point_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateError):
             solve_monolayer(0.0, 0.0)
 
     def test_pseudospin_of_bands(self):
@@ -145,7 +152,7 @@ class TestQuantumWell:
         assert [s.energy for s in sols] == pytest.approx([0.5, 0.5])
 
     def test_zero_k_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateError):
             solve_qw(0.0, 0.0, 0.5)
 
 
@@ -197,8 +204,25 @@ class TestTwoAtoms:
         assert sorted(s.energy for s in odds) == pytest.approx([-1.0, 1.0])
 
     def test_fully_degenerate_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateError):
             solve_two_atoms(0.0, 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=8, max_size=8),
+           st.floats(-3.0, 3.0, allow_nan=False), st.floats(-3.0, 3.0, allow_nan=False))
+    def test_e34_conjugation_is_conjugated_inversion(self, coeffs, omega, gamma):
+        # e34 psi e34 == e3 psibar e3 on every Cl(3,1) spinor, which makes
+        # h_two_atoms the e34 form of its docstring
+        psi = Spinor.from_coeff_vector("cl31", coeffs).mv
+        e2, e3, e4 = (Multivector.basis_vector(CL31, i) for i in (2, 3, 4))
+        e34 = e3 * e4
+        lhs = e34 * psi * e34
+        assert (lhs - e3 * spatial_inversion(psi) * e3).norm() <= 1e-12 * max(
+            1.0, psi.norm())
+        e34_form = (-(omega / 2.0) * lhs + (omega / 2.0) * (e3 * psi * e3)
+                    - gamma * (e2 * psi * e3))
+        h = h_two_atoms(Spinor(psi), omega, gamma).mv
+        assert (h - e34_form).norm() <= 1e-12 * max(1.0, psi.norm())
 
     def test_h_even_sector_eigenvalue(self):
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
@@ -304,3 +328,30 @@ class TestExpectationEnergy:
             expectation_energy(
                 Spinor(Multivector.zero(CL30)), ModelParams("monolayer", kx=1.0)
             )
+
+
+class TestModelRegistry:
+    def test_paper_order_and_algebras(self):
+        assert list(MODELS) == ["monolayer", "qw", "atoms", "bilayer"]
+        assert [spec.algebra for spec in MODELS.values()] == [
+            "cl30", "cl30", "cl31", "cl31"]
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_spectrum_is_the_solver_spectrum_bit_for_bit(self, model):
+        spec, rng = MODELS[model], random.Random(17)
+        for _ in range(200):
+            params = cli._draw_params(model, rng)
+            x = getattr(params, spec.sweep)
+            solved = sorted(s.energy for s in spec.solve(params))
+            assert [e.hex() for e in spec.spectrum(x, params)] == [
+                e.hex() for e in solved]
+
+    def test_entries_call_the_module_functions(self, monkeypatch):
+        # patching a module attribute (as the benchmark tracer does) must
+        # reach the registry
+        monkeypatch.setattr(models, "solve_qw", lambda kx, ky, a: ("solve", kx, ky, a))
+        monkeypatch.setattr(models, "h_two_atoms", lambda psi, w, g: ("h", w, g))
+        assert MODELS["qw"].solve(ModelParams("qw", kx=1.0, ky=2.0, alphaR=3.0)) == (
+            "solve", 1.0, 2.0, 3.0)
+        assert MODELS["atoms"].h(None, ModelParams("atoms", omega=4.0, Gamma=5.0)) == (
+            "h", 4.0, 5.0)

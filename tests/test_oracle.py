@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -123,8 +124,12 @@ class TestJacobi:
         m[1, 2] = m[2, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             jacobi_eigh(m)
-        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
-            eig_dense(m.astype(complex))
+        for dense in (m, m.astype(complex)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ValueError, match="non-finite"):
+                    eig_dense(dense)
+            assert caught == []
 
     def test_identity(self):
         assert jacobi_eigh(np.eye(4)) == pytest.approx([1.0] * 4)
