@@ -308,7 +308,9 @@ class Multivector:
             if c == 0.0:
                 continue
             mag = _fmt_float(abs(c))
-            body = mag + blade_str(mask) if mask else mag
+            # "nan*e1", not "nane1"; finite coefficients abut their blade
+            sep = "" if np.isfinite(c) else "*"
+            body = mag + sep + blade_str(mask) if mask else mag
             if not terms:
                 terms.append(("-" if c < 0 else "") + body)
             else:

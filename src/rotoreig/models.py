@@ -8,6 +8,7 @@ the Cl(3,1) odd sector) taking e3 to a model-specific target direction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -23,7 +24,7 @@ from .algebra import (
     dagger,
 )
 from .rotors import rotor_exp, rotor_from_vectors
-from .spinors import Spinor
+from .spinors import _CL31_SIGNS, Spinor
 
 __all__ = [
     "MODELS",
@@ -41,6 +42,7 @@ __all__ = [
     "h_two_atoms",
     "solve_two_atoms",
     "h_bilayer",
+    "bilayer_operator",
     "bilayer_spectrum",
     "bilayer_mexican_hat_k",
     "bilayer_quantization_residual",
@@ -208,16 +210,14 @@ def solve_qw(kx: float, ky: float, alphaR: float) -> list[EigenSolution]:
     k = math.hypot(kx, ky)
     if k <= DEGENERACY_TOL:
         raise DegenerateError("degenerate point: rotor undetermined at k = 0")
-    if abs(alphaR) <= 1e-12:
-        k2 = k * k / 2.0
-        return [
-            EigenSolution(k2, None, None, "valence", 0.0, degenerate=True),
-            EigenSolution(k2, None, None, "conduction", 0.0, degenerate=True),
-        ]
     out = []
     k_dot_e12 = (_k_vector(kx, ky) | _E12_30)  # = kx e2 - ky e1
     for sign, label in ((-1.0, "valence"), (1.0, "conduction")):
         energy = k * k / 2.0 + sign * k * alphaR
+        if abs(alphaR) <= 1e-12:
+            # spin degenerate to within the rotor map's resolution
+            out.append(EigenSolution(energy, None, None, label, 0.0, degenerate=True))
+            continue
         coeff = (k * k / 2.0 - energy) / (alphaR * k * k)
         target = coeff * k_dot_e12
         psi = rotor_from_vectors(_E3_30, target).value
@@ -261,17 +261,17 @@ def solve_two_atoms(omega: float, Gamma: float) -> list[EigenSolution]:
         raise DegenerateError("fully degenerate: omega = Gamma = 0")
     out = []
     # even sector
-    if abs(Gamma) <= DEGENERACY_TOL:
-        out.append(EigenSolution(0.0, None, None, "even-1", 0.0, degenerate=True))
-        out.append(EigenSolution(0.0, None, None, "even-2", 0.0, degenerate=True))
-    else:
-        for i, energy in enumerate((-Gamma, Gamma), start=1):
-            target = -(energy / Gamma) * _E2_31
-            phi = math.atan2(target.vector_coords()[1], 0.0)
-            psi = rotor_exp(_E23_31, phi).value
-            res = _residual(h_two_atoms(Spinor(psi), omega, Gamma).mv, energy, psi)
-            out.append(EigenSolution(energy, Spinor(psi), target.vector_coords(),
-                                     f"even-{i}", res))
+    for i, energy in enumerate((-Gamma, Gamma), start=1):
+        if abs(Gamma) <= DEGENERACY_TOL:
+            out.append(EigenSolution(energy, None, None, f"even-{i}", 0.0,
+                                     degenerate=True))
+            continue
+        target = -(energy / Gamma) * _E2_31
+        phi = math.atan2(target.vector_coords()[1], 0.0)
+        psi = rotor_exp(_E23_31, phi).value
+        res = _residual(h_two_atoms(Spinor(psi), omega, Gamma).mv, energy, psi)
+        out.append(EigenSolution(energy, Spinor(psi), target.vector_coords(),
+                                 f"even-{i}", res))
     # odd sector
     for i, energy in enumerate((-root, root), start=1):
         # carrier target in the e2,e3 plane: -(E/root) * (omega e3 - Gamma e2)/root
@@ -304,6 +304,41 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
     )
     bias = eta * params.U * (_E3_31 * psi.mv * _E3_31)
     return Spinor(kin + coupling + bias)
+
+
+@functools.cache
+def _bilayer_terms() -> tuple[np.ndarray, ...]:
+    """Term matrices (kx, ky, gamma1, U) of ``h_bilayer`` on spinor coefficients,
+    without the coefficient-map row signs.
+
+    Each is ``h_bilayer``'s operator matrix at one unit parameter (kx = 1,
+    ky = 1, gamma1 = -2 so that -(gamma1/2) = 1, U = 1), so the spinor
+    subspace check runs on every term column once per process."""
+    from .oracle import ga_operator_matrix  # deferred: oracle imports models
+
+    terms = []
+    for unit in ({"kx": 1.0}, {"ky": 1.0}, {"gamma1": -2.0}, {"U": 1.0}):
+        p = ModelParams("bilayer", **unit)
+        term = _CL31_SIGNS[:, None] * ga_operator_matrix(
+            lambda s: h_bilayer(s, p), "cl31") + 0.0
+        term.flags.writeable = False  # shared by every caller
+        terms.append(term)
+    return tuple(terms)
+
+
+def bilayer_operator(params: ModelParams) -> np.ndarray:
+    """The 8x8 real matrix of ``h_bilayer`` on spinor coefficients.
+
+    Assembled from ``_bilayer_terms`` in ``h_bilayer``'s own order of float
+    operations, so its bytes, signed zeros included, are those of
+    ``oracle.ga_operator_matrix`` applied to ``h_bilayer``."""
+    m_kx, m_ky, m_gamma1, m_u = _bilayer_terms()
+    eta = float(params.eta)
+    return _CL31_SIGNS[:, None] * (
+        eta * (params.kx * m_kx + params.ky * m_ky + 0.0)
+        + (-(params.gamma1 / 2.0)) * m_gamma1
+        + (eta * params.U) * m_u
+    )
 
 
 def bilayer_spectrum(k: float, U: float, gamma1: float) -> list[float]:
@@ -354,10 +389,8 @@ def solve_bilayer(params: ModelParams) -> list[EigenSolution]:
     condition)."""
     if params.model != "bilayer":
         raise ValueError("expected bilayer parameters")
-    from .oracle import ga_operator_matrix  # deferred: oracle imports models
-
     energies = bilayer_spectrum(params.k, params.U, params.gamma1)
-    hop = ga_operator_matrix(lambda s: h_bilayer(s, params), "cl31")
+    hop = bilayer_operator(params)
     out = []
     for i, energy in enumerate(energies, start=1):
         label = f"band-{i}"

@@ -154,10 +154,16 @@ def eig_dense(m) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     if np.iscomplexobj(m):
+        if m.ndim != 2:
+            raise ValueError("expected a small square matrix")
         if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
             raise ValueError("complex input must be hermitian")
-        re, im = m.real, m.imag
-        embed = np.block([[re, -im], [im, re]])
+        # [[re, -im], [im, re]], filled by blocks (np.block's bytes, faster)
+        n = m.shape[0]
+        embed = np.empty((2 * n, 2 * n))
+        embed[:n, :n] = embed[n:, n:] = m.real
+        embed[:n, n:] = -m.imag
+        embed[n:, :n] = m.imag
         doubled = jacobi_eigh(embed)
         # the embedding doubles every eigenvalue; collapse adjacent pairs
         return (doubled[0::2] + doubled[1::2]) / 2.0
@@ -215,13 +221,14 @@ def _collapse_pairs(vals: np.ndarray, tol: float = 1e-8) -> list[float]:
 
 
 #: the oracle's sorted energies per model, independent of ``models.MODELS``:
-#: Hilbert-space matrices, and for bilayer the real linearization of H
+#: Hilbert-space matrices, and for bilayer the real linearization of H,
+#: ``models.bilayer_operator``, which ``solve_bilayer`` also takes its
+#: eigenspinors from (so this oracle is not independent of the solver)
 _ORACLES = {
     "monolayer": lambda p: list(eig_dense(matrix_monolayer(p.kx, p.ky))),
     "qw": lambda p: list(eig_dense(matrix_qw(p.kx, p.ky, p.alphaR))),
     "atoms": lambda p: list(eig_dense(matrix_two_atoms(p.omega, p.Gamma))),
-    "bilayer": lambda p: _collapse_pairs(jacobi_eigh(
-        ga_operator_matrix(lambda s: models.h_bilayer(s, p), "cl31"))),
+    "bilayer": lambda p: _collapse_pairs(jacobi_eigh(models.bilayer_operator(p))),
 }
 
 

@@ -247,10 +247,18 @@ class TestSerialization:
 
     def test_text_form_of_non_finite_coefficients(self):
         m = Multivector(CL30, [math.nan, math.inf, -math.inf, 0.0, 0.0, 0.0, 0.0, 2.0])
-        assert str(m) == "nan + infe1 - infe2 + 2e123"
+        assert str(m) == "nan + inf*e1 - inf*e2 + 2e123"
+        c = np.zeros(CL31.dim)
+        c[[3, 9, 15]] = [2.5, -math.inf, math.nan]
+        assert str(Multivector(CL31, c)) == "2.5e12 - inf*e14 + nan*e1234"
         # finite values keep their form
         assert str(Multivector.scalar(CL30, 1e16)) == "1e+16"
         assert str(Multivector.scalar(CL30, -3.0)) == "-3"
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=CL31.dim, max_size=CL31.dim))
+    def test_finite_coefficients_abut_their_blades(self, c):
+        assert "*" not in str(Multivector(CL31, np.array(c)))
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(11)

@@ -140,7 +140,7 @@ class TestEigens:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: not a rotor: nan")
+        assert captured.err.startswith("error: not a rotor: nan + nan*e1 + nan*e2")
 
     def test_solver_value_error_exits_one(self, monkeypatch, capsys):
         def leak(kx, ky):

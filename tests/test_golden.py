@@ -32,6 +32,20 @@ CASES = {
     "eigens_atoms_gamma0.json": ["eigens", "--model", "atoms", "--omega", "1.5",
                                  "--gamma", "0"],
     "eigens_atoms_origin.json": ["eigens", "--model", "atoms"],
+    # bilayer points whose signed zeros reach the solver's SVDs: the other
+    # valley, no bias, k = 0, negative couplings and kx = -0.0
+    "eigens_bilayer_valley_minus.json": ["eigens", "--model", "bilayer", "--kx", "0.3",
+                                         "--ky", "0.4", "--gamma1", "0.4",
+                                         "--bias-u", "0.2", "--eta", "-1"],
+    "eigens_bilayer_unbiased.json": ["eigens", "--model", "bilayer", "--kx", "0.5",
+                                     "--ky", "0.2", "--gamma1", "0.4", "--bias-u", "0"],
+    "eigens_bilayer_k0.json": ["eigens", "--model", "bilayer", "--kx", "0", "--ky", "0",
+                               "--gamma1", "0.4", "--bias-u", "0.2"],
+    "eigens_bilayer_negative.json": ["eigens", "--model", "bilayer", "--kx", "0.5",
+                                     "--ky", "0.1", "--gamma1=-0.4", "--bias-u=-0.2"],
+    "eigens_bilayer_kx_negzero.json": ["eigens", "--model", "bilayer", "--kx=-0.0",
+                                       "--ky", "0.5", "--gamma1", "0.4",
+                                       "--bias-u", "0.2"],
     # the four README sweeps
     "spectrum_monolayer.csv": ["spectrum", "--model", "monolayer", "--kmin", "0",
                                "--kmax", "2", "--samples", "101"],

@@ -1,7 +1,7 @@
 """Model Hamiltonians and their rotor-equation eigensolvers."""
 
+import dataclasses
 import math
-
 import random
 
 import numpy as np
@@ -18,6 +18,7 @@ from rotoreig.models import (
     EigenSolution,
     ModelParams,
     bilayer_mexican_hat_k,
+    bilayer_operator,
     bilayer_quantization_residual,
     bilayer_spectrum,
     expectation_energy,
@@ -32,6 +33,7 @@ from rotoreig.models import (
     solve_two_atoms,
     spin_average,
 )
+from rotoreig.oracle import ga_operator_matrix
 from rotoreig.spinors import Spinor, even_odd_split
 
 
@@ -151,6 +153,15 @@ class TestQuantumWell:
         assert all(s.degenerate and s.spinor is None for s in sols)
         assert [s.energy for s in sols] == pytest.approx([0.5, 0.5])
 
+    def test_near_zero_coupling_keeps_the_split_energies(self):
+        # degenerate to the rotor map, but the energies and band order are
+        # those of the split bands, k^2/2 -+ k alphaR
+        sols = solve_qw(1.0, 0.0, -1e-13)
+        assert all(s.degenerate and s.spinor is None for s in sols)
+        assert [s.energy for s in sols] == [0.5 - 1e-13, 0.5 + 1e-13]
+        assert [s.band_label for s in sols] == [
+            s.band_label for s in solve_qw(1.0, 0.0, -0.5)]
+
     def test_zero_k_rejected(self):
         with pytest.raises(DegenerateError):
             solve_qw(0.0, 0.0, 0.5)
@@ -203,6 +214,12 @@ class TestTwoAtoms:
         assert [s.energy for s in evens] == pytest.approx([0.0, 0.0])
         assert sorted(s.energy for s in odds) == pytest.approx([-1.0, 1.0])
 
+    def test_near_uncoupled_keeps_the_split_energies(self):
+        sols = solve_two_atoms(1.0, 1e-11)
+        assert [s.energy for s in sols] == [-1.0, -1e-11, 1e-11, 1.0]
+        assert [s.band_label for s in sols] == ["odd-1", "even-1", "even-2", "odd-2"]
+        assert [s.degenerate for s in sols] == [False, True, True, False]
+
     def test_fully_degenerate_rejected(self):
         with pytest.raises(DegenerateError):
             solve_two_atoms(0.0, 0.0)
@@ -234,7 +251,43 @@ class TestTwoAtoms:
         assert out.mv.approx_eq(-0.7 * plus.mv)
 
 
+@pytest.fixture
+def fresh_bilayer_terms():
+    """Clear the per-process bilayer term matrices before and after a test."""
+    models._bilayer_terms.cache_clear()
+    yield
+    models._bilayer_terms.cache_clear()
+
+
+#: bilayer parameters, with signed zeros, subnormal, tiny and large values
+bilayer_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e6, -1e6]),
+    st.floats(-1e12, 1e12, allow_nan=False),
+)
+
+
 class TestBilayer:
+    @settings(max_examples=300, deadline=None)
+    @given(bilayer_value, bilayer_value, bilayer_value, bilayer_value,
+           st.sampled_from([1, -1]))
+    def test_operator_bytes_are_the_ga_operator_matrix(self, kx, ky, gamma1, u, eta):
+        # signed zeros included: they reach the solver's SVDs
+        params = ModelParams("bilayer", kx=kx, ky=ky, gamma1=gamma1, U=u, eta=eta)
+        ref = ga_operator_matrix(lambda s: h_bilayer(s, params), "cl31")
+        assert bilayer_operator(params).tobytes() == ref.tobytes()
+
+    def test_leaking_hamiltonian_raises_on_first_use(self, monkeypatch,
+                                                     fresh_bilayer_terms):
+        real = models.h_bilayer
+
+        def leaky(psi, params):
+            out = real(psi, params).mv
+            return Spinor(out + params.U * Multivector.basis_vector(CL31, 1))
+
+        monkeypatch.setattr(models, "h_bilayer", leaky)
+        with pytest.raises(ValueError, match="leaves the spinor subspace"):
+            solve_bilayer(ModelParams("bilayer", kx=0.5, gamma1=0.4, U=0.2))
+
     def test_gamma_term_vanishes_on_even(self):
         params = ModelParams("bilayer", kx=0.4, ky=0.1, gamma1=0.9, U=0.0)
         psi = Spinor.from_coeff_vector("cl31", [1.0, 0.2, -0.1, 0.3, 0, 0, 0, 0])
@@ -345,6 +398,22 @@ class TestModelRegistry:
             solved = sorted(s.energy for s in spec.solve(params))
             assert [e.hex() for e in spec.spectrum(x, params)] == [
                 e.hex() for e in solved]
+
+    @pytest.mark.parametrize("model, coupling, bound", [
+        ("qw", "alphaR", 1e-12), ("atoms", "Gamma", DEGENERACY_TOL)])
+    def test_spectrum_is_the_solver_spectrum_on_degenerate_lines(
+            self, model, coupling, bound):
+        spec, rng = MODELS[model], random.Random(18)
+        for i in range(200):
+            value = ([0.0, -0.0, bound, -bound][i] if i < 4
+                     else rng.uniform(-bound, bound))
+            params = dataclasses.replace(cli._draw_params(model, rng),
+                                         **{coupling: value})
+            x = getattr(params, spec.sweep)
+            sols = spec.solve(params)
+            assert sum(s.degenerate for s in sols) == 2
+            assert [e.hex() for e in spec.spectrum(x, params)] == [
+                s.energy.hex() for s in sols]
 
     def test_entries_call_the_module_functions(self, monkeypatch):
         # patching a module attribute (as the benchmark tracer does) must

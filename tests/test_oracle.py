@@ -103,16 +103,23 @@ class TestJacobi:
         assert_bit_identical(np.ones((4, 4)))
         assert_bit_identical([[1.0, 2.0], [2.0, 1.0]])
 
-    def test_bit_identical_on_hermitian_embeddings(self):
+    def test_bit_identical_on_hermitian_embeddings(self, monkeypatch):
         rng = np.random.default_rng(56)
         mats = [matrix_monolayer(0.3, -1.2), matrix_qw(0.4, 0.9, 0.6),
-                matrix_two_atoms(0.7, 1.3)]
+                matrix_two_atoms(0.7, 1.3), matrix_monolayer(-0.0, 0.0)]
         for n in (2, 4):
             for _ in range(25):
                 m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 mats.append((m + m.conj().T) / 2.0)
+        # eig_dense fills its embedding by blocks; it must hold np.block's bytes
+        embeddings = []
+        monkeypatch.setattr(oracle, "jacobi_eigh",
+                            lambda a: embeddings.append(a) or jacobi_eigh(a))
         for m in mats:
-            assert_bit_identical(np.block([[m.real, -m.imag], [m.imag, m.real]]))
+            block = np.block([[m.real, -m.imag], [m.imag, m.real]])
+            assert_bit_identical(block)
+            eig_dense(m)
+            assert embeddings.pop().tobytes() == block.tobytes()
 
     def test_rejects_zero_dimensional(self):
         with pytest.raises(ValueError):
@@ -181,6 +188,11 @@ class TestEigDense:
     def test_rejects_nonhermitian_complex(self):
         with pytest.raises(ValueError):
             eig_dense(np.array([[0.0, 1j], [1j, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.array(2.0 + 0j), np.array([1.0 + 0j, 2.0])])
+    def test_rejects_complex_non_matrix(self, bad):
+        with pytest.raises(ValueError, match="square matrix"):
+            eig_dense(bad)
 
 
 class TestGaOperatorMatrix:
