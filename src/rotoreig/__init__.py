@@ -2,81 +2,8 @@
 
 The package solves quantum eigenproblems by a rotor equation instead of
 matrix diagonalization, then cross-checks every answer against a
-hand-rolled dense matrix oracle.
+hand-rolled dense matrix oracle.  Import names from their submodules
+(``rotoreig.models``, ``rotoreig.oracle``, ...).
 """
 
-from .algebra import (
-    CL30,
-    CL31,
-    Multivector,
-    Signature,
-    dagger,
-    geometric_product,
-    grade_project,
-    inner_product,
-    outer_product,
-    pseudoscalar,
-    reverse,
-    spatial_inversion,
-    versor_inverse,
-)
-from .rotors import Rotor, is_rotor, rotate, rotor_exp, rotor_from_vectors
-from .outermorphism import VectorMap, apply_outermorphism, secular_cubic
-from .spinors import Spinor, even_odd_split, inner_product_bracket
-from .models import (
-    MODELS,
-    EigenSolution,
-    ModelParams,
-    bilayer_mexican_hat_k,
-    bilayer_spectrum,
-    expectation_energy,
-    solve_bilayer,
-    solve_monolayer,
-    solve_qw,
-    solve_two_atoms,
-)
-from .oracle import CrossCheckReport, cross_check, eig_dense, jacobi_eigh
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CL30",
-    "CL31",
-    "Multivector",
-    "Signature",
-    "dagger",
-    "geometric_product",
-    "grade_project",
-    "inner_product",
-    "outer_product",
-    "pseudoscalar",
-    "reverse",
-    "spatial_inversion",
-    "versor_inverse",
-    "Rotor",
-    "is_rotor",
-    "rotate",
-    "rotor_exp",
-    "rotor_from_vectors",
-    "VectorMap",
-    "apply_outermorphism",
-    "secular_cubic",
-    "Spinor",
-    "even_odd_split",
-    "inner_product_bracket",
-    "MODELS",
-    "EigenSolution",
-    "ModelParams",
-    "bilayer_mexican_hat_k",
-    "bilayer_spectrum",
-    "expectation_energy",
-    "solve_bilayer",
-    "solve_monolayer",
-    "solve_qw",
-    "solve_two_atoms",
-    "CrossCheckReport",
-    "cross_check",
-    "eig_dense",
-    "jacobi_eigh",
-    "__version__",
-]

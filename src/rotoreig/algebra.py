@@ -182,11 +182,11 @@ class Multivector:
         return cls(sig, c)
 
     @classmethod
-    def blade(cls, sig: Signature, mask: int, coeff: float = 1.0) -> "Multivector":
+    def blade(cls, sig: Signature, mask: int) -> "Multivector":
         if not 0 <= mask < sig.dim:
             raise ValueError(f"blade mask {mask} out of range")
         c = np.zeros(sig.dim)
-        c[mask] = coeff
+        c[mask] = 1.0
         return cls(sig, c)
 
     @classmethod
@@ -277,9 +277,9 @@ class Multivector:
         """Euclidean norm of the coefficient vector."""
         return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
 
-    def is_even(self, tol: float = TOL) -> bool:
+    def is_even(self) -> bool:
         t = _tables(self.sig.p, self.sig.q)
-        return bool(np.all(np.abs(self.coeffs[t["grades"] % 2 == 1]) <= tol))
+        return bool(np.all(np.abs(self.coeffs[t["grades"] % 2 == 1]) <= TOL))
 
     def vector_coords(self) -> np.ndarray:
         """Coordinates of the grade-1 part."""
@@ -389,14 +389,14 @@ def dagger(m: Multivector) -> Multivector:
     return spatial_inversion(~m)
 
 
-def versor_inverse(v: Multivector, tol: float = TOL) -> Multivector:
+def versor_inverse(v: Multivector) -> Multivector:
     """Inverse of a versor via its reverse; rejects null or non-versor input."""
     vt = ~v
     n = v * vt
     n0 = n.scalar_part()
     scale = max(v.norm() ** 2, 1.0)
     nonscalar = (n - Multivector.scalar(v.sig, n0)).norm()
-    if nonscalar > tol * max(abs(n0), 1.0):
+    if nonscalar > TOL * max(abs(n0), 1.0):
         raise ValueError("input is not a versor: V*reverse(V) is not scalar")
     if abs(n0) < VERSOR_NORM_EPS * scale:
         raise ValueError("degenerate (null) versor has no inverse")

@@ -24,7 +24,7 @@ from .algebra import (
     dagger,
 )
 from .rotors import rotor_exp, rotor_from_vectors
-from .spinors import _CL31_SIGNS, Spinor
+from .spinors import Spinor, _layout_of
 
 __all__ = [
     "MODELS",
@@ -147,6 +147,13 @@ def _residual(h_of_psi: Multivector, energy: float, psi: Multivector) -> float:
     return float(np.max(np.abs((h_of_psi - energy * psi).coeffs)))
 
 
+def _eigenpair(h, energy: float, psi: Multivector, target, label: str) -> EigenSolution:
+    """The eigenpair (energy, psi), with the residual of the Hamiltonian h."""
+    spinor = Spinor(psi)
+    return EigenSolution(energy, spinor, target, label,
+                         _residual(h(spinor).mv, energy, psi))
+
+
 # ---------------------------------------------------------------------
 # monolayer graphene
 # ---------------------------------------------------------------------
@@ -170,9 +177,8 @@ def solve_monolayer(kx: float, ky: float) -> list[EigenSolution]:
         energy = sign * k
         target = sign * khat
         psi = rotor_from_vectors(_E3_30, target).value
-        res = _residual(h_monolayer(Spinor(psi), kx, ky).mv, energy, psi)
-        out.append(EigenSolution(energy, Spinor(psi), target.vector_coords(),
-                                 label, res))
+        out.append(_eigenpair(lambda s: h_monolayer(s, kx, ky), energy, psi,
+                              target.vector_coords(), label))
     return out
 
 
@@ -221,9 +227,8 @@ def solve_qw(kx: float, ky: float, alphaR: float) -> list[EigenSolution]:
         coeff = (k * k / 2.0 - energy) / (alphaR * k * k)
         target = coeff * k_dot_e12
         psi = rotor_from_vectors(_E3_30, target).value
-        res = _residual(h_qw(Spinor(psi), kx, ky, alphaR).mv, energy, psi)
-        out.append(EigenSolution(energy, Spinor(psi), target.vector_coords(),
-                                 label, res))
+        out.append(_eigenpair(lambda s: h_qw(s, kx, ky, alphaR), energy, psi,
+                              target.vector_coords(), label))
     out.sort(key=lambda s: s.energy)
     return out
 
@@ -259,6 +264,7 @@ def solve_two_atoms(omega: float, Gamma: float) -> list[EigenSolution]:
     root = math.hypot(omega, Gamma)
     if root <= DEGENERACY_TOL:
         raise DegenerateError("fully degenerate: omega = Gamma = 0")
+    h = lambda s: h_two_atoms(s, omega, Gamma)
     out = []
     # even sector
     for i, energy in enumerate((-Gamma, Gamma), start=1):
@@ -269,19 +275,15 @@ def solve_two_atoms(omega: float, Gamma: float) -> list[EigenSolution]:
         target = -(energy / Gamma) * _E2_31
         phi = math.atan2(target.vector_coords()[1], 0.0)
         psi = rotor_exp(_E23_31, phi).value
-        res = _residual(h_two_atoms(Spinor(psi), omega, Gamma).mv, energy, psi)
-        out.append(EigenSolution(energy, Spinor(psi), target.vector_coords(),
-                                 f"even-{i}", res))
+        out.append(_eigenpair(h, energy, psi, target.vector_coords(), f"even-{i}"))
     # odd sector
     for i, energy in enumerate((-root, root), start=1):
         # carrier target in the e2,e3 plane: -(E/root) * (omega e3 - Gamma e2)/root
         alpha = -(energy / root) * (omega / root)   # e3 component
         beta = (energy / root) * (Gamma / root)     # e2 component
         carrier = rotor_exp(_E23_31, math.atan2(beta, alpha)).value
-        psi = _I31 * carrier
-        res = _residual(h_two_atoms(Spinor(psi), omega, Gamma).mv, energy, psi)
         target = (carrier * _E3_31 * ~carrier).vector_coords()
-        out.append(EigenSolution(energy, Spinor(psi), target, f"odd-{i}", res))
+        out.append(_eigenpair(h, energy, _I31 * carrier, target, f"odd-{i}"))
     out.sort(key=lambda s: s.energy)
     return out
 
@@ -306,6 +308,10 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
     return Spinor(kin + coupling + bias)
 
 
+#: the coefficient-map signs of Cl(3,1) spinors, one per operator row
+_CL31_ROW_SIGNS = _layout_of("cl31").signs[:, None]
+
+
 @functools.cache
 def _bilayer_terms() -> tuple[np.ndarray, ...]:
     """Term matrices (kx, ky, gamma1, U) of ``h_bilayer`` on spinor coefficients,
@@ -319,7 +325,7 @@ def _bilayer_terms() -> tuple[np.ndarray, ...]:
     terms = []
     for unit in ({"kx": 1.0}, {"ky": 1.0}, {"gamma1": -2.0}, {"U": 1.0}):
         p = ModelParams("bilayer", **unit)
-        term = _CL31_SIGNS[:, None] * ga_operator_matrix(
+        term = _CL31_ROW_SIGNS * ga_operator_matrix(
             lambda s: h_bilayer(s, p), "cl31") + 0.0
         term.flags.writeable = False  # shared by every caller
         terms.append(term)
@@ -334,7 +340,7 @@ def bilayer_operator(params: ModelParams) -> np.ndarray:
     ``oracle.ga_operator_matrix`` applied to ``h_bilayer``."""
     m_kx, m_ky, m_gamma1, m_u = _bilayer_terms()
     eta = float(params.eta)
-    return _CL31_SIGNS[:, None] * (
+    return _CL31_ROW_SIGNS * (
         eta * (params.kx * m_kx + params.ky * m_ky + 0.0)
         + (-(params.gamma1 / 2.0)) * m_gamma1
         + (eta * params.U) * m_u
@@ -430,10 +436,7 @@ def expectation_energy(psi: Spinor, params: ModelParams) -> float:
     """Rayleigh value <psi~ H(psi)> / <psi~ psi> (dagger in Cl(3,1));
     equals the eigenenergy on eigenspinors."""
     h_psi = MODELS[params.model].h(psi, params)
-    if psi.algebra == "cl30":
-        bra = ~psi.mv
-    else:
-        bra = dagger(psi.mv)
+    bra = ~psi.mv if psi.algebra == "cl30" else dagger(psi.mv)
     norm = (bra * psi.mv).scalar_part()
     if abs(norm) < 1e-14:
         raise ValueError("cannot normalize a null spinor")
@@ -450,7 +453,7 @@ MODELS: dict[str, ModelSpec] = {
         "cl30", ("kx", "ky"), (), "k",
         h=lambda psi, p: h_monolayer(psi, p.kx, p.ky),
         solve=lambda p: solve_monolayer(p.kx, p.ky),
-        spectrum=lambda k, p: [-k, k],
+        spectrum=lambda k, p: sorted([-k, k]),
         average="pseudospin",
     ),
     "qw": ModelSpec(

@@ -22,6 +22,7 @@ import numpy as np
 from . import models
 from .spinors import (
     Spinor,
+    _layout_of,
     column_to_spinor_cl30,
     column_to_spinor_cl31,
     spinor_to_column_cl30,
@@ -75,17 +76,12 @@ def ga_operator_matrix(h, algebra: str) -> np.ndarray:
     Column j holds the coefficients of h applied to the j-th basis spinor;
     an output leaving the spinor subspace raises (model implementation bug).
     """
-    n = {"cl30": 4, "cl31": 8}[algebra]
-    cols = []
-    for j in range(n):
-        v = np.zeros(n)
-        v[j] = 1.0
-        out = h(Spinor.from_coeff_vector(algebra, v))
-        cols.append(out.coeff_vector())
+    n = len(_layout_of(algebra).signs)
+    cols = [h(Spinor.from_coeff_vector(algebra, v)).coeff_vector() for v in np.eye(n)]
     return np.column_stack(cols)
 
 
-def jacobi_eigh(a, vectors: bool = False, tol: float = 1e-14, max_sweeps: int = 100):
+def jacobi_eigh(a, vectors: bool = False):
     """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi.
 
     Returns sorted eigenvalues (and, optionally, the matching eigenvector
@@ -104,12 +100,12 @@ def jacobi_eigh(a, vectors: bool = False, tol: float = 1e-14, max_sweeps: int = 
     a = (a + a.T) / 2.0
     scale = max(1.0, float(np.max(np.abs(a))))
     offdiag = ~np.eye(n, dtype=bool)
-    converged = tol * scale * n
-    negligible = tol * scale / n
+    converged = 1e-14 * scale * n
+    negligible = 1e-14 * scale / n
     rows = a.tolist()
     # eigenvector columns, stored as rows of v^T
     vt = np.eye(n).tolist() if vectors else None
-    for _ in range(max_sweeps):
+    for _ in range(100):
         off = np.sqrt(np.sum(np.array(rows)[offdiag] ** 2))
         if off <= converged:
             break
@@ -164,10 +160,18 @@ def eig_dense(m) -> np.ndarray:
         embed[:n, :n] = embed[n:, n:] = m.real
         embed[:n, n:] = -m.imag
         embed[n:, :n] = m.imag
-        doubled = jacobi_eigh(embed)
-        # the embedding doubles every eigenvalue; collapse adjacent pairs
-        return (doubled[0::2] + doubled[1::2]) / 2.0
+        # the embedding doubles every eigenvalue
+        return _collapse_pairs(jacobi_eigh(embed))
     return jacobi_eigh(m)
+
+
+def _collapse_pairs(vals: np.ndarray) -> np.ndarray:
+    """Halve a sorted spectrum that comes in multiplicity-2 pairs."""
+    lo, hi = vals[0::2], vals[1::2]
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    if len(lo) != len(hi) or np.max(np.abs(hi - lo)) > 1e-8 * scale:
+        raise ValueError("spectrum does not come in multiplicity-2 pairs")
+    return (lo + hi) / 2.0
 
 
 # ---------------------------------------------------------------------
@@ -189,10 +193,11 @@ class CrossCheckReport:
         return {
             "model": self.params.model,
             "params": self.params.to_json_dict(),
-            "rotor_energies": [float(e) for e in self.rotor_energies],
-            "oracle_energies": [float(e) for e in self.oracle_energies],
-            "max_delta": float(self.max_delta),
-            "residuals": [float(r) for r in self.residuals],
+            # adding 0.0 folds -0.0 into 0.0, as in `eigens` JSON
+            "rotor_energies": [float(e) + 0.0 for e in self.rotor_energies],
+            "oracle_energies": [float(e) + 0.0 for e in self.oracle_energies],
+            "max_delta": float(self.max_delta) + 0.0,
+            "residuals": [float(r) + 0.0 for r in self.residuals],
             "action_equivalence": bool(self.action_equivalence),
             "pass": bool(self.passed),
         }
@@ -207,19 +212,6 @@ def _energy_delta(rotor: list[float], oracle: list[float]) -> float:
     return max(deltas)
 
 
-def _collapse_pairs(vals: np.ndarray, tol: float = 1e-8) -> list[float]:
-    """Halve a spectrum that comes in multiplicity-2 pairs."""
-    if len(vals) % 2:
-        raise ValueError("odd spectrum cannot pair")
-    out = []
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    for i in range(0, len(vals), 2):
-        if abs(vals[i + 1] - vals[i]) > tol * scale:
-            raise ValueError("spectrum does not come in multiplicity-2 pairs")
-        out.append(float((vals[i] + vals[i + 1]) / 2.0))
-    return out
-
-
 #: the oracle's sorted energies per model, independent of ``models.MODELS``:
 #: Hilbert-space matrices, and for bilayer the real linearization of H,
 #: ``models.bilayer_operator``, which ``solve_bilayer`` also takes its
@@ -228,7 +220,7 @@ _ORACLES = {
     "monolayer": lambda p: list(eig_dense(matrix_monolayer(p.kx, p.ky))),
     "qw": lambda p: list(eig_dense(matrix_qw(p.kx, p.ky, p.alphaR))),
     "atoms": lambda p: list(eig_dense(matrix_two_atoms(p.omega, p.Gamma))),
-    "bilayer": lambda p: _collapse_pairs(jacobi_eigh(models.bilayer_operator(p))),
+    "bilayer": lambda p: list(_collapse_pairs(jacobi_eigh(models.bilayer_operator(p)))),
 }
 
 
@@ -238,30 +230,40 @@ _SPOT_COLS_2 = _SPOT_RNG.standard_normal((2, 2)) + 1j * _SPOT_RNG.standard_norma
 _SPOT_COLS_4 = _SPOT_RNG.standard_normal((2, 4)) + 1j * _SPOT_RNG.standard_normal((2, 4))
 
 
+#: per algebra: the column map each way and the (GA action, matrix) pairs
+#: that must agree on every spot-check column.  The lambdas look the
+#: actions up as module attributes when called, so a patched
+#: ``oracle.pauli_action_cl30`` is what the check runs.
+_ACTION_PAIRS = {
+    "cl30": (
+        _SPOT_COLS_2,
+        lambda col: column_to_spinor_cl30(col),
+        lambda psi: spinor_to_column_cl30(psi),
+        [(lambda psi, i=i: pauli_action_cl30(i, psi), pauli_matrix(i)) for i in (1, 2, 3)],
+    ),
+    "cl31": (
+        _SPOT_COLS_4,
+        lambda col: column_to_spinor_cl31(col),
+        lambda psi: spinor_to_column_cl31(psi),
+        [(lambda psi, i=i: ga_action_cl31("vector", psi, i), cl31_matrix_rep(1 << (i - 1)))
+         for i in (1, 2, 3, 4)]
+        + [(lambda psi: ga_action_cl31("imaginary", psi), 1j * np.eye(4))],
+    ),
+}
+
+
 @functools.cache
-def _action_equivalence_ok(algebra: str, tol: float = 1e-12) -> bool:
+def _action_equivalence_ok(algebra: str) -> bool:
     """Spot-check that the GA generator actions match the matrix actions.
 
     The inputs are constant, so the answer is computed once per algebra per
     process and reused by every ``cross_check``."""
+    cols, to_spinor, to_column, pairs = _ACTION_PAIRS[algebra]
     try:
-        if algebra == "cl30":
-            for col in _SPOT_COLS_2:
-                psi = column_to_spinor_cl30(col)
-                for i in (1, 2, 3):
-                    lhs = spinor_to_column_cl30(pauli_action_cl30(i, psi))
-                    if np.max(np.abs(lhs - pauli_matrix(i) @ col)) > tol:
-                        return False
-        else:
-            for col in _SPOT_COLS_4:
-                psi = column_to_spinor_cl31(col)
-                for i in (1, 2, 3, 4):
-                    lhs = spinor_to_column_cl31(ga_action_cl31("vector", psi, i))
-                    rhs = cl31_matrix_rep(1 << (i - 1)) @ col
-                    if np.max(np.abs(lhs - rhs)) > tol:
-                        return False
-                lhs = spinor_to_column_cl31(ga_action_cl31("imaginary", psi))
-                if np.max(np.abs(lhs - 1j * col)) > tol:
+        for col in cols:
+            psi = to_spinor(col)
+            for action, matrix in pairs:
+                if np.max(np.abs(to_column(action(psi)) - matrix @ col)) > 1e-12:
                     return False
     except ValueError:
         return False

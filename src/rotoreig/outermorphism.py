@@ -73,8 +73,7 @@ def apply_vector(f: VectorMap, x: Multivector) -> Multivector:
 def apply_outermorphism(f: VectorMap, a: Multivector) -> Multivector:
     """Extend the map to blades: each basis blade maps to the wedge of the
     images of its factors; scalars pass through unchanged."""
-    out = np.zeros(f.sig.dim)
-    result = Multivector(f.sig, out)
+    result = Multivector.zero(f.sig)
     for mask in range(f.sig.dim):
         c = a.coeffs[mask]
         if c == 0.0:
@@ -110,7 +109,7 @@ def secular_cubic(f: VectorMap) -> tuple[float, float, float]:
     return (a2, a1, a0)
 
 
-def real_cubic_roots(a2: float, a1: float, a0: float, tol: float = 1e-9) -> list[float]:
+def real_cubic_roots(a2: float, a1: float, a0: float) -> list[float]:
     """Real roots of x^3 + a2 x^2 + a1 x + a0, via the trigonometric method.
 
     Complex-conjugate root pairs are omitted; a map with such a spectrum has
@@ -122,9 +121,9 @@ def real_cubic_roots(a2: float, a1: float, a0: float, tol: float = 1e-9) -> list
     shift = -a2 / 3.0
     disc = -(4.0 * p ** 3 + 27.0 * q * q)
     scale = max(abs(p) ** 1.5, abs(q), 1.0)
-    if abs(disc) <= tol * scale * scale:
+    if abs(disc) <= 1e-9 * scale * scale:
         # multiple roots
-        if abs(p) <= tol * scale:
+        if abs(p) <= 1e-9 * scale:
             return [shift] * 3
         double = -3.0 * q / (2.0 * p)
         single = 3.0 * q / p

@@ -29,8 +29,8 @@ class Rotor:
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Multivector, tol: float = TOL) -> None:
-        if not is_rotor(value, tol):
+    def __init__(self, value: Multivector) -> None:
+        if not is_rotor(value):
             raise ValueError(f"not a rotor: {value}")
         self.value = value
 
@@ -45,18 +45,18 @@ class Rotor:
         return f"Rotor({self.value})"
 
 
-def is_rotor(m: Multivector, tol: float = TOL) -> bool:
+def is_rotor(m: Multivector) -> bool:
     """True iff m is even-grade and m * reverse(m) = 1 componentwise."""
-    if not m.is_even(tol):
+    if not m.is_even():
         return False
     n = m * ~m
-    return (n - 1.0).norm() <= tol * m.sig.dim
+    return (n - 1.0).norm() <= TOL * m.sig.dim
 
 
-def _check_unit_vector(v: Multivector, name: str, tol: float = TOL) -> None:
-    if v.grades_present(tol) - {1}:
+def _check_unit_vector(v: Multivector, name: str) -> None:
+    if v.grades_present(TOL) - {1}:
         raise ValueError(f"{name} must be a pure vector")
-    if abs((v * v).scalar_part() - 1.0) > tol:
+    if abs((v * v).scalar_part() - 1.0) > TOL:
         raise ValueError(f"{name} must be a unit vector")
 
 

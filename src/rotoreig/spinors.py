@@ -8,6 +8,8 @@ the mapping (matrix action then map == map then GA action).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .algebra import (
@@ -44,22 +46,40 @@ CL30_SPINOR_MASKS = (0, 6, 5, 3)
 # Cl(3,1): 1, e23, e13, e12, e1234, e14, e24, e34
 CL31_SPINOR_MASKS = (0, 6, 5, 3, 15, 9, 10, 12)
 
-# Cl(3,0) spinor a0 + a1 e23 + a2 e31 + a3 e12; canonical storage uses
-# e13 = -e31, hence the sign on a2.
-_CL30_SIGNS = np.array([1.0, 1.0, -1.0, 1.0])
-# Cl(3,1) spinor a0 + a1 e23 - a2 e31 + a3 e12 - b0 I - b1 e14 + b2 e24 + b3 e34
-# (e31 = -e13 cancels the printed minus on a2)
-_CL31_SIGNS = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+
+class _Layout(NamedTuple):
+    """One algebra's spinor subspace: coefficient j is ``signs[j]`` times the
+    coefficient of blade ``masks[j]``; the ``outside`` blades are zero."""
+
+    sig: Signature
+    tag: str
+    masks: np.ndarray
+    signs: np.ndarray
+    outside: np.ndarray
 
 
-# algebra tag and the blade masks outside the spinor subspace, per signature
-_SUBSPACES = {
-    sig: (tag, np.array([m for m in range(sig.dim) if m not in masks]))
-    for sig, tag, masks in (
-        (CL30, "cl30", CL30_SPINOR_MASKS),
-        (CL31, "cl31", CL31_SPINOR_MASKS),
-    )
-}
+def _layout(sig: Signature, tag: str, masks, signs) -> _Layout:
+    outside = [m for m in range(sig.dim) if m not in masks]
+    return _Layout(sig, tag, np.array(masks), np.array(signs), np.array(outside))
+
+
+#: the spinor layout of each algebra, keyed by its tag and by its signature
+_LAYOUTS = {key: layout for layout in (
+    # a0 + a1 e23 + a2 e31 + a3 e12; canonical storage uses e13 = -e31,
+    # hence the sign on a2
+    _layout(CL30, "cl30", CL30_SPINOR_MASKS, [1.0, 1.0, -1.0, 1.0]),
+    # a0 + a1 e23 - a2 e31 + a3 e12 - b0 I - b1 e14 + b2 e24 + b3 e34
+    # (e31 = -e13 cancels the printed minus on a2)
+    _layout(CL31, "cl31", CL31_SPINOR_MASKS, [1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0]),
+) for key in (layout.tag, layout.sig)}
+
+
+def _layout_of(key: str | Signature) -> _Layout:
+    """The spinor layout of an algebra tag ('cl30', 'cl31') or signature."""
+    try:
+        return _LAYOUTS[key]
+    except KeyError:
+        raise ValueError(f"no spinor subspace defined for {key!r}") from None
 
 
 class Spinor:
@@ -67,41 +87,32 @@ class Spinor:
 
     __slots__ = ("algebra", "mv")
 
-    def __init__(self, mv: Multivector, tol: float = TOL) -> None:
-        try:
-            self.algebra, outside = _SUBSPACES[mv.sig]
-        except KeyError:
-            raise ValueError(f"no spinor subspace defined for {mv.sig}") from None
+    def __init__(self, mv: Multivector) -> None:
+        layout = _layout_of(mv.sig)
+        outside = layout.outside
         leak = float(np.max(np.abs(mv.coeffs[outside])))
-        if leak > tol * max(1.0, mv.norm()):
+        if leak > TOL * max(1.0, mv.norm()):
             raise ValueError(f"multivector leaves the spinor subspace (leak {leak:.2e})")
         clean = mv.coeffs.copy()
         clean[outside] = 0.0
+        self.algebra = layout.tag
         self.mv = Multivector._wrap(mv.sig, clean)
 
     # ---- coefficient views --------------------------------------------
     @classmethod
     def from_coeff_vector(cls, algebra: str, vec) -> "Spinor":
+        layout = _layout_of(algebra)
         vec = np.asarray(vec, dtype=float)
-        if algebra == "cl30":
-            if vec.shape != (4,):
-                raise ValueError("cl30 spinor needs 4 real coefficients")
-            c = np.zeros(CL30.dim)
-            c[list(CL30_SPINOR_MASKS)] = _CL30_SIGNS * vec
-            return cls(Multivector(CL30, c))
-        if algebra == "cl31":
-            if vec.shape != (8,):
-                raise ValueError("cl31 spinor needs 8 real coefficients")
-            c = np.zeros(CL31.dim)
-            c[list(CL31_SPINOR_MASKS)] = _CL31_SIGNS * vec
-            return cls(Multivector(CL31, c))
-        raise ValueError(f"unknown algebra tag {algebra!r}")
+        if vec.shape != layout.signs.shape:
+            raise ValueError(f"{algebra} spinor needs {len(layout.signs)} real coefficients")
+        c = np.zeros(layout.sig.dim)
+        c[layout.masks] = layout.signs * vec
+        return cls(Multivector(layout.sig, c))
 
     def coeff_vector(self) -> np.ndarray:
         """Real coefficients (a0..a3) or (a0..a3, b0..b3)."""
-        if self.algebra == "cl30":
-            return _CL30_SIGNS * self.mv.coeffs[list(CL30_SPINOR_MASKS)]
-        return _CL31_SIGNS * self.mv.coeffs[list(CL31_SPINOR_MASKS)]
+        layout = _LAYOUTS[self.algebra]
+        return layout.signs * self.mv.coeffs[layout.masks]
 
     @property
     def a(self) -> np.ndarray:
@@ -220,8 +231,7 @@ def imaginary_action_cl30(psi: Spinor) -> Spinor:
     """GA image of multiplication by i: psi e12 (= psi I e3)."""
     if psi.algebra != "cl30":
         raise ValueError("expected a cl30 spinor")
-    e12 = Multivector.blade(CL30, 0b011)
-    return Spinor(psi.mv * e12)
+    return Spinor(psi.mv * Multivector.blade(CL30, 0b011))
 
 
 def ga_action_cl31(kind: str, psi: Spinor, i: int = 0, j: int = 0) -> Spinor:

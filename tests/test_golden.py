@@ -62,6 +62,9 @@ CASES = {
     "spectrum_bilayer_k0.json": ["spectrum", "--model", "bilayer", "--bias-u", "0.3",
                                  "--gamma1", "0.4", "--kmin", "0", "--kmax", "1.5",
                                  "--samples", "7", "--format", "json"],
+    "spectrum_monolayer_negative.json": ["spectrum", "--model", "monolayer", "--kmin=-1",
+                                         "--kmax", "1", "--samples", "5",
+                                         "--format", "json"],
     "spectrum_qw_negative.json": ["spectrum", "--model", "qw", "--alpha=-0.25",
                                   "--kmin=-1", "--kmax", "1", "--samples", "9",
                                   "--format", "json"],

@@ -415,6 +415,23 @@ class TestModelRegistry:
             assert [e.hex() for e in spec.spectrum(x, params)] == [
                 s.energy.hex() for s in sols]
 
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_spectrum_is_ascending_for_negative_sweep_values(self, model):
+        spec, rng = MODELS[model], random.Random(19)
+        for x in [-0.0, -1e-12, -1.0] + [-rng.uniform(0.01, 5.0) for _ in range(50)]:
+            energies = spec.spectrum(x, cli._draw_params(model, rng))
+            assert energies == sorted(energies)
+
+    @pytest.mark.parametrize("model", ["monolayer", "qw", "atoms"])
+    def test_each_eigenspinor_is_built_once(self, monkeypatch, model):
+        # one Spinor for the rotor eigenspinor and one for H applied to it
+        builds = []
+        monkeypatch.setattr(models, "Spinor",
+                            lambda mv: builds.append(mv) or Spinor(mv))
+        sols = MODELS[model].solve(cli._draw_params(model, random.Random(20)))
+        assert len(builds) == 2 * len(sols)
+        assert all(type(s.spinor) is Spinor for s in sols)
+
     def test_entries_call_the_module_functions(self, monkeypatch):
         # patching a module attribute (as the benchmark tracer does) must
         # reach the registry

@@ -1,5 +1,6 @@
 """Matrix oracle: hand-rolled eigensolvers and rotor cross-checks."""
 
+import json
 import math
 import random
 import warnings
@@ -195,7 +196,33 @@ class TestEigDense:
             eig_dense(bad)
 
 
+class TestCollapsePairs:
+    def test_paired_spectrum_halves_to_pair_means(self):
+        rng = np.random.default_rng(57)
+        for n in (1, 2, 4):
+            v = np.sort(np.repeat(rng.standard_normal(n), 2) + rng.uniform(-1e-12, 1e-12, 2 * n))
+            got = oracle._collapse_pairs(v)
+            assert got.tobytes() == ((v[0::2] + v[1::2]) / 2.0).tobytes()
+            # the pair-by-pair loop it replaced
+            assert [x.hex() for x in got.tolist()] == [
+                float((v[i] + v[i + 1]) / 2.0).hex() for i in range(0, len(v), 2)]
+
+    @pytest.mark.parametrize("vals", [[1.0, 2.0], [0.0, 0.0, 1.0], [-1.0, -1.0, 0.5, 1.0]])
+    def test_unpaired_spectrum_raises(self, vals):
+        with pytest.raises(ValueError, match="multiplicity-2 pairs"):
+            oracle._collapse_pairs(np.array(vals))
+
+    def test_hermitian_path_checks_the_pairs(self, monkeypatch):
+        monkeypatch.setattr(oracle, "jacobi_eigh", lambda a: np.array([-1.0, 0.0, 1.0, 2.0]))
+        with pytest.raises(ValueError, match="multiplicity-2 pairs"):
+            eig_dense(matrix_monolayer(1.0, 0.0))
+
+
 class TestGaOperatorMatrix:
+    def test_unknown_algebra_tag(self):
+        with pytest.raises(ValueError, match="cl20"):
+            ga_operator_matrix(lambda s: s, "cl20")
+
     def test_identity_hamiltonian(self):
         op = ga_operator_matrix(lambda s: s, "cl30")
         assert np.allclose(op, np.eye(4))
@@ -256,13 +283,26 @@ class TestCrossCheck:
         assert not report.passed
 
     def test_report_serializes(self):
-        import json
-
         report = cross_check(ModelParams("qw", kx=0.5, ky=0.5, alphaR=0.3))
         doc = json.loads(json.dumps(report.to_json_dict()))
         assert doc["pass"] is True
         assert doc["model"] == "qw"
         assert len(doc["rotor_energies"]) == len(doc["oracle_energies"]) == 2
+
+
+class TestReportSignedZeros:
+    @pytest.mark.parametrize("gamma", [0.0, -0.0])
+    def test_energies_fold_negative_zero(self, gamma):
+        report = cross_check(ModelParams("atoms", omega=1.0, Gamma=gamma))
+        # the degenerate even pair (-Gamma, Gamma) holds a -0.0
+        assert "-0.0" in repr(report.rotor_energies)
+        doc = report.to_json_dict()
+        assert doc["rotor_energies"] == doc["oracle_energies"] == [-1.0, 0.0, 0.0, 1.0]
+        folded = {k: doc[k] for k in ("rotor_energies", "oracle_energies",
+                                      "residuals", "max_delta")}
+        assert "-0.0" not in json.dumps(folded)
+        # the parameters are reported as given
+        assert math.copysign(1.0, doc["params"]["Gamma"]) == math.copysign(1.0, gamma)
 
 
 @pytest.fixture

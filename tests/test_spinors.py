@@ -55,6 +55,16 @@ class TestSpinorType:
             s = Spinor.from_coeff_vector(algebra, v)
             assert np.allclose(s.coeff_vector(), v, atol=0.0)
 
+    @pytest.mark.parametrize("algebra, n", [("cl30", 4), ("cl31", 8)])
+    def test_wrong_length_coefficient_vector(self, algebra, n):
+        for bad in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((1, n)), 1.0):
+            with pytest.raises(ValueError, match=f"{algebra} spinor needs {n}"):
+                Spinor.from_coeff_vector(algebra, bad)
+
+    def test_unknown_algebra_tag(self):
+        with pytest.raises(ValueError, match="cl20"):
+            Spinor.from_coeff_vector("cl20", np.zeros(4))
+
     def test_ab_accessors(self):
         s = Spinor.from_coeff_vector("cl31", np.arange(8.0))
         assert np.allclose(s.a, [0, 1, 2, 3])
