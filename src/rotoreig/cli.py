@@ -21,37 +21,63 @@ __all__ = ["main", "build_parser"]
 
 
 def _fmt(x: float) -> str:
-    # adding 0.0 folds -0.0 into 0.0 for stable sweep output
+    # adding 0.0 folds -0.0 into 0.0 for stable output
     return repr(float(x) + 0.0)
 
 
+_DEGENERATE = ',\n      "degenerate": true'
+_PIPE_BUF = 4096  # Linux's PIPE_BUF
+
+
 def cmd_spectrum(args, out) -> int:
+    """Write a band sweep, each row formatted from one fixed template.
+
+    The JSON bytes equal those of ``json.dumps(doc, indent=2)``, which is
+    slow because the stdlib's indenting encoder is pure Python; like json,
+    the templates write each float with ``repr``.
+    """
     if args.samples < 2:
         raise SystemExit2("--samples must be at least 2")
     if args.kmin > args.kmax:
         raise SystemExit2("--kmin must not exceed --kmax")
     spec, params = models.MODELS[args.model], _point_params(args)
+    csv = args.format == "csv"
     rows = []
     for i in range(args.samples):
         x = args.kmin + (args.kmax - args.kmin) * i / (args.samples - 1)
-        energies = [e + 0.0 for e in spec.spectrum(x, params)]
-        rows.append((x + 0.0, energies))
-    if args.format == "csv":
-        bands = ",".join(f"E{j + 1}" for j in range(len(rows[0][1])))
-        out.write(f"{spec.sweep},{bands}\n")
-        for x, energies in rows:
-            out.write(",".join([_fmt(x)] + [_fmt(e) for e in energies]) + "\n")
+        try:
+            values = [x, *spec.spectrum(x, params)]
+        except OverflowError:
+            raise _overflow(spec.sweep, x) from None
+        if not all(map(math.isfinite, values)):
+            raise _overflow(spec.sweep, x)
+        # adding 0.0 folds -0.0 into 0.0 for stable sweep output
+        fields = [repr(v + 0.0) for v in values]
+        if csv:
+            rows.append(",".join(fields))
+            continue
+        # the rotor construction is singular here, so no eigenspinors
+        flag = _DEGENERATE if abs(x) <= models.DEGENERACY_TOL else ""
+        rows.append(f'    {{\n      "{spec.sweep}": {fields[0]},\n'
+                    '      "energies": [\n        ' + ",\n        ".join(fields[1:])
+                    + f"\n      ]{flag}\n    }}")
+    if csv:
+        bands = ",".join(f"E{j}" for j in range(1, len(values)))
+        text = f"{spec.sweep},{bands}\n" + "\n".join(rows) + "\n"
     else:
-        json_rows = []
-        for x, energies in rows:
-            row = {spec.sweep: x, "energies": energies}
-            # the rotor construction is singular here, so no eigenspinors
-            if abs(x) <= models.DEGENERACY_TOL:
-                row["degenerate"] = True
-            json_rows.append(row)
-        doc = {"model": args.model, "sweep": spec.sweep, "rows": json_rows}
-        out.write(json.dumps(doc, indent=2) + "\n")
+        text = (f'{{\n  "model": "{args.model}",\n  "sweep": "{spec.sweep}",\n'
+                '  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n")
+    # Unbuffered stdout (`python -u`) hands each write to the OS as is, and
+    # Linux cuts a large pipe write short without an error when the reader
+    # leaves; a write of at most PIPE_BUF bytes is whole or fails with EPIPE.
+    for start in range(0, len(text), _PIPE_BUF):
+        out.write(text[start:start + _PIPE_BUF])
     return 0
+
+
+def _overflow(sweep: str, x: float) -> SystemExit2:
+    return SystemExit2(f"the sweep overflows at {sweep}={x!r}; "
+                       "its values and energies must be finite floats")
 
 
 def _point_params(args) -> ModelParams:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import TOL, Multivector, Signature
+from .algebra import TOL, Multivector
 
 __all__ = [
     "Rotor",
@@ -33,13 +33,6 @@ class Rotor:
         if not is_rotor(value):
             raise ValueError(f"not a rotor: {value}")
         self.value = value
-
-    @property
-    def sig(self) -> Signature:
-        return self.value.sig
-
-    def reverse(self) -> Multivector:
-        return ~self.value
 
     def __repr__(self) -> str:
         return f"Rotor({self.value})"

@@ -1,20 +1,22 @@
 """Command-line interface: sweeps, point solutions, verification, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotoreig import cli
+from rotoreig import cli, models
 
 
 def run_cli(*argv):
     """Invoke the CLI in-process, returning (exit code, stdout text)."""
-    import contextlib
-    import io
-
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(list(argv))
@@ -96,6 +98,152 @@ class TestSpectrum:
             "spectrum", "--model", "monolayer", "--kmin", "1", "--kmax", "0",
         )
         assert code == 2
+
+
+def reference_sweep(model, fmt, kmin, kmax, samples, params):
+    """A sweep's text as `spectrum` wrote it through `json.dumps(doc,
+    indent=2)` and one CSV join per row: the byte reference for its row
+    templates.  Raises what the spectrum raises."""
+    spec = models.MODELS[model]
+    rows = []
+    for i in range(samples):
+        x = kmin + (kmax - kmin) * i / (samples - 1)
+        energies = [e + 0.0 for e in spec.spectrum(x, params)]
+        rows.append((x + 0.0, energies))
+    if fmt == "csv":
+        bands = ",".join(f"E{j + 1}" for j in range(len(rows[0][1])))
+        lines = [f"{spec.sweep},{bands}\n"]
+        for x, energies in rows:
+            lines.append(",".join(repr(float(v) + 0.0) for v in [x, *energies]) + "\n")
+        return "".join(lines)
+    json_rows = []
+    for x, energies in rows:
+        row = {spec.sweep: x, "energies": energies}
+        if abs(x) <= models.DEGENERACY_TOL:
+            row["degenerate"] = True
+        json_rows.append(row)
+    doc = {"model": model, "sweep": spec.sweep, "rows": json_rows}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# signed zeros, subnormals and magnitudes from 1e-300 to 1e6
+sweep_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-318]),
+    st.builds(lambda m, e, s: s * m * 10.0 ** e,
+              st.floats(1.0, 9.999), st.integers(-300, 5), st.sampled_from([1.0, -1.0])),
+)
+
+
+class TestSweepWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=st.sampled_from(list(models.MODELS)),
+        fmt=st.sampled_from(["csv", "json"]),
+        samples=st.integers(2, 400),
+        ends=st.one_of(
+            st.tuples(sweep_value, sweep_value).map(sorted),
+            # symmetric about 0, so an odd sample count lands on x = 0
+            sweep_value.map(lambda v: sorted([-v, v])),
+        ),
+        couplings=st.tuples(sweep_value, sweep_value, sweep_value, sweep_value),
+        eta=st.sampled_from([1, -1]),
+    )
+    def test_bytes_equal_the_json_dumps_reference(self, model, fmt, samples, ends,
+                                                  couplings, eta):
+        kmin, kmax = ends
+        alpha, omega, gamma1, bias_u = couplings
+        params = models.ModelParams(model, alphaR=alpha, omega=omega, gamma1=gamma1,
+                                    U=bias_u, eta=eta)
+        argv = ["spectrum", "--model", model, f"--kmin={kmin!r}", f"--kmax={kmax!r}",
+                f"--samples={samples}", f"--format={fmt}", f"--alpha={alpha!r}",
+                f"--omega={omega!r}", f"--gamma1={gamma1!r}", f"--bias-u={bias_u!r}",
+                f"--eta={eta}"]
+        try:
+            expected = reference_sweep(model, fmt, kmin, kmax, samples, params)
+        except ArithmeticError:
+            # e.g. bilayer's negative-radicand guard: an error, and no output
+            assert run_cli(*argv) == (1, "")
+            return
+        assert run_cli(*argv) == (0, expected)
+
+    @pytest.mark.parametrize("kmin, kmax, flagged", [
+        # both ends sit on the tolerance
+        (-models.DEGENERACY_TOL, models.DEGENERACY_TOL, 2),
+        # the next float above it is not degenerate
+        (models.DEGENERACY_TOL, math.nextafter(models.DEGENERACY_TOL, 1.0), 1),
+    ])
+    def test_degenerate_flag_includes_the_tolerance(self, kmin, kmax, flagged):
+        params = models.ModelParams("qw", alphaR=0.5)
+        expected = reference_sweep("qw", "json", kmin, kmax, 2, params)
+        argv = ["spectrum", "--model", "qw", f"--kmin={kmin!r}", f"--kmax={kmax!r}",
+                "--samples=2", "--format=json", "--alpha=0.5"]
+        assert run_cli(*argv) == (0, expected)
+        assert expected.count('"degenerate": true') == flagged
+
+    def test_written_in_pipe_buf_pieces(self):
+        # one write per PIPE_BUF-sized piece of the text, none per row
+        calls = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                calls.append(len(text))
+                return super().write(text)
+
+        args = cli.build_parser().parse_args(
+            ["spectrum", "--model", "monolayer", "--kmin=0", "--kmax=1",
+             "--samples=2000"])
+        out = Recorder()
+        assert cli.cmd_spectrum(args, out) == 0
+        assert sum(calls) == len(out.getvalue())
+        assert len(calls) == -(-sum(calls) // 4096)
+        assert max(calls) <= 4096
+
+
+class TestOverflowingSweep:
+    """A sweep whose values or energies are not finite floats is a usage
+    error: exit 2 and nothing on stdout."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        # k^2 overflows: the qw energies are +inf
+        ("--model", "qw", "--alpha", "0.5", "--kmin", "0", "--kmax", "1e200"),
+        # the bilayer energies are -inf, inf, nan, nan
+        ("--model", "bilayer", "--gamma1", "0.4", "--bias-u", "0.3", "--kmin", "0",
+         "--kmax", "1e200"),
+        # the sweep values themselves overflow to nan or inf
+        ("--model", "monolayer", "--kmin=-1e308", "--kmax", "1e308"),
+        ("--model", "atoms", "--omega", "1", "--kmin", "0", "--kmax", "1e308"),
+        # gamma1 ** 4 raises OverflowError in the bilayer spectrum
+        ("--model", "bilayer", "--gamma1", "1e100", "--kmin", "0", "--kmax", "1"),
+    ])
+    def test_usage_error_with_empty_stdout(self, argv, fmt, capsys):
+        code = cli.main(["spectrum", *argv, "--samples", "3", "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: the sweep overflows at ")
+
+    def test_last_finite_sweep_value_still_written(self):
+        code, out = run_cli("spectrum", "--model", "atoms", "--omega", "1",
+                            "--kmin", "0", "--kmax", "1e307", "--samples", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == "1e+307,-1e+307,-1e+307,1e+307,1e+307"
+
+    def test_error_mid_sweep_writes_nothing(self, monkeypatch, capsys):
+        calls = []
+
+        def failing(k, U, gamma1):
+            calls.append(k)
+            if len(calls) == 5:
+                raise ArithmeticError("negative radicand in bilayer spectrum")
+            return [-1.0, -0.5, 0.5, 1.0]
+
+        monkeypatch.setattr(cli.models, "bilayer_spectrum", failing)
+        code = cli.main(["spectrum", "--model", "bilayer", "--kmin", "0", "--kmax",
+                         "1", "--samples", "9", "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, len(calls)) == (1, "", 5)
+        assert captured.err == "error: negative radicand in bilayer spectrum\n"
 
 
 class TestEigens:
@@ -230,6 +378,23 @@ class TestBrokenPipe:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         assert proc.stdout.readline() == b"k,E1,E2\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_closed_reader_with_either_stdout_buffering(self, unbuffered):
+        # an unbuffered stdout hands each write to the OS as is
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, *(["-u"] if unbuffered else []), "-m", "rotoreig.cli",
+             "spectrum", "--model", "bilayer", "--gamma1", "0.4", "--kmin", "0",
+             "--kmax", "1", "--samples", "20000", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(1) == b"{"
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()

@@ -71,6 +71,12 @@ CASES = {
     "spectrum_atoms_negative.json": ["spectrum", "--model", "atoms", "--omega", "1",
                                      "--kmin=-2", "--kmax", "2", "--samples", "9",
                                      "--format", "json"],
+    # the README bilayer and qw sweeps as JSON, the benchmark's JSON shapes
+    "spectrum_bilayer.json": ["spectrum", "--model", "bilayer", "--bias-u", "0.3",
+                              "--gamma1", "0.4", "--kmin", "0", "--kmax", "1.5",
+                              "--samples", "301", "--format", "json"],
+    "spectrum_qw.json": ["spectrum", "--model", "qw", "--alpha", "0.25", "--kmin", "0",
+                         "--kmax", "2", "--samples", "101", "--format", "json"],
 }
 
 
