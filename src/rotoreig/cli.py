@@ -8,11 +8,14 @@ printed in shortest round-trip form, samples are emitted in index order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import random
 import sys
+
+import numpy as np
 
 from . import models, oracle
 from .models import ModelParams
@@ -98,22 +101,36 @@ def cmd_eigens(args, out) -> int:
     spec, params = models.MODELS[args.model], _point_params(args)
     doc = {"model": params.model, "params": params.to_json_dict()}
     try:
-        sols = spec.solve(params)
+        # a float that overflows anywhere in the solve raises, not warns
+        with np.errstate(over="raise", invalid="raise"):
+            records = []
+            for s in spec.solve(params):
+                rec = s.to_json_dict()
+                if s.spinor is not None and spec.average:
+                    avg = models.pseudospin_average(s.spinor)
+                    rec[spec.average] = [float(v) for v in avg]
+                records.append(rec)
     except models.DegenerateError as exc:
         doc["degenerate"] = True
         doc["reason"] = str(exc)
         out.write(json.dumps(doc, indent=2) + "\n")
         return 0
-    records = []
-    for s in sols:
-        rec = s.to_json_dict()
-        if s.spinor is not None and spec.average:
-            avg = models.pseudospin_average(s.spinor)
-            rec[spec.average] = [float(v) for v in avg]
-        records.append(rec)
+    except (FloatingPointError, OverflowError):
+        raise _point_overflow(params) from None
     doc["solutions"] = records
-    out.write(json.dumps(doc, indent=2) + "\n")
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:  # a solution value is not a finite float
+        raise _point_overflow(params) from None
+    out.write(text + "\n")
     return 0
+
+
+def _point_overflow(params: ModelParams) -> SystemExit2:
+    point = ", ".join(f"{name}={value!r}" for name, value in
+                      params.to_json_dict().items() if name != "model")
+    return SystemExit2(f"the solve overflows at {point}; "
+                       "its energies and eigenspinors must be finite floats")
 
 
 def _draw_params(model: str, rng: random.Random) -> ModelParams:
@@ -230,9 +247,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on first use and shared by every ``main`` call.
+
+    Only a process that calls ``main`` repeatedly gains; the console script
+    calls it once. Reuse is safe: ``parse_args`` writes only into a fresh
+    Namespace, no default is a mutable object and no action appends."""
+    # set_defaults binds cmd_* once; nothing patches them (__all__ is main, build_parser)
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.out:
             with open(args.out, "w", newline="") as fh:

@@ -21,7 +21,6 @@ from .algebra import (
     Multivector,
     pseudoscalar,
     spatial_inversion,
-    dagger,
 )
 from .rotors import rotor_exp, rotor_from_vectors
 from .spinors import Spinor, _layout_of
@@ -356,7 +355,8 @@ def bilayer_spectrum(k: float, U: float, gamma1: float) -> list[float]:
     energies = []
     for s_in in (1.0, -1.0):
         radicand = base + s_in * inner
-        if radicand < -1e-12:
+        # the radicand's rounding error is a few ulp of base, so the bound scales
+        if radicand < 0.0 and radicand < -1e-12 * max(1.0, base):
             raise ArithmeticError("negative radicand in bilayer spectrum")
         e = math.sqrt(max(radicand, 0.0))
         energies.extend([-e, e])
@@ -436,7 +436,7 @@ def expectation_energy(psi: Spinor, params: ModelParams) -> float:
     """Rayleigh value <psi~ H(psi)> / <psi~ psi> (dagger in Cl(3,1));
     equals the eigenenergy on eigenspinors."""
     h_psi = MODELS[params.model].h(psi, params)
-    bra = ~psi.mv if psi.algebra == "cl30" else dagger(psi.mv)
+    bra = _layout_of(psi.algebra).bra(psi.mv)
     norm = (bra * psi.mv).scalar_part()
     if abs(norm) < 1e-14:
         raise ValueError("cannot normalize a null spinor")

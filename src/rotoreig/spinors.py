@@ -8,7 +8,7 @@ the mapping (matrix action then map == map then GA action).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,21 +56,24 @@ class _Layout(NamedTuple):
     masks: np.ndarray
     signs: np.ndarray
     outside: np.ndarray
+    blocks: str  # the names of the coefficient blocks of four, in order
+    bra: Callable[[Multivector], Multivector]  # the Hilbert adjoint of a spinor
 
 
-def _layout(sig: Signature, tag: str, masks, signs) -> _Layout:
+def _layout(sig: Signature, tag: str, masks, signs, bra) -> _Layout:
     outside = [m for m in range(sig.dim) if m not in masks]
-    return _Layout(sig, tag, np.array(masks), np.array(signs), np.array(outside))
+    return _Layout(sig, tag, np.array(masks), np.array(signs, float), np.array(outside),
+                   "ab"[:len(masks) // 4], bra)
 
 
 #: the spinor layout of each algebra, keyed by its tag and by its signature
 _LAYOUTS = {key: layout for layout in (
     # a0 + a1 e23 + a2 e31 + a3 e12; canonical storage uses e13 = -e31,
     # hence the sign on a2
-    _layout(CL30, "cl30", CL30_SPINOR_MASKS, [1.0, 1.0, -1.0, 1.0]),
+    _layout(CL30, "cl30", CL30_SPINOR_MASKS, [1, 1, -1, 1], Multivector.__invert__),
     # a0 + a1 e23 - a2 e31 + a3 e12 - b0 I - b1 e14 + b2 e24 + b3 e34
     # (e31 = -e13 cancels the printed minus on a2)
-    _layout(CL31, "cl31", CL31_SPINOR_MASKS, [1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0]),
+    _layout(CL31, "cl31", CL31_SPINOR_MASKS, [1, 1, 1, 1, -1, -1, 1, 1], dagger),
 ) for key in (layout.tag, layout.sig)}
 
 
@@ -120,7 +123,7 @@ class Spinor:
 
     @property
     def b(self) -> np.ndarray:
-        if self.algebra != "cl31":
+        if "b" not in _LAYOUTS[self.algebra].blocks:
             raise ValueError("b coefficients exist only for cl31 spinors")
         return self.coeff_vector()[4:]
 
@@ -128,11 +131,9 @@ class Spinor:
         return f"Spinor[{self.algebra}]({self.mv})"
 
     def to_json_dict(self) -> dict:
-        v = self.coeff_vector()
-        d = {"algebra": self.algebra, "a": [float(x) + 0.0 for x in v[:4]]}
-        if self.algebra == "cl31":
-            d["b"] = [float(x) + 0.0 for x in v[4:]]
-        return d
+        blocks = zip(_LAYOUTS[self.algebra].blocks, self.coeff_vector().reshape(-1, 4))
+        return {"algebra": self.algebra,
+                **{name: [float(x) + 0.0 for x in block] for name, block in blocks}}
 
 
 # ---- column maps ------------------------------------------------------

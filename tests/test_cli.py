@@ -1,5 +1,6 @@
 """Command-line interface: sweeps, point solutions, verification, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotoreig import cli, models
+from test_golden import CASES, GOLDEN
 
 
 def run_cli(*argv):
@@ -302,6 +304,56 @@ class TestEigens:
         assert "leaves the spinor subspace" in captured.err
 
 
+class TestOverflowingPoint:
+    """An `eigens` point whose solve overflows a float is a usage error: exit
+    2, nothing on stdout and no numpy warning."""
+
+    @pytest.mark.parametrize("argv", [
+        # Multivector.norm overflowed with a warning, and the point exited 0
+        ("--model", "monolayer", "--kx", "1e200"),
+        # exited 1 with "SVD did not converge"
+        ("--model", "bilayer", "--kx", "1e200", "--gamma1", "1"),
+        ("--model", "atoms", "--omega", "1e200", "--gamma", "1e200"),
+        # gamma1 ** 4 raises OverflowError in the bilayer spectrum
+        ("--model", "bilayer", "--gamma1", "1e100"),
+    ])
+    def test_usage_error_with_empty_stdout(self, argv):
+        r = run_subprocess("eigens", *argv)
+        assert (r.returncode, r.stdout) == (2, b"")
+        assert r.stderr.startswith(b"error: the solve overflows at ")
+        assert r.stderr.count(b"\n") == 1 and b"Warning" not in r.stderr
+
+    def test_non_finite_solution_is_a_usage_error(self, monkeypatch, capsys):
+        def infinite(kx, ky):
+            return [models.EigenSolution(math.inf, None, None, "valence", 0.0)]
+
+        monkeypatch.setattr(cli.models, "solve_monolayer", infinite)
+        code = cli.main(["eigens", "--model", "monolayer", "--kx", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: the solve overflows at kx=1.0, ky=0.0; its "
+                                "energies and eigenspinors must be finite floats\n")
+
+
+class TestLargeInterlayerCoupling:
+    """At k = U = 0 the bilayer low band is 0 for any gamma1; its radicand's
+    rounding error grows with gamma1 and is no negative radicand."""
+
+    POINT = ("--model", "bilayer", "--gamma1", "128.74039035465384")
+
+    def test_spectrum(self):
+        code, out = run_cli("spectrum", *self.POINT, "--kmin", "0", "--kmax", "1",
+                            "--samples", "2")
+        assert code == 0
+        assert out.splitlines()[1] == "0.0,-128.74039035465384,0.0,0.0,128.74039035465384"
+
+    def test_eigens(self):
+        code, out = run_cli("eigens", *self.POINT)
+        assert code == 0
+        energies = [s["energy"] for s in json.loads(out)["solutions"]]
+        assert energies == [-128.74039035465384, 0.0, 0.0, 128.74039035465384]
+
+
 class TestVerify:
     def test_small_run_passes(self):
         code, out = run_cli("verify", "--trials", "3", "--seed", "7")
@@ -400,3 +452,81 @@ class TestBrokenPipe:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 1
         assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def _subparser(parser, command):
+    sub, = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it, so every call
+    must still see only its own command line."""
+
+    def test_omitted_option_takes_its_default_again(self):
+        argv = ["eigens", "--model", "qw", "--kx", "1"]
+        assert run_cli(*argv, "--alpha", "0.5")[0] == 0
+        code, out = run_cli(*argv)
+        fresh = run_subprocess(*argv)
+        assert (code, out.encode()) == (fresh.returncode, fresh.stdout)
+        assert json.loads(out)["params"]["alphaR"] == 0.0
+
+    def test_omitted_format_is_csv_again(self):
+        argv = ["spectrum", "--model", "monolayer", "--kmin", "0", "--kmax", "1",
+                "--samples", "3"]
+        assert run_cli(*argv, "--format", "json")[1].startswith("{")
+        assert run_cli(*argv) == (0, "k,E1,E2\n0.0,0.0,0.0\n0.5,-0.5,0.5\n1.0,-1.0,1.0\n")
+
+    @pytest.mark.parametrize("bad", [
+        ["eigens", "--model", "nosuch"],
+        ["eigens", "--model", "qw", "--kx", "nan"],
+    ])
+    def test_usage_error_leaves_the_parser_intact(self, bad, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        code, out = run_cli(*CASES["eigens_qw.json"])
+        assert (code, out.encode()) == (0, (GOLDEN / "eigens_qw.json").read_bytes())
+
+    @pytest.mark.parametrize("command", ["spectrum", "eigens", "verify"])
+    def test_help_is_a_fresh_parsers_help_every_time(self, command):
+        fresh = _subparser(cli.build_parser(), command).format_help()
+        for _ in range(2):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), pytest.raises(SystemExit) as exc:
+                cli.main([command, "--help"])
+            assert exc.value.code == 0
+            assert buf.getvalue() == fresh
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(CASES)), min_size=2, max_size=10))
+    def test_golden_commands_in_any_order(self, names):
+        for name in names:
+            code, out = run_cli(*CASES[name])
+            assert (code, out.encode()) == (0, (GOLDEN / name).read_bytes()), name
+
+    def test_parser_is_built_once_over_many_calls(self, monkeypatch):
+        built = []
+
+        def counting(real=cli.build_parser):
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for i in range(50):
+                code, _ = run_cli("eigens", "--model", "monolayer", f"--kx={i + 1}")
+                assert code == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_import_builds_no_parser(self):
+        r = subprocess.run(
+            [sys.executable, "-c", "import rotoreig.cli as c; "
+             "print(c._parser.cache_info().currsize)"],
+            capture_output=True, check=True,
+        )
+        assert r.stdout == b"0\n"

@@ -306,6 +306,15 @@ class TestBilayer:
         )
         assert bilayer_spectrum(0.0, u, g1) == pytest.approx(expect)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 6.0).map(lambda e: 10.0 ** e))
+    def test_low_band_at_origin_for_any_coupling(self, gamma1):
+        # the low-band radicand gamma1**2/2 - 0.5*sqrt(gamma1**4) is 0 up to a
+        # rounding error of a few ulp(gamma1**2): no negative radicand
+        energies = bilayer_spectrum(0.0, 0.0, gamma1)
+        assert energies[3] == -energies[0] == pytest.approx(gamma1, rel=1e-15)
+        assert max(-energies[1], energies[2]) <= 1e-7 * gamma1
+
     def test_spectrum_even_in_energy(self):
         es = bilayer_spectrum(1.3, 0.25, 0.6)
         assert es[0] == pytest.approx(-es[3]) and es[1] == pytest.approx(-es[2])
