@@ -9,7 +9,7 @@ beats sparse maps for the n <= 4 algebras used in practice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +59,57 @@ class Signature:
     def dim(self) -> int:
         return 1 << self.n
 
+    @cached_property
+    def tables(self) -> dict:
+        """Product tables, flattened over mask pairs, and blade index arrays."""
+        p, q, n, dim = self.p, self.q, self.n, self.dim
+        grades = np.array([blade_grade(m) for m in range(dim)], dtype=np.int64)
+
+        res = np.empty((dim, dim), dtype=np.int64)
+        sign = np.empty((dim, dim), dtype=np.float64)
+        for a in range(dim):
+            for b in range(dim):
+                s = _reorder_sign(a, b)
+                common = a & b
+                for i in range(n):
+                    if common >> i & 1 and i >= p:
+                        s = -s
+                res[a, b] = a ^ b
+                sign[a, b] = s
+
+        # outer product keeps only terms without contracted factors
+        outer_sign = np.where((np.arange(dim)[:, None] & np.arange(dim)[None, :]) == 0,
+                              sign, 0.0)
+
+        # inner product: grade |r-s| part for homogeneous r,s > 0; scalar
+        # arguments act by plain scalar multiplication
+        ga = grades[:, None]
+        gb = grades[None, :]
+        gres = grades[res]
+        keep = (ga == 0) | (gb == 0) | (gres == np.abs(ga - gb))
+        inner_sign = np.where(keep, sign, 0.0)
+
+        rev_sign = np.where(grades * (grades - 1) // 2 % 2 == 1, -1.0, 1.0)
+        order = sorted(range(dim), key=lambda m: (blade_grade(m), m))
+        tables = {
+            "grades": grades,
+            "grade_masks": grades == np.arange(n + 1)[:, None],  # row k: grade k
+            "odd": np.flatnonzero(grades % 2 == 1),
+            "res": res.ravel(),
+            "gp_sign": sign.ravel(),
+            "outer_sign": outer_sign.ravel(),
+            "inner_sign": inner_sign.ravel(),
+            "rev_sign": rev_sign,
+            "order": np.array(order, dtype=np.int64),
+        }
+        # spatial inversion flips each spatial factor (indices 1..3 of Cl(3,1))
+        if (p, q) == (3, 1):
+            spatial = np.array([blade_grade(m & 0b0111) for m in range(dim)])
+            tables["inv_sign"] = np.where(spatial % 2 == 1, -1.0, 1.0)
+        for table in tables.values():
+            table.flags.writeable = False  # shared by every multivector
+        return tables
+
     def metric_sign(self, i: int) -> int:
         """Square of basis vector e_{i+1} (+1 or -1)."""
         if not 0 <= i < self.n:
@@ -91,58 +142,6 @@ def _reorder_sign(a: int, b: int) -> int:
         swaps += bin(a & b).count("1")
         a >>= 1
     return -1 if swaps & 1 else 1
-
-
-@lru_cache(maxsize=None)
-def _tables(p: int, q: int):
-    """Precomputed product tables for Cl(p,q), flattened over mask pairs."""
-    n = p + q
-    dim = 1 << n
-    grades = np.array([blade_grade(m) for m in range(dim)], dtype=np.int64)
-
-    res = np.empty((dim, dim), dtype=np.int64)
-    sign = np.empty((dim, dim), dtype=np.float64)
-    for a in range(dim):
-        for b in range(dim):
-            s = _reorder_sign(a, b)
-            common = a & b
-            for i in range(n):
-                if common >> i & 1 and i >= p:
-                    s = -s
-            res[a, b] = a ^ b
-            sign[a, b] = s
-
-    # outer product keeps only terms without contracted factors
-    outer_sign = np.where((np.arange(dim)[:, None] & np.arange(dim)[None, :]) == 0,
-                          sign, 0.0)
-
-    # inner product: grade |r-s| part for homogeneous r,s > 0; scalar
-    # arguments act by plain scalar multiplication
-    ga = grades[:, None]
-    gb = grades[None, :]
-    gres = grades[res]
-    keep = (ga == 0) | (gb == 0) | (gres == np.abs(ga - gb))
-    inner_sign = np.where(keep, sign, 0.0)
-
-    rev_sign = np.where(grades * (grades - 1) // 2 % 2 == 1, -1.0, 1.0)
-    # spatial inversion flips each spatial factor (indices 1..3 of Cl(3,1))
-    if (p, q) == (3, 1):
-        spatial = np.array([blade_grade(m & 0b0111) for m in range(dim)])
-        inv_sign = np.where(spatial % 2 == 1, -1.0, 1.0)
-    else:
-        inv_sign = None
-
-    order = sorted(range(dim), key=lambda m: (blade_grade(m), m))
-    return {
-        "grades": grades,
-        "res": res.ravel(),
-        "gp_sign": sign.ravel(),
-        "outer_sign": outer_sign.ravel(),
-        "inner_sign": inner_sign.ravel(),
-        "rev_sign": rev_sign,
-        "inv_sign": inv_sign,
-        "order": np.array(order, dtype=np.int64),
-    }
 
 
 class Multivector:
@@ -213,7 +212,7 @@ class Multivector:
         sig = self.sig
         if other.sig is not sig:
             self._check_sig(other)
-        t = _tables(sig.p, sig.q)
+        t = sig.tables
         # a[:, None] * b is np.outer's own computation, so the bits match
         w = t[sign_key] * (self.coeffs[:, None] * other.coeffs).ravel()
         out = np.bincount(t["res"], weights=w, minlength=sig.dim)
@@ -225,7 +224,10 @@ class Multivector:
             if other.sig is not self.sig:
                 self._check_sig(other)
             return Multivector._wrap(self.sig, self.coeffs + other.coeffs)
-        return Multivector._wrap(self.sig, self.coeffs + Multivector.scalar(self.sig, other).coeffs)
+        # Multivector.scalar's coefficients, without building the Multivector
+        c = np.zeros(self.sig.dim)
+        c[0] = other
+        return Multivector._wrap(self.sig, self.coeffs + c)
 
     __radd__ = __add__
 
@@ -256,8 +258,7 @@ class Multivector:
         return self._product(other, "inner_sign")
 
     def __invert__(self):
-        t = _tables(self.sig.p, self.sig.q)
-        return Multivector._wrap(self.sig, self.coeffs * t["rev_sign"])
+        return Multivector._wrap(self.sig, self.coeffs * self.sig.tables["rev_sign"])
 
     # ---- queries ------------------------------------------------------
     def scalar_part(self) -> float:
@@ -266,24 +267,22 @@ class Multivector:
     def grade(self, k: int) -> "Multivector":
         if not 0 <= k <= self.sig.n:
             raise ValueError(f"grade {k} out of range for n={self.sig.n}")
-        t = _tables(self.sig.p, self.sig.q)
-        return Multivector._wrap(self.sig, np.where(t["grades"] == k, self.coeffs, 0.0))
+        mask = self.sig.tables["grade_masks"][k]
+        return Multivector._wrap(self.sig, np.where(mask, self.coeffs, 0.0))
 
     def grades_present(self, tol: float = 0.0) -> set[int]:
-        t = _tables(self.sig.p, self.sig.q)
-        return {int(g) for g, c in zip(t["grades"], self.coeffs) if abs(c) > tol}
+        return set(self.sig.tables["grades"][np.abs(self.coeffs) > tol].tolist())
 
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector."""
         return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
 
     def is_even(self) -> bool:
-        t = _tables(self.sig.p, self.sig.q)
-        return bool(np.all(np.abs(self.coeffs[t["grades"] % 2 == 1]) <= TOL))
+        return bool((np.abs(self.coeffs[self.sig.tables["odd"]]) <= TOL).all())
 
     def vector_coords(self) -> np.ndarray:
         """Coordinates of the grade-1 part."""
-        return np.array([self.coeffs[1 << i] for i in range(self.sig.n)])
+        return self.coeffs[self.sig.tables["grade_masks"][1]]
 
     def approx_eq(self, other: "Multivector", tol: float = TOL) -> bool:
         self._check_sig(other)
@@ -346,7 +345,7 @@ def _fmt_float(x: float) -> str:
 
 def canonical_order(sig: Signature) -> list[int]:
     """Blade masks sorted by (grade, mask); the stable file/CLI order."""
-    return [int(m) for m in _tables(sig.p, sig.q)["order"]]
+    return sig.tables["order"].tolist()
 
 
 # ---- module-level operations -----------------------------------------
@@ -378,10 +377,10 @@ def pseudoscalar(sig: Signature) -> Multivector:
 
 def spatial_inversion(m: Multivector) -> Multivector:
     """Flip all spatial basis vectors, leaving e4 fixed (Cl(3,1) only)."""
-    t = _tables(m.sig.p, m.sig.q)
-    if t["inv_sign"] is None:
+    inv_sign = m.sig.tables.get("inv_sign")
+    if inv_sign is None:
         raise ValueError("spatial inversion requires signature (3, 1)")
-    return Multivector._wrap(m.sig, m.coeffs * t["inv_sign"])
+    return Multivector._wrap(m.sig, m.coeffs * inv_sign)
 
 
 def dagger(m: Multivector) -> Multivector:

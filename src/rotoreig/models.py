@@ -143,7 +143,7 @@ def _k_vector(kx: float, ky: float) -> Multivector:
 
 
 def _residual(h_of_psi: Multivector, energy: float, psi: Multivector) -> float:
-    return float(np.max(np.abs((h_of_psi - energy * psi).coeffs)))
+    return float(np.abs((h_of_psi - energy * psi).coeffs).max())
 
 
 def _eigenpair(h, energy: float, psi: Multivector, target, label: str) -> EigenSolution:
@@ -168,6 +168,9 @@ def h_monolayer(psi: Spinor, kx: float, ky: float) -> Spinor:
 def solve_monolayer(kx: float, ky: float) -> list[EigenSolution]:
     """Both bands E = -|k|, +|k| with rotor eigenspinors (1 +- khat e3)/sqrt2."""
     k = math.hypot(kx, ky)
+    # refused before the rotor step, where an infinite k reads as a bad target
+    if not math.isfinite(k):
+        raise OverflowError("|k| overflows a float")
     if k <= DEGENERACY_TOL:
         raise DegenerateError("degenerate Dirac point: rotor undefined at k = 0")
     khat = _k_vector(kx / k, ky / k)
@@ -219,6 +222,9 @@ def solve_qw(kx: float, ky: float, alphaR: float) -> list[EigenSolution]:
     k_dot_e12 = (_k_vector(kx, ky) | _E12_30)  # = kx e2 - ky e1
     for sign, label in ((-1.0, "valence"), (1.0, "conduction")):
         energy = k * k / 2.0 + sign * k * alphaR
+        # refused before the rotor step, where the overflow reads as a NaN rotor
+        if not (math.isfinite(energy) and math.isfinite(alphaR * k * k)):
+            raise OverflowError("the energy or alphaR k^2 overflows a float")
         if abs(alphaR) <= 1e-12:
             # spin degenerate to within the rotor map's resolution
             out.append(EigenSolution(energy, None, None, label, 0.0, degenerate=True))
@@ -309,6 +315,9 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
 
 #: the coefficient-map signs of Cl(3,1) spinors, one per operator row
 _CL31_ROW_SIGNS = _layout_of("cl31").signs[:, None]
+#: the identity of ``solve_bilayer``'s shifted operators H - E, built once
+_EYE8 = np.eye(8)
+_EYE8.flags.writeable = False  # shared by every call
 
 
 @functools.cache
@@ -402,7 +411,7 @@ def solve_bilayer(params: ModelParams) -> list[EigenSolution]:
         label = f"band-{i}"
         # 2-dim null space of (H - E); pick the combination with the largest
         # even part so the rotor diagnostics are well conditioned
-        _, svals, vt = np.linalg.svd(hop - energy * np.eye(8))
+        _, svals, vt = np.linalg.svd(hop - energy * _EYE8)
         basis = vt[-2:]
         even_block = basis[:, :4].T  # maps combo coeffs -> a coefficients
         _, _, wt = np.linalg.svd(even_block)

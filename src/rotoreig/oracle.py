@@ -61,13 +61,15 @@ def matrix_qw(kx: float, ky: float, alphaR: float) -> np.ndarray:
     )
 
 
+#: the constant matrices of the two-atom Hamiltonian, built once and shared
+_SZ_SUM = np.kron(pauli_matrix(3), np.eye(2)) + np.kron(np.eye(2), pauli_matrix(3))
+_SX_SX = np.kron(pauli_matrix(1), pauli_matrix(1))
+_SZ_SUM.flags.writeable = _SX_SX.flags.writeable = False
+
+
 def matrix_two_atoms(omega: float, Gamma: float) -> np.ndarray:
     """(omega/2)(sigma_z x 1 + 1 x sigma_z) + Gamma sigma_x x sigma_x."""
-    sz, sx = pauli_matrix(3), pauli_matrix(1)
-    one = np.eye(2)
-    return (omega / 2.0) * (np.kron(sz, one) + np.kron(one, sz)) + Gamma * np.kron(
-        sx, sx
-    )
+    return (omega / 2.0) * _SZ_SUM + Gamma * _SX_SX
 
 
 def ga_operator_matrix(h, algebra: str) -> np.ndarray:
@@ -81,6 +83,14 @@ def ga_operator_matrix(h, algebra: str) -> np.ndarray:
     return np.column_stack(cols)
 
 
+@functools.cache
+def _offdiag(n: int) -> np.ndarray:
+    # the off-diagonal entries of an n x n matrix, for the convergence sum
+    mask = ~np.eye(n, dtype=bool)
+    mask.flags.writeable = False  # shared by every n x n jacobi_eigh
+    return mask
+
+
 def jacobi_eigh(a, vectors: bool = False):
     """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi.
 
@@ -92,21 +102,21 @@ def jacobi_eigh(a, vectors: bool = False):
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] > 16:
         raise ValueError("expected a small square matrix")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     n = a.shape[0]
-    if np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
+    if np.abs(a - a.T).max() > 1e-12 * max(1.0, np.abs(a).max()):
         raise ValueError("matrix is not symmetric")
     a = (a + a.T) / 2.0
-    scale = max(1.0, float(np.max(np.abs(a))))
-    offdiag = ~np.eye(n, dtype=bool)
+    scale = max(1.0, float(np.abs(a).max()))
+    offdiag = _offdiag(n)
     converged = 1e-14 * scale * n
     negligible = 1e-14 * scale / n
     rows = a.tolist()
     # eigenvector columns, stored as rows of v^T
     vt = np.eye(n).tolist() if vectors else None
     for _ in range(100):
-        off = np.sqrt(np.sum(np.array(rows)[offdiag] ** 2))
+        off = np.sqrt((np.array(rows)[offdiag] ** 2).sum())
         if off <= converged:
             break
         for p in range(n - 1):
@@ -147,12 +157,12 @@ def eig_dense(m) -> np.ndarray:
     """Sorted real eigenvalues of a real symmetric or complex hermitian
     matrix (each hermitian eigenvalue reported once)."""
     m = np.asarray(m)
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     if np.iscomplexobj(m):
         if m.ndim != 2:
             raise ValueError("expected a small square matrix")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
+        if np.abs(m - m.conj().T).max() > 1e-12 * max(1.0, np.abs(m).max()):
             raise ValueError("complex input must be hermitian")
         # [[re, -im], [im, re]], filled by blocks (np.block's bytes, faster)
         n = m.shape[0]

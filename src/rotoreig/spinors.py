@@ -93,7 +93,7 @@ class Spinor:
     def __init__(self, mv: Multivector) -> None:
         layout = _layout_of(mv.sig)
         outside = layout.outside
-        leak = float(np.max(np.abs(mv.coeffs[outside])))
+        leak = float(np.abs(mv.coeffs[outside]).max())
         if leak > TOL * max(1.0, mv.norm()):
             raise ValueError(f"multivector leaves the spinor subspace (leak {leak:.2e})")
         clean = mv.coeffs.copy()

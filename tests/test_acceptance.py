@@ -52,6 +52,7 @@ from rotoreig.spinors import (
     spinor_to_column_cl30,
     spinor_to_column_cl31,
 )
+from test_golden import GOLDEN
 
 
 def report(number, title, ok, detail):
@@ -402,13 +403,16 @@ def test_criterion_9_determinism_and_runtime():
     sweep_a = subprocess.run(sweep_args, capture_output=True)
     sweep_b = subprocess.run(sweep_args, capture_output=True)
     elapsed = time.perf_counter() - start
+    golden = GOLDEN / "verify_trials1000_seed42.txt"
     ok = (
         first.returncode == 0
         and second.returncode == 0
         and first.stdout == second.stdout
+        and first.stdout == golden.read_bytes()
         and sweep_a.stdout == sweep_b.stdout
         and elapsed <= 60.0
     )
     report(9, "byte determinism of verify/sweep reruns", ok,
            f"verify exit {first.returncode}, reruns identical "
-           f"{first.stdout == second.stdout}, {elapsed:.1f} s")
+           f"{first.stdout == second.stdout}, matches {golden.name} "
+           f"{first.stdout == golden.read_bytes()}, {elapsed:.1f} s")

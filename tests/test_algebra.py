@@ -273,3 +273,83 @@ class TestSerialization:
         order = canonical_order(CL31)
         keys = [(bin(m).count("1"), m) for m in order]
         assert keys == sorted(keys)
+
+
+# ---- the primitives against their earlier formulas ---------------------
+# Each reference below is the formula the primitive used before its per-call
+# constant work moved into ``Signature.tables``; the bytes must not change,
+# signed zeros and NaN included.
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]
+any_coeff = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+def raw_mv(sig):
+    return st.lists(any_coeff, min_size=sig.dim, max_size=sig.dim).map(
+        lambda c: Multivector(sig, np.array(c)))
+
+
+raw_any = st.one_of(raw_mv(CL30), raw_mv(CL31))
+
+
+def grades_of(sig):
+    return np.array([bin(m).count("1") for m in range(sig.dim)])
+
+
+class TestReferenceFormulas:
+    @settings(max_examples=200, deadline=None)
+    @given(raw_any)
+    def test_is_even(self, m):
+        odd = grades_of(m.sig) % 2 == 1
+        assert m.is_even() is bool(np.all(np.abs(m.coeffs[odd]) <= 1e-12))
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_any, st.sampled_from([0.0, 1e-12, 5e-324, 1e300]))
+    def test_grades_present(self, m, tol):
+        ref = {int(g) for g, c in zip(grades_of(m.sig), m.coeffs) if abs(c) > tol}
+        assert m.grades_present(tol) == ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(raw_any)
+    def test_grade_and_vector_coords(self, m):
+        grades = grades_of(m.sig)
+        for k in range(m.sig.n + 1):
+            ref = np.where(grades == k, m.coeffs, 0.0)
+            assert m.grade(k).coeffs.tobytes() == ref.tobytes()
+        ref = np.array([m.coeffs[1 << i] for i in range(m.sig.n)])
+        assert m.vector_coords().tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_any, any_coeff)
+    def test_scalar_add_and_subtract(self, m, x):
+        def scalar(value):
+            c = np.zeros(m.sig.dim)
+            c[0] = value
+            return c
+
+        with np.errstate(all="ignore"):
+            cases = [(m + x, m.coeffs + scalar(x)), (x + m, m.coeffs + scalar(x)),
+                     (m - x, m.coeffs + scalar(-float(x))),
+                     (x - m, (-m.coeffs) + scalar(x))]
+            for got, ref in cases:
+                assert got.coeffs.tobytes() == ref.tobytes()
+
+    def test_scalar_add_raises_on_overflow_under_errstate(self):
+        m = Multivector.scalar(CL30, 1e308)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            m + 1e308
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            m - (-1e308)
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_any)
+    def test_norm(self, m):
+        with np.errstate(all="ignore"):
+            ref = float(np.sqrt(np.dot(m.coeffs, m.coeffs)))
+            assert np.float64(m.norm()).tobytes() == np.float64(ref).tobytes()
+
+    @pytest.mark.parametrize("sig", [CL30, CL31, Signature(2, 0)])
+    def test_shared_tables_are_read_only(self, sig):
+        for name, table in sig.tables.items():
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = table[(0,) * table.ndim]

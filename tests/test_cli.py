@@ -285,12 +285,13 @@ class TestEigens:
 
 
     def test_nan_rotor_is_an_error_not_a_degeneracy(self, capsys):
-        # k = 1e200 overflows k^2 in the qw rotor target, so the rotor is NaN
+        # k = 1e200 overflows k^2 in the qw energies, which would make the
+        # rotor target NaN; the solve refuses the point before the rotor step
         code = cli.main(["eigens", "--model", "qw", "--kx", "1e200", "--alpha", "1"])
         captured = capsys.readouterr()
-        assert code == 1
+        assert code == 2
         assert captured.out == ""
-        assert captured.err.startswith("error: not a rotor: nan + nan*e1 + nan*e2")
+        assert captured.err.startswith("error: the solve overflows at kx=1e+200")
 
     def test_solver_value_error_exits_one(self, monkeypatch, capsys):
         def leak(kx, ky):
@@ -316,6 +317,10 @@ class TestOverflowingPoint:
         ("--model", "atoms", "--omega", "1e200", "--gamma", "1e200"),
         # gamma1 ** 4 raises OverflowError in the bilayer spectrum
         ("--model", "bilayer", "--gamma1", "1e100"),
+        # overflow in Python floats: an infinite |k| failed as "b must be a
+        # unit vector", an infinite qw energy as a NaN rotor; both exited 1
+        ("--model", "monolayer", "--kx", "1.7e308", "--ky", "1.7e308"),
+        ("--model", "qw", "--kx", "1e200", "--alpha", "1"),
     ])
     def test_usage_error_with_empty_stdout(self, argv):
         r = run_subprocess("eigens", *argv)

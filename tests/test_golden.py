@@ -6,12 +6,15 @@ Regenerate a file only for a deliberate change of output, e.g.
 """
 
 import contextlib
+import functools
 import io
+import json
+import random
 from pathlib import Path
 
 import pytest
 
-from rotoreig import cli
+from rotoreig import cli, models, oracle
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,3 +90,74 @@ def test_output_matches_golden_bytes(name):
         code = cli.main(CASES[name])
     assert code == 0
     assert buf.getvalue().encode() == (GOLDEN / name).read_bytes()
+
+
+# ---- report-level goldens ----------------------------------------------
+# `verify` prints only per-model maxima, so a kernel change could move bits
+# that it never shows. These files hold every cross-check report, and the
+# `eigens` output, over `verify`'s own draws and a set of edge points.
+# Regenerate both with ``PYTHONPATH=src python tests/test_golden.py``.
+
+REPORTS = "cross_check_draws.jsonl"
+EIGENS = "eigens_draws.txt"
+
+#: each edge value replaces one field of a drawn point, then all of them
+EDGE_VALUES = (0.0, -0.0, 5e-324, 1e-300, 1e6)
+
+_FLAGS = {"kx": "kx", "ky": "ky", "alphaR": "alpha", "omega": "omega",
+          "Gamma": "gamma", "gamma1": "gamma1", "U": "bias-u", "eta": "eta"}
+
+
+def golden_points() -> list[models.ModelParams]:
+    """50 `verify` draws per model from seed 7, then the edge points."""
+    rng = random.Random(7)
+    draws = {name: [cli._draw_params(name, rng) for _ in range(50)]
+             for name in models.MODELS}
+    points = [p for model_draws in draws.values() for p in model_draws]
+    for name, spec in models.MODELS.items():
+        base = {field: getattr(draws[name][0], field) for field in spec.fields}
+        names = [field for field in spec.fields if field != "eta"]
+        for eta in ((1, -1) if "eta" in spec.fields else (None,)):
+            if eta is not None:
+                base["eta"] = eta
+            for value in EDGE_VALUES:
+                for changed in [[field] for field in names] + [names]:
+                    point = {**base, **{field: value for field in changed}}
+                    points.append(models.ModelParams(name, **point))
+    return points
+
+
+def _report_line(params: models.ModelParams) -> str:
+    try:
+        doc = oracle.cross_check(params).to_json_dict()
+    except (ValueError, ArithmeticError) as exc:
+        doc = {"model": params.model, "params": params.to_json_dict(),
+               "error": f"{type(exc).__name__}: {exc}"}
+    return json.dumps(doc) + "\n"
+
+
+def _eigens_record(params: models.ModelParams) -> str:
+    argv = ["eigens", f"--model={params.model}"] + [
+        f"--{_FLAGS[name]}={value!r}"
+        for name, value in params.to_json_dict().items() if name != "model"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return f"$ rotoreig {' '.join(argv)}  # exit {code}\n{out.getvalue()}{err.getvalue()}"
+
+
+@functools.cache
+def report_goldens() -> dict[str, str]:
+    points = golden_points()
+    return {REPORTS: "".join(map(_report_line, points)),
+            EIGENS: "".join(map(_eigens_record, points))}
+
+
+@pytest.mark.parametrize("name", [REPORTS, EIGENS])
+def test_reports_match_golden_bytes(name):
+    assert report_goldens()[name].encode() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    for name, text in report_goldens().items():
+        (GOLDEN / name).write_bytes(text.encode())

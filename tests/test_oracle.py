@@ -7,8 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotoreig import cli, oracle
+from rotoreig import cli, models, oracle
 from rotoreig.models import MODELS, ModelParams
 from rotoreig.oracle import (
     cross_check,
@@ -362,3 +364,44 @@ class TestActionCheckOncePerAlgebra:
         # and the imaginary unit per cl31 column
         assert calls == {"cl30": 3 * len(oracle._SPOT_COLS_2),
                          "cl31": 5 * len(oracle._SPOT_COLS_4)}
+
+
+# ---- constant work against the formulas it replaced --------------------
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]
+any_float = st.one_of(st.sampled_from(SPECIAL), st.floats())
+
+
+class TestReferenceFormulas:
+    @settings(max_examples=200, deadline=None)
+    @given(any_float, any_float)
+    def test_matrix_two_atoms(self, omega, gamma):
+        sz, sx, one = oracle.pauli_matrix(3), oracle.pauli_matrix(1), np.eye(2)
+        with np.errstate(all="ignore"):
+            ref = (omega / 2.0) * (np.kron(sz, one) + np.kron(one, sz)) + gamma * np.kron(
+                sx, sx)
+            assert matrix_two_atoms(omega, gamma).tobytes() == ref.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16).flatmap(
+        lambda n: st.lists(any_float, min_size=n * n, max_size=n * n)))
+    def test_jacobi_convergence_sum(self, entries):
+        n = math.isqrt(len(entries))
+        rows = np.array(entries).reshape(n, n).tolist()
+        with np.errstate(all="ignore"):
+            ref = np.sqrt(np.sum(np.array(rows)[~np.eye(n, dtype=bool)] ** 2))
+            got = np.sqrt((np.array(rows)[oracle._offdiag(n)] ** 2).sum())
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name, table", [
+    ("oracle._SZ_SUM", oracle._SZ_SUM),
+    ("oracle._SX_SX", oracle._SX_SX),
+    *((f"oracle._offdiag({n})", oracle._offdiag(n)) for n in (2, 4, 8)),
+    ("models._EYE8", models._EYE8),
+    *((f"models._bilayer_terms()[{i}]", term)
+      for i, term in enumerate(models._bilayer_terms())),
+])
+def test_shared_constant_arrays_are_read_only(name, table):
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = table[0, 0]
