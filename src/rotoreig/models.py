@@ -32,6 +32,7 @@ __all__ = [
     "DegenerateError",
     "EigenSolution",
     "DEGENERACY_TOL",
+    "solve_cl30",
     "h_monolayer",
     "solve_monolayer",
     "pseudospin_average",
@@ -49,7 +50,10 @@ __all__ = [
     "expectation_energy",
 ]
 
-#: |k| (or coupling) below this counts as a degenerate point of the rotor map
+#: the rotor map's degeneracy rule.  In Cl(3,0), H = h0 + h.sigma with
+#: max(|h0|, |h|) at most this is H = 0, a singular point (DegenerateError),
+#: and |h| at most this times max(1, |h0|) is a spin-degenerate pair with no
+#: rotor.  In Cl(3,1) it bounds |k| or the coupling the same way.
 DEGENERACY_TOL = 1e-10
 
 _E1_30 = Multivector.basis_vector(CL30, 1)
@@ -153,6 +157,47 @@ def _eigenpair(h, energy: float, psi: Multivector, target, label: str) -> EigenS
                          _residual(h(spinor).mv, energy, psi))
 
 
+#: the scalar spinor 1, on which ``solve_cl30`` reads a Hamiltonian off
+_ONE_30 = Spinor(Multivector.scalar(CL30, 1.0))
+
+
+def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
+    """Both bands of a Cl(3,0) Hamiltonian h with closed-form energies E- <= E+.
+
+    On Pauli spinors H = h0 + h.sigma acts as H(psi) = h0 psi + h psi e3
+    (Doran & Lasenby, ch. 8), so h0 = <H(1)>_0 and h = <(H(1) - h0) e3>_1.
+    Quantization: E-+ = h0 -+ |h|, with eigenspinors the rotors e3 -> -+h/|h|.
+    This assumes h perpendicular to e3: a sigma_z mass term puts h.e3 into the
+    scalar part of H(1), and the quantization check raises ValueError."""
+    # refused before H is applied, where an overflow reads as a NaN rotor
+    if not all(map(math.isfinite, energies)):
+        raise OverflowError("the energies overflow a float")
+    h_of_one = h(_ONE_30).mv
+    h0 = h_of_one.scalar_part()
+    hvec = (h_of_one - h0) * _E3_30
+    hnorm = math.hypot(*hvec.vector_coords())
+    if max(abs(h0), hnorm) <= DEGENERACY_TOL:
+        raise DegenerateError("degenerate point: H = 0, rotor undefined")
+    out = []
+    for sign, energy, label in zip((-1.0, 1.0), energies, ("valence", "conduction")):
+        if abs(energy - (h0 + sign * hnorm)) > 1e-10 * max(1.0, abs(h0) + hnorm):
+            raise ValueError(f"E = {energy!r} fails the quantization condition "
+                             f"E = h0 -+ |h| = {h0 + sign * hnorm!r}")
+        # spin degenerate to within the rotor map's resolution: no rotor
+        if hnorm <= DEGENERACY_TOL * max(1.0, abs(h0)):
+            out.append(EigenSolution(energy, None, None, label, 0.0, degenerate=True))
+            continue
+        target = sign * (hvec / hnorm)
+        psi = rotor_from_vectors(_E3_30, target).value
+        out.append(_eigenpair(h, energy, psi, target.vector_coords(), label))
+    return out
+
+
+def _solve_cl30_model(p: ModelParams) -> list[EigenSolution]:
+    spec = MODELS[p.model]  # the model's own h and closed-form spectrum
+    return solve_cl30(lambda psi: spec.h(psi, p), spec.spectrum(p.k, p))
+
+
 # ---------------------------------------------------------------------
 # monolayer graphene
 # ---------------------------------------------------------------------
@@ -166,22 +211,8 @@ def h_monolayer(psi: Spinor, kx: float, ky: float) -> Spinor:
 
 
 def solve_monolayer(kx: float, ky: float) -> list[EigenSolution]:
-    """Both bands E = -|k|, +|k| with rotor eigenspinors (1 +- khat e3)/sqrt2."""
-    k = math.hypot(kx, ky)
-    # refused before the rotor step, where an infinite k reads as a bad target
-    if not math.isfinite(k):
-        raise OverflowError("|k| overflows a float")
-    if k <= DEGENERACY_TOL:
-        raise DegenerateError("degenerate Dirac point: rotor undefined at k = 0")
-    khat = _k_vector(kx / k, ky / k)
-    out = []
-    for sign, label in ((-1.0, "valence"), (1.0, "conduction")):
-        energy = sign * k
-        target = sign * khat
-        psi = rotor_from_vectors(_E3_30, target).value
-        out.append(_eigenpair(lambda s: h_monolayer(s, kx, ky), energy, psi,
-                              target.vector_coords(), label))
-    return out
+    """Both bands E = -|k|, +|k| with rotor eigenspinors (1 -+ khat e3)/sqrt2."""
+    return _solve_cl30_model(ModelParams("monolayer", kx=kx, ky=ky))
 
 
 def pseudospin_average(psi: Spinor) -> np.ndarray:
@@ -191,7 +222,7 @@ def pseudospin_average(psi: Spinor) -> np.ndarray:
     norm = (psi.mv * ~psi.mv).scalar_part()
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("spinor must satisfy psi ~psi = 1")
-    return (psi.mv * _E3_30 * ~psi.mv).grade(1).vector_coords()
+    return (psi.mv * _E3_30 * ~psi.mv).vector_coords()
 
 
 #: spin average of the quantum-well model; same construction as pseudospin
@@ -215,27 +246,7 @@ def h_qw(psi: Spinor, kx: float, ky: float, alphaR: float) -> Spinor:
 
 def solve_qw(kx: float, ky: float, alphaR: float) -> list[EigenSolution]:
     """Spin-split bands E = k^2/2 -+ k alphaR with in-plane rotor targets."""
-    k = math.hypot(kx, ky)
-    if k <= DEGENERACY_TOL:
-        raise DegenerateError("degenerate point: rotor undetermined at k = 0")
-    out = []
-    k_dot_e12 = (_k_vector(kx, ky) | _E12_30)  # = kx e2 - ky e1
-    for sign, label in ((-1.0, "valence"), (1.0, "conduction")):
-        energy = k * k / 2.0 + sign * k * alphaR
-        # refused before the rotor step, where the overflow reads as a NaN rotor
-        if not (math.isfinite(energy) and math.isfinite(alphaR * k * k)):
-            raise OverflowError("the energy or alphaR k^2 overflows a float")
-        if abs(alphaR) <= 1e-12:
-            # spin degenerate to within the rotor map's resolution
-            out.append(EigenSolution(energy, None, None, label, 0.0, degenerate=True))
-            continue
-        coeff = (k * k / 2.0 - energy) / (alphaR * k * k)
-        target = coeff * k_dot_e12
-        psi = rotor_from_vectors(_E3_30, target).value
-        out.append(_eigenpair(lambda s: h_qw(s, kx, ky, alphaR), energy, psi,
-                              target.vector_coords(), label))
-    out.sort(key=lambda s: s.energy)
-    return out
+    return _solve_cl30_model(ModelParams("qw", kx=kx, ky=ky, alphaR=alphaR))
 
 
 # ---------------------------------------------------------------------
@@ -430,8 +441,7 @@ def solve_bilayer(params: ModelParams) -> list[EigenSolution]:
         target = None
         if not degenerate:
             even = (psi.mv + spatial_inversion(psi.mv)) / 2.0
-            ahat = (even * _E3_31 * ~even).grade(1)
-            target = ahat.vector_coords()
+            target = (even * _E3_31 * ~even).vector_coords()
         out.append(EigenSolution(energy, psi, target, label, res, degenerate))
     return out
 

@@ -269,6 +269,16 @@ class TestEigens:
         assert [s["energy"] for s in doc["solutions"]] == pytest.approx([0.4, 0.6])
         assert all("spin" in s for s in doc["solutions"])
 
+    def test_qw_point_at_large_k(self):
+        # exited 1 with "b must be a unit vector" while the rotor target
+        # cancelled k^2/2 against the energy
+        code, out = run_cli("eigens", "--model", "qw", "--kx", "1e6", "--ky", "0.03",
+                            "--alpha", "0.4743388065249136")
+        assert code == 0
+        sols = json.loads(out)["solutions"]
+        assert [s["band"] for s in sols] == ["valence", "conduction"]
+        assert all(s["residual"] <= 1e-10 * abs(s["energy"]) for s in sols)
+
     def test_atoms_point(self):
         code, out = run_cli("eigens", "--model", "atoms", "--omega", "3", "--gamma", "4")
         doc = json.loads(out)

@@ -28,12 +28,14 @@ from rotoreig.models import (
     h_two_atoms,
     pseudospin_average,
     solve_bilayer,
+    solve_cl30,
     solve_monolayer,
     solve_qw,
     solve_two_atoms,
     spin_average,
 )
 from rotoreig.oracle import ga_operator_matrix
+from rotoreig.rotors import rotor_from_vectors
 from rotoreig.spinors import Spinor, even_odd_split
 
 
@@ -165,6 +167,93 @@ class TestQuantumWell:
     def test_zero_k_rejected(self):
         with pytest.raises(DegenerateError):
             solve_qw(0.0, 0.0, 0.5)
+
+    def test_large_k_sweep_solves_every_point(self):
+        # a target built from (k^2/2 - E)/(alphaR k^2) cancels k^2/2 against E
+        # and fails the unit-vector check from k ~ 1e2 on; h/|h| does not
+        rng = random.Random(23)
+        for decade in range(6):
+            for _ in range(400):
+                k = 10.0 ** (decade + rng.random())
+                phi = rng.uniform(0.0, 2.0 * math.pi)
+                alpha = rng.uniform(0.01, 2.0)
+                for s in solve_qw(k * math.cos(phi), k * math.sin(phi), alpha):
+                    assert abs(math.hypot(*s.target_vector) - 1.0) <= 4 * math.ulp(1.0)
+                    assert s.residual <= 1e-10 * max(1.0, abs(s.energy))
+
+    @pytest.mark.parametrize("alpha", [-0.7, -1e-3, 0.7])
+    def test_labels_follow_energy_and_spinors_match_the_hand_formula(self, alpha):
+        rng = random.Random(29)
+        for _ in range(20):
+            kx, ky = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+            k = math.hypot(kx, ky)
+            sols = solve_qw(kx, ky, alpha)
+            assert [s.band_label for s in sols] == ["valence", "conduction"]
+            assert sols[0].energy < sols[1].energy
+            for sign in (-1.0, 1.0):
+                # the hand-derived rotor target -sign/k (kx e2 - ky e1)
+                energy = k * k / 2.0 + sign * k * alpha
+                target = Multivector.vector(CL30, [sign * ky / k, -sign * kx / k])
+                psi = rotor_from_vectors(Multivector.basis_vector(CL30, 3), target).value
+                (s,) = [s for s in sols if s.energy == energy]
+                assert s.spinor.mv.approx_eq(psi, tol=1e-15)
+
+
+def cl30_h(h0, hx, hy, hz=0.0):
+    """H(psi) = h0 psi + h psi e3, the Cl(3,0) form of h0 + h.sigma."""
+    h = Multivector.vector(CL30, [hx, hy, hz])
+    e3 = Multivector.basis_vector(CL30, 3)
+    return lambda psi: Spinor(h0 * psi.mv + h * psi.mv * e3)
+
+
+class TestSolveCl30:
+    def test_any_two_band_hamiltonian(self):
+        # a model without a hand-written solver: an h and its closed form
+        h0, hx, hy = 0.3, 0.4, -1.2
+        hnorm = math.hypot(hx, hy)
+        sols = solve_cl30(cl30_h(h0, hx, hy), [h0 - hnorm, h0 + hnorm])
+        assert [s.band_label for s in sols] == ["valence", "conduction"]
+        for sign, s in zip((-1.0, 1.0), sols):
+            assert not s.degenerate and s.residual <= 1e-15
+            assert s.target_vector == pytest.approx([sign * hx / hnorm,
+                                                     sign * hy / hnorm, 0.0])
+
+    def test_sigma_z_mass_fails_the_quantization_check(self):
+        kx, ky, m = 0.6, 0.8, 0.5
+        root = math.sqrt(kx * kx + ky * ky + m * m)
+        with pytest.raises(ValueError, match="quantization condition"):
+            solve_cl30(cl30_h(0.0, kx, ky, m), [-root, root])
+
+    def test_energies_off_the_closed_form_fail_the_check(self):
+        with pytest.raises(ValueError, match="quantization condition"):
+            solve_cl30(cl30_h(0.0, 0.6, 0.8), [-1.0, 1.0 + 1e-9])
+
+    def test_non_finite_energies_overflow_before_h_is_applied(self):
+        def h(psi):
+            raise AssertionError("H applied")
+
+        with pytest.raises(OverflowError):
+            solve_cl30(h, [0.0, math.inf])
+
+    @pytest.mark.parametrize("h0, hnorm", [
+        (0.0, 0.0), (-0.0, 0.0), (DEGENERACY_TOL, DEGENERACY_TOL), (0.0, DEGENERACY_TOL)])
+    def test_vanishing_h_is_a_singular_point(self, h0, hnorm):
+        with pytest.raises(DegenerateError, match="H = 0"):
+            solve_cl30(cl30_h(h0, hnorm, 0.0), [h0 - hnorm, h0 + hnorm])
+
+    @pytest.mark.parametrize("h0, hnorm", [
+        (2.0, 1e-11), (-5.0, 4.9e-10), (1e6, 1e-5), (2.0 * DEGENERACY_TOL, DEGENERACY_TOL)])
+    def test_tiny_h_gives_two_degenerate_solutions(self, h0, hnorm):
+        energies = [h0 - hnorm, h0 + hnorm]
+        sols = solve_cl30(cl30_h(h0, 0.0, hnorm), energies)
+        assert [(s.energy, s.band_label, s.degenerate, s.spinor) for s in sols] == [
+            (energies[0], "valence", True, None), (energies[1], "conduction", True, None)]
+
+    def test_h_just_above_the_tolerance_gets_rotors(self):
+        hnorm = 2.0 * DEGENERACY_TOL
+        sols = solve_cl30(cl30_h(0.5, hnorm, 0.0), [0.5 - hnorm, 0.5 + hnorm])
+        assert not any(s.degenerate for s in sols)
+        assert sols[1].target_vector == pytest.approx([1.0, 0.0, 0.0])
 
 
 class TestTwoAtoms:
@@ -433,12 +522,14 @@ class TestModelRegistry:
 
     @pytest.mark.parametrize("model", ["monolayer", "qw", "atoms"])
     def test_each_eigenspinor_is_built_once(self, monkeypatch, model):
-        # one Spinor for the rotor eigenspinor and one for H applied to it
+        # one Spinor for the rotor eigenspinor and one for H applied to it,
+        # plus, in Cl(3,0), one for H(1), from which solve_cl30 reads h0 and h
         builds = []
         monkeypatch.setattr(models, "Spinor",
                             lambda mv: builds.append(mv) or Spinor(mv))
         sols = MODELS[model].solve(cli._draw_params(model, random.Random(20)))
-        assert len(builds) == 2 * len(sols)
+        read_off = 1 if MODELS[model].algebra == "cl30" else 0
+        assert len(builds) == 2 * len(sols) + read_off
         assert all(type(s.spinor) is Spinor for s in sols)
 
     def test_entries_call_the_module_functions(self, monkeypatch):
