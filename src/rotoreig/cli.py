@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import os
@@ -149,6 +150,8 @@ def _draw_params(model: str, rng: random.Random) -> ModelParams:
 def cmd_verify(args, out) -> int:
     if args.trials < 1:
         raise SystemExit2("--trials must be at least 1")
+    if args.tol < 0.0:
+        raise SystemExit2("--tol must not be negative")
     rng = random.Random(args.seed)
     all_pass = True
     first_failure = None
@@ -261,10 +264,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        out = io.StringIO() if args.out else sys.stdout
+        code = args.func(args, out)
+        # opened only once the command has its output, so a failing command
+        # leaves an existing file as it was
         if args.out:
             with open(args.out, "w", newline="") as fh:
-                return args.func(args, fh)
-        code = args.func(args, sys.stdout)
+                fh.write(out.getvalue())
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -1,14 +1,14 @@
 """GA Hamiltonian functions for the four physical models and their
-rotor-equation eigensolvers.
+rotor-equation eigensolvers; no solver builds or factorizes a matrix.
 
 Natural units throughout (hbar = v_F = m* = 1).  The quantization axis is e3
 in every model; eigenspinors are rotors (or pseudoscalar-carried rotors in
 the Cl(3,1) odd sector) taking e3 to a model-specific target direction.
+Bilayer graphene reaches that form by eliminating one inversion sector.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -42,7 +42,6 @@ __all__ = [
     "h_two_atoms",
     "solve_two_atoms",
     "h_bilayer",
-    "bilayer_operator",
     "bilayer_spectrum",
     "bilayer_mexican_hat_k",
     "bilayer_quantization_residual",
@@ -63,6 +62,7 @@ _E12_30 = _E1_30 * _E2_30
 
 _E2_31 = Multivector.basis_vector(CL31, 2)
 _E3_31 = Multivector.basis_vector(CL31, 3)
+_E31_31 = _E3_31 * Multivector.basis_vector(CL31, 1)
 _E23_31 = _E2_31 * _E3_31
 _I31 = pseudoscalar(CL31)
 _IE3_31 = _I31 * _E3_31
@@ -146,15 +146,11 @@ def _k_vector(kx: float, ky: float) -> Multivector:
     return kx * _E1_30 + ky * _E2_30
 
 
-def _residual(h_of_psi: Multivector, energy: float, psi: Multivector) -> float:
-    return float(np.abs((h_of_psi - energy * psi).coeffs).max())
-
-
 def _eigenpair(h, energy: float, psi: Multivector, target, label: str) -> EigenSolution:
     """The eigenpair (energy, psi), with the residual of the Hamiltonian h."""
     spinor = Spinor(psi)
-    return EigenSolution(energy, spinor, target, label,
-                         _residual(h(spinor).mv, energy, psi))
+    residual = float(np.abs((h(spinor).mv - energy * psi).coeffs).max())
+    return EigenSolution(energy, spinor, target, label, residual)
 
 
 #: the scalar spinor 1, on which ``solve_cl30`` reads a Hamiltonian off
@@ -324,48 +320,6 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
     return Spinor(kin + coupling + bias)
 
 
-#: the coefficient-map signs of Cl(3,1) spinors, one per operator row
-_CL31_ROW_SIGNS = _layout_of("cl31").signs[:, None]
-#: the identity of ``solve_bilayer``'s shifted operators H - E, built once
-_EYE8 = np.eye(8)
-_EYE8.flags.writeable = False  # shared by every call
-
-
-@functools.cache
-def _bilayer_terms() -> tuple[np.ndarray, ...]:
-    """Term matrices (kx, ky, gamma1, U) of ``h_bilayer`` on spinor coefficients,
-    without the coefficient-map row signs.
-
-    Each is ``h_bilayer``'s operator matrix at one unit parameter (kx = 1,
-    ky = 1, gamma1 = -2 so that -(gamma1/2) = 1, U = 1), so the spinor
-    subspace check runs on every term column once per process."""
-    from .oracle import ga_operator_matrix  # deferred: oracle imports models
-
-    terms = []
-    for unit in ({"kx": 1.0}, {"ky": 1.0}, {"gamma1": -2.0}, {"U": 1.0}):
-        p = ModelParams("bilayer", **unit)
-        term = _CL31_ROW_SIGNS * ga_operator_matrix(
-            lambda s: h_bilayer(s, p), "cl31") + 0.0
-        term.flags.writeable = False  # shared by every caller
-        terms.append(term)
-    return tuple(terms)
-
-
-def bilayer_operator(params: ModelParams) -> np.ndarray:
-    """The 8x8 real matrix of ``h_bilayer`` on spinor coefficients.
-
-    Assembled from ``_bilayer_terms`` in ``h_bilayer``'s own order of float
-    operations, so its bytes, signed zeros included, are those of
-    ``oracle.ga_operator_matrix`` applied to ``h_bilayer``."""
-    m_kx, m_ky, m_gamma1, m_u = _bilayer_terms()
-    eta = float(params.eta)
-    return _CL31_ROW_SIGNS * (
-        eta * (params.kx * m_kx + params.ky * m_ky + 0.0)
-        + (-(params.gamma1 / 2.0)) * m_gamma1
-        + (eta * params.U) * m_u
-    )
-
-
 def bilayer_spectrum(k: float, U: float, gamma1: float) -> list[float]:
     """The four band energies at wave-vector magnitude k, sorted ascending."""
     base = k * k + U * U + gamma1 * gamma1 / 2.0
@@ -408,41 +362,72 @@ def bilayer_quantization_residual(
     return num / denom - 1.0
 
 
+#: a Schur complement E^2 - |d|^2 at most this fraction of max(E^2, |d|^2) is
+#: singular: the even part's target, off by ~1e-16 over that fraction, would
+#: then be off by more than 1e-10
+_SINGULAR_TOL = 1e-6
+
+
 def solve_bilayer(params: ModelParams) -> list[EigenSolution]:
-    """Spectrum from the closed form; eigenspinors from the null space of the
-    8x8 real coefficient operator, then validated against the rotor picture
-    (psi+ e3 ~psi+ must be a unit vector and satisfy the quantization
-    condition)."""
+    """Four bands from the closed form, eigenspinors from the rotor equation.
+
+    With psi = phi+ + I phi- (phi+- even in the spatial algebra), a block of H
+    acts as phi -> P phi + Q phi e3, blocks compose as products of P + Q, and H
+    has blocks a = eta U e3 (even), d = gamma1 e2 - eta U e3 (odd) and -eta k
+    (both couplings).  Eliminating phi- (Loewdin partitioning) leaves phi+ the
+    rotor e3 -> h / (E - h0), where M(E) = a + k (E + d) k / (E^2 - |d|^2) = h0
+    + h, quantized by |h| = |E - h0|; phi- = -eta (E + d) k phi+ e3 / (E^2 -
+    |d|^2).  Where that complement is singular, a and d swap roles and psi =
+    I R + phi+ (as in solve_two_atoms); where both are, the band is a crossing.
+    The rotor fixes psi's phase."""
     if params.model != "bilayer":
         raise ValueError("expected bilayer parameters")
     energies = bilayer_spectrum(params.k, params.U, params.gamma1)
-    hop = bilayer_operator(params)
+    # refused before the rotor step, where an overflow reads as a NaN rotor
+    if not all(map(math.isfinite, energies)):
+        raise OverflowError("the energies overflow a float")
+    if max(params.k, abs(params.U), abs(params.gamma1)) <= DEGENERACY_TOL:
+        raise DegenerateError("degenerate point: H = 0, rotor undefined")
+    # the largest |E|, span, bounds k, |U| and |gamma1|
+    eta, span, k2 = float(params.eta), energies[-1], params.kx ** 2 + params.ky ** 2
+    k = Multivector.vector(CL31, [params.kx, params.ky])
+    a = (eta * params.U) * _E3_31
+    d = params.gamma1 * _E2_31 - a
+    # per sector: kept block, |eliminated block e|^2, e k, and k e k (a vector)
+    sectors = [(keep, e2, ek := e * k, (k * ek).grade(1)) for keep, e, e2 in
+               ((a, d, params.gamma1 ** 2 + params.U ** 2), (d, a, params.U ** 2))]
+    h = lambda s: h_bilayer(s, params)
     out = []
     for i, energy in enumerate(energies, start=1):
-        label = f"band-{i}"
-        # 2-dim null space of (H - E); pick the combination with the largest
-        # even part so the rotor diagnostics are well conditioned
-        _, svals, vt = np.linalg.svd(hop - energy * _EYE8)
-        basis = vt[-2:]
-        even_block = basis[:, :4].T  # maps combo coeffs -> a coefficients
-        _, _, wt = np.linalg.svd(even_block)
-        combo = wt[0]
-        vec = combo @ basis
-        even_norm = float(np.linalg.norm(vec[:4]))
-        degenerate = (
-            abs(energy) <= DEGENERACY_TOL
-            or even_norm <= 1e-8
-            or svals[-3] <= 1e-8  # null space larger than the complex pair
-        )
-        if even_norm > 1e-12:
-            vec = vec / even_norm
-        psi = Spinor.from_coeff_vector("cl31", vec)
-        res = _residual(h_bilayer(psi, params).mv, energy, psi.mv)
-        target = None
-        if not degenerate:
-            even = (psi.mv + spatial_inversion(psi.mv)) / 2.0
-            target = (even * _E3_31 * ~even).vector_coords()
-        out.append(EigenSolution(energy, psi, target, label, res, degenerate))
+        for odd, (keep, e2, ek, kek) in enumerate(sectors):
+            schur = energy * energy - e2
+            if abs(schur) > _SINGULAR_TOL * max(energy * energy, e2):
+                break
+        else:  # both complements singular: a crossing
+            out.append(EigenSolution(energy, None, None, f"band-{i}", 0.0, True))
+            continue
+        hs = schur * keep + kek       # schur h
+        gs = energy * (schur - k2)    # schur (E - h0)
+        hnorm = math.hypot(*hs.vector_coords())
+        # |h| = |E - h0| on squares times schur^2, to 1e-10 of H's scale span^6:
+        # near a singular complement M(E) is steep in E, and the ratio
+        # |h| / |E - h0| would magnify the rounding of E
+        if abs((abs(gs) - hnorm) / span ** 3 * ((abs(gs) + hnorm) / span ** 3)) > 1e-10:
+            raise ValueError(f"E = {energy!r} fails the quantization condition")
+        # M(E) = E on the whole sector: a degenerate pair, with no rotor
+        if hnorm <= DEGENERACY_TOL * span * abs(schur):
+            out.append(EigenSolution(energy, None, None, f"band-{i}", 0.0, True))
+            continue
+        target = math.copysign(1.0 / hnorm, gs) * hs  # h / (E - h0)
+        # rotor_from_vectors rejects e3 -> -e3 and loses accuracy near it, so
+        # below the e1e2 plane a half turn e31 takes e3 to -e3 first
+        below = target.coeffs[4] < 0.0
+        rotor = rotor_from_vectors(_E3_31, -target if below else target).value
+        rotor = rotor * _E31_31 if below else rotor
+        # the eliminated half -eta (E + e) k R e3 / schur, where R e3 = target R
+        rest = (-eta / schur) * ((energy * (k * target) + ek) * rotor)
+        psi = _I31 * rotor + rest if odd else rotor + _I31 * rest
+        out.append(_eigenpair(h, energy, psi, target.vector_coords(), f"band-{i}"))
     return out
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "matrix_monolayer",
     "matrix_qw",
     "matrix_two_atoms",
+    "matrix_bilayer",
     "ga_operator_matrix",
     "jacobi_eigh",
     "eig_dense",
@@ -70,6 +71,17 @@ _SZ_SUM.flags.writeable = _SX_SX.flags.writeable = False
 def matrix_two_atoms(omega: float, Gamma: float) -> np.ndarray:
     """(omega/2)(sigma_z x 1 + 1 x sigma_z) + Gamma sigma_x x sigma_x."""
     return (omega / 2.0) * _SZ_SUM + Gamma * _SX_SX
+
+
+def matrix_bilayer(kx: float, ky: float, U: float, gamma1: float, eta: int) -> np.ndarray:
+    """Biased bilayer graphene in the basis (A1, B1, A2, B2), gamma3 = gamma4 = 0
+    (McCann & Koshino, Rep. Prog. Phys. 76, 056503, 2013): layers at -+U,
+    gamma1 between B1 and A2, and pi = eta kx + i ky coupling A and B in each."""
+    pi = eta * kx + 1j * ky
+    return np.array([[-U, pi.conjugate(), 0.0, 0.0],
+                     [pi, -U, gamma1, 0.0],
+                     [0.0, gamma1, U, pi.conjugate()],
+                     [0.0, 0.0, pi, U]])
 
 
 def ga_operator_matrix(h, algebra: str) -> np.ndarray:
@@ -222,15 +234,14 @@ def _energy_delta(rotor: list[float], oracle: list[float]) -> float:
     return max(deltas)
 
 
-#: the oracle's sorted energies per model, independent of ``models.MODELS``:
-#: Hilbert-space matrices, and for bilayer the real linearization of H,
-#: ``models.bilayer_operator``, which ``solve_bilayer`` also takes its
-#: eigenspinors from (so this oracle is not independent of the solver)
+#: the oracle's sorted energies per model: Hilbert-space matrices, each
+#: written from its textbook form and sharing no code with ``models``, which
+#: only supplies the ``ModelParams`` fields
 _ORACLES = {
     "monolayer": lambda p: list(eig_dense(matrix_monolayer(p.kx, p.ky))),
     "qw": lambda p: list(eig_dense(matrix_qw(p.kx, p.ky, p.alphaR))),
     "atoms": lambda p: list(eig_dense(matrix_two_atoms(p.omega, p.Gamma))),
-    "bilayer": lambda p: list(_collapse_pairs(jacobi_eigh(models.bilayer_operator(p)))),
+    "bilayer": lambda p: list(eig_dense(matrix_bilayer(p.kx, p.ky, p.U, p.gamma1, p.eta))),
 }
 
 

@@ -88,6 +88,29 @@ class TestSpectrum:
         assert code == 0 and out == ""
         assert path.read_text().startswith("k,E1,E2\n")
 
+    @pytest.mark.parametrize("argv", [
+        # exit 2: the bilayer spectrum overflows
+        ("spectrum", "--model", "bilayer", "--gamma1", "1e100", "--kmin", "0",
+         "--kmax", "1"),
+        ("spectrum", "--model", "monolayer", "--kmin", "0", "--kmax", "1",
+         "--samples", "1"),
+        ("verify", "--trials", "0"),
+    ])
+    def test_usage_error_leaves_an_existing_out_file_unchanged(self, tmp_path, argv):
+        path = tmp_path / "kept.txt"
+        path.write_bytes(b"earlier output\n")
+        code, out = run_cli(*argv, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert path.read_bytes() == b"earlier output\n"
+
+    def test_failing_verify_still_writes_its_report(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_bytes(b"earlier output\n")
+        code, out = run_cli("verify", "--trials", "1", "--tol", "1e-30",
+                            "--out", str(path))
+        assert (code, out) == (1, "")
+        assert "verify: FAIL" in path.read_text()
+
     def test_bad_sample_count(self):
         code, _ = run_cli(
             "spectrum", "--model", "monolayer", "--kmin", "0", "--kmax", "1",
@@ -386,6 +409,17 @@ class TestVerify:
     def test_bad_trial_count(self):
         code, _ = run_cli("verify", "--trials", "0")
         assert code == 2
+
+    def test_negative_tolerance_is_a_usage_error(self, capsys):
+        # it failed every model as physics, with a report whose max_delta was 2e-16
+        code = cli.main(["verify", "--trials", "2", "--tol", "-1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: --tol must not be negative\n"
+
+    def test_zero_tolerance_is_allowed(self):
+        code, out = run_cli("verify", "--trials", "1", "--tol", "0")
+        assert code in (0, 1) and out.startswith("model=monolayer")
 
     def test_byte_determinism(self):
         a = run_subprocess("verify", "--trials", "2", "--seed", "11")

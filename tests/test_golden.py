@@ -35,8 +35,9 @@ CASES = {
     "eigens_atoms_gamma0.json": ["eigens", "--model", "atoms", "--omega", "1.5",
                                  "--gamma", "0"],
     "eigens_atoms_origin.json": ["eigens", "--model", "atoms"],
-    # bilayer points whose signed zeros reach the solver's SVDs: the other
-    # valley, no bias, k = 0, negative couplings and kx = -0.0
+    # bilayer points with signed zeros and other sectors: the other valley,
+    # no bias, k = 0 (the dimer bands' rotors in the odd sector), negative
+    # couplings and kx = -0.0
     "eigens_bilayer_valley_minus.json": ["eigens", "--model", "bilayer", "--kx", "0.3",
                                          "--ky", "0.4", "--gamma1", "0.4",
                                          "--bias-u", "0.2", "--eta", "-1"],

@@ -17,11 +17,12 @@ from rotoreig.oracle import (
     eig_dense,
     ga_operator_matrix,
     jacobi_eigh,
+    matrix_bilayer,
     matrix_monolayer,
     matrix_qw,
     matrix_two_atoms,
 )
-from rotoreig.spinors import Spinor
+from rotoreig.spinors import Spinor, column_to_spinor_cl31, spinor_to_column_cl31
 
 
 class TestModelMatrices:
@@ -43,6 +44,37 @@ class TestModelMatrices:
     def test_two_atoms_uncoupled_diagonal(self):
         m = matrix_two_atoms(1.0, 0.0)
         assert np.allclose(m, np.diag([1.0, 0.0, 0.0, -1.0]))
+
+    def test_bilayer_entries(self):
+        # basis (A1, B1, A2, B2), pi = eta kx + i ky
+        m = matrix_bilayer(0.3, 0.4, 0.2, 0.5, -1)
+        pi = -0.3 + 0.4j
+        assert np.array_equal(m, [[-0.2, pi.conjugate(), 0, 0],
+                                  [pi, -0.2, 0.5, 0],
+                                  [0, 0.5, 0.2, pi.conjugate()],
+                                  [0, 0, pi, 0.2]])
+
+    def test_bilayer_eigenvalues_at_k0(self):
+        # the dimer B1, A2 at +-sqrt(U^2 + gamma1^2), A1 at -U and B2 at U
+        vals = eig_dense(matrix_bilayer(0.0, 0.0, 0.3, 0.4, 1))
+        assert vals == pytest.approx([-0.5, -0.3, 0.3, 0.5], abs=1e-15)
+
+    @pytest.mark.parametrize("eta", [1, -1])
+    def test_ga_bilayer_is_the_mirrored_matrix(self, eta):
+        # no constant basis change takes h_bilayer to matrix_bilayer at the
+        # same k; h_bilayer is matrix_bilayer at ky -> -ky, its complex
+        # conjugate, with two basis entries swapped: 0 and 3 for eta = 1,
+        # 1 and 2 for eta = -1
+        swap = np.eye(4)[[3, 1, 2, 0] if eta == 1 else [0, 2, 1, 3]]
+        rng = np.random.default_rng(61)
+        for _ in range(50):
+            kx, ky, u, g1 = rng.uniform(-2.0, 2.0, 4)
+            params = ModelParams("bilayer", kx=kx, ky=ky, U=u, gamma1=g1, eta=eta)
+            m = swap @ matrix_bilayer(kx, -ky, u, g1, eta) @ swap
+            col = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            got = spinor_to_column_cl31(
+                models.h_bilayer(column_to_spinor_cl31(col), params))
+            assert np.max(np.abs(got - m @ col)) <= 1e-15 * np.max(np.abs(col))
 
 
 def numpy_jacobi_eigh(a, vectors=False, tol=1e-14, max_sweeps=100):
@@ -398,9 +430,6 @@ class TestReferenceFormulas:
     ("oracle._SZ_SUM", oracle._SZ_SUM),
     ("oracle._SX_SX", oracle._SX_SX),
     *((f"oracle._offdiag({n})", oracle._offdiag(n)) for n in (2, 4, 8)),
-    ("models._EYE8", models._EYE8),
-    *((f"models._bilayer_terms()[{i}]", term)
-      for i, term in enumerate(models._bilayer_terms())),
 ])
 def test_shared_constant_arrays_are_read_only(name, table):
     with pytest.raises(ValueError, match="read-only"):
