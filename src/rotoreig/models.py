@@ -362,24 +362,23 @@ def bilayer_quantization_residual(
     return num / denom - 1.0
 
 
-#: a Schur complement E^2 - |d|^2 at most this fraction of max(E^2, |d|^2) is
-#: singular: the even part's target, off by ~1e-16 over that fraction, would
-#: then be off by more than 1e-10
+#: an outer band whose even-sector t = s - k^2 is at most this fraction of
+#: the odd sector's (near k = 0, where phi+ vanishes) takes its rotor in the
+#: odd sector
 _SINGULAR_TOL = 1e-6
 
 
 def solve_bilayer(params: ModelParams) -> list[EigenSolution]:
     """Four bands from the closed form, eigenspinors from the rotor equation.
 
-    With psi = phi+ + I phi- (phi+- even in the spatial algebra), a block of H
-    acts as phi -> P phi + Q phi e3, blocks compose as products of P + Q, and H
-    has blocks a = eta U e3 (even), d = gamma1 e2 - eta U e3 (odd) and -eta k
-    (both couplings).  Eliminating phi- (Loewdin partitioning) leaves phi+ the
-    rotor e3 -> h / (E - h0), where M(E) = a + k (E + d) k / (E^2 - |d|^2) = h0
-    + h, quantized by |h| = |E - h0|; phi- = -eta (E + d) k phi+ e3 / (E^2 -
-    |d|^2).  Where that complement is singular, a and d swap roles and psi =
-    I R + phi+ (as in solve_two_atoms); where both are, the band is a crossing.
-    The rotor fixes psi's phase."""
+    With psi = phi+ + I phi- (phi+- even in the spatial algebra), H has blocks
+    a = eta U e3 (even), d = gamma1 e2 - eta U e3 (odd) and -eta k (couplings),
+    each acting as phi -> P phi + Q phi e3.  Eliminating phi- (Loewdin) leaves
+    phi+ the rotor R: e3 -> h / (E - h0) of M(E) = a + k (E + d) k / s = h0 + h
+    with s = E^2 - |d|^2, quantized by |h| = |E - h0|.  Through s and t = s -
+    k^2, the target is (s a + k d k) / (E t) and phi- = -eta (k a + d k) R / t:
+    a singular s does no harm.  Where phi+ vanishes (outer bands near k = 0) a
+    and d swap roles, psi = I R + phi+; where h vanishes, a crossing."""
     if params.model != "bilayer":
         raise ValueError("expected bilayer parameters")
     energies = bilayer_spectrum(params.k, params.U, params.gamma1)
@@ -388,45 +387,51 @@ def solve_bilayer(params: ModelParams) -> list[EigenSolution]:
         raise OverflowError("the energies overflow a float")
     if max(params.k, abs(params.U), abs(params.gamma1)) <= DEGENERACY_TOL:
         raise DegenerateError("degenerate point: H = 0, rotor undefined")
-    # the largest |E|, span, bounds k, |U| and |gamma1|
-    eta, span, k2 = float(params.eta), energies[-1], params.kx ** 2 + params.ky ** 2
-    k = Multivector.vector(CL31, [params.kx, params.ky])
-    a = (eta * params.U) * _E3_31
-    d = params.gamma1 * _E2_31 - a
-    # per sector: kept block, |eliminated block e|^2, e k, and k e k (a vector)
-    sectors = [(keep, e2, ek := e * k, (k * ek).grade(1)) for keep, e, e2 in
-               ((a, d, params.gamma1 ** 2 + params.U ** 2), (d, a, params.U ** 2))]
+    # eigenspinors do not change when H is scaled: reduce H / span, where the
+    # largest |E|, span, bounds k, |U| and |gamma1|
+    span = energies[-1]
+    u, g1 = params.U / span, params.gamma1 / span
+    k2 = (params.k / span) ** 2
+    k = Multivector.vector(CL31, [params.kx / span, params.ky / span])
+    a = (params.eta * u) * _E3_31
+    d = g1 * _E2_31 - a
+    # per sector, with e the eliminated block: the kept block, k keep + e k
+    # (phi-'s numerator) and k e k
+    even = (a, k * a + d * k, (k * d * k).grade(1))
+    odd = (d, k * d + a * k, (k * a * k).grade(1))
+    # t = s - k^2 from the closed form's E^2 = base -+ inner, free of the
+    # cancellation in E^2 - |e|^2: on the outer bands q in the even sector and
+    # p in the odd, on the inner -p and -q, where p q = m = k^2 (4 U^2 + gamma1^2)
+    m = k2 * (4.0 * u * u + g1 * g1)
+    p = 0.5 * g1 * g1 + math.sqrt(0.25 * g1 ** 4 + m)
+    q = m / p if p > 0.0 else 0.0
     h = lambda s: h_bilayer(s, params)
     out = []
     for i, energy in enumerate(energies, start=1):
-        for odd, (keep, e2, ek, kek) in enumerate(sectors):
-            schur = energy * energy - e2
-            if abs(schur) > _SINGULAR_TOL * max(energy * energy, e2):
-                break
-        else:  # both complements singular: a crossing
-            out.append(EigenSolution(energy, None, None, f"band-{i}", 0.0, True))
-            continue
-        hs = schur * keep + kek       # schur h
-        gs = energy * (schur - k2)    # schur (E - h0)
+        outer = i in (1, 4)
+        is_odd = outer and q <= _SINGULAR_TOL * p
+        keep, numerator, kek = odd if is_odd else even
+        t = p if is_odd else q if outer else -p
+        s = k2 + t
+        hs = s * keep + kek  # s h
         hnorm = math.hypot(*hs.vector_coords())
-        # |h| = |E - h0| on squares times schur^2, to 1e-10 of H's scale span^6:
-        # near a singular complement M(E) is steep in E, and the ratio
-        # |h| / |E - h0| would magnify the rounding of E
-        if abs((abs(gs) - hnorm) / span ** 3 * ((abs(gs) + hnorm) / span ** 3)) > 1e-10:
-            raise ValueError(f"E = {energy!r} fails the quantization condition")
-        # M(E) = E on the whole sector: a degenerate pair, with no rotor
-        if hnorm <= DEGENERACY_TOL * span * abs(schur):
+        # |h| at most DEGENERACY_TOL of H's scale: M(E) = h0 on the whole
+        # sector, and a neighbouring band lies within 2 |h| (a crossing)
+        if hnorm <= DEGENERACY_TOL * abs(s):
             out.append(EigenSolution(energy, None, None, f"band-{i}", 0.0, True))
             continue
-        target = math.copysign(1.0 / hnorm, gs) * hs  # h / (E - h0)
+        # |h| = |E - h0| is |s h| = |E t|, compared on squares to 1e-10 of H's
+        # scale: E^2 carries the closed form's rounding, E itself up to its root
+        if abs((energy / span) ** 2 - (hnorm / t) ** 2) > 1e-10:
+            raise ValueError(f"E = {energy!r} fails the quantization condition")
+        target = math.copysign(1.0 / hnorm, energy * t) * hs  # h / (E - h0)
         # rotor_from_vectors rejects e3 -> -e3 and loses accuracy near it, so
         # below the e1e2 plane a half turn e31 takes e3 to -e3 first
         below = target.coeffs[4] < 0.0
         rotor = rotor_from_vectors(_E3_31, -target if below else target).value
         rotor = rotor * _E31_31 if below else rotor
-        # the eliminated half -eta (E + e) k R e3 / schur, where R e3 = target R
-        rest = (-eta / schur) * ((energy * (k * target) + ek) * rotor)
-        psi = _I31 * rotor + rest if odd else rotor + _I31 * rest
+        rest = (-params.eta / t) * (numerator * rotor)
+        psi = _I31 * rotor + rest if is_odd else rotor + _I31 * rest
         out.append(_eigenpair(h, energy, psi, target.vector_coords(), f"band-{i}"))
     return out
 

@@ -302,6 +302,28 @@ class TestEigens:
         assert [s["band"] for s in sols] == ["valence", "conduction"]
         assert all(s["residual"] <= 1e-10 * abs(s["energy"]) for s in sols)
 
+    @pytest.mark.parametrize("gamma1", ["0", "0.002"])
+    def test_bilayer_simple_levels_where_both_complements_vanish(self, gamma1):
+        # on k = 2|U| with gamma1 = 0 both E^2 - |d|^2 and E^2 - U^2 vanish at
+        # E = -+U, yet those levels are simple (the layers' bands U - k, k - U)
+        code, out = run_cli("eigens", "--model", "bilayer", "--kx", "2",
+                            "--bias-u", "1", "--gamma1", gamma1)
+        assert code == 0
+        sols = json.loads(out)["solutions"]
+        assert [s["degenerate"] for s in sols] == [False] * 4
+        assert all(s["spinor"] is not None for s in sols)
+        assert all(s["residual"] <= 1e-10 * max(1.0, abs(s["energy"])) for s in sols)
+
+    def test_bilayer_at_large_k(self):
+        # exited 2 (overflow) from |E| ~ 5e102 on while the solve cubed H's scale
+        code, out = run_cli("eigens", "--model", "bilayer", "--kx", "1e120",
+                            "--gamma1", "0.4", "--bias-u", "0.2")
+        assert code == 0
+        sols = json.loads(out)["solutions"]
+        assert [s["energy"] for s in sols] == [-1e120, -1e120, 1e120, 1e120]
+        # the pairs U and gamma1 split are one float apart: crossings
+        assert all(s["degenerate"] for s in sols)
+
     def test_atoms_point(self):
         code, out = run_cli("eigens", "--model", "atoms", "--omega", "3", "--gamma", "4")
         doc = json.loads(out)

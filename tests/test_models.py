@@ -509,6 +509,35 @@ class TestBilayer:
             else:
                 assert s.residual <= 1e-15
 
+    @pytest.mark.parametrize("gamma1", [0.0, 5e-4, 1e-3, 2e-3, 0.1])
+    def test_simple_levels_on_the_line_k_2u(self, gamma1):
+        # k^2 = 4 U^2 + 2 gamma1^2: the even complement E^2 - |d|^2 vanishes on
+        # the inner bands, and for gamma1 -> 0 the odd one E^2 - U^2 as well
+        u = 1.0
+        kx = math.sqrt(4.0 * u * u + 2.0 * gamma1 * gamma1)
+        sols = solve_bilayer(ModelParams("bilayer", kx=kx, ky=0.0, gamma1=gamma1, U=u))
+        for s in sols:
+            assert not s.degenerate
+            assert s.residual <= 1e-15 * max(1.0, abs(s.energy))
+            assert np.max(np.abs(s.target_vector - even_target(s.spinor))) <= 1e-15
+
+    @pytest.mark.parametrize("kx", [1e-12, 1e-9, 1e-6])
+    def test_near_crossing_is_solved_to_rounding(self, kx):
+        # k = gamma1 = 0 is a crossing; a little off it the levels are simple
+        # and the complements, taken from the closed form, keep full accuracy
+        sols = solve_bilayer(ModelParams("bilayer", kx=kx, gamma1=1e-4, U=1.0))
+        assert [s.degenerate for s in sols] == [False] * 4
+        assert all(s.residual <= 1e-15 for s in sols)
+
+    @pytest.mark.parametrize("kx", [1e6, 1e60, 1e76])
+    def test_scale_free(self, kx):
+        # the reduction runs on H / span: no power of the scale overflows
+        sols = solve_bilayer(ModelParams("bilayer", kx=kx, ky=0.3 * kx,
+                                         gamma1=0.4 * kx, U=0.2 * kx))
+        for s in sols:
+            assert not s.degenerate
+            assert s.residual <= 1e-15 * abs(s.energy)
+
     def test_energy_off_the_closed_form_fails_the_quantization_check(self, monkeypatch):
         real = models.bilayer_spectrum
 
