@@ -105,7 +105,7 @@ def cmd_eigens(args, out) -> int:
         # a float that overflows anywhere in the solve raises, not warns
         with np.errstate(over="raise", invalid="raise"):
             records = []
-            for s in spec.solve(params):
+            for s in models.solve(params):
                 rec = s.to_json_dict()
                 if s.spinor is not None and spec.average:
                     avg = models.pseudospin_average(s.spinor)

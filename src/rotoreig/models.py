@@ -1,11 +1,6 @@
-"""GA Hamiltonian functions for the four physical models and their
-rotor-equation eigensolvers; no solver builds or factorizes a matrix.
-
-Natural units throughout (hbar = v_F = m* = 1).  The quantization axis is e3
-in every model; eigenspinors are rotors (or pseudoscalar-carried rotors in
-the Cl(3,1) odd sector) taking e3 to a model-specific target direction.
-Bilayer graphene reaches that form by eliminating one inversion sector.
-"""
+"""GA Hamiltonians of the four models (hbar = v_F = m* = 1) and one rotor
+solver per algebra, which reads the model's blocks off H applied to fixed
+spinors and builds no matrix; eigenspinors are rotors taking e3 to a target."""
 
 from __future__ import annotations
 
@@ -18,11 +13,11 @@ import numpy as np
 from .algebra import (
     CL30,
     CL31,
+    TOL,
     Multivector,
     pseudoscalar,
-    spatial_inversion,
 )
-from .rotors import rotor_exp, rotor_from_vectors
+from .rotors import rotor_from_vectors
 from .spinors import Spinor, _layout_of
 
 __all__ = [
@@ -32,7 +27,9 @@ __all__ = [
     "DegenerateError",
     "EigenSolution",
     "DEGENERACY_TOL",
+    "solve",
     "solve_cl30",
+    "solve_cl31",
     "h_monolayer",
     "solve_monolayer",
     "pseudospin_average",
@@ -52,7 +49,9 @@ __all__ = [
 #: the rotor map's degeneracy rule.  In Cl(3,0), H = h0 + h.sigma with
 #: max(|h0|, |h|) at most this is H = 0, a singular point (DegenerateError),
 #: and |h| at most this times max(1, |h0|) is a spin-degenerate pair with no
-#: rotor.  In Cl(3,1) it bounds |k| or the coupling the same way.
+#: rotor.  In Cl(3,1) max(|a|, |c|, |d|) at most this is H = 0, an uncoupled
+#: block |a| or |d| at most this is a degenerate sector, and a coupled band
+#: whose reduced |h| is at most this fraction of H's scale is a crossing.
 DEGENERACY_TOL = 1e-10
 
 _E1_30 = Multivector.basis_vector(CL30, 1)
@@ -63,9 +62,7 @@ _E12_30 = _E1_30 * _E2_30
 _E2_31 = Multivector.basis_vector(CL31, 2)
 _E3_31 = Multivector.basis_vector(CL31, 3)
 _E31_31 = _E3_31 * Multivector.basis_vector(CL31, 1)
-_E23_31 = _E2_31 * _E3_31
 _I31 = pseudoscalar(CL31)
-_IE3_31 = _I31 * _E3_31
 
 
 @dataclass(frozen=True)
@@ -99,17 +96,14 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One model: its algebra, parameters, Hamiltonian, solver and spectrum.
+    """One model: its algebra, which picks the solver, parameters, Hamiltonian
+    and spectrum; the callables look module functions up when called."""
 
-    The callables take a ``ModelParams`` and call the module functions by
-    name, so a patched module attribute (``models.solve_qw``) reaches them."""
-
-    algebra: str
+    algebra: str                # "cl30" or "cl31": the rotor solver
     fields: tuple[str, ...]     # the model's ModelParams fields, in JSON order
     couplings: tuple[str, ...]  # the couplings `verify` draws, in draw order
     sweep: str                  # the ModelParams attribute `spectrum` sweeps
     h: Callable[[Spinor, ModelParams], Spinor]
-    solve: Callable[[ModelParams], list[EigenSolution]]
     spectrum: Callable[[float, ModelParams], list[float]]  # sorted energies
     average: str | None         # JSON key of the eigenspinors' e3 average
 
@@ -149,7 +143,7 @@ def _k_vector(kx: float, ky: float) -> Multivector:
 def _eigenpair(h, energy: float, psi: Multivector, target, label: str) -> EigenSolution:
     """The eigenpair (energy, psi), with the residual of the Hamiltonian h."""
     spinor = Spinor(psi)
-    residual = float(np.abs((h(spinor).mv - energy * psi).coeffs).max())
+    residual = float(np.abs(h(spinor).mv.coeffs - energy * psi.coeffs).max())
     return EigenSolution(energy, spinor, target, label, residual)
 
 
@@ -189,9 +183,179 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
     return out
 
 
-def _solve_cl30_model(p: ModelParams) -> list[EigenSolution]:
-    spec = MODELS[p.model]  # the model's own h and closed-form spectrum
-    return solve_cl30(lambda psi: spec.h(psi, p), spec.spectrum(p.k, p))
+# ---------------------------------------------------------------------
+# the Cl(3,1) rotor solver
+# ---------------------------------------------------------------------
+
+
+#: the spinors 1 and I, on which ``solve_cl31`` reads a Hamiltonian off
+_ONE_31, _I_SPINOR_31 = Spinor(Multivector.scalar(CL31, 1.0)), Spinor(_I31)
+#: -I e3: -I X e3 = X (-I e3) for X = <H>_-, which commutes with I
+_MIE3_31 = -(_I31 * _E3_31)
+#: 1 on the blades of <.>_+ (1, e12, e13, e23), of <.>_- (the rest of the
+#: spinor subspace) and of a block vector (e1, e2, e3); 0 elsewhere
+_EVEN_31, _ODD_31, _IN_BLOCK_31 = (np.isin(np.arange(CL31.dim), blades).astype(float)
+                                   for blades in ((0, 3, 5, 6), (9, 10, 12, 15), (1, 2, 4)))
+#: a coupled band whose even-sector t is at most this fraction of the odd
+#: sector's (outer bands near c = 0, where phi+ vanishes) takes its rotor
+#: in the odd sector
+_SINGULAR_TOL = 1e-6
+
+
+# _unit_scale keeps _cl31_levels' inputs within 2**+-250, where no fourth power
+# leaves the floats; scaling by a power of two is exact, so the bits do not
+# depend on it
+def _unit_scale(top: float) -> float:
+    """1.0, or past 2**+-250 the power of two taking top into [0.5, 1)."""
+    if 2.0 ** -250 < top < 2.0 ** 250:
+        return 1.0
+    return math.ldexp(1.0, min(1000, -math.frexp(top)[1]))
+
+
+def _cl31_levels(na: float, nc: float, nd: float, gap: float, m: float,
+                 const: float) -> tuple[float, float, float, float]:
+    """Levels 0 <= E- <= E+ of blocks a, d and coupling c, and the outer bands'
+    t = E+^2 - |c|^2 - |d|^2 (even), - |a|^2 (odd): E^4 - B E^2 + C = 0 with
+    B/2 = (|a|^2 + |d|^2)/2 + |c|^2, gap = (|d|^2 - |a|^2)/2, m = |c|^2 |a-d|^2
+    + 4 (c.a)(c.d), const = C = (|c|^2 + a.d)^2 + |a^d|^2 - 4 (c.a)(c.d).
+    E+^2 = B/2 + R, R = sqrt(gap^2 + m); E-^2 = C / E+^2 (Vieta) keeps the
+    digits B/2 - R cancels (Higham, Accuracy and Stability, ch. 1)."""
+    root = math.sqrt(gap * gap + m) if gap * gap + m > 0.0 else 0.0
+    big = abs(gap) + root
+    small = m / big if big > 0.0 else 0.0
+    t_even, t_odd = (small, big) if gap >= 0.0 else (big, small)
+    if nc * nc == 0.0:  # uncoupled to within H's resolution: the blocks' levels
+        return min(na, nd), max(na, nd), t_even, t_odd
+    upper = (na * na + nd * nd) / 2.0 + nc * nc + root
+    return math.sqrt(const / upper) if const > 0.0 else 0.0, math.sqrt(upper), t_even, t_odd
+
+
+def _read_off(h) -> list[Multivector]:
+    """The vector blocks a, c, d of h: H(1) = a e3 + I c e3, H(I) = c e3 + I d e3."""
+    h_one, h_i = h(_ONE_31).mv.coeffs, h(_I_SPINOR_31).mv.coeffs
+    # <H(1)>_+ e3, -I <H(1)>_- e3, -I <H(I)>_- e3 and <H(I)>_+ e3: a, c, d, c
+    blocks = np.array([(Multivector._wrap(CL31, x * part) * right).coeffs
+                       for x, part, right in ((h_one, _EVEN_31, _E3_31), (h_one, _ODD_31, _MIE3_31),
+                                              (h_i, _ODD_31, _MIE3_31), (h_i, _EVEN_31, _E3_31))])
+    size = np.abs(blocks)
+    tol = TOL * size.max()  # a part below this is rounding
+    if (size - size * _IN_BLOCK_31).max() > tol or np.abs(blocks[1] - blocks[3]).max() > tol:
+        raise ValueError("H is not in Pauli-block form: a block has a scalar, e4 or "
+                         "higher-grade part, or H(1) and H(I) give different couplings c")
+    return [Multivector._wrap(CL31, row) for row in blocks[:3] * _IN_BLOCK_31]
+
+
+def _rotor_to(target: Multivector) -> Multivector:
+    """The rotor taking e3 to the unit vector target."""
+    # rotor_from_vectors rejects e3 -> -e3 and loses accuracy near it, so
+    # below the e1e2 plane a half turn e31 takes e3 to -e3 first
+    below = target.coeffs[4] < 0.0
+    rotor = rotor_from_vectors(_E3_31, -target if below else target).value
+    return rotor * _E31_31 if below else rotor
+
+
+def solve_cl31(h) -> list[EigenSolution]:
+    """The four levels of a Cl(3,1) Hamiltonian h in Pauli-block form: on
+    psi = phi+ + I phi- (phi+- spatially even) blocks a (even), d (odd) and
+    c (coupling) act as phi -> v phi e3.  The energies are -+E+, -+E- of
+    ``_cl31_levels``.  Uncoupled (c = 0) the eigenspinors are the rotor e3 ->
+    a/E (even-i) and I times e3 -> d/E (odd-i).  Coupled, eliminating phi-
+    (Loewdin) leaves phi+ the rotor R: e3 -> h / (E - h0) of M(E) = a + c (E +
+    d) c / s = h0 + h, s = E^2 - |d|^2, |h| = |E - h0|: with t = s - |c|^2 the
+    target is (s a + c d c) / (E t) and phi- = (c a + d c) R / t."""
+    a, c, d = _read_off(h)
+    coords = [v.coeffs[[1, 2, 4]].tolist() for v in (a, c, d)]
+    na, nc, nd = (math.hypot(*x) for x in coords)
+    if max(na, nc, nd) <= DEGENERACY_TOL:
+        raise DegenerateError("degenerate point: H = 0, rotor undefined")
+    # the invariants as sums of products; bilayer_spectrum computes the same
+    f = _unit_scale(max(na, nc, nd))
+    (a1, a2, a3), (c1, c2, c3), (d1, d2, d3) = ([x * f for x in v] for v in coords)
+    cc = (nc * f) * (nc * f)
+    cross = 4.0 * (c1 * a1 + c2 * a2 + c3 * a3) * (c1 * d1 + c2 * d2 + c3 * d3)
+    gap = ((d1 - a1) * (d1 + a1) + (d2 - a2) * (d2 + a2) + (d3 - a3) * (d3 + a3)) / 2.0
+    amd = (a1 - d1) * (a1 - d1) + (a2 - d2) * (a2 - d2) + (a3 - d3) * (a3 - d3)
+    ad_plus = cc + (a1 * d1 + a2 * d2 + a3 * d3)  # |c|^2 + a.d
+    w1, w2, w3 = a2 * d3 - a3 * d2, a3 * d1 - a1 * d3, a1 * d2 - a2 * d1  # a^d
+    lo, hi, t_even, t_odd = _cl31_levels(
+        na * f, nc * f, nd * f, gap, cc * amd + cross,
+        ad_plus * ad_plus + (w1 * w1 + w2 * w2 + w3 * w3) - cross)
+    energies = [-hi / f, -lo / f, lo / f, hi / f]
+    # refused before the rotor step, where an overflow reads as a NaN rotor
+    if not all(map(math.isfinite, energies)):
+        raise OverflowError("the energies overflow a float")
+    if cc == 0.0:  # |c| below H's resolution, where t can underflow
+        out = _uncoupled(h, a, na, d, nd)
+    else:
+        # eigenspinors do not change when H is scaled: reduce H / span, span
+        # the largest |E|, in which t is t / E+^2
+        span, t_even, t_odd = energies[-1], t_even / (hi * hi), t_odd / (hi * hi)
+        a, c, d, cc = a / span, c / span, d / span, (nc / span) ** 2
+        # per sector, with e the eliminated block: the kept block, c keep +
+        # e c (phi-'s numerator) and c e c
+        even = (a, c * a + d * c, (c * d * c).grade(1))
+        odd = (d, c * d + a * c, (c * a * c).grade(1))
+        out = []
+        for i, energy in enumerate(energies, start=1):
+            # each sector's t = E^2 - |c|^2 - |e|^2: on the inner bands the
+            # even sector's is minus the odd one's on the outer, and vice versa
+            te, to = (t_even, t_odd) if i in (1, 4) else (-t_odd, -t_even)
+            is_odd = abs(te) <= _SINGULAR_TOL * abs(to)
+            keep, numerator, cec = odd if is_odd else even
+            t = to if is_odd else te
+            s = cc + t
+            hs = s * keep + cec  # s h
+            hnorm = math.hypot(*hs.vector_coords())
+            # |h| at most DEGENERACY_TOL of H's scale: M(E) = h0 on the whole
+            # sector, and a neighbouring band lies within 2 |h| (a crossing,
+            # no spinor); where phi+ vanishes, is_odd swaps a and d (psi =
+            # I R + phi+)
+            if hnorm <= DEGENERACY_TOL * abs(s):
+                out.append(EigenSolution(energy, None, None, f"band-{i}", 0.0, True))
+                continue
+            # |h| = |E - h0| is |s h| = |E t|, compared on squares to 1e-10 of
+            # H's scale: E^2 carries the levels' rounding, E up to its root
+            if abs((energy / span) ** 2 - (hnorm / t) ** 2) > 1e-10:
+                raise ValueError(f"E = {energy!r} fails the quantization condition")
+            target = math.copysign(1.0 / hnorm, energy * t) * hs  # h / (E - h0)
+            rotor = _rotor_to(target)
+            rest = (1.0 / t) * (numerator * rotor)
+            psi = _I31 * rotor + rest if is_odd else rotor + _I31 * rest
+            out.append(_eigenpair(h, energy, psi, target.vector_coords(), f"band-{i}"))
+    # a scalar term in a block reads as an e3 component on 1 and I, so the
+    # read-off cannot see it; the residuals do
+    if any(s.residual > 1e-10 * energies[-1] for s in out):
+        raise ValueError("H is not in Pauli-block form: a residual exceeds 1e-10 of H")
+    return out
+
+
+def _uncoupled(h, a: Multivector, na: float, d: Multivector, nd: float) -> list[EigenSolution]:
+    """Levels -+|a| (even-i), -+|d| (odd-i); a block <= DEGENERACY_TOL: no rotors."""
+    out = []
+    for sector, block, norm in (("even", a, na), ("odd", d, nd)):
+        # the level whose target -+block/|block| is not below the e1e2 plane
+        # first: a target below it then takes that rotor times the half turn
+        # e31, which is what _rotor_to builds
+        rotor = None
+        for energy, i in [(-norm, 1), (norm, 2)][::-1 if block.coeffs[4] > 0.0 else 1]:
+            if norm <= DEGENERACY_TOL:
+                out.append(EigenSolution(energy, None, None, f"{sector}-{i}", 0.0, True))
+                continue
+            target = block / energy
+            below = target.coeffs[4] < 0.0 and rotor is not None
+            rotor = rotor * _E31_31 if below else _rotor_to(target)
+            psi = rotor if sector == "even" else _I31 * rotor
+            out.append(_eigenpair(h, energy, psi, target.vector_coords(), f"{sector}-{i}"))
+    return sorted(out, key=lambda s: s.energy)
+
+
+def solve(params: ModelParams) -> list[EigenSolution]:
+    """Every eigenpair of the model at params, by its algebra's rotor solver."""
+    spec = MODELS[params.model]
+    h = lambda psi: spec.h(psi, params)
+    if spec.algebra == "cl30":
+        return solve_cl30(h, spec.spectrum(params.k, params))
+    return solve_cl31(h)
 
 
 # ---------------------------------------------------------------------
@@ -208,7 +372,7 @@ def h_monolayer(psi: Spinor, kx: float, ky: float) -> Spinor:
 
 def solve_monolayer(kx: float, ky: float) -> list[EigenSolution]:
     """Both bands E = -|k|, +|k| with rotor eigenspinors (1 -+ khat e3)/sqrt2."""
-    return _solve_cl30_model(ModelParams("monolayer", kx=kx, ky=ky))
+    return solve(ModelParams("monolayer", kx=kx, ky=ky))
 
 
 def pseudospin_average(psi: Spinor) -> np.ndarray:
@@ -242,7 +406,7 @@ def h_qw(psi: Spinor, kx: float, ky: float, alphaR: float) -> Spinor:
 
 def solve_qw(kx: float, ky: float, alphaR: float) -> list[EigenSolution]:
     """Spin-split bands E = k^2/2 -+ k alphaR with in-plane rotor targets."""
-    return _solve_cl30_model(ModelParams("qw", kx=kx, ky=ky, alphaR=alphaR))
+    return solve(ModelParams("qw", kx=kx, ky=ky, alphaR=alphaR))
 
 
 # ---------------------------------------------------------------------
@@ -250,54 +414,25 @@ def solve_qw(kx: float, ky: float, alphaR: float) -> list[EigenSolution]:
 # ---------------------------------------------------------------------
 
 
-def h_two_atoms(psi: Spinor, omega: float, Gamma: float) -> Spinor:
-    """Coupled-pair Hamiltonian in Cl(3,1).
+def _odd_part(mv: Multivector) -> Multivector:
+    """(psi - psibar) / 2, the inversion-odd part <psi>_- of a Cl(3,1) spinor."""
+    return Multivector._wrap(CL31, mv.coeffs * _ODD_31)
 
-    Implemented in the decoupled-consistent form
-        H(psi) = (omega/2) e3 (psi - psibar) e3 - Gamma e2 psi e3,
-    equivalently -(omega/2) e34 psi e34 + (omega/2) e3 psi e3 - Gamma e2 psi e3,
-    whose even/odd sectors carry -+Gamma and -+sqrt(omega^2 + Gamma^2).
-    """
+
+def h_two_atoms(psi: Spinor, omega: float, Gamma: float) -> Spinor:
+    """Coupled-pair Hamiltonian H(psi) = (omega/2) e3 (psi - psibar) e3 -
+    Gamma e2 psi e3 in Cl(3,1), equivalently -(omega/2) e34 psi e34 +
+    (omega/2) e3 psi e3 - Gamma e2 psi e3: blocks a = -Gamma e2, c = 0 and
+    d = Gamma e2 - omega e3, with levels -+Gamma and -+sqrt(omega^2 + Gamma^2)."""
     if psi.algebra != "cl31":
         raise ValueError("two-atom model lives in Cl(3,1)")
-    odd_part = (psi.mv - spatial_inversion(psi.mv)) / 2.0
-    return Spinor(
-        omega * (_E3_31 * odd_part * _E3_31) - Gamma * (_E2_31 * psi.mv * _E3_31)
-    )
+    return Spinor((omega * (_E3_31 * _odd_part(psi.mv)) - Gamma * (_E2_31 * psi.mv))
+                  * _E3_31)
 
 
 def solve_two_atoms(omega: float, Gamma: float) -> list[EigenSolution]:
-    """Four levels: even sector -+Gamma, odd sector -+sqrt(omega^2+Gamma^2).
-
-    Odd eigenspinors are returned as psi = I C with rotor carrier C; the
-    stored target vector is C e3 ~C.  The carrier normalization psi ~psi = -1
-    makes the odd carrier target -sign(E) * (omega e3 - Gamma e2)/|..|.
-    """
-    root = math.hypot(omega, Gamma)
-    if root <= DEGENERACY_TOL:
-        raise DegenerateError("fully degenerate: omega = Gamma = 0")
-    h = lambda s: h_two_atoms(s, omega, Gamma)
-    out = []
-    # even sector
-    for i, energy in enumerate((-Gamma, Gamma), start=1):
-        if abs(Gamma) <= DEGENERACY_TOL:
-            out.append(EigenSolution(energy, None, None, f"even-{i}", 0.0,
-                                     degenerate=True))
-            continue
-        target = -(energy / Gamma) * _E2_31
-        phi = math.atan2(target.vector_coords()[1], 0.0)
-        psi = rotor_exp(_E23_31, phi).value
-        out.append(_eigenpair(h, energy, psi, target.vector_coords(), f"even-{i}"))
-    # odd sector
-    for i, energy in enumerate((-root, root), start=1):
-        # carrier target in the e2,e3 plane: -(E/root) * (omega e3 - Gamma e2)/root
-        alpha = -(energy / root) * (omega / root)   # e3 component
-        beta = (energy / root) * (Gamma / root)     # e2 component
-        carrier = rotor_exp(_E23_31, math.atan2(beta, alpha)).value
-        target = (carrier * _E3_31 * ~carrier).vector_coords()
-        out.append(_eigenpair(h, energy, _I31 * carrier, target, f"odd-{i}"))
-    out.sort(key=lambda s: s.energy)
-    return out
+    """Four levels: even sector -+Gamma, odd sector -+sqrt(omega^2+Gamma^2)."""
+    return solve(ModelParams("atoms", omega=omega, Gamma=Gamma))
 
 
 # ---------------------------------------------------------------------
@@ -312,29 +447,24 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
         raise ValueError("bilayer model lives in Cl(3,1)")
     k = Multivector.vector(CL31, [params.kx, params.ky, 0.0, 0.0])
     eta = float(params.eta)
-    kin = eta * (k * psi.mv * _IE3_31)
-    coupling = -(params.gamma1 / 2.0) * (
-        _E2_31 * (psi.mv - spatial_inversion(psi.mv)) * _E3_31
-    )
-    bias = eta * params.U * (_E3_31 * psi.mv * _E3_31)
-    return Spinor(kin + coupling + bias)
+    kin = eta * (k * psi.mv * _I31)
+    coupling = -params.gamma1 * (_E2_31 * _odd_part(psi.mv))
+    bias = eta * params.U * (_E3_31 * psi.mv)
+    # the three terms share the right factor e3
+    return Spinor((kin + coupling + bias) * _E3_31)
 
 
 def bilayer_spectrum(k: float, U: float, gamma1: float) -> list[float]:
-    """The four band energies at wave-vector magnitude k, sorted ascending."""
-    base = k * k + U * U + gamma1 * gamma1 / 2.0
-    inner = 0.5 * math.sqrt(
-        gamma1 ** 4 + 4.0 * k * k * (4.0 * U * U + gamma1 * gamma1)
-    )
-    energies = []
-    for s_in in (1.0, -1.0):
-        radicand = base + s_in * inner
-        # the radicand's rounding error is a few ulp of base, so the bound scales
-        if radicand < 0.0 and radicand < -1e-12 * max(1.0, base):
-            raise ArithmeticError("negative radicand in bilayer spectrum")
-        e = math.sqrt(max(radicand, 0.0))
-        energies.extend([-e, e])
-    return sorted(energies)
+    """The four bands at wave-vector magnitude k, ascending: ``_cl31_levels`` of
+    a = eta U e3, c = -eta k, d = gamma1 e2 - eta U e3, bit for bit the solver's."""
+    na, nc, nd = abs(U), abs(k), math.hypot(gamma1, U)
+    f = _unit_scale(max(na, nc, nd))
+    k, U, g1 = k * f, U * f, gamma1 * f
+    kk, gu = k * k, U * g1
+    lo, hi, _, _ = _cl31_levels(na * f, nc * f, nd * f, g1 * g1 / 2.0,
+                                kk * (g1 * g1 + (2.0 * U) * (2.0 * U)),
+                                (kk - U * U) * (kk - U * U) + gu * gu)
+    return [-hi / f, -lo / f, lo / f, hi / f]
 
 
 def bilayer_mexican_hat_k(U: float, gamma1: float) -> float:
@@ -362,78 +492,9 @@ def bilayer_quantization_residual(
     return num / denom - 1.0
 
 
-#: an outer band whose even-sector t = s - k^2 is at most this fraction of
-#: the odd sector's (near k = 0, where phi+ vanishes) takes its rotor in the
-#: odd sector
-_SINGULAR_TOL = 1e-6
-
-
 def solve_bilayer(params: ModelParams) -> list[EigenSolution]:
-    """Four bands from the closed form, eigenspinors from the rotor equation.
-
-    With psi = phi+ + I phi- (phi+- even in the spatial algebra), H has blocks
-    a = eta U e3 (even), d = gamma1 e2 - eta U e3 (odd) and -eta k (couplings),
-    each acting as phi -> P phi + Q phi e3.  Eliminating phi- (Loewdin) leaves
-    phi+ the rotor R: e3 -> h / (E - h0) of M(E) = a + k (E + d) k / s = h0 + h
-    with s = E^2 - |d|^2, quantized by |h| = |E - h0|.  Through s and t = s -
-    k^2, the target is (s a + k d k) / (E t) and phi- = -eta (k a + d k) R / t:
-    a singular s does no harm.  Where phi+ vanishes (outer bands near k = 0) a
-    and d swap roles, psi = I R + phi+; where h vanishes, a crossing."""
-    if params.model != "bilayer":
-        raise ValueError("expected bilayer parameters")
-    energies = bilayer_spectrum(params.k, params.U, params.gamma1)
-    # refused before the rotor step, where an overflow reads as a NaN rotor
-    if not all(map(math.isfinite, energies)):
-        raise OverflowError("the energies overflow a float")
-    if max(params.k, abs(params.U), abs(params.gamma1)) <= DEGENERACY_TOL:
-        raise DegenerateError("degenerate point: H = 0, rotor undefined")
-    # eigenspinors do not change when H is scaled: reduce H / span, where the
-    # largest |E|, span, bounds k, |U| and |gamma1|
-    span = energies[-1]
-    u, g1 = params.U / span, params.gamma1 / span
-    k2 = (params.k / span) ** 2
-    k = Multivector.vector(CL31, [params.kx / span, params.ky / span])
-    a = (params.eta * u) * _E3_31
-    d = g1 * _E2_31 - a
-    # per sector, with e the eliminated block: the kept block, k keep + e k
-    # (phi-'s numerator) and k e k
-    even = (a, k * a + d * k, (k * d * k).grade(1))
-    odd = (d, k * d + a * k, (k * a * k).grade(1))
-    # t = s - k^2 from the closed form's E^2 = base -+ inner, free of the
-    # cancellation in E^2 - |e|^2: on the outer bands q in the even sector and
-    # p in the odd, on the inner -p and -q, where p q = m = k^2 (4 U^2 + gamma1^2)
-    m = k2 * (4.0 * u * u + g1 * g1)
-    p = 0.5 * g1 * g1 + math.sqrt(0.25 * g1 ** 4 + m)
-    q = m / p if p > 0.0 else 0.0
-    h = lambda s: h_bilayer(s, params)
-    out = []
-    for i, energy in enumerate(energies, start=1):
-        outer = i in (1, 4)
-        is_odd = outer and q <= _SINGULAR_TOL * p
-        keep, numerator, kek = odd if is_odd else even
-        t = p if is_odd else q if outer else -p
-        s = k2 + t
-        hs = s * keep + kek  # s h
-        hnorm = math.hypot(*hs.vector_coords())
-        # |h| at most DEGENERACY_TOL of H's scale: M(E) = h0 on the whole
-        # sector, and a neighbouring band lies within 2 |h| (a crossing)
-        if hnorm <= DEGENERACY_TOL * abs(s):
-            out.append(EigenSolution(energy, None, None, f"band-{i}", 0.0, True))
-            continue
-        # |h| = |E - h0| is |s h| = |E t|, compared on squares to 1e-10 of H's
-        # scale: E^2 carries the closed form's rounding, E itself up to its root
-        if abs((energy / span) ** 2 - (hnorm / t) ** 2) > 1e-10:
-            raise ValueError(f"E = {energy!r} fails the quantization condition")
-        target = math.copysign(1.0 / hnorm, energy * t) * hs  # h / (E - h0)
-        # rotor_from_vectors rejects e3 -> -e3 and loses accuracy near it, so
-        # below the e1e2 plane a half turn e31 takes e3 to -e3 first
-        below = target.coeffs[4] < 0.0
-        rotor = rotor_from_vectors(_E3_31, -target if below else target).value
-        rotor = rotor * _E31_31 if below else rotor
-        rest = (-params.eta / t) * (numerator * rotor)
-        psi = _I31 * rotor + rest if is_odd else rotor + _I31 * rest
-        out.append(_eigenpair(h, energy, psi, target.vector_coords(), f"band-{i}"))
-    return out
+    """Four bands from ``solve_cl31`` on h_bilayer."""
+    return solve(params)
 
 
 # ---------------------------------------------------------------------
@@ -461,14 +522,12 @@ MODELS: dict[str, ModelSpec] = {
     "monolayer": ModelSpec(
         "cl30", ("kx", "ky"), (), "k",
         h=lambda psi, p: h_monolayer(psi, p.kx, p.ky),
-        solve=lambda p: solve_monolayer(p.kx, p.ky),
         spectrum=lambda k, p: sorted([-k, k]),
         average="pseudospin",
     ),
     "qw": ModelSpec(
         "cl30", ("kx", "ky", "alphaR"), ("alphaR",), "k",
         h=lambda psi, p: h_qw(psi, p.kx, p.ky, p.alphaR),
-        solve=lambda p: solve_qw(p.kx, p.ky, p.alphaR),
         spectrum=lambda k, p: sorted([k * k / 2.0 - k * p.alphaR,
                                       k * k / 2.0 + k * p.alphaR]),
         average="spin",
@@ -477,15 +536,13 @@ MODELS: dict[str, ModelSpec] = {
         # the sweep variable is the coupling Gamma; omega splits the levels
         "cl31", ("omega", "Gamma"), ("omega", "Gamma"), "Gamma",
         h=lambda psi, p: h_two_atoms(psi, p.omega, p.Gamma),
-        solve=lambda p: solve_two_atoms(p.omega, p.Gamma),
-        spectrum=lambda g, p: sorted([-g, g, -math.hypot(p.omega, g),
+        spectrum=lambda g, p: sorted([-abs(g), abs(g), -math.hypot(p.omega, g),
                                       math.hypot(p.omega, g)]),
         average=None,
     ),
     "bilayer": ModelSpec(
         "cl31", ("kx", "ky", "U", "gamma1", "eta"), ("gamma1", "U"), "k",
         h=lambda psi, p: h_bilayer(psi, p),
-        solve=lambda p: solve_bilayer(p),
         spectrum=lambda k, p: bilayer_spectrum(k, p.U, p.gamma1),
         average=None,
     ),

@@ -299,7 +299,7 @@ def cross_check(params: models.ModelParams, tol: float = MATCH_TOL) -> CrossChec
     ``passed`` requires; that check runs once per algebra per process (see
     ``_action_equivalence_ok``) and its result is copied into every report."""
     spec = models.MODELS[params.model]
-    sols = spec.solve(params)
+    sols = models.solve(params)
     oracle = _ORACLES[params.model](params)
     rotor = [s.energy for s in sols]
     residuals = [s.residual for s in sols]

@@ -8,6 +8,7 @@ the mapping (matrix action then map == map then GA action).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -93,8 +94,9 @@ class Spinor:
     def __init__(self, mv: Multivector) -> None:
         layout = _layout_of(mv.sig)
         outside = layout.outside
-        leak = float(np.abs(mv.coeffs[outside]).max())
-        if leak > TOL * max(1.0, mv.norm()):
+        leak = max(map(abs, mv.coeffs[outside].tolist()))
+        # leak > TOL * max(1, |mv|), with |mv| by hypot, which cannot overflow
+        if leak > TOL and leak > TOL * math.hypot(*mv.coeffs.tolist()):
             raise ValueError(f"multivector leaves the spinor subspace (leak {leak:.2e})")
         clean = mv.coeffs.copy()
         clean[outside] = 0.0

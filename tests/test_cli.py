@@ -90,8 +90,8 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("argv", [
         # exit 2: the bilayer spectrum overflows
-        ("spectrum", "--model", "bilayer", "--gamma1", "1e100", "--kmin", "0",
-         "--kmax", "1"),
+        ("spectrum", "--model", "bilayer", "--gamma1", "1.7e308", "--bias-u", "1.7e308",
+         "--kmin", "0", "--kmax", "1"),
         ("spectrum", "--model", "monolayer", "--kmin", "0", "--kmax", "1",
          "--samples", "1"),
         ("verify", "--trials", "0"),
@@ -232,14 +232,15 @@ class TestOverflowingSweep:
     @pytest.mark.parametrize("argv", [
         # k^2 overflows: the qw energies are +inf
         ("--model", "qw", "--alpha", "0.5", "--kmin", "0", "--kmax", "1e200"),
-        # the bilayer energies are -inf, inf, nan, nan
-        ("--model", "bilayer", "--gamma1", "0.4", "--bias-u", "0.3", "--kmin", "0",
-         "--kmax", "1e200"),
+        # the bilayer upper band passes the largest float at the last row
+        ("--model", "bilayer", "--gamma1", "1e308", "--bias-u", "0.3", "--kmin", "0",
+         "--kmax", "1.7e308"),
         # the sweep values themselves overflow to nan or inf
         ("--model", "monolayer", "--kmin=-1e308", "--kmax", "1e308"),
         ("--model", "atoms", "--omega", "1", "--kmin", "0", "--kmax", "1e308"),
-        # gamma1 ** 4 raises OverflowError in the bilayer spectrum
-        ("--model", "bilayer", "--gamma1", "1e100", "--kmin", "0", "--kmax", "1"),
+        # |d| = hypot(gamma1, U) overflows in the bilayer spectrum
+        ("--model", "bilayer", "--gamma1", "1.7e308", "--bias-u", "1.7e308", "--kmin", "0",
+         "--kmax", "1"),
     ])
     def test_usage_error_with_empty_stdout(self, argv, fmt, capsys):
         code = cli.main(["spectrum", *argv, "--samples", "3", "--format", fmt])
@@ -247,6 +248,17 @@ class TestOverflowingSweep:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: the sweep overflows at ")
+
+    @pytest.mark.parametrize("argv", [
+        # these exited 2 while the spectrum took k^2 and gamma1^4
+        ("--gamma1", "0.4", "--bias-u", "0.3", "--kmin", "0", "--kmax", "1e200"),
+        ("--gamma1", "1e100", "--kmin", "0", "--kmax", "1"),
+    ])
+    def test_finite_bilayer_bands_far_from_one(self, argv):
+        code, out = run_cli("spectrum", "--model", "bilayer", *argv, "--samples", "3")
+        assert code == 0
+        rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert all(map(math.isfinite, sum(rows, [])))
 
     def test_last_finite_sweep_value_still_written(self):
         code, out = run_cli("spectrum", "--model", "atoms", "--omega", "1",
@@ -349,10 +361,10 @@ class TestEigens:
         assert captured.err.startswith("error: the solve overflows at kx=1e+200")
 
     def test_solver_value_error_exits_one(self, monkeypatch, capsys):
-        def leak(kx, ky):
+        def leak(params):
             raise ValueError("spinor leaves the spinor subspace")
 
-        monkeypatch.setattr(cli.models, "solve_monolayer", leak)
+        monkeypatch.setattr(cli.models, "solve", leak)
         code = cli.main(["eigens", "--model", "monolayer", "--kx", "1"])
         captured = capsys.readouterr()
         assert code == 1
@@ -365,13 +377,13 @@ class TestOverflowingPoint:
     2, nothing on stdout and no numpy warning."""
 
     @pytest.mark.parametrize("argv", [
-        # Multivector.norm overflowed with a warning, and the point exited 0
-        ("--model", "monolayer", "--kx", "1e200"),
-        # exited 1 with "SVD did not converge"
-        ("--model", "bilayer", "--kx", "1e200", "--gamma1", "1"),
-        ("--model", "atoms", "--omega", "1e200", "--gamma", "1e200"),
-        # gamma1 ** 4 raises OverflowError in the bilayer spectrum
-        ("--model", "bilayer", "--gamma1", "1e100"),
+        # |k| overflows
+        ("--model", "monolayer", "--kx", "1.3e308", "--ky=-1.3e308"),
+        # every block is finite, the upper band is not
+        ("--model", "bilayer", "--kx", "1.7e308", "--gamma1", "1.7e308"),
+        # |d| = hypot(omega, Gamma) overflows
+        ("--model", "atoms", "--omega", "1.7e308", "--gamma", "1.7e308"),
+        ("--model", "bilayer", "--gamma1", "1.7e308", "--bias-u", "1.7e308"),
         # overflow in Python floats: an infinite |k| failed as "b must be a
         # unit vector", an infinite qw energy as a NaN rotor; both exited 1
         ("--model", "monolayer", "--kx", "1.7e308", "--ky", "1.7e308"),
@@ -383,11 +395,29 @@ class TestOverflowingPoint:
         assert r.stderr.startswith(b"error: the solve overflows at ")
         assert r.stderr.count(b"\n") == 1 and b"Warning" not in r.stderr
 
+    @pytest.mark.parametrize("argv", [
+        # finite energies: these exited 2 while the Spinor leak check took
+        # Multivector.norm, which overflows above 1.3e154, and the bilayer
+        # spectrum took k^2 and gamma1^4
+        ("--model", "monolayer", "--kx", "1e160"),
+        ("--model", "qw", "--kx", "1e80", "--alpha", "1"),
+        ("--model", "atoms", "--omega", "1e160", "--gamma", "1"),
+        ("--model", "monolayer", "--kx", "1e200"),
+        ("--model", "bilayer", "--kx", "1e200", "--gamma1", "1"),
+        ("--model", "atoms", "--omega", "1e200", "--gamma", "1e200"),
+        ("--model", "bilayer", "--gamma1", "1e100"),
+    ])
+    def test_finite_points_far_from_one_solve(self, argv):
+        r = run_subprocess("eigens", *argv)
+        assert (r.returncode, r.stderr) == (0, b"")
+        for s in json.loads(r.stdout)["solutions"]:
+            assert s["residual"] <= 1e-15 * abs(s["energy"])
+
     def test_non_finite_solution_is_a_usage_error(self, monkeypatch, capsys):
-        def infinite(kx, ky):
+        def infinite(params):
             return [models.EigenSolution(math.inf, None, None, "valence", 0.0)]
 
-        monkeypatch.setattr(cli.models, "solve_monolayer", infinite)
+        monkeypatch.setattr(cli.models, "solve", infinite)
         code = cli.main(["eigens", "--model", "monolayer", "--kx", "1"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")

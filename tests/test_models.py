@@ -3,10 +3,11 @@
 import dataclasses
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotoreig import cli, models
@@ -254,6 +255,98 @@ class TestSolveCl30:
         assert sols[1].target_vector == pytest.approx([1.0, 0.0, 0.0])
 
 
+_E3_31 = Multivector.basis_vector(CL31, 3)
+_I_31 = pseudoscalar(CL31)
+_SIGMA = [np.array(m) for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])]
+
+
+def cl31_h(a, c, d, c_odd=None, shift=0.0):
+    """The Pauli-block H(psi) = a phi+ e3 + I c phi+ e3 + c phi- e3 + I d phi- e3
+    (+ shift psi) on psi = phi+ + I phi-; c_odd replaces c in H(I phi-)."""
+    va, vc, vd = (Multivector.vector(CL31, v) for v in (a, c, d))
+    vc_odd = vc if c_odd is None else Multivector.vector(CL31, c_odd)
+
+    def h(psi):
+        even, odd = (part.mv for part in even_odd_split(psi))
+        minus = -(_I_31 * odd)  # phi-, as I^2 = -1
+        return Spinor(va * even * _E3_31 + _I_31 * (vc * even * _E3_31)
+                      + vc_odd * minus * _E3_31 + _I_31 * (vd * minus * _E3_31)
+                      + shift * psi.mv)
+    return h
+
+
+def pauli_blocks(a, c, d):
+    """The 4x4 matrix [[a.sigma, c.sigma], [c.sigma, d.sigma]]."""
+    dot = lambda v: sum(x * m for x, m in zip(v, _SIGMA))
+    return np.block([[dot(a), dot(c)], [dot(c), dot(d)]])
+
+
+class TestSolveCl31:
+    def test_generic_blocks_match_the_matrix_eigenvalues(self):
+        # c.a != 0 and c.d != 0: the 4 (c.a)(c.d) term of C matters here
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            a, c, d = (rng.standard_normal(3) * 10.0 ** rng.uniform(-2, 2)
+                       for _ in range(3))
+            assert abs(c @ a) > 0.0 and abs(c @ d) > 0.0
+            sols = models.solve_cl31(cl31_h(a, c, d))
+            expect = np.linalg.eigvalsh(pauli_blocks(a, c, d))
+            scale = np.abs(expect).max()
+            assert np.abs(np.array([s.energy for s in sols]) - expect).max() <= 1e-12 * scale
+            for s in sols:
+                assert not s.degenerate and s.residual <= 1e-12 * scale
+                assert np.linalg.norm(s.target_vector) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("eta", [1, -1])
+    def test_bilayer_is_its_read_off_blocks(self, eta):
+        # h_bilayer has a = eta U e3, c = -eta k and d = gamma1 e2 - eta U e3
+        sols = solve_bilayer(ModelParams("bilayer", kx=0.3, ky=-0.7, U=0.2,
+                                         gamma1=0.4, eta=eta))
+        blocks = models.solve_cl31(cl31_h([0.0, 0.0, eta * 0.2], [-eta * 0.3, eta * 0.7, 0.0],
+                                          [0.0, 0.4, -eta * 0.2]))
+        assert [s.energy for s in sols] == [s.energy for s in blocks]
+        assert all(s.spinor.mv == b.spinor.mv for s, b in zip(sols, blocks))
+
+    def test_two_atoms_is_its_read_off_blocks(self):
+        # h_two_atoms has a = -Gamma e2, c = 0 and d = Gamma e2 - omega e3
+        sols = solve_two_atoms(0.7, 1.3)
+        blocks = models.solve_cl31(cl31_h([0.0, -1.3, 0.0], [0.0, 0.0, 0.0], [0.0, 1.3, -0.7]))
+        assert [(s.energy, s.band_label) for s in sols] == [
+            (b.energy, b.band_label) for b in blocks]
+        assert all(s.spinor.mv == b.spinor.mv for s, b in zip(sols, blocks))
+
+    def test_unequal_couplings_raise(self):
+        h = cl31_h([0.1, 0.2, 0.3], [0.5, 0.0, 0.1], [0.0, 0.4, -0.2],
+                   c_odd=[0.5, 0.0, 0.2])
+        with pytest.raises(ValueError, match="different couplings"):
+            models.solve_cl31(h)
+
+    @pytest.mark.parametrize("c", [[0.0, 0.0, 0.0], [0.5, -0.1, 0.2]])
+    def test_scalar_block_part_raises(self, c):
+        # H + 0.3: on 1 and I the shift reads as an e3 component of a and d
+        h = cl31_h([0.1, 0.2, 0.3], c, [0.0, 0.4, -0.2], shift=0.3)
+        with pytest.raises(ValueError, match="Pauli-block form"):
+            models.solve_cl31(h)
+
+    def test_higher_grade_block_part_raises(self):
+        # psi e12 is i psi: H(1) gains e12, so <H(1)>_+ e3 gains e123
+        base = cl31_h([0.1, 0.2, 0.3], [0.5, 0.0, 0.1], [0.0, 0.4, -0.2])
+        e12 = Multivector.blade(CL31, 0b0011)
+        h = lambda psi: Spinor(base(psi).mv + 0.3 * (psi.mv * e12))
+        with pytest.raises(ValueError, match="scalar, e4 or higher-grade"):
+            models.solve_cl31(h)
+
+    @pytest.mark.parametrize("j", [-300, -200, 200, 300, 600])
+    def test_power_of_two_scaling_leaves_the_bits(self, j):
+        # past 2**250 the levels run on inputs scaled by a power of two, which
+        # is exact: the energies are those of the unscaled point, times 2**j
+        rng = random.Random(j)
+        for _ in range(50):
+            k, u, g1 = (rng.uniform(0.01, 5.0) for _ in range(3))
+            scaled = bilayer_spectrum(math.ldexp(k, j), math.ldexp(u, j), math.ldexp(g1, j))
+            assert scaled == [math.ldexp(e, j) for e in bilayer_spectrum(k, u, g1)]
+
+
 class TestTwoAtoms:
     def test_level_structure_345(self):
         sols = solve_two_atoms(3.0, 4.0)
@@ -344,7 +437,6 @@ bilayer_value = st.one_of(
     st.floats(-1e12, 1e12, allow_nan=False),
 )
 
-_E3_31 = Multivector.basis_vector(CL31, 3)
 
 
 def even_target(psi: Spinor) -> np.ndarray:
@@ -391,6 +483,21 @@ class TestBilayer:
         energies = bilayer_spectrum(0.0, 0.0, gamma1)
         assert energies[3] == -energies[0] == pytest.approx(gamma1, rel=1e-15)
         assert max(-energies[1], energies[2]) <= 1e-7 * gamma1
+
+    @pytest.mark.parametrize("k, u, g1", [
+        (1e-4, 0.0, 0.4), (1e-5, 1e-6, 1.0), (1e-3, 1e-4, 0.4), (1e-6, 0.0, 1e3)])
+    def test_low_band_to_the_last_digit(self, k, u, g1):
+        # sqrt(B/2 - R) lost up to all of these digits; E-^2 = C / E+^2 keeps them
+        with localcontext() as ctx:
+            ctx.prec = 60
+            k2, u2, g2 = (Decimal(x) ** 2 for x in (k, u, g1))
+            half_b = k2 + u2 + g2 / 2
+            low = (half_b - (half_b ** 2 - (k2 - u2) ** 2 - u2 * g2).sqrt()).sqrt()
+        energies = bilayer_spectrum(k, u, g1)
+        assert energies[2] == -energies[1]
+        assert abs(Decimal(energies[2]) - low) <= Decimal(1e-15) * low
+        sols = solve_bilayer(ModelParams("bilayer", kx=k, U=u, gamma1=g1))
+        assert [s.energy for s in sols] == energies
 
     def test_spectrum_even_in_energy(self):
         es = bilayer_spectrum(1.3, 0.25, 0.6)
@@ -493,10 +600,11 @@ class TestBilayer:
             assert s.residual <= 1e-15
 
     @pytest.mark.parametrize("params, crossing", [
-        # k = gamma1 = 0: the layers' Dirac points at -U and U
-        (dict(U=1.0), [True] * 4),
-        (dict(U=-0.3, eta=-1), [True] * 4),
-        # k = U = 0: the pair A1, B2 at E = 0 (E^2 off by a few ulp)
+        # k = gamma1 = 0: the layers' Dirac points at -U and U; at k = 0 the
+        # sectors decouple, and each carries its own rotor pair at -+|U|
+        (dict(U=1.0), [False] * 4),
+        (dict(U=-0.3, eta=-1), [False] * 4),
+        # k = U = 0: the even block a = eta U e3 vanishes, the pair A1, B2 at E = 0
         (dict(gamma1=0.4), [False, True, True, False]),
         (dict(gamma1=128.74039035465384), [False, True, True, False]),
     ])
@@ -507,7 +615,7 @@ class TestBilayer:
             if s.degenerate:
                 assert s.spinor is None and s.target_vector is None
             else:
-                assert s.residual <= 1e-15
+                assert s.residual <= 1e-15 * max(1.0, abs(s.energy))
 
     @pytest.mark.parametrize("gamma1", [0.0, 5e-4, 1e-3, 2e-3, 0.1])
     def test_simple_levels_on_the_line_k_2u(self, gamma1):
@@ -539,20 +647,22 @@ class TestBilayer:
             assert s.residual <= 1e-15 * abs(s.energy)
 
     def test_energy_off_the_closed_form_fails_the_quantization_check(self, monkeypatch):
-        real = models.bilayer_spectrum
+        real = models._cl31_levels
 
-        def shifted(k, U, gamma1):
-            energies = real(k, U, gamma1)
-            energies[2] += 1e-6
-            return energies
+        def shifted(*invariants):
+            lo, hi, t_even, t_odd = real(*invariants)
+            return lo + 1e-6, hi, t_even, t_odd
 
-        monkeypatch.setattr(models, "bilayer_spectrum", shifted)
+        monkeypatch.setattr(models, "_cl31_levels", shifted)
         with pytest.raises(ValueError, match="quantization condition"):
             solve_bilayer(ModelParams("bilayer", kx=0.5, gamma1=0.4, U=0.2))
 
     @settings(max_examples=300, deadline=None)
     @given(bilayer_value, bilayer_value, bilayer_value, bilayer_value,
            st.sampled_from([1, -1]))
+    # |c| below H's resolution: the reduction's t underflowed, 1 / t overflowed
+    @example(0.0, 5e-324, 3.218819426733157e-148, 3051683.0, 1)
+    @example(0.0, 1e-300, 1e-160, 1.0, -1)
     def test_any_point_solves_or_is_singular(self, kx, ky, gamma1, u, eta):
         params = ModelParams("bilayer", kx=kx, ky=ky, gamma1=gamma1, U=u, eta=eta)
         try:
@@ -560,10 +670,9 @@ class TestBilayer:
         except DegenerateError:
             assert max(params.k, abs(u), abs(gamma1)) <= DEGENERACY_TOL
             return
-        # the residual is not gated here: near E = 0 the closed form's low band
-        # is off by up to the square root of its rounding error
+        scale = max(1.0, max(abs(s.energy) for s in sols))
         for s in sols:
-            assert math.isfinite(s.energy) and math.isfinite(s.residual)
+            assert math.isfinite(s.energy) and s.residual <= 1e-12 * scale
             if not s.degenerate:
                 assert np.linalg.norm(s.target_vector) == pytest.approx(1.0, abs=1e-15)
                 assert np.all(np.isfinite(s.spinor.coeff_vector()))
@@ -604,7 +713,7 @@ class TestModelRegistry:
         for _ in range(200):
             params = cli._draw_params(model, rng)
             x = getattr(params, spec.sweep)
-            solved = sorted(s.energy for s in spec.solve(params))
+            solved = sorted(s.energy for s in models.solve(params))
             assert [e.hex() for e in spec.spectrum(x, params)] == [
                 e.hex() for e in solved]
 
@@ -619,7 +728,7 @@ class TestModelRegistry:
             params = dataclasses.replace(cli._draw_params(model, rng),
                                          **{coupling: value})
             x = getattr(params, spec.sweep)
-            sols = spec.solve(params)
+            sols = models.solve(params)
             assert sum(s.degenerate for s in sols) == 2
             assert [e.hex() for e in spec.spectrum(x, params)] == [
                 s.energy.hex() for s in sols]
@@ -634,21 +743,26 @@ class TestModelRegistry:
     @pytest.mark.parametrize("model", list(MODELS))
     def test_each_eigenspinor_is_built_once(self, monkeypatch, model):
         # one Spinor for the rotor eigenspinor and one for H applied to it,
-        # plus, in Cl(3,0), one for H(1), from which solve_cl30 reads h0 and h
+        # plus the read-off: H(1) in Cl(3,0), from which solve_cl30 reads h0
+        # and h, and H(1) and H(I) in Cl(3,1), from which solve_cl31 reads a,
+        # c and d
         builds = []
         monkeypatch.setattr(models, "Spinor",
                             lambda mv: builds.append(mv) or Spinor(mv))
-        sols = MODELS[model].solve(cli._draw_params(model, random.Random(20)))
-        read_off = 1 if MODELS[model].algebra == "cl30" else 0
+        sols = models.solve(cli._draw_params(model, random.Random(20)))
+        read_off = 1 if MODELS[model].algebra == "cl30" else 2
         assert len(builds) == 2 * len(sols) + read_off
         assert all(type(s.spinor) is Spinor for s in sols)
 
     def test_entries_call_the_module_functions(self, monkeypatch):
         # patching a module attribute (as the benchmark tracer does) must
-        # reach the registry
-        monkeypatch.setattr(models, "solve_qw", lambda kx, ky, a: ("solve", kx, ky, a))
+        # reach the registry and solve, which picks the solver by algebra
+        monkeypatch.setattr(models, "solve_cl30", lambda h, energies: ("cl30", energies))
+        monkeypatch.setattr(models, "solve_cl31", lambda h: ("cl31", h(None)))
         monkeypatch.setattr(models, "h_two_atoms", lambda psi, w, g: ("h", w, g))
-        assert MODELS["qw"].solve(ModelParams("qw", kx=1.0, ky=2.0, alphaR=3.0)) == (
-            "solve", 1.0, 2.0, 3.0)
+        assert models.solve(ModelParams("qw", kx=3.0, ky=4.0, alphaR=0.5)) == (
+            "cl30", [10.0, 15.0])
+        assert models.solve(ModelParams("atoms", omega=4.0, Gamma=5.0)) == (
+            "cl31", ("h", 4.0, 5.0))
         assert MODELS["atoms"].h(None, ModelParams("atoms", omega=4.0, Gamma=5.0)) == (
             "h", 4.0, 5.0)
