@@ -28,6 +28,7 @@ __all__ = [
     "grade_project",
     "pseudoscalar",
     "spatial_inversion",
+    "spatial_parts",
     "dagger",
     "versor_inverse",
     "canonical_order",
@@ -106,6 +107,8 @@ class Signature:
         if (p, q) == (3, 1):
             spatial = np.array([blade_grade(m & 0b0111) for m in range(dim)])
             tables["inv_sign"] = np.where(spatial % 2 == 1, -1.0, 1.0)
+            # rows: 1 on the blades that inversion keeps, 1 on those it flips
+            tables["inv_parts"] = np.array([spatial % 2 == 0, spatial % 2 == 1], dtype=float)
         for table in tables.values():
             table.flags.writeable = False  # shared by every multivector
         return tables
@@ -381,6 +384,16 @@ def spatial_inversion(m: Multivector) -> Multivector:
     if inv_sign is None:
         raise ValueError("spatial inversion requires signature (3, 1)")
     return Multivector._wrap(m.sig, m.coeffs * inv_sign)
+
+
+def spatial_parts(m: Multivector) -> tuple[Multivector, Multivector]:
+    """The parts (m + mbar)/2 and (m - mbar)/2 that spatial inversion mbar
+    keeps and flips, taken blade by blade so neither overflows (Cl(3,1) only)."""
+    inv_parts = m.sig.tables.get("inv_parts")
+    if inv_parts is None:
+        raise ValueError("spatial inversion requires signature (3, 1)")
+    even, odd = m.coeffs * inv_parts
+    return Multivector._wrap(m.sig, even), Multivector._wrap(m.sig, odd)
 
 
 def dagger(m: Multivector) -> Multivector:

@@ -16,6 +16,7 @@ from .algebra import (
     TOL,
     Multivector,
     pseudoscalar,
+    spatial_parts,
 )
 from .rotors import rotor_from_vectors
 from .spinors import Spinor, _layout_of
@@ -62,6 +63,7 @@ _E12_30 = _E1_30 * _E2_30
 _E2_31 = Multivector.basis_vector(CL31, 2)
 _E3_31 = Multivector.basis_vector(CL31, 3)
 _E31_31 = _E3_31 * Multivector.basis_vector(CL31, 1)
+_E23_31 = _E2_31 * _E3_31
 _I31 = pseudoscalar(CL31)
 
 
@@ -143,7 +145,7 @@ def _k_vector(kx: float, ky: float) -> Multivector:
 def _eigenpair(h, energy: float, psi: Multivector, target, label: str) -> EigenSolution:
     """The eigenpair (energy, psi), with the residual of the Hamiltonian h."""
     spinor = Spinor(psi)
-    residual = float(np.abs(h(spinor).mv.coeffs - energy * psi.coeffs).max())
+    residual = float(np.abs((h(spinor).mv - energy * psi).coeffs).max())
     return EigenSolution(energy, spinor, target, label, residual)
 
 
@@ -192,10 +194,8 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
 _ONE_31, _I_SPINOR_31 = Spinor(Multivector.scalar(CL31, 1.0)), Spinor(_I31)
 #: -I e3: -I X e3 = X (-I e3) for X = <H>_-, which commutes with I
 _MIE3_31 = -(_I31 * _E3_31)
-#: 1 on the blades of <.>_+ (1, e12, e13, e23), of <.>_- (the rest of the
-#: spinor subspace) and of a block vector (e1, e2, e3); 0 elsewhere
-_EVEN_31, _ODD_31, _IN_BLOCK_31 = (np.isin(np.arange(CL31.dim), blades).astype(float)
-                                   for blades in ((0, 3, 5, 6), (9, 10, 12, 15), (1, 2, 4)))
+#: 1 on the blades of a block vector (e1, e2, e3), 0 elsewhere
+_IN_BLOCK_31 = Multivector.vector(CL31, [1.0, 1.0, 1.0]).coeffs
 #: a coupled band whose even-sector t is at most this fraction of the odd
 #: sector's (outer bands near c = 0, where phi+ vanishes) takes its rotor
 #: in the odd sector
@@ -232,17 +232,17 @@ def _cl31_levels(na: float, nc: float, nd: float, gap: float, m: float,
 
 def _read_off(h) -> list[Multivector]:
     """The vector blocks a, c, d of h: H(1) = a e3 + I c e3, H(I) = c e3 + I d e3."""
-    h_one, h_i = h(_ONE_31).mv.coeffs, h(_I_SPINOR_31).mv.coeffs
+    (one_plus, one_minus), (i_plus, i_minus) = (spatial_parts(h(x).mv)
+                                                for x in (_ONE_31, _I_SPINOR_31))
     # <H(1)>_+ e3, -I <H(1)>_- e3, -I <H(I)>_- e3 and <H(I)>_+ e3: a, c, d, c
-    blocks = np.array([(Multivector._wrap(CL31, x * part) * right).coeffs
-                       for x, part, right in ((h_one, _EVEN_31, _E3_31), (h_one, _ODD_31, _MIE3_31),
-                                              (h_i, _ODD_31, _MIE3_31), (h_i, _EVEN_31, _E3_31))])
-    size = np.abs(blocks)
-    tol = TOL * size.max()  # a part below this is rounding
-    if (size - size * _IN_BLOCK_31).max() > tol or np.abs(blocks[1] - blocks[3]).max() > tol:
+    read = np.array([(x * right).coeffs for x, right in (
+        (one_plus, _E3_31), (one_minus, _MIE3_31), (i_minus, _MIE3_31), (i_plus, _E3_31))])
+    blocks = read * _IN_BLOCK_31
+    # a part below TOL of H's largest is rounding
+    if np.abs(read - blocks[[0, 1, 2, 1]]).max() > TOL * np.abs(read).max():
         raise ValueError("H is not in Pauli-block form: a block has a scalar, e4 or "
                          "higher-grade part, or H(1) and H(I) give different couplings c")
-    return [Multivector._wrap(CL31, row) for row in blocks[:3] * _IN_BLOCK_31]
+    return [Multivector._wrap(CL31, row) for row in blocks[:3]]
 
 
 def _rotor_to(target: Multivector) -> Multivector:
@@ -264,7 +264,7 @@ def solve_cl31(h) -> list[EigenSolution]:
     d) c / s = h0 + h, s = E^2 - |d|^2, |h| = |E - h0|: with t = s - |c|^2 the
     target is (s a + c d c) / (E t) and phi- = (c a + d c) R / t."""
     a, c, d = _read_off(h)
-    coords = [v.coeffs[[1, 2, 4]].tolist() for v in (a, c, d)]
+    coords = [v.vector_coords()[:3].tolist() for v in (a, c, d)]
     na, nc, nd = (math.hypot(*x) for x in coords)
     if max(na, nc, nd) <= DEGENERACY_TOL:
         raise DegenerateError("degenerate point: H = 0, rotor undefined")
@@ -332,20 +332,17 @@ def solve_cl31(h) -> list[EigenSolution]:
 def _uncoupled(h, a: Multivector, na: float, d: Multivector, nd: float) -> list[EigenSolution]:
     """Levels -+|a| (even-i), -+|d| (odd-i); a block <= DEGENERACY_TOL: no rotors."""
     out = []
-    for sector, block, norm in (("even", a, na), ("odd", d, nd)):
-        # the level whose target -+block/|block| is not below the e1e2 plane
-        # first: a target below it then takes that rotor times the half turn
-        # e31, which is what _rotor_to builds
-        rotor = None
-        for energy, i in [(-norm, 1), (norm, 2)][::-1 if block.coeffs[4] > 0.0 else 1]:
-            if norm <= DEGENERACY_TOL:
-                out.append(EigenSolution(energy, None, None, f"{sector}-{i}", 0.0, True))
-                continue
-            target = block / energy
-            below = target.coeffs[4] < 0.0 and rotor is not None
-            rotor = rotor * _E31_31 if below else _rotor_to(target)
-            psi = rotor if sector == "even" else _I31 * rotor
-            out.append(_eigenpair(h, energy, psi, target.vector_coords(), f"{sector}-{i}"))
+    for sector, block, norm, carrier in (("even", a, na, 1.0), ("odd", d, nd, _I31)):
+        if norm <= DEGENERACY_TOL:
+            out += [EigenSolution(e, None, None, f"{sector}-{i}", 0.0, True)
+                    for e, i in ((-norm, 1), (norm, 2))]
+            continue
+        # the level +|block|: the rotor e3 -> block/|block| (times I if odd);
+        # e23 anticommutes with e3, so upper e23 takes e3 to -block/|block|
+        upper = carrier * _rotor_to(block / norm)
+        for energy, i, psi in ((-norm, 1, upper * _E23_31), (norm, 2, upper)):
+            target = (block / energy).vector_coords()
+            out.append(_eigenpair(h, energy, psi, target, f"{sector}-{i}"))
     return sorted(out, key=lambda s: s.energy)
 
 
@@ -414,11 +411,6 @@ def solve_qw(kx: float, ky: float, alphaR: float) -> list[EigenSolution]:
 # ---------------------------------------------------------------------
 
 
-def _odd_part(mv: Multivector) -> Multivector:
-    """(psi - psibar) / 2, the inversion-odd part <psi>_- of a Cl(3,1) spinor."""
-    return Multivector._wrap(CL31, mv.coeffs * _ODD_31)
-
-
 def h_two_atoms(psi: Spinor, omega: float, Gamma: float) -> Spinor:
     """Coupled-pair Hamiltonian H(psi) = (omega/2) e3 (psi - psibar) e3 -
     Gamma e2 psi e3 in Cl(3,1), equivalently -(omega/2) e34 psi e34 +
@@ -426,8 +418,8 @@ def h_two_atoms(psi: Spinor, omega: float, Gamma: float) -> Spinor:
     d = Gamma e2 - omega e3, with levels -+Gamma and -+sqrt(omega^2 + Gamma^2)."""
     if psi.algebra != "cl31":
         raise ValueError("two-atom model lives in Cl(3,1)")
-    return Spinor((omega * (_E3_31 * _odd_part(psi.mv)) - Gamma * (_E2_31 * psi.mv))
-                  * _E3_31)
+    odd_part = spatial_parts(psi.mv)[1]
+    return Spinor((omega * (_E3_31 * odd_part) - Gamma * (_E2_31 * psi.mv)) * _E3_31)
 
 
 def solve_two_atoms(omega: float, Gamma: float) -> list[EigenSolution]:
@@ -448,7 +440,7 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
     k = Multivector.vector(CL31, [params.kx, params.ky, 0.0, 0.0])
     eta = float(params.eta)
     kin = eta * (k * psi.mv * _I31)
-    coupling = -params.gamma1 * (_E2_31 * _odd_part(psi.mv))
+    coupling = -params.gamma1 * (_E2_31 * spatial_parts(psi.mv)[1])
     bias = eta * params.U * (_E3_31 * psi.mv)
     # the three terms share the right factor e3
     return Spinor((kin + coupling + bias) * _E3_31)

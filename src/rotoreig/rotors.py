@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .algebra import TOL, Multivector
 
 __all__ = [
@@ -51,9 +49,7 @@ def is_rotor(m: Multivector) -> bool:
 def _check_unit_vector(v: Multivector, name: str) -> None:
     if v.grades_present(TOL) - {1}:
         raise ValueError(f"{name} must be a pure vector")
-    # <v v>_0 is the sum over blades of v_m^2 e_m e_m: no full product needed
-    squares = v.sig.tables["gp_sign"][:: v.sig.dim + 1]
-    if abs(float(np.dot(v.coeffs * v.coeffs, squares)) - 1.0) > TOL:
+    if abs((v * v).scalar_part() - 1.0) > TOL:
         raise ValueError(f"{name} must be a unit vector")
 
 

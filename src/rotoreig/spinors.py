@@ -22,7 +22,7 @@ from .algebra import (
     blade_indices,
     dagger,
     pseudoscalar,
-    spatial_inversion,
+    spatial_parts,
 )
 
 __all__ = [
@@ -94,9 +94,9 @@ class Spinor:
     def __init__(self, mv: Multivector) -> None:
         layout = _layout_of(mv.sig)
         outside = layout.outside
-        leak = max(map(abs, mv.coeffs[outside].tolist()))
-        # leak > TOL * max(1, |mv|), with |mv| by hypot, which cannot overflow
-        if leak > TOL and leak > TOL * math.hypot(*mv.coeffs.tolist()):
+        leak = float(np.abs(mv.coeffs[outside]).max())
+        # |mv| by hypot, which cannot overflow where mv.norm() does
+        if leak > TOL * max(1.0, math.hypot(*mv.coeffs.tolist())):
             raise ValueError(f"multivector leaves the spinor subspace (leak {leak:.2e})")
         clean = mv.coeffs.copy()
         clean[outside] = 0.0
@@ -277,10 +277,8 @@ def even_odd_split(psi: Spinor) -> tuple[Spinor, Spinor]:
     """Split a Cl(3,1) spinor into inversion-even and inversion-odd parts."""
     if psi.algebra != "cl31":
         raise ValueError("even/odd split is defined for cl31 spinors")
-    inv = spatial_inversion(psi.mv)
-    even = Spinor((psi.mv + inv) / 2.0)
-    odd = Spinor((psi.mv - inv) / 2.0)
-    return even, odd
+    even, odd = spatial_parts(psi.mv)
+    return Spinor(even), Spinor(odd)
 
 
 def inner_product_bracket(phi: Spinor, psi: Spinor) -> tuple[float, float]:

@@ -21,6 +21,7 @@ from rotoreig.algebra import (
     pseudoscalar,
     reverse,
     spatial_inversion,
+    spatial_parts,
     versor_inverse,
 )
 
@@ -171,6 +172,27 @@ class TestInvolutions:
     def test_spatial_inversion_needs_cl31(self):
         with pytest.raises(ValueError):
             spatial_inversion(e(CL30, 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(mv_strategy(CL31))
+    def test_spatial_parts_are_the_inversion_halves(self, m):
+        even, odd = spatial_parts(m)
+        inv = spatial_inversion(m)
+        # each coefficient lands whole in one part: no rounding, no zero's sign
+        assert np.array_equal(even.coeffs, ((m + inv) / 2.0).coeffs)
+        assert np.array_equal(odd.coeffs, ((m - inv) / 2.0).coeffs)
+        assert np.array_equal(even.coeffs + odd.coeffs, m.coeffs)
+
+    def test_spatial_parts_do_not_overflow(self):
+        m = Multivector(CL31, np.full(16, 1.7e308))
+        with np.errstate(over="raise"):
+            even, odd = spatial_parts(m)
+        assert np.all(np.isin(even.coeffs, (0.0, 1.7e308)))
+        assert np.array_equal(even.coeffs + odd.coeffs, m.coeffs)
+
+    def test_spatial_parts_need_cl31(self):
+        with pytest.raises(ValueError):
+            spatial_parts(e(CL30, 1))
 
     @settings(max_examples=40, deadline=None)
     @given(mv_strategy(CL31), mv_strategy(CL31))

@@ -615,7 +615,7 @@ class TestBilayer:
             if s.degenerate:
                 assert s.spinor is None and s.target_vector is None
             else:
-                assert s.residual <= 1e-15 * max(1.0, abs(s.energy))
+                assert s.residual <= 1e-15
 
     @pytest.mark.parametrize("gamma1", [0.0, 5e-4, 1e-3, 2e-3, 0.1])
     def test_simple_levels_on_the_line_k_2u(self, gamma1):
