@@ -1,9 +1,9 @@
 """Matrix-representation oracle: independent eigenvalues for every model.
 
-The dense eigensolvers here are hand-rolled (cyclic Jacobi on real symmetric
-matrices, hermitian input via the real symmetric embedding) so the oracle
-shares no code path with the rotor method it checks.  Jacobi rotates Python
-float lists but keeps the arithmetic, and so the bits, of the same algorithm
+The dense eigensolver here is hand-rolled (cyclic Jacobi, with complex
+rotations for hermitian matrices) so the oracle shares no code path with the
+rotor method it checks.  Jacobi rotates Python float (or complex) lists but,
+on real input, keeps the arithmetic, and so the bits, of the same algorithm
 on numpy arrays.
 
 Every ``cross_check`` report carries the spot check that the GA generator
@@ -62,9 +62,12 @@ def matrix_qw(kx: float, ky: float, alphaR: float) -> np.ndarray:
     )
 
 
-#: the constant matrices of the two-atom Hamiltonian, built once and shared
-_SZ_SUM = np.kron(pauli_matrix(3), np.eye(2)) + np.kron(np.eye(2), pauli_matrix(3))
-_SX_SX = np.kron(pauli_matrix(1), pauli_matrix(1))
+#: the constant matrices of the two-atom Hamiltonian, built once and shared;
+#: sigma_z and sigma_x are real, so they are built real and the oracle runs
+#: the Jacobi in float arithmetic
+_SZ, _SX = pauli_matrix(3).real, pauli_matrix(1).real
+_SZ_SUM = np.kron(_SZ, np.eye(2)) + np.kron(np.eye(2), _SZ)
+_SX_SX = np.kron(_SX, _SX)
 _SZ_SUM.flags.writeable = _SX_SX.flags.writeable = False
 
 
@@ -104,22 +107,28 @@ def _offdiag(n: int) -> np.ndarray:
 
 
 def jacobi_eigh(a, vectors: bool = False):
-    """Eigen-decomposition of a real symmetric matrix by cyclic Jacobi.
+    """Eigen-decomposition of a real symmetric or complex hermitian matrix by
+    cyclic Jacobi (Golub & Van Loan, *Matrix Computations*, section 8.5).
 
-    Returns sorted eigenvalues (and, optionally, the matching eigenvector
-    columns).  The rotations run on Python float lists with the textbook
-    formulas in a fixed order (columns, then rows, then eigenvectors), and
-    the per-sweep convergence test is a numpy sum, so the results are bit
-    for bit those of the same algorithm on numpy arrays."""
-    a = np.array(a, dtype=float)
+    Returns sorted real eigenvalues (and, optionally, the matching
+    eigenvector columns).  Each pivot a_pq = |a_pq| ph is rotated out by
+    the real rotation of |a_pq| and the real diagonal, with the phase ph
+    put back on its sines.  On real input ph is +-1, so the rotation is
+    the textbook real one.  The rotations run on Python float (or complex)
+    lists in a fixed order (columns, then rows, then eigenvectors), and the
+    per-sweep convergence test is a numpy sum, so on real input the results
+    are bit for bit those of the same algorithm on numpy arrays."""
+    a = np.asarray(a)
+    a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] > 16:
         raise ValueError("expected a small square matrix")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     n = a.shape[0]
-    if np.abs(a - a.T).max() > 1e-12 * max(1.0, np.abs(a).max()):
-        raise ValueError("matrix is not symmetric")
-    a = (a + a.T) / 2.0
+    ah = a.conj().T
+    if np.abs(a - ah).max() > 1e-12 * max(1.0, np.abs(a).max()):
+        raise ValueError("matrix is not hermitian")
+    a = (a + ah) / 2.0
     scale = max(1.0, float(np.abs(a).max()))
     offdiag = _offdiag(n)
     converged = 1e-14 * scale * n
@@ -128,37 +137,43 @@ def jacobi_eigh(a, vectors: bool = False):
     # eigenvector columns, stored as rows of v^T
     vt = np.eye(n).tolist() if vectors else None
     for _ in range(100):
-        off = np.sqrt((np.array(rows)[offdiag] ** 2).sum())
+        off = np.sqrt((np.abs(np.array(rows)[offdiag]) ** 2).sum())
         if off <= converged:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = rows[p][q]
-                if abs(apq) <= negligible:
+                r = abs(apq)
+                if r <= negligible:
                     continue
-                theta = (rows[q][q] - rows[p][p]) / (2.0 * apq)
+                ph = apq / r
+                theta = (rows[q][q].real - rows[p][p].real) / (2.0 * r)
                 if theta == 0.0:
-                    t = 1.0
+                    # t = +-1 both zero the pivot; on real input this
+                    # choice is the textbook rotation with t = 1
+                    t = math.copysign(1.0, ph.real)
                 else:
                     t = math.copysign(1.0, theta) / (
                         abs(theta) + math.sqrt(theta * theta + 1.0)
                     )
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
+                # the rotation's two sines: s ph on (p, q), s conj(ph) on (q, p)
+                sp, sq = s * ph, s * ph.conjugate()
                 for row in rows:
                     ap, aq = row[p], row[q]
-                    row[p] = c * ap - s * aq
-                    row[q] = s * ap + c * aq
+                    row[p] = c * ap - sq * aq
+                    row[q] = sp * ap + c * aq
                 rp, rq = rows[p], rows[q]
-                rows[p] = [c * x - s * y for x, y in zip(rp, rq)]
-                rows[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                rows[p] = [c * x - sp * y for x, y in zip(rp, rq)]
+                rows[q] = [sq * x + c * y for x, y in zip(rp, rq)]
                 if vectors:
                     vp, vq = vt[p], vt[q]
-                    vt[p] = [c * x - s * y for x, y in zip(vp, vq)]
-                    vt[q] = [s * x + c * y for x, y in zip(vp, vq)]
+                    vt[p] = [c * x - sq * y for x, y in zip(vp, vq)]
+                    vt[q] = [sp * x + c * y for x, y in zip(vp, vq)]
     else:
         raise RuntimeError("Jacobi iteration failed to converge")
-    vals = np.array([rows[i][i] for i in range(n)])
+    vals = np.array([rows[i][i].real for i in range(n)])
     order = np.argsort(vals)
     if vectors:
         return vals[order], np.array(vt).T[:, order]
@@ -167,33 +182,8 @@ def jacobi_eigh(a, vectors: bool = False):
 
 def eig_dense(m) -> np.ndarray:
     """Sorted real eigenvalues of a real symmetric or complex hermitian
-    matrix (each hermitian eigenvalue reported once)."""
-    m = np.asarray(m)
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
-    if np.iscomplexobj(m):
-        if m.ndim != 2:
-            raise ValueError("expected a small square matrix")
-        if np.abs(m - m.conj().T).max() > 1e-12 * max(1.0, np.abs(m).max()):
-            raise ValueError("complex input must be hermitian")
-        # [[re, -im], [im, re]], filled by blocks (np.block's bytes, faster)
-        n = m.shape[0]
-        embed = np.empty((2 * n, 2 * n))
-        embed[:n, :n] = embed[n:, n:] = m.real
-        embed[:n, n:] = -m.imag
-        embed[n:, :n] = m.imag
-        # the embedding doubles every eigenvalue
-        return _collapse_pairs(jacobi_eigh(embed))
+    matrix."""
     return jacobi_eigh(m)
-
-
-def _collapse_pairs(vals: np.ndarray) -> np.ndarray:
-    """Halve a sorted spectrum that comes in multiplicity-2 pairs."""
-    lo, hi = vals[0::2], vals[1::2]
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if len(lo) != len(hi) or np.max(np.abs(hi - lo)) > 1e-8 * scale:
-        raise ValueError("spectrum does not come in multiplicity-2 pairs")
-    return (lo + hi) / 2.0
 
 
 # ---------------------------------------------------------------------

@@ -76,6 +76,17 @@ class TestModelMatrices:
                 models.h_bilayer(column_to_spinor_cl31(col), params))
             assert np.max(np.abs(got - m @ col)) <= 1e-15 * np.max(np.abs(col))
 
+    def test_ga_two_atoms_is_the_permuted_matrix(self):
+        # h_two_atoms is matrix_two_atoms in a permuted basis: its matrix G
+        # under the column map has G[perm][:, perm] = M, with no error
+        perm = [2, 0, 3, 1]
+        rng = np.random.default_rng(63)
+        for omega, gamma in [(0.7, 1.3), *rng.uniform(-2.0, 2.0, (20, 2))]:
+            g = np.column_stack([
+                spinor_to_column_cl31(models.h_two_atoms(column_to_spinor_cl31(col), omega, gamma))
+                for col in np.eye(4, dtype=complex)])
+            assert np.array_equal(g[perm][:, perm], matrix_two_atoms(omega, gamma))
+
 
 def numpy_jacobi_eigh(a, vectors=False, tol=1e-14, max_sweeps=100):
     """Reference: cyclic Jacobi with every rotation done on numpy arrays.
@@ -138,23 +149,23 @@ class TestJacobi:
         assert_bit_identical(np.ones((4, 4)))
         assert_bit_identical([[1.0, 2.0], [2.0, 1.0]])
 
-    def test_bit_identical_on_hermitian_embeddings(self, monkeypatch):
+    def test_bit_identical_on_hermitian_embeddings(self):
+        # the real embedding [[re, -im], [im, re]] doubles every eigenvalue:
+        # a real symmetric matrix with exact pairs, which must still come out
+        # bit for bit, and pair by pair the hermitian spectrum
         rng = np.random.default_rng(56)
         mats = [matrix_monolayer(0.3, -1.2), matrix_qw(0.4, 0.9, 0.6),
-                matrix_two_atoms(0.7, 1.3), matrix_monolayer(-0.0, 0.0)]
+                matrix_bilayer(0.3, 0.7, 0.2, 0.4, 1), matrix_monolayer(-0.0, 0.0)]
         for n in (2, 4):
             for _ in range(25):
                 m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 mats.append((m + m.conj().T) / 2.0)
-        # eig_dense fills its embedding by blocks; it must hold np.block's bytes
-        embeddings = []
-        monkeypatch.setattr(oracle, "jacobi_eigh",
-                            lambda a: embeddings.append(a) or jacobi_eigh(a))
         for m in mats:
             block = np.block([[m.real, -m.imag], [m.imag, m.real]])
             assert_bit_identical(block)
-            eig_dense(m)
-            assert embeddings.pop().tobytes() == block.tobytes()
+            doubled = jacobi_eigh(block)
+            assert np.max(np.abs(np.repeat(jacobi_eigh(m), 2) - doubled)) <= 1e-13 * max(
+                1.0, np.max(np.abs(m)))
 
     def test_rejects_zero_dimensional(self):
         with pytest.raises(ValueError):
@@ -198,6 +209,37 @@ class TestJacobi:
             m = (m + m.T) / 2.0
             assert np.max(np.abs(jacobi_eigh(m) - np.linalg.eigvalsh(m))) <= 1e-10
 
+    def test_matches_numpy_on_random_hermitian(self):
+        rng = np.random.default_rng(58)
+        for n in range(1, 9):
+            for _ in range(25):
+                m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                m = (m + m.conj().T) / 2.0 * 10.0 ** rng.uniform(-3, 3)
+                err = np.max(np.abs(jacobi_eigh(m) - np.linalg.eigvalsh(m)))
+                assert err <= 1e-13 * max(1.0, np.max(np.abs(m)))
+
+    def test_hermitian_eigenvectors(self):
+        rng = np.random.default_rng(59)
+        for n in range(1, 9):
+            for _ in range(25):
+                m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                m = (m + m.conj().T) / 2.0
+                vals, vecs = jacobi_eigh(m, vectors=True)
+                scale = max(1.0, np.max(np.abs(m)))
+                assert np.linalg.norm(m @ vecs - vecs * vals, 2) <= 1e-13 * scale
+                assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n), 2) <= 1e-13
+
+    def test_complex_input_keeps_its_imaginary_part(self):
+        # sigma_y: cast to real it would read as the zero matrix
+        assert jacobi_eigh([[0, -1j], [1j, 0]]) == pytest.approx([-1.0, 1.0], abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [[[0.0, 1j], [1j, 0.0]], [[1.0, 1j], [-1j, 1.0 + 1j]],
+                                     [[0.0, complex(math.nan, 0.0)], [0.0, 0.0]],
+                                     [[1.0, complex(0.0, math.inf)], [0.0, 1.0]]])
+    def test_rejects_nonhermitian_or_non_finite_complex(self, bad):
+        with pytest.raises(ValueError, match="hermitian|non-finite"):
+            jacobi_eigh(bad)
+
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             jacobi_eigh([[0.0, 1.0], [0.0, 0.0]])
@@ -228,28 +270,6 @@ class TestEigDense:
     def test_rejects_complex_non_matrix(self, bad):
         with pytest.raises(ValueError, match="square matrix"):
             eig_dense(bad)
-
-
-class TestCollapsePairs:
-    def test_paired_spectrum_halves_to_pair_means(self):
-        rng = np.random.default_rng(57)
-        for n in (1, 2, 4):
-            v = np.sort(np.repeat(rng.standard_normal(n), 2) + rng.uniform(-1e-12, 1e-12, 2 * n))
-            got = oracle._collapse_pairs(v)
-            assert got.tobytes() == ((v[0::2] + v[1::2]) / 2.0).tobytes()
-            # the pair-by-pair loop it replaced
-            assert [x.hex() for x in got.tolist()] == [
-                float((v[i] + v[i + 1]) / 2.0).hex() for i in range(0, len(v), 2)]
-
-    @pytest.mark.parametrize("vals", [[1.0, 2.0], [0.0, 0.0, 1.0], [-1.0, -1.0, 0.5, 1.0]])
-    def test_unpaired_spectrum_raises(self, vals):
-        with pytest.raises(ValueError, match="multiplicity-2 pairs"):
-            oracle._collapse_pairs(np.array(vals))
-
-    def test_hermitian_path_checks_the_pairs(self, monkeypatch):
-        monkeypatch.setattr(oracle, "jacobi_eigh", lambda a: np.array([-1.0, 0.0, 1.0, 2.0]))
-        with pytest.raises(ValueError, match="multiplicity-2 pairs"):
-            eig_dense(matrix_monolayer(1.0, 0.0))
 
 
 class TestGaOperatorMatrix:
@@ -412,7 +432,9 @@ class TestReferenceFormulas:
         with np.errstate(all="ignore"):
             ref = (omega / 2.0) * (np.kron(sz, one) + np.kron(one, sz)) + gamma * np.kron(
                 sx, sx)
-            assert matrix_two_atoms(omega, gamma).tobytes() == ref.tobytes()
+            # every entry is real, so the oracle builds the matrix real
+            got = matrix_two_atoms(omega, gamma)
+            assert got.dtype == np.float64 and got.tobytes() == ref.real.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 16).flatmap(
