@@ -4,12 +4,18 @@ Basis blades are encoded as bitmasks: bit i set means the basis vector
 ``e_{i+1}`` is a factor of the blade, with factors kept in ascending index
 order.  Coefficients are stored densely (2^n reals, indexed by mask), which
 beats sparse maps for the n <= 4 algebras used in practice.
+
+A product sums all 4^n signed coefficient pairs with one ``bincount``, but
+a geometric product with a signed blade +-e_m (marked when built by ``blade``,
+``basis_vector``, ``pseudoscalar``, negation or a product of such) gathers
+x[k ^ m] times a sign row (Dorst, Fontijne & Mann, ch. 19): the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,6 +106,11 @@ class Signature:
             "gp_sign": sign.ravel(),
             "outer_sign": outer_sign.ravel(),
             "inner_sign": inner_sign.ravel(),
+            # e_m x and x e_m put sign[m, j ^ m] x[j ^ m] and sign[j ^ m, m]
+            # x[j ^ m] at j: row m of each, with j ^ m row m of res
+            "blade_left": np.take_along_axis(sign, res, axis=1),
+            "blade_right": np.take_along_axis(sign.T, res, axis=1),
+            "square_sign": sign.diagonal().copy(),  # e_m e_m
             "rev_sign": rev_sign,
             "order": np.array(order, dtype=np.int64),
         }
@@ -147,6 +158,15 @@ def _reorder_sign(a: int, b: int) -> int:
     return -1 if swaps & 1 else 1
 
 
+class _Blade(NamedTuple):
+    """Signed blade +-e_m: gather j ^ m, sign rows of e_m x and x e_m."""
+
+    mask: int
+    gather: np.ndarray
+    on_left: np.ndarray
+    on_right: np.ndarray
+
+
 class Multivector:
     """Immutable-by-convention element of Cl(p,q) with dense coefficients.
 
@@ -154,7 +174,7 @@ class Multivector:
     outer product ``^``, inner product ``|`` and reversion ``~``.
     """
 
-    __slots__ = ("sig", "coeffs")
+    __slots__ = ("sig", "coeffs", "_blade")
 
     def __init__(self, sig: Signature, coeffs) -> None:
         coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -162,14 +182,16 @@ class Multivector:
             raise ValueError(f"expected {sig.dim} coefficients, got {coeffs.shape}")
         object.__setattr__(self, "sig", sig)
         object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "_blade", None)
 
     @classmethod
-    def _wrap(cls, sig: Signature, coeffs: np.ndarray) -> "Multivector":
+    def _wrap(cls, sig: Signature, coeffs: np.ndarray, blade=None) -> "Multivector":
         """Internal constructor for float64 coefficients of shape (dim,)
         that the caller has already produced; skips ``__init__``'s checks."""
         mv = object.__new__(cls)
         mv.sig = sig
         mv.coeffs = coeffs
+        mv._blade = blade
         return mv
 
     # ---- constructors -------------------------------------------------
@@ -189,7 +211,7 @@ class Multivector:
             raise ValueError(f"blade mask {mask} out of range")
         c = np.zeros(sig.dim)
         c[mask] = 1.0
-        return cls(sig, c)
+        return _signed_blade(sig, c, mask)
 
     @classmethod
     def basis_vector(cls, sig: Signature, i: int) -> "Multivector":
@@ -215,6 +237,19 @@ class Multivector:
         sig = self.sig
         if other.sig is not sig:
             self._check_sig(other)
+        left, right = self._blade, other._blade
+        if sign_key == "gp_sign" and (left or right):
+            # a signed permutation; + 0.0 as in the dense sum, which starts
+            # at +0.0 and so never returns -0.0
+            if right:
+                out = self.coeffs[right.gather] * right.on_right + 0.0
+            else:
+                out = other.coeffs[left.gather] * left.on_left + 0.0
+            # the dense sum's inf * 0 terms put NaN where the gather has none
+            if np.isfinite(out).all():
+                if left and right:
+                    return _signed_blade(sig, out, left.mask ^ right.mask)
+                return Multivector._wrap(sig, out)
         t = sig.tables
         # a[:, None] * b is np.outer's own computation, so the bits match
         w = t[sign_key] * (self.coeffs[:, None] * other.coeffs).ravel()
@@ -241,6 +276,8 @@ class Multivector:
         return (-self) + other
 
     def __neg__(self):
+        if self._blade:
+            return _signed_blade(self.sig, -self.coeffs, self._blade.mask)
         return Multivector._wrap(self.sig, -self.coeffs)
 
     def __mul__(self, other):
@@ -297,7 +334,8 @@ class Multivector:
         return self.sig == other.sig and bool(np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
-        return hash((self.sig, self.coeffs.tobytes()))
+        # + 0.0 folds -0.0 into 0.0, which __eq__ does not tell apart
+        return hash((self.sig, (self.coeffs + 0.0).tobytes()))
 
     # ---- serialization ------------------------------------------------
     def __repr__(self) -> str:
@@ -337,6 +375,15 @@ class Multivector:
         for m, v in zip(order, vals):
             c[m] = float(v)
         return cls(sig, c)
+
+
+def _signed_blade(sig: Signature, coeffs: np.ndarray, mask: int) -> Multivector:
+    """The multivector coeffs = +-e_mask, marked as that signed blade."""
+    t, dim = sig.tables, sig.dim
+    scale = coeffs[mask]
+    return Multivector._wrap(sig, coeffs, _Blade(
+        mask, t["res"][mask * dim:(mask + 1) * dim],
+        scale * t["blade_left"][mask], scale * t["blade_right"][mask]))
 
 
 def _fmt_float(x: float) -> str:

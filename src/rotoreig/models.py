@@ -145,7 +145,7 @@ def _k_vector(kx: float, ky: float) -> Multivector:
 def _eigenpair(h, energy: float, psi: Multivector, target, label: str) -> EigenSolution:
     """The eigenpair (energy, psi), with the residual of the Hamiltonian h."""
     spinor = Spinor(psi)
-    residual = float(np.abs((h(spinor).mv - energy * psi).coeffs).max())
+    residual = float(np.abs(h(spinor).mv.coeffs - energy * psi.coeffs).max())
     return EigenSolution(energy, spinor, target, label, residual)
 
 
@@ -292,15 +292,16 @@ def solve_cl31(h) -> list[EigenSolution]:
         span, t_even, t_odd = energies[-1], t_even / (hi * hi), t_odd / (hi * hi)
         a, c, d, cc = a / span, c / span, d / span, (nc / span) ** 2
         # per sector, with e the eliminated block: the kept block, c keep +
-        # e c (phi-'s numerator) and c e c
-        even = (a, c * a + d * c, (c * d * c).grade(1))
-        odd = (d, c * d + a * c, (c * a * c).grade(1))
+        # e c (phi-'s numerator) and c e c; the odd one only if a band uses it
+        even, odd = (a, c * a + d * c, (c * d * c).grade(1)), None
         out = []
         for i, energy in enumerate(energies, start=1):
             # each sector's t = E^2 - |c|^2 - |e|^2: on the inner bands the
             # even sector's is minus the odd one's on the outer, and vice versa
             te, to = (t_even, t_odd) if i in (1, 4) else (-t_odd, -t_even)
             is_odd = abs(te) <= _SINGULAR_TOL * abs(to)
+            if is_odd and odd is None:
+                odd = (d, c * d + a * c, (c * a * c).grade(1))
             keep, numerator, cec = odd if is_odd else even
             t = to if is_odd else te
             s = cc + t

@@ -46,11 +46,17 @@ def is_rotor(m: Multivector) -> bool:
     return (n - 1.0).norm() <= TOL * m.sig.dim
 
 
-def _check_unit_vector(v: Multivector, name: str) -> None:
-    if v.grades_present(TOL) - {1}:
+def _check_unit_vector(v: Multivector, name: str) -> bool:
+    """Reject v unless unit to TOL; True if v is exactly a Euclidean vector."""
+    grades = v.grades_present()
+    if grades - {1} and v.grades_present(TOL) - {1}:
         raise ValueError(f"{name} must be a pure vector")
-    if abs((v * v).scalar_part() - 1.0) > TOL:
+    # v v = sum of c_m^2 e_m e_m: a metric-weighted dot, no product needed
+    if abs((v.coeffs * v.coeffs) @ v.sig.tables["square_sign"] - 1.0) > TOL:
         raise ValueError(f"{name} must be a unit vector")
+    # no other grade, and nothing on the masks from 1 << p on, the vectors
+    # e_i with e_i e_i = -1
+    return grades <= {1} and not (v.sig.q and v.coeffs[1 << v.sig.p:].any())
 
 
 def rotor_from_reflections(m: Multivector, n: Multivector) -> Rotor:
@@ -76,13 +82,24 @@ def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
     Antiparallel inputs are rejected: the caller must pick a plane explicitly
     via rotor_exp in that case.
     """
-    _check_unit_vector(a, "a")
-    _check_unit_vector(b, "b")
+    a_euclidean = _check_unit_vector(a, "a")
+    b_euclidean = _check_unit_vector(b, "b")
     cos_theta = (a | b).scalar_part()
     if cos_theta < -1.0 + ANTIPARALLEL_TOL:
         raise ValueError("rotation plane undefined for antiparallel vectors")
     denom = math.sqrt(2.0 * (1.0 + cos_theta))
-    return Rotor((1.0 + b * a) / denom)
+    value = (1.0 + b * a) / denom
+    # R ~R - 1 = ((1 + b a)(1 + a b) - denom^2) / denom^2 = (a^2 b^2 - 1) /
+    # (2 (1 + a.b)) for vectors: at a.b >= 0 at most about TOL, as a^2 and
+    # b^2 are unit to TOL, and for Euclidean a, b of length 1 the rounding
+    # of R is 1e-4 of is_rotor's bound TOL * dim, so R is a rotor by
+    # construction.  Nearer antiparallel both grow (to 1e-2 and, as eps /
+    # (1 + a.b), 1e-11 at 1 + a.b = 1e-9), and there the product decides.
+    if a_euclidean and b_euclidean and cos_theta >= 0.0:
+        rotor = object.__new__(Rotor)
+        rotor.value = value
+        return rotor
+    return Rotor(value)
 
 
 def rotate(r: Rotor, m: Multivector) -> Multivector:

@@ -96,7 +96,7 @@ class Spinor:
         outside = layout.outside
         leak = float(np.abs(mv.coeffs[outside]).max())
         # |mv| by hypot, which cannot overflow where mv.norm() does
-        if leak > TOL * max(1.0, math.hypot(*mv.coeffs.tolist())):
+        if leak != 0.0 and leak > TOL * max(1.0, math.hypot(*mv.coeffs.tolist())):
             raise ValueError(f"multivector leaves the spinor subspace (leak {leak:.2e})")
         clean = mv.coeffs.copy()
         clean[outside] = 0.0

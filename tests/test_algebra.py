@@ -375,3 +375,79 @@ class TestReferenceFormulas:
         for name, table in sig.tables.items():
             with pytest.raises(ValueError, match="read-only"):
                 table[(0,) * table.ndim] = table[(0,) * table.ndim]
+
+
+# ---- products with a marked basis blade ---------------------------------
+# Blade, basis_vector, pseudoscalar, and negations and geometric products of
+# their results are marked as signed blades; a geometric product with one
+# takes a signed-permutation gather that must give the dense kernel's bytes.
+
+
+def dense_product(a, b, sign_key="gp_sign"):
+    """The dense kernel: every signed coefficient pair, summed by blade."""
+    t = a.sig.tables
+    with np.errstate(all="ignore"):
+        w = t[sign_key] * (a.coeffs[:, None] * b.coeffs).ravel()
+    return np.bincount(t["res"], weights=w, minlength=a.sig.dim)
+
+
+def coefficient_rows(sig):
+    """Random rows, and rows of -0.0, subnormals, +-inf and NaN among them."""
+    rng = np.random.default_rng(19)
+    rows = [rng.standard_normal(sig.dim) for _ in range(3)]
+    rows += [np.zeros(sig.dim), -np.zeros(sig.dim)]
+    for special in SPECIAL:
+        for _ in range(3):
+            row = rng.standard_normal(sig.dim)
+            row[rng.choice(sig.dim, 3, replace=False)] = special
+            rows.append(row)
+    rows.append(rng.choice(SPECIAL, sig.dim))
+    return rows
+
+
+class TestBladeProducts:
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    def test_every_signed_blade_matches_the_dense_kernel(self, sig):
+        for mask in range(sig.dim):
+            for blade in (Multivector.blade(sig, mask), -Multivector.blade(sig, mask)):
+                assert blade._blade is not None
+                for row in coefficient_rows(sig):
+                    x = Multivector(sig, row)
+                    with np.errstate(all="ignore"):
+                        cases = [(x * blade, dense_product(x, blade)),
+                                 (blade * x, dense_product(blade, x)),
+                                 (x ^ blade, dense_product(x, blade, "outer_sign")),
+                                 (blade ^ x, dense_product(blade, x, "outer_sign")),
+                                 (x | blade, dense_product(x, blade, "inner_sign")),
+                                 (blade | x, dense_product(blade, x, "inner_sign"))]
+                    for got, ref in cases:
+                        assert got.coeffs.tobytes() == ref.tobytes(), (mask, row)
+
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    def test_blade_products_and_negations_stay_marked(self, sig):
+        vectors = [Multivector.basis_vector(sig, i) for i in range(1, sig.n + 1)]
+        ps = pseudoscalar(sig)
+        for a in vectors + [ps, -ps]:
+            for b in vectors + [ps, -vectors[0]]:
+                product = a * b
+                assert product._blade is not None
+                assert product._blade.mask == a._blade.mask ^ b._blade.mask
+                assert product.coeffs.tobytes() == dense_product(a, b).tobytes()
+                assert (-product)._blade is not None
+
+    def test_dense_and_scaled_multivectors_are_not_marked(self):
+        e1 = Multivector.basis_vector(CL31, 1)
+        for m in (2.0 * e1, e1 / 1.0, e1 + e1, ~e1, Multivector(CL31, e1.coeffs),
+                  Multivector.scalar(CL31, 1.0), e1 ^ e1, e1 | e1):
+            assert m._blade is None
+
+    def test_equal_multivectors_hash_equal(self):
+        zero = Multivector.zero(CL30)
+        assert -zero == zero and hash(-zero) == hash(zero)
+        assert len({zero, -zero, Multivector(CL30, -np.zeros(8))}) == 1
+        blade = Multivector.basis_vector(CL31, 2)
+        plain = Multivector(CL31, blade.coeffs.copy())
+        assert blade == plain and hash(blade) == hash(plain)
+        # -blade holds -0.0 off its blade, the plain one 0.0
+        negated = Multivector(CL31, np.where(blade.coeffs == 1.0, -1.0, 0.0))
+        assert -blade == negated and hash(-blade) == hash(negated)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotoreig import cli, models, oracle
+from rotoreig.algebra import Multivector
 from rotoreig.models import MODELS, ModelParams
 from rotoreig.oracle import (
     cross_check,
@@ -416,6 +417,34 @@ class TestActionCheckOncePerAlgebra:
         # and the imaginary unit per cl31 column
         assert calls == {"cl30": 3 * len(oracle._SPOT_COLS_2),
                          "cl31": 5 * len(oracle._SPOT_COLS_4)}
+
+
+class TestProductCounts:
+    """Exact geometric-product counts per cross_check, one fixed point per
+    model, split into signed-blade gathers and dense products; a change to
+    either count must be deliberate."""
+
+    POINTS = {
+        ModelParams("monolayer", kx=0.3, ky=-1.2): {"blade": 6, "dense": 5},
+        ModelParams("qw", kx=0.3, ky=1.1, alphaR=0.7): {"blade": 9, "dense": 5},
+        ModelParams("atoms", omega=3.0, Gamma=4.0): {"blade": 28, "dense": 2},
+        ModelParams("bilayer", kx=0.5, ky=0.1, gamma1=0.4, U=0.2): {"blade": 38, "dense": 18},
+    }
+
+    @pytest.mark.parametrize("params", list(POINTS), ids=lambda p: p.model)
+    def test_products_per_cross_check(self, monkeypatch, params):
+        real = Multivector._product
+        counts = {"blade": 0, "dense": 0}
+
+        def counting(self, other, sign_key):
+            marked = sign_key == "gp_sign" and (self._blade or other._blade)
+            counts["blade" if marked else "dense"] += 1
+            return real(self, other, sign_key)
+
+        cross_check(params)  # the action spot check runs once per process
+        monkeypatch.setattr(Multivector, "_product", counting)
+        assert cross_check(params).passed
+        assert counts == self.POINTS[params]
 
 
 # ---- constant work against the formulas it replaced --------------------

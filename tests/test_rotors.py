@@ -24,6 +24,7 @@ E3 = Multivector.basis_vector(CL30, 3)
 E12 = E1 * E2
 E23 = E2 * E3
 ONE = Multivector.scalar(CL30, 1.0)
+E1_31 = Multivector.basis_vector(CL31, 1)
 
 angle = st.floats(-math.pi, math.pi, allow_nan=False)
 
@@ -201,3 +202,75 @@ class TestIsRotor:
             Rotor(E1)
         with pytest.raises(ValueError):
             Rotor(2.0 * ONE)
+
+
+class TestClosedFormCheck:
+    """R ~R - 1 = (a^2 b^2 - 1) / (2 (1 + a.b)) bounds rotor_from_vectors'
+    output without a product where a.b >= 0: it must still raise exactly
+    where is_rotor of (1 + b a)/denom is false, and build that multivector's
+    bytes where it is true."""
+
+    @staticmethod
+    def inputs(sig):
+        # unit only to within TOL = 1e-12, at gaps 1 + a.b down to the 1e-10
+        # antiparallel limit, where |R ~R - 1| reaches 1e-2
+        for gap in (2.0, 1.3, 1e-2, 1e-4, 1e-6, 1e-8, 1e-9, 3e-10, 1.2e-10):
+            theta = math.acos(gap - 1.0)
+            for da, db in ((0.0, 0.0), (9e-13, 0.0), (9e-13, 9e-13), (-9e-13, 9e-13),
+                           (-9e-13, -9e-13), (1e-13, -2e-13)):
+                a = Multivector.vector(sig, [math.sqrt(1.0 + da), 0.0, 0.0])
+                b = Multivector.vector(sig, [math.sqrt(1.0 + db) * math.cos(theta),
+                                             math.sqrt(1.0 + db) * math.sin(theta), 0.0])
+                yield a, b
+        # a scalar part below TOL: checked by the product, as before; near
+        # antiparallel its odd part (1e-13 b) / denom exceeds TOL
+        for gap in (1.0, 1e-9):
+            c, s = 1.0 - gap, math.sqrt(gap * (2.0 - gap))
+            yield (Multivector.vector(sig, [0.6, 0.8, 0.0]) + 1e-13,
+                   Multivector.vector(sig, [-0.6 * c + 0.8 * s, -0.8 * c - 0.6 * s, 0.0]))
+        if sig.q:  # a unit vector with an e4 part, whose square is -1
+            yield Multivector.vector(sig, [math.sqrt(10.0), 0.0, 0.0, 3.0]), E1_31
+
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    def test_agrees_with_is_rotor(self, sig):
+        outcomes = set()
+        for a, b in self.inputs(sig):
+            denom = math.sqrt(2.0 * (1.0 + (a | b).scalar_part()))
+            value = (1.0 + b * a) / denom
+            if is_rotor(value):
+                assert rotor_from_vectors(a, b).value.coeffs.tobytes() == value.coeffs.tobytes()
+            else:
+                with pytest.raises(ValueError, match="not a rotor"):
+                    rotor_from_vectors(a, b)
+            outcomes.add(is_rotor(value))
+        assert outcomes == {True, False}
+
+    def test_boosted_vectors_take_the_product_check(self):
+        # unit vectors with a large e4 part: their rotor's rounding exceeds
+        # is_rotor's bound even at a.b >= 0
+        rng = np.random.default_rng(5)
+        failed_at_positive_dot = 0
+        for _ in range(1000):
+            t, s = 10.0 ** rng.uniform(0.0, 3.0, 2)
+            u, w = (x / np.linalg.norm(x) for x in rng.standard_normal((2, 3)))
+            a = Multivector.vector(CL31, [*(u * math.sqrt(1.0 + t * t)), t])
+            b = Multivector.vector(CL31, [*(w * math.sqrt(1.0 + s * s)), -s])
+            try:
+                got = rotor_from_vectors(a, b).value
+            except ValueError as err:
+                if "not a rotor" not in str(err):
+                    continue  # not unit to TOL, or antiparallel
+                got = None
+            cos_theta = (a | b).scalar_part()
+            value = (1.0 + b * a) / math.sqrt(2.0 * (1.0 + cos_theta))
+            if got is None:
+                assert not is_rotor(value)
+                failed_at_positive_dot += cos_theta >= 0.0
+            else:
+                assert is_rotor(value) and got.coeffs.tobytes() == value.coeffs.tobytes()
+        assert failed_at_positive_dot > 0
+
+    def test_non_finite_input_is_not_a_rotor(self):
+        a = Multivector.vector(CL30, [math.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="not a rotor"):
+            rotor_from_vectors(a, E3)
