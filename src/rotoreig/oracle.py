@@ -2,9 +2,9 @@
 
 The dense eigensolver here is hand-rolled (cyclic Jacobi, with complex
 rotations for hermitian matrices) so the oracle shares no code path with the
-rotor method it checks.  Jacobi rotates Python float (or complex) lists but,
-on real input, keeps the arithmetic, and so the bits, of the same algorithm
-on numpy arrays.
+rotor method it checks.  Jacobi rotates, and tests for convergence on,
+Python float (or complex) lists but, on real input, keeps the arithmetic,
+and so the bits, of the same algorithm on numpy arrays.
 
 Every ``cross_check`` report carries the spot check that the GA generator
 actions match the matrix actions.  Its inputs are constant, so it runs once
@@ -98,14 +98,6 @@ def ga_operator_matrix(h, algebra: str) -> np.ndarray:
     return np.column_stack(cols)
 
 
-@functools.cache
-def _offdiag(n: int) -> np.ndarray:
-    # the off-diagonal entries of an n x n matrix, for the convergence sum
-    mask = ~np.eye(n, dtype=bool)
-    mask.flags.writeable = False  # shared by every n x n jacobi_eigh
-    return mask
-
-
 def jacobi_eigh(a, vectors: bool = False):
     """Eigen-decomposition of a real symmetric or complex hermitian matrix by
     cyclic Jacobi (Golub & Van Loan, *Matrix Computations*, section 8.5).
@@ -115,9 +107,11 @@ def jacobi_eigh(a, vectors: bool = False):
     the real rotation of |a_pq| and the real diagonal, with the phase ph
     put back on its sines.  On real input ph is +-1, so the rotation is
     the textbook real one.  The rotations run on Python float (or complex)
-    lists in a fixed order (columns, then rows, then eigenvectors), and the
-    per-sweep convergence test is a numpy sum, so on real input the results
-    are bit for bit those of the same algorithm on numpy arrays."""
+    lists in a fixed order (columns, then rows, then eigenvectors), so on
+    real input the results are bit for bit those of the same algorithm on
+    numpy arrays.  A sweep starts unless the off-diagonal norm is at most
+    1e-14 n max(1, max|a|); it is summed over the entries divided by that
+    scale, so no square overflows."""
     a = np.asarray(a)
     a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] > 16:
@@ -130,15 +124,14 @@ def jacobi_eigh(a, vectors: bool = False):
         raise ValueError("matrix is not hermitian")
     a = (a + ah) / 2.0
     scale = max(1.0, float(np.abs(a).max()))
-    offdiag = _offdiag(n)
-    converged = 1e-14 * scale * n
     negligible = 1e-14 * scale / n
     rows = a.tolist()
     # eigenvector columns, stored as rows of v^T
     vt = np.eye(n).tolist() if vectors else None
     for _ in range(100):
-        off = np.sqrt((np.abs(np.array(rows)[offdiag]) ** 2).sum())
-        if off <= converged:
+        off = math.sqrt(sum((abs(x) / scale) ** 2 for i, row in enumerate(rows)
+                            for j, x in enumerate(row) if i != j))
+        if off <= 1e-14 * n:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

@@ -46,17 +46,15 @@ def is_rotor(m: Multivector) -> bool:
     return (n - 1.0).norm() <= TOL * m.sig.dim
 
 
-def _check_unit_vector(v: Multivector, name: str) -> bool:
-    """Reject v unless unit to TOL; True if v is exactly a Euclidean vector."""
-    grades = v.grades_present()
-    if grades - {1} and v.grades_present(TOL) - {1}:
+def _check_unit_vector(v: Multivector, name: str) -> float:
+    """Reject v unless it is a vector, unit to TOL; return v v."""
+    if v.grades_present(TOL) - {1}:
         raise ValueError(f"{name} must be a pure vector")
     # v v = sum of c_m^2 e_m e_m: a metric-weighted dot, no product needed
-    if abs((v.coeffs * v.coeffs) @ v.sig.tables["square_sign"] - 1.0) > TOL:
+    square = float((v.coeffs * v.coeffs) @ v.sig.tables["square_sign"])
+    if abs(square - 1.0) > TOL:
         raise ValueError(f"{name} must be a unit vector")
-    # no other grade, and nothing on the masks from 1 << p on, the vectors
-    # e_i with e_i e_i = -1
-    return grades <= {1} and not (v.sig.q and v.coeffs[1 << v.sig.p:].any())
+    return square
 
 
 def rotor_from_reflections(m: Multivector, n: Multivector) -> Rotor:
@@ -77,29 +75,25 @@ def rotor_exp(b: Multivector, theta: float) -> Rotor:
 
 
 def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
-    """The rotor taking unit vector a to unit vector b in the a,b plane.
+    """R = (1 + b a)/sqrt(2 (1 + a.b)), taking unit vector a to unit vector b.
 
-    Antiparallel inputs are rejected: the caller must pick a plane explicitly
-    via rotor_exp in that case.
-    """
-    a_euclidean = _check_unit_vector(a, "a")
-    b_euclidean = _check_unit_vector(b, "b")
+    R ~R - 1 = (a^2 b^2 - 1)/(2 (1 + a.b)) is held to is_rotor's bound
+    TOL * dim in that closed form; R's own rounding, which grows near
+    antiparallel, is not checked.  Antiparallel inputs are rejected: pick
+    the plane with rotor_exp instead."""
+    a2, b2 = _check_unit_vector(a, "a"), _check_unit_vector(b, "b")
+    # parts outside grade 1, all below TOL, would make R odd
+    a, b = (v if v.grades_present() <= {1} else v.grade(1) for v in (a, b))
     cos_theta = (a | b).scalar_part()
     if cos_theta < -1.0 + ANTIPARALLEL_TOL:
         raise ValueError("rotation plane undefined for antiparallel vectors")
-    denom = math.sqrt(2.0 * (1.0 + cos_theta))
-    value = (1.0 + b * a) / denom
-    # R ~R - 1 = ((1 + b a)(1 + a b) - denom^2) / denom^2 = (a^2 b^2 - 1) /
-    # (2 (1 + a.b)) for vectors: at a.b >= 0 at most about TOL, as a^2 and
-    # b^2 are unit to TOL, and for Euclidean a, b of length 1 the rounding
-    # of R is 1e-4 of is_rotor's bound TOL * dim, so R is a rotor by
-    # construction.  Nearer antiparallel both grow (to 1e-2 and, as eps /
-    # (1 + a.b), 1e-11 at 1 + a.b = 1e-9), and there the product decides.
-    if a_euclidean and b_euclidean and cos_theta >= 0.0:
-        rotor = object.__new__(Rotor)
-        rotor.value = value
-        return rotor
-    return Rotor(value)
+    value = (1.0 + b * a) / math.sqrt(2.0 * (1.0 + cos_theta))
+    # written so that NaN fails it
+    if not abs(a2 * b2 - 1.0) <= TOL * a.sig.dim * 2.0 * (1.0 + cos_theta):
+        raise ValueError(f"not a rotor: {value}")
+    rotor = object.__new__(Rotor)
+    rotor.value = value
+    return rotor
 
 
 def rotate(r: Rotor, m: Multivector) -> Multivector:

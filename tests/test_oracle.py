@@ -337,6 +337,20 @@ class TestCrossCheck:
         report = cross_check(ModelParams("monolayer", kx=3.0, ky=4.0), tol=1e-30)
         assert not report.passed
 
+    @pytest.mark.parametrize("model, fields", [
+        ("monolayer", {"kx": 1e200, "ky": 1e200}),
+        ("monolayer", {"kx": 1e200, "ky": 0.0}),
+        ("atoms", {"omega": 1e200, "Gamma": 1e200}),
+        ("bilayer", {"kx": 1e200, "gamma1": 1.0}),
+        ("bilayer", {"kx": 1e160, "U": 1e160, "gamma1": 1e160}),
+    ], ids=lambda x: x if isinstance(x, str) else "-".join(f"{k}={v:g}" for k, v in x.items()))
+    def test_far_points(self, model, fields):
+        # the off-diagonal entries square past the float range; the stop
+        # test divides them by the scale first, so no warning and no stall
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cross_check(ModelParams(model, **fields)).passed
+
     def test_report_serializes(self):
         report = cross_check(ModelParams("qw", kx=0.5, ky=0.5, alphaR=0.3))
         doc = json.loads(json.dumps(report.to_json_dict()))
@@ -465,22 +479,10 @@ class TestReferenceFormulas:
             got = matrix_two_atoms(omega, gamma)
             assert got.dtype == np.float64 and got.tobytes() == ref.real.tobytes()
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 16).flatmap(
-        lambda n: st.lists(any_float, min_size=n * n, max_size=n * n)))
-    def test_jacobi_convergence_sum(self, entries):
-        n = math.isqrt(len(entries))
-        rows = np.array(entries).reshape(n, n).tolist()
-        with np.errstate(all="ignore"):
-            ref = np.sqrt(np.sum(np.array(rows)[~np.eye(n, dtype=bool)] ** 2))
-            got = np.sqrt((np.array(rows)[oracle._offdiag(n)] ** 2).sum())
-        assert got.tobytes() == ref.tobytes()
-
 
 @pytest.mark.parametrize("name, table", [
     ("oracle._SZ_SUM", oracle._SZ_SUM),
     ("oracle._SX_SX", oracle._SX_SX),
-    *((f"oracle._offdiag({n})", oracle._offdiag(n)) for n in (2, 4, 8)),
 ])
 def test_shared_constant_arrays_are_read_only(name, table):
     with pytest.raises(ValueError, match="read-only"):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotoreig.algebra import CL30, CL31, Multivector, pseudoscalar
+from rotoreig import rotors
+from rotoreig.algebra import CL30, CL31, TOL, Multivector, pseudoscalar
 from rotoreig.rotors import (
     Rotor,
     compose,
@@ -205,10 +206,15 @@ class TestIsRotor:
 
 
 class TestClosedFormCheck:
-    """R ~R - 1 = (a^2 b^2 - 1) / (2 (1 + a.b)) bounds rotor_from_vectors'
-    output without a product where a.b >= 0: it must still raise exactly
-    where is_rotor of (1 + b a)/denom is false, and build that multivector's
-    bytes where it is true."""
+    """R ~R - 1 = (a^2 b^2 - 1) / (2 (1 + a.b)) is rotor_from_vectors' only
+    output check: it must build (1 + b a)/denom byte for byte where that is
+    within TOL * dim and raise "not a rotor" where it is not, with no
+    is_rotor product."""
+
+    @staticmethod
+    def built(a, b):
+        cos_theta = (a | b).scalar_part()
+        return (1.0 + b * a) / math.sqrt(2.0 * (1.0 + cos_theta)), cos_theta
 
     @staticmethod
     def inputs(sig):
@@ -222,53 +228,72 @@ class TestClosedFormCheck:
                 b = Multivector.vector(sig, [math.sqrt(1.0 + db) * math.cos(theta),
                                              math.sqrt(1.0 + db) * math.sin(theta), 0.0])
                 yield a, b
-        # a scalar part below TOL: checked by the product, as before; near
-        # antiparallel its odd part (1e-13 b) / denom exceeds TOL
-        for gap in (1.0, 1e-9):
-            c, s = 1.0 - gap, math.sqrt(gap * (2.0 - gap))
-            yield (Multivector.vector(sig, [0.6, 0.8, 0.0]) + 1e-13,
-                   Multivector.vector(sig, [-0.6 * c + 0.8 * s, -0.8 * c - 0.6 * s, 0.0]))
         if sig.q:  # a unit vector with an e4 part, whose square is -1
             yield Multivector.vector(sig, [math.sqrt(10.0), 0.0, 0.0, 3.0]), E1_31
 
+    @pytest.fixture(autouse=True)
+    def no_product_check(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("rotor_from_vectors ran the is_rotor product")
+        monkeypatch.setattr(rotors, "is_rotor", refuse)
+
     @pytest.mark.parametrize("sig", [CL30, CL31])
-    def test_agrees_with_is_rotor(self, sig):
+    def test_agrees_with_closed_form(self, sig):
         outcomes = set()
         for a, b in self.inputs(sig):
-            denom = math.sqrt(2.0 * (1.0 + (a | b).scalar_part()))
-            value = (1.0 + b * a) / denom
-            if is_rotor(value):
+            value, cos_theta = self.built(a, b)
+            a2, b2 = (a * a).scalar_part(), (b * b).scalar_part()
+            ok = abs(a2 * b2 - 1.0) <= TOL * sig.dim * 2.0 * (1.0 + cos_theta)
+            if ok:
                 assert rotor_from_vectors(a, b).value.coeffs.tobytes() == value.coeffs.tobytes()
             else:
                 with pytest.raises(ValueError, match="not a rotor"):
                     rotor_from_vectors(a, b)
-            outcomes.add(is_rotor(value))
+            outcomes.add(ok)
         assert outcomes == {True, False}
 
-    def test_boosted_vectors_take_the_product_check(self):
-        # unit vectors with a large e4 part: their rotor's rounding exceeds
-        # is_rotor's bound even at a.b >= 0
+    @pytest.mark.parametrize("gap", [1e-9, 1.2e-10])
+    def test_exactly_unit_near_antiparallel(self, gap):
+        # R's own rounding is above TOL * dim here, which the product check
+        # used to reject; the inputs are exact, so R is the rotor they define
+        theta = math.acos(gap - 1.0)
+        b = Multivector.vector(CL30, [math.cos(theta), math.sin(theta), 0.0])
+        assert (b * b).scalar_part() == 1.0
+        value, _ = self.built(E1, b)
+        assert (value * ~value - 1.0).norm() > TOL * CL30.dim
+        assert rotor_from_vectors(E1, b).value.coeffs.tobytes() == value.coeffs.tobytes()
+
+    def test_boosted_unit_vectors_are_rotors(self):
+        # vectors with an e4 part up to 1e3, where R's rounding exceeds
+        # TOL * dim at any angle; at a.b >= 0 the closed form holds for
+        # every pair that passes the unit check
         rng = np.random.default_rng(5)
-        failed_at_positive_dot = 0
+        built = rounding_above_bound = 0
         for _ in range(1000):
             t, s = 10.0 ** rng.uniform(0.0, 3.0, 2)
             u, w = (x / np.linalg.norm(x) for x in rng.standard_normal((2, 3)))
             a = Multivector.vector(CL31, [*(u * math.sqrt(1.0 + t * t)), t])
             b = Multivector.vector(CL31, [*(w * math.sqrt(1.0 + s * s)), -s])
+            if (a | b).scalar_part() < 0.0:
+                continue
             try:
                 got = rotor_from_vectors(a, b).value
             except ValueError as err:
-                if "not a rotor" not in str(err):
-                    continue  # not unit to TOL, or antiparallel
-                got = None
-            cos_theta = (a | b).scalar_part()
-            value = (1.0 + b * a) / math.sqrt(2.0 * (1.0 + cos_theta))
-            if got is None:
-                assert not is_rotor(value)
-                failed_at_positive_dot += cos_theta >= 0.0
-            else:
-                assert is_rotor(value) and got.coeffs.tobytes() == value.coeffs.tobytes()
-        assert failed_at_positive_dot > 0
+                assert "must be a unit vector" in str(err)
+                continue
+            value, _ = self.built(a, b)
+            assert got.coeffs.tobytes() == value.coeffs.tobytes()
+            built += 1
+            rounding_above_bound += (value * ~value - 1.0).norm() > TOL * CL31.dim
+        assert built > 100 and rounding_above_bound > 0
+
+    @pytest.mark.parametrize("gap", [1.0, 1e-9])
+    def test_parts_below_tol_outside_grade_one_are_dropped(self, gap):
+        theta = math.acos(gap - 1.0)
+        b = Multivector.vector(CL30, [math.cos(theta), math.sin(theta), 0.0])
+        got = rotor_from_vectors(E1 + 1e-13 + 1e-13 * E12, b).value
+        assert got.coeffs.tobytes() == rotor_from_vectors(E1, b).value.coeffs.tobytes()
+        assert not got.coeffs[CL30.tables["odd"]].any()
 
     def test_non_finite_input_is_not_a_rotor(self):
         a = Multivector.vector(CL30, [math.nan, 0.0, 0.0])
