@@ -99,6 +99,11 @@ def _point_params(args) -> ModelParams:
 
 
 def cmd_eigens(args, out) -> int:
+    """Write the eigensolutions at one point, each from fixed templates.
+
+    As in ``cmd_spectrum``, the bytes equal those of ``json.dumps(doc,
+    indent=2, allow_nan=False)``; only a degenerate point, which has no
+    solutions, goes through json."""
     spec, params = models.MODELS[args.model], _point_params(args)
     doc = {"model": params.model, "params": params.to_json_dict()}
     try:
@@ -118,13 +123,52 @@ def cmd_eigens(args, out) -> int:
         return 0
     except (FloatingPointError, OverflowError):
         raise _point_overflow(params) from None
-    doc["solutions"] = records
     try:
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        solutions = ",\n".join(map(_solution_json, records))
     except ValueError:  # a solution value is not a finite float
         raise _point_overflow(params) from None
-    out.write(text + "\n")
+    # argparse took only finite floats, so the params need no check
+    fields = "".join(f',\n    "{name}": {value!r}'
+                     for name, value in doc["params"].items() if name != "model")
+    out.write(f'{{\n  "model": "{params.model}",\n  "params": {{\n'
+              f'    "model": "{params.model}"{fields}\n  }},\n'
+              f'  "solutions": [\n{solutions}\n  ]\n}}\n')
     return 0
+
+
+def _check_finite(*values: float) -> None:
+    """ValueError, as from json with allow_nan=False, if a value is not finite."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError("out of range float value")
+
+
+def _json_floats(values: list[float], depth: int) -> str:
+    """A list of finite floats as json.dumps(indent=2) writes it at depth."""
+    _check_finite(*values)
+    pad = "\n" + "  " * depth
+    return f"[{pad}  " + ("," + pad + "  ").join(map(repr, values)) + f"{pad}]"
+
+
+#: the keys every solution record starts with; the lists (target, average) follow
+_SOLUTION_HEAD = ("energy", "band", "residual", "degenerate", "spinor")
+
+
+def _solution_json(rec: dict) -> str:
+    """One ``EigenSolution.to_json_dict`` record, with any lists added after
+    it, as json.dumps(indent=2) writes it in the solutions list."""
+    _check_finite(rec["energy"], rec["residual"])
+    spinor = rec["spinor"]
+    if spinor is not None:
+        blocks = "".join(f',\n        "{name}": {_json_floats(block, 4)}'
+                         for name, block in spinor.items() if name != "algebra")
+        spinor = f'{{\n        "algebra": "{spinor["algebra"]}"{blocks}\n      }}'
+    tail = "".join(f',\n      "{key}": {_json_floats(values, 3)}'
+                   for key, values in rec.items() if key not in _SOLUTION_HEAD)
+    return (f'    {{\n      "energy": {rec["energy"]!r},\n'
+            f'      "band": "{rec["band"]}",\n'
+            f'      "residual": {rec["residual"]!r},\n'
+            f'      "degenerate": {"true" if rec["degenerate"] else "false"},\n'
+            f'      "spinor": {spinor or "null"}{tail}\n    }}')
 
 
 def _point_overflow(params: ModelParams) -> SystemExit2:

@@ -142,11 +142,30 @@ def _k_vector(kx: float, ky: float) -> Multivector:
     return kx * _E1_30 + ky * _E2_30
 
 
-def _eigenpair(h, energy: float, psi: Multivector, target, label: str) -> EigenSolution:
-    """The eigenpair (energy, psi), with the residual of the Hamiltonian h."""
+def _eigenpair(h, energies, psi: Multivector, targets, labels) -> list[EigenSolution]:
+    """The eigenpairs (energies[i], row i of psi), psi one spinor or a stack
+    of them, with the residuals max|H psi - E psi| of the Hamiltonian h: one
+    Spinor check and one application of h for them all."""
     spinor = Spinor(psi)
-    residual = float(np.abs(h(spinor).mv.coeffs - energy * psi.coeffs).max())
-    return EigenSolution(energy, spinor, target, label, residual)
+    if psi.coeffs.ndim == 1:
+        residual = float(np.abs(h(spinor).mv.coeffs - energies[0] * psi.coeffs).max())
+        return [EigenSolution(energies[0], spinor, targets[0], labels[0], residual)]
+    gap = np.abs(h(spinor).mv.coeffs - np.array(energies)[:, None] * psi.coeffs)
+    return list(map(EigenSolution, energies, spinor._rows(), targets, labels,
+                    gap.max(axis=1).tolist()))
+
+
+def _stacked_eigenpairs(h, bands: list) -> list[EigenSolution]:
+    """bands, with each (energy, psi, target, label) made its eigenpair by one
+    ``_eigenpair`` call on the stack of their psi; the EigenSolutions among
+    them (degenerate bands) stay where they are."""
+    pending = [band for band in bands if isinstance(band, tuple)]
+    if not pending:
+        return bands
+    energies, psis, targets, labels = zip(*pending)
+    stack = Multivector._wrap(CL31, np.array([psi.coeffs for psi in psis]))
+    solved = iter(_eigenpair(h, energies, stack, targets, labels))
+    return [next(solved) if isinstance(band, tuple) else band for band in bands]
 
 
 #: the scalar spinor 1, on which ``solve_cl30`` reads a Hamiltonian off
@@ -181,7 +200,8 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
             continue
         target = sign * (hvec / hnorm)
         psi = rotor_from_vectors(_E3_30, target).value
-        out.append(_eigenpair(h, energy, psi, target.vector_coords(), label))
+        # one band at a time: a stack of two costs Cl(3,0) more than it saves
+        out += _eigenpair(h, (energy,), psi, (target.vector_coords(),), (label,))
     return out
 
 
@@ -190,8 +210,10 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
 # ---------------------------------------------------------------------
 
 
-#: the spinors 1 and I, on which ``solve_cl31`` reads a Hamiltonian off
-_ONE_31, _I_SPINOR_31 = Spinor(Multivector.scalar(CL31, 1.0)), Spinor(_I31)
+#: the spinors 1 and I as one stack, on which ``solve_cl31`` reads a
+#: Hamiltonian off
+_ONE_AND_I_31 = Spinor(Multivector._wrap(
+    CL31, np.array([Multivector.scalar(CL31, 1.0).coeffs, _I31.coeffs])))
 #: -I e3: -I X e3 = X (-I e3) for X = <H>_-, which commutes with I
 _MIE3_31 = -(_I31 * _E3_31)
 #: 1 on the blades of a block vector (e1, e2, e3), 0 elsewhere
@@ -232,17 +254,15 @@ def _cl31_levels(na: float, nc: float, nd: float, gap: float, m: float,
 
 def _read_off(h) -> list[Multivector]:
     """The vector blocks a, c, d of h: H(1) = a e3 + I c e3, H(I) = c e3 + I d e3."""
-    (one_plus, one_minus), (i_plus, i_minus) = (spatial_parts(h(x).mv)
-                                                for x in (_ONE_31, _I_SPINOR_31))
-    # <H(1)>_+ e3, -I <H(1)>_- e3, -I <H(I)>_- e3 and <H(I)>_+ e3: a, c, d, c
-    read = np.array([(x * right).coeffs for x, right in (
-        (one_plus, _E3_31), (one_minus, _MIE3_31), (i_minus, _MIE3_31), (i_plus, _E3_31))])
+    plus, minus = spatial_parts(h(_ONE_AND_I_31).mv)
+    # <H(1)>_+ e3, <H(I)>_+ e3, -I <H(1)>_- e3 and -I <H(I)>_- e3: a, c, c, d
+    read = np.concatenate([(plus * _E3_31).coeffs, (minus * _MIE3_31).coeffs])
     blocks = read * _IN_BLOCK_31
-    # a part below TOL of H's largest is rounding
-    if np.abs(read - blocks[[0, 1, 2, 1]]).max() > TOL * np.abs(read).max():
+    # a part below TOL of H's largest is rounding; c is read off H(1)
+    if np.abs(read - blocks[[0, 2, 2, 3]]).max() > TOL * np.abs(read).max():
         raise ValueError("H is not in Pauli-block form: a block has a scalar, e4 or "
                          "higher-grade part, or H(1) and H(I) give different couplings c")
-    return [Multivector._wrap(CL31, row) for row in blocks[:3]]
+    return [Multivector._wrap(CL31, row) for row in blocks[[0, 2, 3]]]
 
 
 def _rotor_to(target: Multivector) -> Multivector:
@@ -322,7 +342,8 @@ def solve_cl31(h) -> list[EigenSolution]:
             rotor = _rotor_to(target)
             rest = (1.0 / t) * (numerator * rotor)
             psi = _I31 * rotor + rest if is_odd else rotor + _I31 * rest
-            out.append(_eigenpair(h, energy, psi, target.vector_coords(), f"band-{i}"))
+            out.append((energy, psi, target.vector_coords(), f"band-{i}"))
+        out = _stacked_eigenpairs(h, out)
     # a scalar term in a block reads as an e3 component on 1 and I, so the
     # read-off cannot see it; the residuals do
     if any(s.residual > 1e-10 * energies[-1] for s in out):
@@ -342,9 +363,8 @@ def _uncoupled(h, a: Multivector, na: float, d: Multivector, nd: float) -> list[
         # e23 anticommutes with e3, so upper e23 takes e3 to -block/|block|
         upper = carrier * _rotor_to(block / norm)
         for energy, i, psi in ((-norm, 1, upper * _E23_31), (norm, 2, upper)):
-            target = (block / energy).vector_coords()
-            out.append(_eigenpair(h, energy, psi, target, f"{sector}-{i}"))
-    return sorted(out, key=lambda s: s.energy)
+            out.append((energy, psi, (block / energy).vector_coords(), f"{sector}-{i}"))
+    return sorted(_stacked_eigenpairs(h, out), key=lambda s: s.energy)
 
 
 def solve(params: ModelParams) -> list[EigenSolution]:
@@ -477,7 +497,11 @@ def bilayer_quantization_residual(
 ) -> float:
     """ahat^2 - 1 at the candidate energy; zero exactly at spectrum roots."""
     denom = energy * energy * (4.0 * U * U + gamma1 * gamma1)
-    if denom <= 1e-14:
+    # indeterminate below 1e-14 of the point's own energy^4 scale s^2, so the
+    # test does not depend on units; compared as denom / s, which cannot
+    # overflow where s^2 does
+    scale = max(energy * energy, k * k, U * U, gamma1 * gamma1)
+    if scale == 0.0 or denom / scale <= 1e-14 * scale:
         raise ValueError(
             "quantization condition indeterminate (E ~ 0 or U = gamma1 = 0)"
         )
@@ -501,7 +525,10 @@ def expectation_energy(psi: Spinor, params: ModelParams) -> float:
     h_psi = MODELS[params.model].h(psi, params)
     bra = _layout_of(psi.algebra).bra(psi.mv)
     norm = (bra * psi.mv).scalar_part()
-    if abs(norm) < 1e-14:
+    # relative to the spinor's own scale m^2, m its largest coefficient: the
+    # quotient does not depend on the spinor's scale
+    top = float(np.abs(psi.mv.coeffs).max())
+    if top == 0.0 or abs(norm) / top <= 1e-14 * top:
         raise ValueError("cannot normalize a null spinor")
     return (bra * h_psi.mv).scalar_part() / norm
 

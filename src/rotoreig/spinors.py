@@ -86,22 +86,48 @@ def _layout_of(key: str | Signature) -> _Layout:
         raise ValueError(f"no spinor subspace defined for {key!r}") from None
 
 
+def _check_leak(coeffs: np.ndarray, leak: float) -> None:
+    """Raise if leak, the largest coefficient outside the spinor subspace,
+    exceeds TOL of the multivector's scale."""
+    # |mv| by hypot, which cannot overflow where mv.norm() does
+    if leak != 0.0 and leak > TOL * max(1.0, math.hypot(*coeffs.tolist())):
+        raise ValueError(f"multivector leaves the spinor subspace (leak {leak:.2e})")
+
+
 class Spinor:
-    """GA spinor: a multivector confined to the algebra's spinor subspace."""
+    """GA spinor: a multivector confined to the algebra's spinor subspace.
+
+    Inside the package it may hold a stack of spinors (see ``algebra``), each
+    row checked on its own; ``_rows`` gives them back one by one."""
 
     __slots__ = ("algebra", "mv")
 
     def __init__(self, mv: Multivector) -> None:
         layout = _layout_of(mv.sig)
         outside = layout.outside
-        leak = float(np.abs(mv.coeffs[outside]).max())
-        # |mv| by hypot, which cannot overflow where mv.norm() does
-        if leak != 0.0 and leak > TOL * max(1.0, math.hypot(*mv.coeffs.tolist())):
-            raise ValueError(f"multivector leaves the spinor subspace (leak {leak:.2e})")
         clean = mv.coeffs.copy()
-        clean[outside] = 0.0
+        if clean.ndim == 1:
+            _check_leak(clean, float(np.abs(clean[outside]).max()))
+            clean[outside] = 0.0
+        else:
+            # the first leaking row raises
+            leaks = np.abs(clean.take(outside, axis=1)).max(axis=1)
+            for row, leak in zip(clean, leaks.tolist()):
+                _check_leak(row, leak)
+            clean[:, outside] = 0.0
         self.algebra = layout.tag
         self.mv = Multivector._wrap(mv.sig, clean)
+
+    def _rows(self) -> list["Spinor"]:
+        """The spinors of a stack, each a Spinor of its own that the stack's
+        check already covers."""
+        out = []
+        for row in self.mv.coeffs:
+            spinor = object.__new__(Spinor)
+            spinor.algebra = self.algebra
+            spinor.mv = Multivector._wrap(self.mv.sig, row)
+            out.append(spinor)
+        return out
 
     # ---- coefficient views --------------------------------------------
     @classmethod

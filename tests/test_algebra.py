@@ -451,3 +451,79 @@ class TestBladeProducts:
         # -blade holds -0.0 off its blade, the plain one 0.0
         negated = Multivector(CL31, np.where(blade.coeffs == 1.0, -1.0, 0.0))
         assert -blade == negated and hash(-blade) == hash(negated)
+
+
+# ---- stacks of multivectors ---------------------------------------------
+# A multivector may hold a stack of n multivectors (coefficients (n, dim)),
+# built inside the package with ``Multivector._wrap``; every operation on a
+# stack must give row i the bytes of the same operation on row i alone.
+
+
+@st.composite
+def stacks(draw, sig):
+    """Two stacks of one height, rows drawn from ``coefficient_rows`` (random,
+    +-0.0, subnormal, +-inf and NaN entries) and from any floats."""
+    row = st.one_of(st.sampled_from(coefficient_rows(sig)),
+                    st.lists(any_coeff, min_size=sig.dim, max_size=sig.dim))
+    n = draw(st.integers(1, 4))
+    return [np.array(draw(st.lists(row, min_size=n, max_size=n))) for _ in range(2)]
+
+
+def stack(sig, rows):
+    return Multivector._wrap(sig, rows)
+
+
+def row_by_row(sig, op, *operands):
+    """op on each row alone: a stack's row i, or a single multivector, per operand."""
+    height = max(len(x) for x in operands if isinstance(x, np.ndarray))
+    return [op(*(Multivector(sig, x[i]) if isinstance(x, np.ndarray) else x
+                 for x in operands)) for i in range(height)]
+
+
+class TestStacks:
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_each_row_has_the_bits_of_its_own_operation(self, sig, data):
+        rows, others = data.draw(stacks(sig))
+        single = Multivector(sig, data.draw(st.sampled_from(coefficient_rows(sig))))
+        blade = Multivector.blade(sig, data.draw(st.integers(0, sig.dim - 1)))
+        if data.draw(st.booleans()):
+            blade = -blade
+        assert blade._blade is not None
+        ops = [lambda a, b: a * b, lambda a, b: a ^ b, lambda a, b: a | b,
+               lambda a, b: a + b, lambda a, b: a - b]
+        pairs = [(rows, others), (rows, single), (single, rows), (rows, blade),
+                 (blade, rows)]
+        with np.errstate(all="ignore"):
+            for op in ops:
+                for x, y in pairs:
+                    got = op(*(stack(sig, v) if isinstance(v, np.ndarray) else v
+                               for v in (x, y)))
+                    ref = row_by_row(sig, op, x, y)
+                    assert got.coeffs.shape == (len(ref), sig.dim)
+                    for got_row, ref_row in zip(got.coeffs, ref):
+                        assert got_row.tobytes() == ref_row.coeffs.tobytes()
+            unary = [lambda a: -a, lambda a: 2.5 * a, lambda a: a * 1e300,
+                     lambda a: a / 3.0, lambda a: a + 1.0, lambda a: ~a,
+                     lambda a: a.grade(2)]
+            for op in unary:
+                got = op(stack(sig, rows))
+                for got_row, ref in zip(got.coeffs, row_by_row(sig, op, rows)):
+                    assert got_row.tobytes() == ref.coeffs.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(stacks(CL31))
+    def test_spatial_parts_row_by_row(self, pair):
+        rows = pair[0]
+        with np.errstate(all="ignore"):
+            parts = spatial_parts(stack(CL31, rows))
+            for i, row in enumerate(rows):
+                for got, ref in zip(parts, spatial_parts(Multivector(CL31, row))):
+                    assert got.coeffs[i].tobytes() == ref.coeffs.tobytes()
+
+    def test_a_stack_carries_no_blade_mark(self):
+        e3 = Multivector.basis_vector(CL31, 3)
+        rows = stack(CL31, np.array([e3.coeffs, e3.coeffs]))
+        for m in (rows * e3, e3 * rows, -rows, rows * rows):
+            assert m._blade is None and m.coeffs.shape == (2, CL31.dim)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotoreig import cli, models
-from test_golden import CASES, GOLDEN
+from test_golden import _FLAGS, CASES, GOLDEN
 
 
 def run_cli(*argv):
@@ -372,6 +373,46 @@ class TestEigens:
         assert "leaves the spinor subspace" in captured.err
 
 
+def reference_eigens(argv):
+    """`eigens` output by json.dumps, as cmd_eigens wrote it before it
+    formatted each solution from templates."""
+    args = cli.build_parser().parse_args(argv)
+    spec, params = models.MODELS[args.model], cli._point_params(args)
+    doc = {"model": params.model, "params": params.to_json_dict()}
+    try:
+        sols = models.solve(params)
+    except models.DegenerateError as exc:
+        doc.update(degenerate=True, reason=str(exc))
+        return json.dumps(doc, indent=2) + "\n"
+    records = []
+    for s in sols:
+        rec = s.to_json_dict()
+        if s.spinor is not None and spec.average:
+            rec[spec.average] = [float(v) for v in models.pseudospin_average(s.spinor)]
+        records.append(rec)
+    doc["solutions"] = records
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+class TestEigensWriter:
+    @pytest.mark.parametrize("name", sorted(n for n, argv in CASES.items()
+                                            if argv[0] == "eigens"))
+    def test_golden_commands_equal_the_json_dumps_reference(self, name):
+        assert run_cli(*CASES[name]) == (0, reference_eigens(CASES[name]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.sampled_from(list(models.MODELS)), seed=st.integers(0, 2 ** 32),
+           zeroed=st.sets(st.sampled_from(["kx", "ky", "alphaR", "omega", "Gamma", "U"])))
+    def test_drawn_points_equal_the_json_dumps_reference(self, model, seed, zeroed):
+        # zeroing couplings reaches degenerate bands ("spinor": null), zeroing
+        # both kx and ky of monolayer the degenerate point
+        point = cli._draw_params(model, random.Random(seed)).to_json_dict()
+        argv = ["eigens", f"--model={model}"] + [
+            f"--{_FLAGS[name]}={0.0 if name in zeroed else value!r}"
+            for name, value in point.items() if name != "model"]
+        assert run_cli(*argv) == (0, reference_eigens(argv))
+
+
 class TestOverflowingPoint:
     """An `eigens` point whose solve overflows a float is a usage error: exit
     2, nothing on stdout and no numpy warning."""
@@ -423,6 +464,17 @@ class TestOverflowingPoint:
         assert (code, captured.out) == (2, "")
         assert captured.err == ("error: the solve overflows at kx=1.0, ky=0.0; its "
                                 "energies and eigenspinors must be finite floats\n")
+
+    @pytest.mark.parametrize("solution", [
+        models.EigenSolution(1.0, None, None, "valence", math.nan),
+        models.EigenSolution(1.0, None, [0.0, -math.inf, 0.0], "valence", 0.0),
+    ], ids=["residual", "target"])
+    def test_non_finite_value_in_any_template_field(self, monkeypatch, capsys, solution):
+        monkeypatch.setattr(cli.models, "solve", lambda params: [solution])
+        code = cli.main(["eigens", "--model", "monolayer", "--kx", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: the solve overflows at kx=1.0, ky=0.0")
 
 
 class TestLargeInterlayerCoupling:

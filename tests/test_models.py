@@ -511,6 +511,21 @@ class TestBilayer:
     def test_quantization_residual_indeterminate(self):
         with pytest.raises(ValueError):
             bilayer_quantization_residual(0.0, 1.0, 0.2, 0.5)
+        for args in ((0.7, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (1e-9, 1e-8, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="indeterminate"):
+                bilayer_quantization_residual(*args)
+
+    def test_quantization_residual_does_not_depend_on_units(self):
+        # the indeterminate test is relative to the point's energy^4 scale,
+        # so a regular point scaled down keeps its residuals
+        k, u, g1 = 0.5, 0.2, 0.4
+        unit = [bilayer_quantization_residual(e, k, u, g1)
+                for e in bilayer_spectrum(k, u, g1)]
+        assert max(map(abs, unit)) <= 2.3e-16
+        for c in (1e-6, 1e-8):
+            scaled = [bilayer_quantization_residual(e, c * k, c * u, c * g1)
+                      for e in bilayer_spectrum(c * k, c * u, c * g1)]
+            assert scaled == pytest.approx(unit, abs=1e-15)
 
     def test_mexican_hat_location(self):
         u, g1 = 0.3, 0.4
@@ -694,6 +709,15 @@ class TestExpectationEnergy:
                     s.energy, abs=1e-10
                 )
 
+    def test_value_does_not_depend_on_the_spinor_scale(self):
+        cases = [ModelParams("monolayer", kx=1.2, ky=-0.7),
+                 ModelParams("bilayer", kx=0.8, ky=0.2, gamma1=0.4, U=0.15, eta=1)]
+        for params in cases:
+            for s in models.solve(params):
+                values = [expectation_energy(Spinor(c * s.spinor.mv), params)
+                          for c in (1.0, 1e-8, 1e8, 1e-7)]
+                assert values == pytest.approx([s.energy] * 4, rel=1e-14, abs=0.0)
+
     def test_null_spinor_rejected(self):
         with pytest.raises(ValueError):
             expectation_energy(
@@ -742,17 +766,29 @@ class TestModelRegistry:
 
     @pytest.mark.parametrize("model", list(MODELS))
     def test_each_eigenspinor_is_built_once(self, monkeypatch, model):
-        # one Spinor for the rotor eigenspinor and one for H applied to it,
-        # plus the read-off: H(1) in Cl(3,0), from which solve_cl30 reads h0
-        # and h, and H(1) and H(I) in Cl(3,1), from which solve_cl31 reads a,
-        # c and d
+        # Cl(3,0): H(1), from which solve_cl30 reads h0 and h, then per band
+        # one Spinor for the rotor eigenspinor and one for H applied to it.
+        # Cl(3,1): H applied to the stack [1, I], from which solve_cl31 reads
+        # a, c and d, then one Spinor for the stack of eigenspinors and one
+        # for H applied to it
         builds = []
         monkeypatch.setattr(models, "Spinor",
                             lambda mv: builds.append(mv) or Spinor(mv))
         sols = models.solve(cli._draw_params(model, random.Random(20)))
-        read_off = 1 if MODELS[model].algebra == "cl30" else 2
-        assert len(builds) == 2 * len(sols) + read_off
+        assert len(builds) == (2 * len(sols) + 1 if MODELS[model].algebra == "cl30" else 3)
         assert all(type(s.spinor) is Spinor for s in sols)
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_h_applications_per_solve(self, monkeypatch, model):
+        # Cl(3,0): the read-off and one residual per band; Cl(3,1): the
+        # read-off on [1, I] and all four residuals on one stack
+        spec = MODELS[model]
+        calls = []
+        monkeypatch.setitem(MODELS, model, dataclasses.replace(
+            spec, h=lambda psi, p: calls.append(psi) or spec.h(psi, p)))
+        sols = models.solve(cli._draw_params(model, random.Random(20)))
+        assert all(s.spinor is not None for s in sols)
+        assert len(calls) == (3 if spec.algebra == "cl30" else 2)
 
     def test_entries_call_the_module_functions(self, monkeypatch):
         # patching a module attribute (as the benchmark tracer does) must

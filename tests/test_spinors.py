@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotoreig.algebra import CL30, CL31, Multivector, Signature, pseudoscalar
 from rotoreig.spinors import (
@@ -75,6 +77,40 @@ class TestSpinorType:
         d = s.to_json_dict()
         assert d["algebra"] == "cl31"
         assert d["a"] == [0.0, 1.0, 2.0, 3.0] and d["b"] == [4.0, 5.0, 6.0, 7.0]
+
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_stack_checks_each_row_as_its_own_spinor(self, sig, data):
+        # rows of random, +-0.0, subnormal, huge, +-inf and NaN coefficients,
+        # with the blades outside the subspace scaled from 0 to a full leak
+        special = [0.0, -0.0, 5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]
+        coeff = st.one_of(st.sampled_from(special), st.floats(-10.0, 10.0))
+        inside = np.isin(np.arange(sig.dim), CL30_SPINOR_MASKS if sig == CL30
+                         else CL31_SPINOR_MASKS)
+        rows = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            row = np.array(data.draw(st.lists(coeff, min_size=sig.dim, max_size=sig.dim)))
+            leak = data.draw(st.sampled_from([0.0, -0.0, 1e-300, 1e-14, 1e-11, 1.0]))
+            with np.errstate(all="ignore"):
+                rows.append(np.where(inside, row, row * leak))
+        singles = []
+        for row in rows:
+            try:
+                singles.append(Spinor(Multivector(sig, row)))
+            except ValueError as exc:
+                singles.append(str(exc))
+        errors = [x for x in singles if isinstance(x, str)]
+        if errors:  # the first leaking row raises, with its own message
+            with pytest.raises(ValueError) as info:
+                Spinor(Multivector._wrap(sig, np.array(rows)))
+            assert str(info.value) == errors[0]
+            return
+        stacked = Spinor(Multivector._wrap(sig, np.array(rows)))
+        assert len(stacked._rows()) == len(rows)
+        for got, ref in zip(stacked._rows(), singles):
+            assert type(got) is Spinor and got.algebra == ref.algebra
+            assert got.mv.coeffs.tobytes() == ref.mv.coeffs.tobytes()
 
     def test_subspace_masks(self):
         assert set(CL30_SPINOR_MASKS) == {0b000, 0b110, 0b101, 0b011}
