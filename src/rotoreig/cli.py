@@ -34,7 +34,8 @@ _PIPE_BUF = 4096  # Linux's PIPE_BUF
 
 
 def cmd_spectrum(args, out) -> int:
-    """Write a band sweep, each row formatted from one fixed template.
+    """Write a band sweep: the model's spectrum on the array of sweep values,
+    then the text column by column, each row filled into one fixed template.
 
     The JSON bytes equal those of ``json.dumps(doc, indent=2)``, which is
     slow because the stdlib's indenting encoder is pure Python; like json,
@@ -45,30 +46,32 @@ def cmd_spectrum(args, out) -> int:
     if args.kmin > args.kmax:
         raise SystemExit2("--kmin must not exceed --kmax")
     spec, params = models.MODELS[args.model], _point_params(args)
-    csv = args.format == "csv"
-    rows = []
-    for i in range(args.samples):
-        x = args.kmin + (args.kmax - args.kmin) * i / (args.samples - 1)
+    n = args.samples
+    # a value or energy past the largest float is caught by the check below
+    with np.errstate(all="ignore"):
+        xs = args.kmin + (args.kmax - args.kmin) * np.arange(n) / (n - 1)
         try:
-            values = [x, *spec.spectrum(x, params)]
+            table = np.array([xs, *spec.spectrum(xs, params)])
         except OverflowError:
+            # no table to check: name the row a per-row sweep stops at
+            for x in xs.tolist():
+                if _row_overflows(spec, x, params):
+                    break
             raise _overflow(spec.sweep, x) from None
-        if not all(map(math.isfinite, values)):
-            raise _overflow(spec.sweep, x)
-        # adding 0.0 folds -0.0 into 0.0 for stable sweep output
-        fields = [repr(v + 0.0) for v in values]
-        if csv:
-            rows.append(",".join(fields))
-            continue
-        # the rotor construction is singular here, so no eigenspinors
-        flag = _DEGENERATE if abs(x) <= models.DEGENERACY_TOL else ""
-        rows.append(f'    {{\n      "{spec.sweep}": {fields[0]},\n'
-                    '      "energies": [\n        ' + ",\n        ".join(fields[1:])
-                    + f"\n      ]{flag}\n    }}")
-    if csv:
-        bands = ",".join(f"E{j}" for j in range(1, len(values)))
-        text = f"{spec.sweep},{bands}\n" + "\n".join(rows) + "\n"
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        raise _overflow(spec.sweep, xs[finite.argmin()].item())
+    columns = _column_texts(table)
+    if args.format == "csv":
+        bands = ",".join(f"E{j}" for j in range(1, len(table)))
+        text = (f"{spec.sweep},{bands}\n" + "\n".join(map(",".join, zip(*columns)))
+                + "\n")
     else:
+        # the rotor construction is singular there, so no eigenspinors
+        flags = np.where(np.abs(xs) <= models.DEGENERACY_TOL, _DEGENERATE, "")
+        template = (f'    {{\n      "{spec.sweep}": %s,\n      "energies": [\n        '
+                    + ",\n        ".join(["%s"] * (len(table) - 1)) + "\n      ]%s\n    }")
+        rows = [template % row for row in zip(*columns, flags.tolist())]
         text = (f'{{\n  "model": "{args.model}",\n  "sweep": "{spec.sweep}",\n'
                 '  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n")
     # Unbuffered stdout (`python -u`) hands each write to the OS as is, and
@@ -77,6 +80,37 @@ def cmd_spectrum(args, out) -> int:
     for start in range(0, len(text), _PIPE_BUF):
         out.write(text[start:start + _PIPE_BUF])
     return 0
+
+
+def _column_texts(table: np.ndarray) -> list[list[str]]:
+    """The texts ``repr(v + 0.0)`` of the finite entries v of each row of
+    table, a sweep column.
+
+    ``repr(-a)`` is ``"-" + repr(a)``, so a column whose magnitudes equal an
+    earlier column's reuses that column's reprs and signs them: repr runs
+    once per entry of each column of new magnitudes (half the bands are
+    another band negated)."""
+    texts, reprs = [], {}
+    for column in table:
+        magnitudes = np.abs(column)  # + 0.0 folds -0.0: abs does too
+        key = magnitudes.tobytes()
+        if key not in reprs:
+            reprs[key] = list(map(repr, magnitudes.tolist()))
+        text = reprs[key]
+        negative = column < 0.0
+        if negative.any():
+            text = ["-" + t if neg else t for t, neg in zip(text, negative.tolist())]
+        texts.append(text)
+    return texts
+
+
+def _row_overflows(spec, x: float, params: ModelParams) -> bool:
+    """Whether the spectrum at the sweep value x raises OverflowError or is
+    not finite."""
+    try:
+        return not all(map(math.isfinite, [x, *spec.spectrum(x, params)]))
+    except OverflowError:
+        return True
 
 
 def _overflow(sweep: str, x: float) -> SystemExit2:

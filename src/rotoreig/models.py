@@ -86,6 +86,10 @@ class ModelParams:
             raise ValueError(f"unknown model {self.model!r}")
         if self.eta not in (1, -1):
             raise ValueError("eta must be +1 or -1")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite float, got {value!r}")
 
     @property
     def k(self) -> float:
@@ -94,6 +98,10 @@ class ModelParams:
     def to_json_dict(self) -> dict:
         return {"model": self.model,
                 **{name: getattr(self, name) for name in MODELS[self.model].fields}}
+
+
+#: the ModelParams fields that hold a float, each of which must be finite
+_FLOAT_FIELDS = ("kx", "ky", "alphaR", "omega", "Gamma", "gamma1", "U")
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,9 @@ class ModelSpec:
     couplings: tuple[str, ...]  # the couplings `verify` draws, in draw order
     sweep: str                  # the ModelParams attribute `spectrum` sweeps
     h: Callable[[Spinor, ModelParams], Spinor]
-    spectrum: Callable[[float, ModelParams], list[float]]  # sorted energies
+    # the ascending bands at a float sweep value (floats) or at each value of
+    # a 1-D array (arrays), bit for bit the energies `solve` gives there
+    spectrum: Callable[[float | np.ndarray, ModelParams], list]
     average: str | None         # JSON key of the eigenspinors' e3 average
 
 
@@ -448,6 +458,17 @@ def solve_two_atoms(omega: float, Gamma: float) -> list[EigenSolution]:
     return solve(ModelParams("atoms", omega=omega, Gamma=Gamma))
 
 
+def _two_atoms_spectrum(Gamma, omega: float) -> list:
+    """The levels -+sqrt(omega^2 + Gamma^2), -+|Gamma|, ascending, at a float
+    Gamma or at each value of a 1-D array; math.hypot per element, because
+    np.hypot differs from it in the last bit."""
+    if isinstance(Gamma, np.ndarray):
+        root = np.array([math.hypot(omega, g) for g in Gamma.tolist()])
+    else:
+        root = math.hypot(omega, Gamma)
+    return [-root, -abs(Gamma), abs(Gamma), root]
+
+
 # ---------------------------------------------------------------------
 # bilayer graphene
 # ---------------------------------------------------------------------
@@ -467,17 +488,32 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
     return Spinor((kin + coupling + bias) * _E3_31)
 
 
-def bilayer_spectrum(k: float, U: float, gamma1: float) -> list[float]:
-    """The four bands at wave-vector magnitude k, ascending: ``_cl31_levels`` of
-    a = eta U e3, c = -eta k, d = gamma1 e2 - eta U e3, bit for bit the solver's."""
-    na, nc, nd = abs(U), abs(k), math.hypot(gamma1, U)
-    f = _unit_scale(max(na, nc, nd))
-    k, U, g1 = k * f, U * f, gamma1 * f
+@np.errstate(all="ignore")  # non-finite k gives non-finite bands, not warnings
+def bilayer_spectrum(k, U: float, gamma1: float) -> list:
+    """The four bands at wave-vector magnitude k, ascending: four floats at a
+    float k, four arrays at a 1-D array of k.  They are ``_cl31_levels`` of
+    a = eta U e3, c = -eta k, d = gamma1 e2 - eta U e3, computed per element
+    in the same order and scaled by the same power of two, each branch an
+    ``np.where``: bit for bit the solver's."""
+    ks = np.asarray(k, dtype=float)
+    na, nc, nd = abs(U), np.abs(ks), math.hypot(gamma1, U)
+    # _unit_scale per element; frexp and ldexp are exact
+    top = np.maximum(nc, max(na, nd))
+    f = np.where((2.0 ** -250 < top) & (top < 2.0 ** 250), 1.0,
+                 np.ldexp(1.0, np.minimum(1000, -np.frexp(top)[1])))
+    k, U, g1 = ks * f, U * f, gamma1 * f
+    na, nc, nd = na * f, nc * f, nd * f
     kk, gu = k * k, U * g1
-    lo, hi, _, _ = _cl31_levels(na * f, nc * f, nd * f, g1 * g1 / 2.0,
-                                kk * (g1 * g1 + (2.0 * U) * (2.0 * U)),
-                                (kk - U * U) * (kk - U * U) + gu * gu)
-    return [-hi / f, -lo / f, lo / f, hi / f]
+    gap, m = g1 * g1 / 2.0, kk * (g1 * g1 + (2.0 * U) * (2.0 * U))
+    const = (kk - U * U) * (kk - U * U) + gu * gu
+    root = np.where(gap * gap + m > 0.0, np.sqrt(gap * gap + m), 0.0)
+    upper = (na * na + nd * nd) / 2.0 + nc * nc + root
+    coupled = nc * nc != 0.0
+    lo = np.where(coupled, np.where(const > 0.0, np.sqrt(const / upper), 0.0),
+                  np.minimum(na, nd))
+    hi = np.where(coupled, np.sqrt(upper), np.maximum(na, nd))
+    bands = [-hi / f, -lo / f, lo / f, hi / f]
+    return bands if ks.ndim else [float(band) for band in bands]
 
 
 def bilayer_mexican_hat_k(U: float, gamma1: float) -> float:
@@ -542,22 +578,21 @@ MODELS: dict[str, ModelSpec] = {
     "monolayer": ModelSpec(
         "cl30", ("kx", "ky"), (), "k",
         h=lambda psi, p: h_monolayer(psi, p.kx, p.ky),
-        spectrum=lambda k, p: sorted([-k, k]),
+        spectrum=lambda k, p: [-abs(k), abs(k)],
         average="pseudospin",
     ),
     "qw": ModelSpec(
         "cl30", ("kx", "ky", "alphaR"), ("alphaR",), "k",
         h=lambda psi, p: h_qw(psi, p.kx, p.ky, p.alphaR),
-        spectrum=lambda k, p: sorted([k * k / 2.0 - k * p.alphaR,
-                                      k * k / 2.0 + k * p.alphaR]),
+        spectrum=lambda k, p: [k * k / 2.0 - abs(k * p.alphaR),
+                               k * k / 2.0 + abs(k * p.alphaR)],
         average="spin",
     ),
     "atoms": ModelSpec(
         # the sweep variable is the coupling Gamma; omega splits the levels
         "cl31", ("omega", "Gamma"), ("omega", "Gamma"), "Gamma",
         h=lambda psi, p: h_two_atoms(psi, p.omega, p.Gamma),
-        spectrum=lambda g, p: sorted([-abs(g), abs(g), -math.hypot(p.omega, g),
-                                      math.hypot(p.omega, g)]),
+        spectrum=lambda g, p: _two_atoms_spectrum(g, p.omega),
         average=None,
     ),
     "bilayer": ModelSpec(

@@ -9,7 +9,9 @@ import os
 import random
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,7 +162,39 @@ sweep_value = st.one_of(
 )
 
 
+finite_entry = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-318, -1e-310]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def sweep_tables(draw):
+    """Tables of finite floats in which a column may have the magnitudes of
+    an earlier one, under any signs, or differ from them in one entry."""
+    rows = draw(st.integers(1, 12))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        if columns and draw(st.booleans()):
+            signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=rows,
+                                  max_size=rows))
+            column = np.array(draw(st.sampled_from(columns))) * signs
+            if draw(st.booleans()):
+                column[draw(st.integers(0, rows - 1))] = draw(finite_entry)
+            columns.append(column.tolist())
+        else:
+            columns.append(draw(st.lists(finite_entry, min_size=rows, max_size=rows)))
+    return np.array(columns)
+
+
 class TestSweepWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_tables())
+    def test_column_text_is_the_repr_of_each_entry(self, table):
+        # adding 0.0 folds -0.0 into 0.0
+        assert cli._column_texts(table) == [[repr(v + 0.0) for v in column]
+                                            for column in table.tolist()]
+
     @settings(max_examples=300, deadline=None)
     @given(
         model=st.sampled_from(list(models.MODELS)),
@@ -267,20 +301,44 @@ class TestOverflowingSweep:
         assert code == 0
         assert out.splitlines()[-1] == "1e+307,-1e+307,-1e+307,1e+307,1e+307"
 
+    def test_overflow_error_names_the_row_a_per_row_sweep_stops_at(
+            self, monkeypatch, capsys):
+        # math.hypot raised OverflowError before Python 3.8, where it now
+        # returns inf; either way the second row, Gamma = 1e308, overflows
+        argv = ["spectrum", "--model", "atoms", "--omega", "1.7e308", "--kmin", "0",
+                "--kmax", "1e308", "--samples", "2"]
+        assert cli.main(argv) == 2
+        expected = capsys.readouterr()
+
+        def hypot(*coordinates):
+            if math.isinf(math.hypot(*coordinates)):
+                raise OverflowError("math range error")
+            return math.hypot(*coordinates)
+
+        monkeypatch.setattr(models, "math",
+                            types.SimpleNamespace(**{**vars(math), "hypot": hypot}))
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == expected
+        assert expected.out == ""
+        assert expected.err.startswith("error: the sweep overflows at Gamma=1e+308; ")
+
     def test_error_mid_sweep_writes_nothing(self, monkeypatch, capsys):
-        calls = []
+        # the whole column is one call; it fails at its fifth value, k = 0.5
+        calls, real = [], models.bilayer_spectrum
 
         def failing(k, U, gamma1):
             calls.append(k)
-            if len(calls) == 5:
+            bands = real(k, U, gamma1)
+            if np.any(k == 0.5):
                 raise ArithmeticError("negative radicand in bilayer spectrum")
-            return [-1.0, -0.5, 0.5, 1.0]
+            return bands
 
         monkeypatch.setattr(cli.models, "bilayer_spectrum", failing)
         code = cli.main(["spectrum", "--model", "bilayer", "--kmin", "0", "--kmax",
                          "1", "--samples", "9", "--format", "json"])
         captured = capsys.readouterr()
-        assert (code, captured.out, len(calls)) == (1, "", 5)
+        assert (code, captured.out, len(calls)) == (1, "", 1)
+        assert calls[0].tolist() == [i / 8 for i in range(9)]
         assert captured.err == "error: negative radicand in bilayer spectrum\n"
 
 

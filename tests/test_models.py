@@ -61,6 +61,15 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams("bilayer", eta=0)
 
+    @pytest.mark.parametrize("model", list(MODELS))
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ModelParams)
+                                       if isinstance(f.default, float)])
+    def test_rejects_non_finite_fields(self, model, field):
+        # named as the field, not reported as an overflow by the solver
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be a finite float"):
+                ModelParams(model, **{field: bad})
+
     def test_json_lists_model_fields_only(self):
         d = ModelParams("qw", kx=1.0, ky=0.0, alphaR=0.3).to_json_dict()
         assert set(d) == {"model", "kx", "ky", "alphaR"}
@@ -725,6 +734,25 @@ class TestExpectationEnergy:
             )
 
 
+def _check_array_rows(spec, params, x):
+    """The array call on the sweep values x, -x and 0 gives, row by row, the
+    bits of the float call and, where the point is not singular, of solve."""
+    xs = [x, -x, 0.0]
+    bands = spec.spectrum(np.array(xs), params)
+    assert all(band.shape == (3,) for band in bands)
+    for row, value in enumerate(xs):
+        point = dataclasses.replace(params, **(
+            {"kx": value, "ky": 0.0} if spec.sweep == "k" else {spec.sweep: value}))
+        energies = spec.spectrum(value, point)
+        assert all(type(e) is float for e in energies)
+        assert [band[row].hex() for band in bands] == [e.hex() for e in energies]
+        try:
+            solved = sorted(s.energy for s in models.solve(point))
+        except DegenerateError:
+            continue
+        assert [e.hex() for e in energies] == [e.hex() for e in solved]
+
+
 class TestModelRegistry:
     def test_paper_order_and_algebras(self):
         assert list(MODELS) == ["monolayer", "qw", "atoms", "bilayer"]
@@ -733,13 +761,25 @@ class TestModelRegistry:
 
     @pytest.mark.parametrize("model", list(MODELS))
     def test_spectrum_is_the_solver_spectrum_bit_for_bit(self, model):
+        # the float call at verify's draws; the array call at every tenth
+        # draw, also with each coupling 0 and with all fields scaled by
+        # 2**j on both sides of the bilayer levels' 2**+-250 rescaling
         spec, rng = MODELS[model], random.Random(17)
-        for _ in range(200):
+        for i in range(200):
             params = cli._draw_params(model, rng)
             x = getattr(params, spec.sweep)
             solved = sorted(s.energy for s in models.solve(params))
             assert [e.hex() for e in spec.spectrum(x, params)] == [
                 e.hex() for e in solved]
+            if i % 10:
+                continue
+            for zero in (None, *spec.couplings):
+                point = params if zero is None else dataclasses.replace(params, **{zero: 0.0})
+                for j in (0, 240, 260, -240, -260):
+                    scaled = dataclasses.replace(point, **{
+                        name: math.ldexp(getattr(point, name), j)
+                        for name in spec.fields if name != "eta"})
+                    _check_array_rows(spec, scaled, math.ldexp(x, j))
 
     @pytest.mark.parametrize("model, coupling, bound", [
         ("qw", "alphaR", 1e-12), ("atoms", "Gamma", DEGENERACY_TOL)])

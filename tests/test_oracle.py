@@ -333,6 +333,13 @@ class TestCrossCheck:
         assert report.passed
         assert len(report.oracle_energies) == 4
 
+    @pytest.mark.parametrize("shift, passed", [(1e-8, False), (1e-11, True)])
+    def test_match_tolerance_is_1e_10(self, monkeypatch, shift, passed):
+        # the rotor energies at k = 1 are exactly -1 and 1; an oracle off by
+        # 1e-8 fails, one off by 1e-11 passes
+        monkeypatch.setitem(oracle._ORACLES, "monolayer", lambda p: [-1.0 + shift, 1.0])
+        assert cross_check(ModelParams("monolayer", kx=1.0)).passed is passed
+
     def test_unsatisfiable_tolerance(self):
         report = cross_check(ModelParams("monolayer", kx=3.0, ky=4.0), tol=1e-30)
         assert not report.passed

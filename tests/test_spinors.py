@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotoreig.algebra import CL30, CL31, Multivector, Signature, pseudoscalar
+from rotoreig.algebra import CL30, CL31, TOL, Multivector, Signature, pseudoscalar
 from rotoreig.spinors import (
     CL30_SPINOR_MASKS,
     CL31_SPINOR_MASKS,
@@ -45,6 +45,17 @@ class TestSpinorType:
         # a leak in the Cl(3,1) odd-grade blades is caught as well
         with pytest.raises(ValueError):
             Spinor(Multivector.basis_vector(CL31, 4) + blade31(1, 2))
+
+    @pytest.mark.parametrize("scale, raises", [(2.0, True), (0.5, False)])
+    def test_leak_bound_is_tol_on_a_unit_spinor(self, scale, raises):
+        # the bound is TOL of |mv| = 1: twice that leaks, half of it is rounding
+        leak = scale * TOL
+        mv = Multivector.scalar(CL30, 1.0) + leak * Multivector.basis_vector(CL30, 1)
+        if raises:
+            with pytest.raises(ValueError, match="leaves the spinor subspace"):
+                Spinor(mv)
+        else:
+            assert Spinor(mv).mv.coeffs.tolist() == [1.0] + [0.0] * 7
 
     def test_no_spinor_subspace_outside_cl30_cl31(self):
         with pytest.raises(ValueError):
