@@ -50,14 +50,7 @@ def cmd_spectrum(args, out) -> int:
     # a value or energy past the largest float is caught by the check below
     with np.errstate(all="ignore"):
         xs = args.kmin + (args.kmax - args.kmin) * np.arange(n) / (n - 1)
-        try:
-            table = np.array([xs, *spec.spectrum(xs, params)])
-        except OverflowError:
-            # no table to check: name the row a per-row sweep stops at
-            for x in xs.tolist():
-                if _row_overflows(spec, x, params):
-                    break
-            raise _overflow(spec.sweep, x) from None
+        table = np.array([xs, *spec.spectrum(xs, params)])
     finite = np.isfinite(table).all(axis=0)
     if not finite.all():
         raise _overflow(spec.sweep, xs[finite.argmin()].item())
@@ -102,15 +95,6 @@ def _column_texts(table: np.ndarray) -> list[list[str]]:
             text = ["-" + t if neg else t for t, neg in zip(text, negative.tolist())]
         texts.append(text)
     return texts
-
-
-def _row_overflows(spec, x: float, params: ModelParams) -> bool:
-    """Whether the spectrum at the sweep value x raises OverflowError or is
-    not finite."""
-    try:
-        return not all(map(math.isfinite, [x, *spec.spectrum(x, params)]))
-    except OverflowError:
-        return True
 
 
 def _overflow(sweep: str, x: float) -> SystemExit2:

@@ -5,7 +5,7 @@ spinors and builds no matrix; eigenspinors are rotors taking e3 to a target."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -101,7 +101,8 @@ class ModelParams:
 
 
 #: the ModelParams fields that hold a float, each of which must be finite
-_FLOAT_FIELDS = ("kx", "ky", "alphaR", "omega", "Gamma", "gamma1", "U")
+_FLOAT_FIELDS = tuple(field.name for field in fields(ModelParams)
+                      if isinstance(field.default, float))
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,10 @@ class ModelSpec:
     couplings: tuple[str, ...]  # the couplings `verify` draws, in draw order
     sweep: str                  # the ModelParams attribute `spectrum` sweeps
     h: Callable[[Spinor, ModelParams], Spinor]
-    # the ascending bands at a float sweep value (floats) or at each value of
-    # a 1-D array (arrays), bit for bit the energies `solve` gives there
-    spectrum: Callable[[float | np.ndarray, ModelParams], list]
+    # the ascending bands at each value of a 1-D array of sweep values, one
+    # array per band, bit for bit the energies `solve` gives there; the
+    # Cl(3,0) ones are plain arithmetic, which `solve` runs on a float
+    spectrum: Callable[[np.ndarray, ModelParams], list[np.ndarray]]
     average: str | None         # JSON key of the eigenspinors' e3 average
 
 
@@ -458,14 +460,11 @@ def solve_two_atoms(omega: float, Gamma: float) -> list[EigenSolution]:
     return solve(ModelParams("atoms", omega=omega, Gamma=Gamma))
 
 
-def _two_atoms_spectrum(Gamma, omega: float) -> list:
-    """The levels -+sqrt(omega^2 + Gamma^2), -+|Gamma|, ascending, at a float
-    Gamma or at each value of a 1-D array; math.hypot per element, because
-    np.hypot differs from it in the last bit."""
-    if isinstance(Gamma, np.ndarray):
-        root = np.array([math.hypot(omega, g) for g in Gamma.tolist()])
-    else:
-        root = math.hypot(omega, Gamma)
+def _two_atoms_spectrum(omega: float, Gamma: np.ndarray) -> list[np.ndarray]:
+    """The levels -+sqrt(omega^2 + Gamma^2), -+|Gamma|, ascending, at each
+    value of a 1-D array of Gamma; math.hypot per element, because np.hypot
+    differs from it in the last bit."""
+    root = np.array([math.hypot(omega, g) for g in Gamma.tolist()])
     return [-root, -abs(Gamma), abs(Gamma), root]
 
 
@@ -494,7 +493,8 @@ def bilayer_spectrum(k, U: float, gamma1: float) -> list:
     float k, four arrays at a 1-D array of k.  They are ``_cl31_levels`` of
     a = eta U e3, c = -eta k, d = gamma1 e2 - eta U e3, computed per element
     in the same order and scaled by the same power of two, each branch an
-    ``np.where``: bit for bit the solver's."""
+    ``np.where``: bit for bit the solver's.  ``solve_cl31`` keeps the scalar
+    functions: on its floats this array form costs about 43 us a solve."""
     ks = np.asarray(k, dtype=float)
     na, nc, nd = abs(U), np.abs(ks), math.hypot(gamma1, U)
     # _unit_scale per element; frexp and ldexp are exact
@@ -592,7 +592,7 @@ MODELS: dict[str, ModelSpec] = {
         # the sweep variable is the coupling Gamma; omega splits the levels
         "cl31", ("omega", "Gamma"), ("omega", "Gamma"), "Gamma",
         h=lambda psi, p: h_two_atoms(psi, p.omega, p.Gamma),
-        spectrum=lambda g, p: _two_atoms_spectrum(g, p.omega),
+        spectrum=lambda g, p: _two_atoms_spectrum(p.omega, g),
         average=None,
     ),
     "bilayer": ModelSpec(

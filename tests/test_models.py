@@ -589,6 +589,18 @@ class TestBilayer:
                 assert np.max(np.abs(s.target_vector - even_target(s.spinor))) <= 1e-12
                 assert np.linalg.norm(s.target_vector) == pytest.approx(1.0, abs=1e-15)
 
+    def test_float_k_gives_floats_with_the_bits_of_the_array_call(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            params = cli._draw_params("bilayer", rng)
+            ks = [params.k, -params.k, 0.0, math.ldexp(params.k, 260),
+                  math.ldexp(params.k, -260)]
+            bands = bilayer_spectrum(np.array(ks), params.U, params.gamma1)
+            for row, k in enumerate(ks):
+                energies = bilayer_spectrum(k, params.U, params.gamma1)
+                assert all(type(e) is float for e in energies)
+                assert [e.hex() for e in energies] == [band[row].hex() for band in bands]
+
     @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1e-300, 1e-11])
     def test_vanishing_hamiltonian_is_a_singular_point(self, value):
         with pytest.raises(DegenerateError, match="H = 0"):
@@ -734,23 +746,28 @@ class TestExpectationEnergy:
             )
 
 
+def _spectrum_at(spec, x, params):
+    """The spectrum's energies at the single sweep value x, as floats."""
+    return [band.item() for band in spec.spectrum(np.array([x]), params)]
+
+
 def _check_array_rows(spec, params, x):
     """The array call on the sweep values x, -x and 0 gives, row by row, the
-    bits of the float call and, where the point is not singular, of solve."""
+    bits of the call at that value alone and, where the point is not
+    singular, of solve."""
     xs = [x, -x, 0.0]
     bands = spec.spectrum(np.array(xs), params)
     assert all(band.shape == (3,) for band in bands)
     for row, value in enumerate(xs):
         point = dataclasses.replace(params, **(
             {"kx": value, "ky": 0.0} if spec.sweep == "k" else {spec.sweep: value}))
-        energies = spec.spectrum(value, point)
-        assert all(type(e) is float for e in energies)
-        assert [band[row].hex() for band in bands] == [e.hex() for e in energies]
+        energies = [band[row].hex() for band in bands]
+        assert energies == [e.hex() for e in _spectrum_at(spec, value, point)]
         try:
             solved = sorted(s.energy for s in models.solve(point))
         except DegenerateError:
             continue
-        assert [e.hex() for e in energies] == [e.hex() for e in solved]
+        assert energies == [e.hex() for e in solved]
 
 
 class TestModelRegistry:
@@ -769,7 +786,7 @@ class TestModelRegistry:
             params = cli._draw_params(model, rng)
             x = getattr(params, spec.sweep)
             solved = sorted(s.energy for s in models.solve(params))
-            assert [e.hex() for e in spec.spectrum(x, params)] == [
+            assert [e.hex() for e in _spectrum_at(spec, x, params)] == [
                 e.hex() for e in solved]
             if i % 10:
                 continue
@@ -794,14 +811,14 @@ class TestModelRegistry:
             x = getattr(params, spec.sweep)
             sols = models.solve(params)
             assert sum(s.degenerate for s in sols) == 2
-            assert [e.hex() for e in spec.spectrum(x, params)] == [
+            assert [e.hex() for e in _spectrum_at(spec, x, params)] == [
                 s.energy.hex() for s in sols]
 
     @pytest.mark.parametrize("model", list(MODELS))
     def test_spectrum_is_ascending_for_negative_sweep_values(self, model):
         spec, rng = MODELS[model], random.Random(19)
         for x in [-0.0, -1e-12, -1.0] + [-rng.uniform(0.01, 5.0) for _ in range(50)]:
-            energies = spec.spectrum(x, cli._draw_params(model, rng))
+            energies = _spectrum_at(spec, x, cli._draw_params(model, rng))
             assert energies == sorted(energies)
 
     @pytest.mark.parametrize("model", list(MODELS))
