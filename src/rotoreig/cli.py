@@ -51,9 +51,19 @@ def cmd_spectrum(args, out) -> int:
     with np.errstate(all="ignore"):
         xs = args.kmin + (args.kmax - args.kmin) * np.arange(n) / (n - 1)
         table = np.array([xs, *spec.spectrum(xs, params)])
-    finite = np.isfinite(table).all(axis=0)
-    if not finite.all():
-        raise _overflow(spec.sweep, xs[finite.argmin()].item())
+        finite = np.isfinite(table).all(axis=0)
+        if not finite.all():
+            # kmax - kmin, or its product with i, can pass the largest float
+            # where the value does not: those values again from the halved
+            # endpoints, dividing first, which cannot overflow
+            lost = np.flatnonzero(~np.isfinite(xs))
+            if len(lost):
+                xs[lost] = 2.0 * (args.kmin / 2.0 + (args.kmax / 2.0 - args.kmin / 2.0)
+                                  * (lost / (n - 1)))
+                table = np.array([xs, *spec.spectrum(xs, params)])
+                finite = np.isfinite(table).all(axis=0)
+            if not finite.all():
+                raise _overflow(spec.sweep, xs[finite.argmin()].item())
     columns = _column_texts(table)
     if args.format == "csv":
         bands = ",".join(f"E{j}" for j in range(1, len(table)))

@@ -167,16 +167,15 @@ def _eigenpair(h, energies, psi: Multivector, targets, labels) -> list[EigenSolu
                     gap.max(axis=1).tolist()))
 
 
-def _stacked_eigenpairs(h, bands: list) -> list[EigenSolution]:
-    """bands, with each (energy, psi, target, label) made its eigenpair by one
-    ``_eigenpair`` call on the stack of their psi; the EigenSolutions among
-    them (degenerate bands) stay where they are."""
+def _stacked_eigenpairs(h, bands: list, psi: np.ndarray, targets) -> list[EigenSolution]:
+    """bands, with each (energy, label) made its eigenpair with the next row
+    of the stack psi, and the next target, by one ``_eigenpair`` call; the
+    EigenSolutions among them (degenerate bands) stay where they are."""
     pending = [band for band in bands if isinstance(band, tuple)]
     if not pending:
         return bands
-    energies, psis, targets, labels = zip(*pending)
-    stack = Multivector._wrap(CL31, np.array([psi.coeffs for psi in psis]))
-    solved = iter(_eigenpair(h, energies, stack, targets, labels))
+    energies, labels = zip(*pending)
+    solved = iter(_eigenpair(h, energies, Multivector._wrap(CL31, psi), targets, labels))
     return [next(solved) if isinstance(band, tuple) else band for band in bands]
 
 
@@ -278,12 +277,18 @@ def _read_off(h) -> list[Multivector]:
 
 
 def _rotor_to(target: Multivector) -> Multivector:
-    """The rotor taking e3 to the unit vector target."""
+    """The rotor taking e3 to the unit vector target, or the stack of rotors
+    taking e3 to each row of a stack of targets."""
     # rotor_from_vectors rejects e3 -> -e3 and loses accuracy near it, so
     # below the e1e2 plane a half turn e31 takes e3 to -e3 first
-    below = target.coeffs[4] < 0.0
-    rotor = rotor_from_vectors(_E3_31, -target if below else target).value
-    return rotor * _E31_31 if below else rotor
+    if target.coeffs.ndim == 1:
+        below = target.coeffs[4] < 0.0
+        rotor = rotor_from_vectors(_E3_31, -target if below else target).value
+        return rotor * _E31_31 if below else rotor
+    below = target.coeffs[:, 4:5] < 0.0
+    rotor = rotor_from_vectors(_E3_31, Multivector._wrap(
+        CL31, np.where(below, -target.coeffs, target.coeffs))).value
+    return Multivector._wrap(CL31, np.where(below, (rotor * _E31_31).coeffs, rotor.coeffs))
 
 
 def solve_cl31(h) -> list[EigenSolution]:
@@ -294,7 +299,14 @@ def solve_cl31(h) -> list[EigenSolution]:
     a/E (even-i) and I times e3 -> d/E (odd-i).  Coupled, eliminating phi-
     (Loewdin) leaves phi+ the rotor R: e3 -> h / (E - h0) of M(E) = a + c (E +
     d) c / s = h0 + h, s = E^2 - |d|^2, |h| = |E - h0|: with t = s - |c|^2 the
-    target is (s a + c d c) / (E t) and phi- = (c a + d c) R / t."""
+    target is (s a + c d c) / (E t) and phi- = (c a + d c) R / t.
+
+    The coupled bands are built as one stack.  A loop over the bands picks
+    each band's sector, t and s, and, on the stack of s h, |h| (math.hypot
+    per band), the crossings and the quantization check; every other step
+    is one numpy call over the bands that get a rotor, each branch a per-row
+    mask: the sector's rows of a, d and the numerators, the half turn below
+    the e1e2 plane and psi = R + I phi- or I R + phi+."""
     a, c, d = _read_off(h)
     coords = [v.vector_coords()[:3].tolist() for v in (a, c, d)]
     na, nc, nd = (math.hypot(*x) for x in coords)
@@ -319,43 +331,7 @@ def solve_cl31(h) -> list[EigenSolution]:
     if cc == 0.0:  # |c| below H's resolution, where t can underflow
         out = _uncoupled(h, a, na, d, nd)
     else:
-        # eigenspinors do not change when H is scaled: reduce H / span, span
-        # the largest |E|, in which t is t / E+^2
-        span, t_even, t_odd = energies[-1], t_even / (hi * hi), t_odd / (hi * hi)
-        a, c, d, cc = a / span, c / span, d / span, (nc / span) ** 2
-        # per sector, with e the eliminated block: the kept block, c keep +
-        # e c (phi-'s numerator) and c e c; the odd one only if a band uses it
-        even, odd = (a, c * a + d * c, (c * d * c).grade(1)), None
-        out = []
-        for i, energy in enumerate(energies, start=1):
-            # each sector's t = E^2 - |c|^2 - |e|^2: on the inner bands the
-            # even sector's is minus the odd one's on the outer, and vice versa
-            te, to = (t_even, t_odd) if i in (1, 4) else (-t_odd, -t_even)
-            is_odd = abs(te) <= _SINGULAR_TOL * abs(to)
-            if is_odd and odd is None:
-                odd = (d, c * d + a * c, (c * a * c).grade(1))
-            keep, numerator, cec = odd if is_odd else even
-            t = to if is_odd else te
-            s = cc + t
-            hs = s * keep + cec  # s h
-            hnorm = math.hypot(*hs.vector_coords())
-            # |h| at most DEGENERACY_TOL of H's scale: M(E) = h0 on the whole
-            # sector, and a neighbouring band lies within 2 |h| (a crossing,
-            # no spinor); where phi+ vanishes, is_odd swaps a and d (psi =
-            # I R + phi+)
-            if hnorm <= DEGENERACY_TOL * abs(s):
-                out.append(EigenSolution(energy, None, None, f"band-{i}", 0.0, True))
-                continue
-            # |h| = |E - h0| is |s h| = |E t|, compared on squares to 1e-10 of
-            # H's scale: E^2 carries the levels' rounding, E up to its root
-            if abs((energy / span) ** 2 - (hnorm / t) ** 2) > 1e-10:
-                raise ValueError(f"E = {energy!r} fails the quantization condition")
-            target = math.copysign(1.0 / hnorm, energy * t) * hs  # h / (E - h0)
-            rotor = _rotor_to(target)
-            rest = (1.0 / t) * (numerator * rotor)
-            psi = _I31 * rotor + rest if is_odd else rotor + _I31 * rest
-            out.append((energy, psi, target.vector_coords(), f"band-{i}"))
-        out = _stacked_eigenpairs(h, out)
+        out = _coupled(h, energies, a, c, d, nc, t_even / (hi * hi), t_odd / (hi * hi))
     # a scalar term in a block reads as an e3 component on 1 and I, so the
     # read-off cannot see it; the residuals do
     if any(s.residual > 1e-10 * energies[-1] for s in out):
@@ -363,9 +339,68 @@ def solve_cl31(h) -> list[EigenSolution]:
     return out
 
 
+#: the blades of a Cl(3,1) vector, in the order of ``vector_coords``
+_VECTOR_31 = CL31.tables["grade_masks"][1]
+
+
+def _coupled(h, energies, a, c, d, nc: float, t_even: float, t_odd: float) -> list:
+    """The four bands of ``solve_cl31`` at |c| > 0, with t_even and t_odd
+    already divided by E+^2."""
+    # eigenspinors do not change when H is scaled: reduce H / span, span
+    # the largest |E|, in which t is t / E+^2
+    span = energies[-1]
+    a, c, d, cc = a / span, c / span, d / span, (nc / span) ** 2
+    # each sector's t = E^2 - |c|^2 - |e|^2, e the eliminated block: on the
+    # inner bands the even sector's is minus the odd one's on the outer,
+    # and vice versa
+    is_odd, ts = [], []
+    for te, to in ((t_even, t_odd), (-t_odd, -t_even), (-t_odd, -t_even), (t_even, t_odd)):
+        is_odd.append(abs(te) <= _SINGULAR_TOL * abs(to))
+        ts.append(to if is_odd[-1] else te)
+    # each band's kept block, c keep + e c (phi-'s numerator) and c e c, per
+    # sector; the odd one only if a band uses it
+    odd = np.array(is_odd)[:, None]
+    even = (a, c * a + d * c, (c * d * c).grade(1))
+    if odd.any():
+        swapped = (d, c * d + a * c, (c * a * c).grade(1))
+        keep, numerator, cec = (np.where(odd, o.coeffs, e.coeffs) for e, o in zip(even, swapped))
+    else:  # one row for every band
+        keep, numerator, cec = (v.coeffs for v in even)
+    hs = keep * np.array([cc + t for t in ts])[:, None] + cec  # s h
+    bands, live, scale = [], [], []
+    for i, (energy, t, h_coords) in enumerate(zip(energies, ts, hs[:, _VECTOR_31].tolist())):
+        hnorm = math.hypot(*h_coords)
+        # |h| at most DEGENERACY_TOL of H's scale: M(E) = h0 on the whole
+        # sector, and a neighbouring band lies within 2 |h| (a crossing, no
+        # spinor); where phi+ vanishes, is_odd swaps a and d (psi = I R + phi+)
+        if hnorm <= DEGENERACY_TOL * abs(cc + t):
+            bands.append(EigenSolution(energy, None, None, f"band-{i + 1}", 0.0, True))
+            continue
+        # |h| = |E - h0| is |s h| = |E t|, compared on squares to 1e-10 of
+        # H's scale: E^2 carries the levels' rounding, E up to its root
+        if abs((energy / span) ** 2 - (hnorm / t) ** 2) > 1e-10:
+            raise ValueError(f"E = {energy!r} fails the quantization condition")
+        bands.append((energy, f"band-{i + 1}"))
+        live.append(i)
+        scale.append((math.copysign(1.0 / hnorm, energy * t), 1.0 / t))
+    if not live:
+        return bands
+    if len(live) < len(bands):  # the crossings get no rotor
+        hs, odd = hs[live], odd[live]
+        numerator = numerator[live] if numerator.ndim == 2 else numerator
+    scale = np.array(scale)
+    targets = hs * scale[:, :1]  # h / (E - h0)
+    rotor = _rotor_to(Multivector._wrap(CL31, targets))
+    rest = (Multivector._wrap(CL31, numerator) * rotor).coeffs * scale[:, 1:]  # phi- / t
+    psi = np.where(odd, (_I31 * rotor).coeffs + rest,
+                   rotor.coeffs + (_I31 * Multivector._wrap(CL31, rest)).coeffs)
+    return _stacked_eigenpairs(h, bands, psi, targets[:, _VECTOR_31])
+
+
 def _uncoupled(h, a: Multivector, na: float, d: Multivector, nd: float) -> list[EigenSolution]:
     """Levels -+|a| (even-i), -+|d| (odd-i); a block <= DEGENERACY_TOL: no rotors."""
-    out = []
+    out, psis, targets = [], [], []
+    # one rotor per sector: a stack of two costs more than it saves
     for sector, block, norm, carrier in (("even", a, na, 1.0), ("odd", d, nd, _I31)):
         if norm <= DEGENERACY_TOL:
             out += [EigenSolution(e, None, None, f"{sector}-{i}", 0.0, True)
@@ -375,8 +410,11 @@ def _uncoupled(h, a: Multivector, na: float, d: Multivector, nd: float) -> list[
         # e23 anticommutes with e3, so upper e23 takes e3 to -block/|block|
         upper = carrier * _rotor_to(block / norm)
         for energy, i, psi in ((-norm, 1, upper * _E23_31), (norm, 2, upper)):
-            out.append((energy, psi, (block / energy).vector_coords(), f"{sector}-{i}"))
-    return sorted(_stacked_eigenpairs(h, out), key=lambda s: s.energy)
+            out.append((energy, f"{sector}-{i}"))
+            psis.append(psi.coeffs)
+            targets.append((block / energy).vector_coords())
+    return sorted(_stacked_eigenpairs(h, out, np.array(psis), targets),
+                  key=lambda s: s.energy)
 
 
 def solve(params: ModelParams) -> list[EigenSolution]:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .algebra import TOL, Multivector
 
 __all__ = [
@@ -25,7 +27,8 @@ ANTIPARALLEL_TOL = 1e-10
 
 
 class Rotor:
-    """A validated rotor: even multivector R with R * reverse(R) = 1."""
+    """A validated rotor: even multivector R with R * reverse(R) = 1, or a
+    stack of them from ``rotor_from_vectors``."""
 
     __slots__ = ("value",)
 
@@ -80,19 +83,47 @@ def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
     R ~R - 1 = (a^2 b^2 - 1)/(2 (1 + a.b)) is held to is_rotor's bound
     TOL * dim in that closed form; R's own rounding, which grows near
     antiparallel, is not checked.  Antiparallel inputs are rejected: pick
-    the plane with rotor_exp instead."""
-    a2, b2 = _check_unit_vector(a, "a"), _check_unit_vector(b, "b")
-    # parts outside grade 1, all below TOL, would make R odd
-    a, b = (v if v.grades_present() <= {1} else v.grade(1) for v in (a, b))
-    cos_theta = (a | b).scalar_part()
-    if cos_theta < -1.0 + ANTIPARALLEL_TOL:
-        raise ValueError("rotation plane undefined for antiparallel vectors")
-    value = (1.0 + b * a) / math.sqrt(2.0 * (1.0 + cos_theta))
-    # written so that NaN fails it
-    if not abs(a2 * b2 - 1.0) <= TOL * a.sig.dim * 2.0 * (1.0 + cos_theta):
-        raise ValueError(f"not a rotor: {value}")
+    the plane with rotor_exp instead.
+
+    b may also be a stack of vectors (see ``algebra``); R is then the stack
+    of their rotors, one numpy call per step for every row, row i with the
+    bits and the checks of the call on row i alone.  The first row that
+    fails a check raises that call's error."""
+    a2 = _check_unit_vector(a, "a")
     rotor = object.__new__(Rotor)
-    rotor.value = value
+    if b.coeffs.ndim == 1:
+        b2 = _check_unit_vector(b, "b")
+        # parts outside grade 1, all below TOL, would make R odd
+        a, b = (v if v.grades_present() <= {1} else v.grade(1) for v in (a, b))
+        cos_theta = (a | b).scalar_part()
+        if cos_theta < -1.0 + ANTIPARALLEL_TOL:
+            raise ValueError("rotation plane undefined for antiparallel vectors")
+        value = (1.0 + b * a) / math.sqrt(2.0 * (1.0 + cos_theta))
+        # written so that NaN fails it
+        if not abs(a2 * b2 - 1.0) <= TOL * a.sig.dim * 2.0 * (1.0 + cos_theta):
+            raise ValueError(f"not a rotor: {value}")
+        rotor.value = value
+        return rotor
+    # a stack: each check as above, on the floats of each row, and each
+    # step in one numpy call over every row
+    sig, rows = b.sig, b.coeffs
+    vector = sig.tables["grade_masks"][1]
+    outside = np.abs(rows[:, ~vector])
+    a1 = a if a.grades_present() <= {1} else a.grade(1)
+    spill = (outside > 0.0).any(axis=1)
+    if spill.any():
+        b = Multivector._wrap(sig, np.where(vector | ~spill[:, None], rows, 0.0))
+    cos_theta = (a1 | b).coeffs[:, 0].tolist()
+    # one dot per row: a matrix-vector product sums in another order
+    checks = zip((outside > TOL).any(axis=1).tolist(), rows * rows, cos_theta)
+    for i, (impure, square, cos) in enumerate(checks):
+        b2 = float(square @ sig.tables["square_sign"])
+        if (impure or abs(b2 - 1.0) > TOL or cos < -1.0 + ANTIPARALLEL_TOL
+                or not abs(a2 * b2 - 1.0) <= TOL * sig.dim * 2.0 * (1.0 + cos)):
+            # the call on this row alone raises its error
+            rotor_from_vectors(a, Multivector._wrap(sig, rows[i]))
+    denominator = np.array([math.sqrt(2.0 * (1.0 + cos)) for cos in cos_theta])
+    rotor.value = Multivector._wrap(sig, (1.0 + b * a1).coeffs / denominator[:, None])
     return rotor
 
 

@@ -270,9 +270,6 @@ class TestOverflowingSweep:
         # the bilayer upper band passes the largest float at the last row
         ("--model", "bilayer", "--gamma1", "1e308", "--bias-u", "0.3", "--kmin", "0",
          "--kmax", "1.7e308"),
-        # the sweep values themselves overflow to nan or inf
-        ("--model", "monolayer", "--kmin=-1e308", "--kmax", "1e308"),
-        ("--model", "atoms", "--omega", "1", "--kmin", "0", "--kmax", "1e308"),
         # |d| = hypot(gamma1, U) overflows in the bilayer spectrum
         ("--model", "bilayer", "--gamma1", "1.7e308", "--bias-u", "1.7e308", "--kmin", "0",
          "--kmax", "1"),
@@ -293,6 +290,25 @@ class TestOverflowingSweep:
         code, out = run_cli("spectrum", "--model", "bilayer", *argv, "--samples", "3")
         assert code == 0
         rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        assert all(map(math.isfinite, sum(rows, [])))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv, values", [
+        # kmax - kmin, or (kmax - kmin) i, passes the largest float
+        (("--model", "monolayer", "--kmin=-1e308", "--kmax", "1e308"), [-1e308, 0.0, 1e308]),
+        (("--model", "atoms", "--omega", "1", "--kmin", "0", "--kmax", "1e308"),
+         [0.0, 5e307, 1e308]),
+    ], ids=["monolayer", "atoms"])
+    def test_sweep_values_past_the_largest_difference(self, argv, values, fmt):
+        code, out = run_cli("spectrum", *argv, "--samples", "3", "--format", fmt)
+        assert code == 0
+        if fmt == "csv":
+            rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+        else:
+            # each row's first key is the sweep value
+            rows = [[next(iter(row.values())), *row["energies"]]
+                    for row in json.loads(out)["rows"]]
+        assert [row[0] for row in rows] == values
         assert all(map(math.isfinite, sum(rows, [])))
 
     def test_last_finite_sweep_value_still_written(self):

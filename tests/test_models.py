@@ -337,6 +337,41 @@ class TestSolveCl31:
         with pytest.raises(ValueError, match="Pauli-block form"):
             models.solve_cl31(h)
 
+    @pytest.mark.parametrize("c", [[0.0, 0.0, 0.0], [0.5, -0.1, 0.2]])
+    def test_scalar_block_part_near_the_gate_raises(self, c):
+        # a shift of 1e-8 leaves residuals of about 1e-8, past the gate at
+        # 1e-10 of the largest |E|
+        h = cl31_h([0.1, 0.2, 0.3], c, [0.0, 0.4, -0.2], shift=1e-8)
+        with pytest.raises(ValueError, match="Pauli-block form"):
+            models.solve_cl31(h)
+
+    def test_outer_bands_near_c_zero_take_the_odd_sector(self):
+        # at k = 1e-4 phi+ all but vanishes on the outer bands: their even
+        # sector's t is below _SINGULAR_TOL of the odd one's, so their psi
+        # is I R + phi+, whose b block is the unit rotor R; the inner bands
+        # stay even, so the stack holds both sectors
+        params = ModelParams("bilayer", kx=1e-4, ky=0.0, gamma1=1.0, U=0.2)
+        sols = solve_bilayer(params)
+        for s in (sols[0], sols[3]):
+            assert s.residual <= 1e-15
+            assert abs(np.linalg.norm(s.spinor.b) - 1.0) <= 1e-12
+        for s in (sols[1], sols[2]):
+            assert abs(np.linalg.norm(s.spinor.a) - 1.0) <= 1e-12
+
+    def test_stacked_rotor_to_is_the_single_call(self):
+        # the half turn below the e1e2 plane is a per-row mask on a stack
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((40, 3))
+        rows[::2, 2] = -np.abs(rows[::2, 2])
+        rows[-1] = [0.0, 0.0, -1.0]
+        rows[-2] = [1e-6, 0.0, -1.0]
+        targets = np.array([Multivector.vector(CL31, v / np.linalg.norm(v)).coeffs
+                            for v in rows])
+        stack = models._rotor_to(Multivector._wrap(CL31, targets)).coeffs
+        for target, rotor in zip(targets, stack):
+            single = models._rotor_to(Multivector(CL31, target)).coeffs
+            assert rotor.tobytes() == single.tobytes()
+
     def test_higher_grade_block_part_raises(self):
         # psi e12 is i psi: H(1) gains e12, so <H(1)>_+ e3 gains e123
         base = cl31_h([0.1, 0.2, 0.3], [0.5, 0.0, 0.1], [0.0, 0.4, -0.2])

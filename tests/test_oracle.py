@@ -449,7 +449,7 @@ class TestProductCounts:
         ModelParams("monolayer", kx=0.3, ky=-1.2): {"blade": 6, "dense": 5},
         ModelParams("qw", kx=0.3, ky=1.1, alphaR=0.7): {"blade": 9, "dense": 5},
         ModelParams("atoms", omega=3.0, Gamma=4.0): {"blade": 14, "dense": 2},
-        ModelParams("bilayer", kx=0.5, ky=0.1, gamma1=0.4, U=0.2): {"blade": 20, "dense": 14},
+        ModelParams("bilayer", kx=0.5, ky=0.1, gamma1=0.4, U=0.2): {"blade": 14, "dense": 8},
     }
 
     @pytest.mark.parametrize("params", list(POINTS), ids=lambda p: p.model)

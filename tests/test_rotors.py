@@ -299,3 +299,64 @@ class TestClosedFormCheck:
         a = Multivector.vector(CL30, [math.nan, 0.0, 0.0])
         with pytest.raises(ValueError, match="not a rotor"):
             rotor_from_vectors(a, E3)
+
+
+class TestStackedRotors:
+    """rotor_from_vectors(a, stack) gives row i the bytes of the call on row
+    i alone, and a stack with one bad row raises that row's own error."""
+
+    @staticmethod
+    def targets(sig, seed):
+        """Unit targets as rows: random ones, ones below the e1e2 plane and
+        ones whose gap 1 + e3.b runs down to 1.2e-10, some unit only to TOL
+        and some with parts below TOL outside grade 1."""
+        rng = np.random.default_rng(seed)
+        rows = [v / np.linalg.norm(v) for v in rng.standard_normal((20, 3))]
+        rows += [v * [1.0, 1.0, -1.0] / np.linalg.norm(v)
+                 for v in np.abs(rng.standard_normal((10, 3)))]
+        for gap in (1e-2, 1e-4, 1e-6, 1e-8, 1e-9, 3e-10, 1.2e-10):
+            theta = math.acos(gap - 1.0)
+            rows.append(np.array([math.sin(theta), 0.0, math.cos(theta)]))
+        out = []
+        for i, v in enumerate(rows):
+            row = Multivector.vector(sig, v).coeffs
+            # near antiparallel the closed-form check fails these
+            if v[2] > -0.5 and i % 3 == 1:
+                row = row * math.sqrt(1.0 + 9e-13)
+            if v[2] > -0.5 and i % 5 == 2:
+                row = row + 1e-13 * Multivector.blade(sig, 0b011).coeffs
+            out.append(row)
+        return np.array(out)
+
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    def test_each_row_is_the_single_call(self, sig):
+        e3 = Multivector.basis_vector(sig, 3)
+        rows = self.targets(sig, 17)
+        got = rotor_from_vectors(e3, Multivector._wrap(sig, rows)).value.coeffs
+        assert got.shape == rows.shape
+        for row, value in zip(rows, got):
+            single = rotor_from_vectors(e3, Multivector(sig, row)).value.coeffs
+            assert value.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    @pytest.mark.parametrize("bad, message", [
+        ([0.6, 0.0, 0.8 + 1e-9], "must be a unit vector"),
+        ("non-vector", "must be a pure vector"),
+        ([math.sqrt(1.0 - (1.0 - 1e-11) ** 2), 0.0, -(1.0 - 1e-11)], "antiparallel"),
+        ([math.nan, 0.0, 0.0], "not a rotor"),
+    ])
+    def test_a_bad_row_raises_its_own_error(self, sig, bad, message):
+        e3 = Multivector.basis_vector(sig, 3)
+        if bad == "non-vector":
+            row = (Multivector.vector(sig, [0.6, 0.0, 0.8])
+                   + 1e-9 * Multivector.blade(sig, 0b011)).coeffs
+        else:
+            row = Multivector.vector(sig, bad).coeffs
+        with pytest.raises(ValueError, match=message) as alone:
+            rotor_from_vectors(e3, Multivector(sig, row))
+        good = self.targets(sig, 3)
+        for at in (0, 2, len(good)):
+            stack = Multivector._wrap(sig, np.insert(good, at, row, axis=0))
+            with pytest.raises(ValueError) as stacked:
+                rotor_from_vectors(e3, stack)
+            assert str(stacked.value) == str(alone.value)
