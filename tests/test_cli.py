@@ -270,6 +270,10 @@ class TestOverflowingSweep:
         # the bilayer upper band passes the largest float at the last row
         ("--model", "bilayer", "--gamma1", "1e308", "--bias-u", "0.3", "--kmin", "0",
          "--kmax", "1.7e308"),
+        # k alphaR overflows at finite sweep values: the qw energies are -inf and +inf
+        ("--model", "qw", "--alpha", "1e300", "--kmin", "0", "--kmax", "1e10"),
+        # the atoms bands pass the largest float at a finite Gamma
+        ("--model", "atoms", "--omega", "1.7e308", "--kmin", "0", "--kmax", "1.7e308"),
         # |d| = hypot(gamma1, U) overflows in the bilayer spectrum
         ("--model", "bilayer", "--gamma1", "1.7e308", "--bias-u", "1.7e308", "--kmin", "0",
          "--kmax", "1"),
