@@ -55,10 +55,8 @@ __all__ = [
 #: whose reduced |h| is at most this fraction of H's scale is a crossing.
 DEGENERACY_TOL = 1e-10
 
-_E1_30 = Multivector.basis_vector(CL30, 1)
-_E2_30 = Multivector.basis_vector(CL30, 2)
 _E3_30 = Multivector.basis_vector(CL30, 3)
-_E12_30 = _E1_30 * _E2_30
+_E12_30 = Multivector.blade(CL30, 0b011)
 
 _E2_31 = Multivector.basis_vector(CL31, 2)
 _E3_31 = Multivector.basis_vector(CL31, 3)
@@ -151,7 +149,10 @@ class EigenSolution:
 
 
 def _k_vector(kx: float, ky: float) -> Multivector:
-    return kx * _E1_30 + ky * _E2_30
+    # kx e1 + ky e2 in one numpy call.  The signs of k's zero coefficients
+    # reach no result: every product k enters sums its terms from +0.0, or
+    # adds + 0.0 to a gather
+    return Multivector._wrap(CL30, np.array([0.0, kx, ky, 0.0, 0.0, 0.0, 0.0, 0.0]))
 
 
 def _eigenpair(h, energies, psi: Multivector, targets, labels) -> list[EigenSolution]:
@@ -516,7 +517,7 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
     + eta U e3 psi e3 in Cl(3,1)."""
     if psi.algebra != "cl31":
         raise ValueError("bilayer model lives in Cl(3,1)")
-    k = Multivector.vector(CL31, [params.kx, params.ky, 0.0, 0.0])
+    k = Multivector._wrap(CL31, np.array([0.0, params.kx, params.ky] + [0.0] * 13))
     eta = float(params.eta)
     kin = eta * (k * psi.mv * _I31)
     coupling = -params.gamma1 * (_E2_31 * spatial_parts(psi.mv)[1])

@@ -129,9 +129,14 @@ def jacobi_eigh(a, vectors: bool = False):
     # eigenvector columns, stored as rows of v^T
     vt = np.eye(n).tolist() if vectors else None
     for _ in range(100):
-        off = math.sqrt(sum((abs(x) / scale) ** 2 for i, row in enumerate(rows)
-                            for j, x in enumerate(row) if i != j))
-        if off <= 1e-14 * n:
+        # summed left to right from 0.0: builtin sum compensates from
+        # Python 3.12 on, and the stop, so the bits, would follow it
+        off = 0.0
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                if i != j:
+                    off += (abs(x) / scale) ** 2
+        if math.sqrt(off) <= 1e-14 * n:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

@@ -25,6 +25,11 @@ __all__ = [
 #: unit vectors closer than this to antiparallel have no unique rotation plane
 ANTIPARALLEL_TOL = 1e-10
 
+#: the scalar 1 as coefficients, cut to each algebra's dim: 1 + b a with the
+#: bits of ``Multivector.__add__``, which folds -0.0 in the same way
+_ONE = np.eye(1, 256)[0]
+_ONE.flags.writeable = False
+
 
 class Rotor:
     """A validated rotor: even multivector R with R * reverse(R) = 1, or a
@@ -49,15 +54,23 @@ def is_rotor(m: Multivector) -> bool:
     return (n - 1.0).norm() <= TOL * m.sig.dim
 
 
-def _check_unit_vector(v: Multivector, name: str) -> float:
-    """Reject v unless it is a vector, unit to TOL; return v v."""
-    if v.grades_present(TOL) - {1}:
+def _check_unit_vector(v: Multivector, name: str) -> tuple[float, bool]:
+    """Reject v unless it is a vector, unit to TOL; return v v and whether v
+    has parts outside grade 1, all below TOL."""
+    t, blade = v.sig.tables, v._blade
+    if blade:  # +-e_m: the grade and the square of its mask m
+        impure, spill = t["grades"][blade.mask] != 1, False
+    else:
+        outside = np.abs(v.coeffs[~t["grade_masks"][1]])
+        impure, spill = (outside > TOL).any(), (outside > 0.0).any()
+    if impure:
         raise ValueError(f"{name} must be a pure vector")
     # v v = sum of c_m^2 e_m e_m: a metric-weighted dot, no product needed
-    square = float((v.coeffs * v.coeffs) @ v.sig.tables["square_sign"])
+    square = float(t["square_sign"][blade.mask] if blade
+                   else (v.coeffs * v.coeffs) @ t["square_sign"])
     if abs(square - 1.0) > TOL:
         raise ValueError(f"{name} must be a unit vector")
-    return square
+    return square, spill
 
 
 def rotor_from_reflections(m: Multivector, n: Multivector) -> Rotor:
@@ -89,31 +102,33 @@ def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
     of their rotors, one numpy call per step for every row, row i with the
     bits and the checks of the call on row i alone.  The first row that
     fails a check raises that call's error."""
-    a2 = _check_unit_vector(a, "a")
-    rotor = object.__new__(Rotor)
+    a2, spill = _check_unit_vector(a, "a")
+    # parts outside grade 1, all below TOL, would make R odd
+    a1 = a.grade(1) if spill else a
+    sig, rotor = a.sig, object.__new__(Rotor)
     if b.coeffs.ndim == 1:
-        b2 = _check_unit_vector(b, "b")
-        # parts outside grade 1, all below TOL, would make R odd
-        a, b = (v if v.grades_present() <= {1} else v.grade(1) for v in (a, b))
-        cos_theta = (a | b).scalar_part()
+        b2, spill = _check_unit_vector(b, "b")
+        # a.b is the scalar part of b a: the same terms, summed in the same
+        # order as in a | b
+        ba = (b.grade(1) if spill else b) * a1
+        cos_theta = ba.scalar_part()
         if cos_theta < -1.0 + ANTIPARALLEL_TOL:
             raise ValueError("rotation plane undefined for antiparallel vectors")
-        value = (1.0 + b * a) / math.sqrt(2.0 * (1.0 + cos_theta))
+        rotor.value = Multivector._wrap(
+            sig, (ba.coeffs + _ONE[:sig.dim]) / math.sqrt(2.0 * (1.0 + cos_theta)))
         # written so that NaN fails it
-        if not abs(a2 * b2 - 1.0) <= TOL * a.sig.dim * 2.0 * (1.0 + cos_theta):
-            raise ValueError(f"not a rotor: {value}")
-        rotor.value = value
+        if not abs(a2 * b2 - 1.0) <= TOL * sig.dim * 2.0 * (1.0 + cos_theta):
+            raise ValueError(f"not a rotor: {rotor.value}")
         return rotor
     # a stack: each check as above, on the floats of each row, and each
     # step in one numpy call over every row
-    sig, rows = b.sig, b.coeffs
-    vector = sig.tables["grade_masks"][1]
-    outside = np.abs(rows[:, ~vector])
-    a1 = a if a.grades_present() <= {1} else a.grade(1)
-    spill = (outside > 0.0).any(axis=1)
-    if spill.any():
-        b = Multivector._wrap(sig, np.where(vector | ~spill[:, None], rows, 0.0))
-    cos_theta = (a1 | b).coeffs[:, 0].tolist()
+    rows = b.coeffs
+    outside = np.abs(rows[:, ~sig.tables["grade_masks"][1]])
+    # every row projected onto grade 1: on a row that passes its checks this
+    # drops parts below TOL, as the call on that row alone does, or zeros,
+    # whose signs reach no product (its sums start at +0.0)
+    ba = b.grade(1) * a1
+    cos_theta = ba.coeffs[:, 0].tolist()
     # one dot per row: a matrix-vector product sums in another order
     checks = zip((outside > TOL).any(axis=1).tolist(), rows * rows, cos_theta)
     for i, (impure, square, cos) in enumerate(checks):
@@ -123,7 +138,7 @@ def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
             # the call on this row alone raises its error
             rotor_from_vectors(a, Multivector._wrap(sig, rows[i]))
     denominator = np.array([math.sqrt(2.0 * (1.0 + cos)) for cos in cos_theta])
-    rotor.value = Multivector._wrap(sig, (1.0 + b * a1).coeffs / denominator[:, None])
+    rotor.value = Multivector._wrap(sig, (ba.coeffs + _ONE[:sig.dim]) / denominator[:, None])
     return rotor
 
 

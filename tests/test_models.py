@@ -11,7 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotoreig import cli, models
-from rotoreig.algebra import CL30, CL31, Multivector, pseudoscalar, spatial_inversion
+from rotoreig.algebra import (
+    CL30,
+    CL31,
+    Multivector,
+    pseudoscalar,
+    spatial_inversion,
+    spatial_parts,
+)
 from rotoreig.models import (
     DEGENERACY_TOL,
     MODELS,
@@ -747,6 +754,68 @@ class TestBilayer:
             if not s.degenerate:
                 assert np.linalg.norm(s.target_vector) == pytest.approx(1.0, abs=1e-15)
                 assert np.all(np.isfinite(s.spinor.coeff_vector()))
+
+
+#: k components: signed zeros, subnormal, tiny and huge values
+k_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+spinor_coeffs = st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=16, max_size=16)
+
+
+def h_outcome(build):
+    """The bytes of the spinor build() returns, or its ValueError's message."""
+    try:
+        with np.errstate(all="ignore"):  # k^2 overflows at k = 1e300
+            return build().mv.coeffs.tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+class TestKVectorInOneCall:
+    """k is built in one numpy call, not as kx e1 + ky e2 from blades, whose
+    zeros may be -0.0: the sign of a zero reaches no product, so every
+    Hamiltonian k enters keeps its bytes."""
+
+    @staticmethod
+    def blade_k(kx, ky):
+        e1, e2 = (Multivector.basis_vector(CL30, i) for i in (1, 2))
+        return kx * e1 + ky * e2
+
+    def test_only_the_signs_of_zeros_differ(self):
+        old, new = self.blade_k(-1.0, -2.0).coeffs, models._k_vector(-1.0, -2.0).coeffs
+        assert np.array_equal(old, new) and old.tobytes() != new.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(k_value, k_value, st.floats(-3.0, 3.0, allow_nan=False), spinor_coeffs)
+    def test_cl30_hamiltonians_keep_their_bytes(self, kx, ky, alphaR, coeffs):
+        e3, e12 = Multivector.basis_vector(CL30, 3), Multivector.blade(CL30, 0b011)
+        k = self.blade_k(kx, ky)
+        rows = [Spinor.from_coeff_vector("cl30", coeffs[i:i + 4]).mv.coeffs for i in (0, 4)]
+        for psi in (Spinor(Multivector.scalar(CL30, 1.0)), Spinor(Multivector(CL30, rows[0])),
+                    Spinor(Multivector._wrap(CL30, np.array(rows)))):
+            assert h_outcome(lambda: h_monolayer(psi, kx, ky)) == h_outcome(
+                lambda: Spinor(k * psi.mv * e3))
+            assert h_outcome(lambda: h_qw(psi, kx, ky, alphaR)) == h_outcome(
+                lambda: Spinor(((kx * kx + ky * ky) / 2.0) * psi.mv
+                               + alphaR * (e12 * k * psi.mv * e3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(k_value, k_value, bilayer_value, bilayer_value, st.sampled_from([1, -1]),
+           spinor_coeffs)
+    def test_h_bilayer_keeps_its_bytes(self, kx, ky, gamma1, U, eta, coeffs):
+        params = ModelParams("bilayer", kx=kx, ky=ky, gamma1=gamma1, U=U, eta=eta)
+        e2, e3, i31 = Multivector.basis_vector(CL31, 2), _E3_31, pseudoscalar(CL31)
+        k = Multivector.vector(CL31, [kx, ky, 0.0, 0.0])
+        rows = [Spinor.from_coeff_vector("cl31", coeffs[i:i + 8]).mv.coeffs for i in (0, 8)]
+        for psi in (Spinor(Multivector.scalar(CL31, 1.0)), Spinor(Multivector(CL31, rows[0])),
+                    Spinor(Multivector._wrap(CL31, np.array(rows)))):
+            odd = spatial_parts(psi.mv)[1]
+            assert h_outcome(lambda: h_bilayer(psi, params)) == h_outcome(lambda: Spinor(
+                (float(eta) * (k * psi.mv * i31) + -gamma1 * (e2 * odd)
+                 + float(eta) * U * (e3 * psi.mv)) * e3))
+
 
 class TestExpectationEnergy:
     def test_eigenspinors_give_eigenvalues(self):

@@ -168,6 +168,16 @@ class TestJacobi:
             assert np.max(np.abs(np.repeat(jacobi_eigh(m), 2) - doubled)) <= 1e-13 * max(
                 1.0, np.max(np.abs(m)))
 
+    def test_stop_sum_runs_left_to_right(self):
+        # the stop test's squares are x^2, y^2, x^2, y^2, y^2, y^2: left to
+        # right from 0.0 each y^2 is lost and the norm is 3e-14 = 1e-14 n,
+        # so no sweep runs; a compensated sum (builtin sum from Python 3.12
+        # on) keeps the y^2, passes the bound and rotates x out
+        x, y = 2.1213203435596414e-14, 5e-22
+        squares = [x * x, y * y, x * x, y * y, y * y, y * y]
+        assert math.sqrt(math.fsum(squares)) > 3e-14
+        assert jacobi_eigh([[0.5, x, y], [x, 0.5, y], [y, y, 0.25]]).tolist() == [0.25, 0.5, 0.5]
+
     def test_rejects_zero_dimensional(self):
         with pytest.raises(ValueError):
             jacobi_eigh(np.float64(1.0))
@@ -404,6 +414,21 @@ class TestActionCheckOncePerAlgebra:
         assert report.passed is False
         assert report.to_json_dict()["action_equivalence"] is False
 
+    @pytest.mark.parametrize("shift, ok", [(1e-9, False), (1e-14, True)])
+    def test_a_shifted_coefficient_is_caught(self, monkeypatch, fresh_action_check, shift, ok):
+        # the action check's bound is 1e-12: a GA action off by 1e-9 in one
+        # coefficient fails it, and one off by rounding-sized 1e-14 passes
+        real = oracle.pauli_action_cl30
+
+        def shifted(i, psi):
+            out = real(i, psi)
+            return out if i != 2 else oracle.Spinor(out.mv + shift)
+
+        monkeypatch.setattr(oracle, "pauli_action_cl30", shifted)
+        report = cross_check(ModelParams("monolayer", kx=3.0, ky=4.0))
+        assert report.action_equivalence is ok
+        assert report.passed is ok
+
     def test_broken_cl31_action_fails_the_report(self, monkeypatch, fresh_action_check):
         real = oracle.ga_action_cl31
 
@@ -446,10 +471,10 @@ class TestProductCounts:
     either count must be deliberate."""
 
     POINTS = {
-        ModelParams("monolayer", kx=0.3, ky=-1.2): {"blade": 6, "dense": 5},
-        ModelParams("qw", kx=0.3, ky=1.1, alphaR=0.7): {"blade": 9, "dense": 5},
-        ModelParams("atoms", omega=3.0, Gamma=4.0): {"blade": 14, "dense": 2},
-        ModelParams("bilayer", kx=0.5, ky=0.1, gamma1=0.4, U=0.2): {"blade": 14, "dense": 8},
+        ModelParams("monolayer", kx=0.3, ky=-1.2): {"blade": 6, "dense": 3},
+        ModelParams("qw", kx=0.3, ky=1.1, alphaR=0.7): {"blade": 9, "dense": 3},
+        ModelParams("atoms", omega=3.0, Gamma=4.0): {"blade": 14, "dense": 0},
+        ModelParams("bilayer", kx=0.5, ky=0.1, gamma1=0.4, U=0.2): {"blade": 14, "dense": 7},
     }
 
     @pytest.mark.parametrize("params", list(POINTS), ids=lambda p: p.model)

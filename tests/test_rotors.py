@@ -360,3 +360,149 @@ class TestStackedRotors:
             with pytest.raises(ValueError) as stacked:
                 rotor_from_vectors(e3, stack)
             assert str(stacked.value) == str(alone.value)
+
+
+def parent_rotor(a, b):
+    """rotor_from_vectors on one b as it was built with a.b from a | b: the
+    reference whose bytes, and whose errors, the call must keep."""
+    squares = []
+    for v, name in ((a, "a"), (b, "b")):
+        if v.grades_present(TOL) - {1}:
+            raise ValueError(f"{name} must be a pure vector")
+        squares.append(float((v.coeffs * v.coeffs) @ v.sig.tables["square_sign"]))
+        if abs(squares[-1] - 1.0) > TOL:
+            raise ValueError(f"{name} must be a unit vector")
+    a, b = (v if v.grades_present() <= {1} else v.grade(1) for v in (a, b))
+    cos_theta = (a | b).scalar_part()
+    if cos_theta < -1.0 + rotors.ANTIPARALLEL_TOL:
+        raise ValueError("rotation plane undefined for antiparallel vectors")
+    value = (1.0 + b * a) / math.sqrt(2.0 * (1.0 + cos_theta))
+    if not abs(squares[0] * squares[1] - 1.0) <= TOL * a.sig.dim * 2.0 * (1.0 + cos_theta):
+        raise ValueError(f"not a rotor: {value}")
+    return value
+
+
+def outcome(build):
+    """The bytes that build() returns, or the message of its ValueError."""
+    try:
+        return build().coeffs.tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+tiny = st.floats(-9e-13, 9e-13, allow_nan=False)
+direction = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3).map(unit)
+
+
+@st.composite
+def rotor_a(draw, sig):
+    """e3 marked as a blade, e3 unmarked, or a general unit vector a."""
+    kind = draw(st.sampled_from(["marked", "unmarked", "general", "bad"]))
+    if kind == "marked":
+        return Multivector.basis_vector(sig, 3)
+    if kind == "unmarked":
+        return Multivector.vector(sig, [0.0, 0.0, 1.0])
+    a = Multivector.vector(sig, draw(direction))
+    if kind == "bad":  # non-unit or not a pure vector
+        return draw(st.sampled_from([a * (1.0 + 1e-9), a + 1e-9 * Multivector.blade(sig, 3)]))
+    return a
+
+
+@st.composite
+def rotor_b(draw, sig, a):
+    """A target row for a: random, below the e1e2 plane, at a gap 1 + a.b
+    down to 1.2e-10, with signed zeros, NaN, non-unit, non-vector or
+    antiparallel; unit only to TOL and with parts below TOL outside grade 1
+    at random."""
+    kind = draw(st.sampled_from(["random", "below", "gap", "zeros", "nan", "bad"]))
+    ahat = unit(a.vector_coords()[:3])
+    if kind in ("random", "below"):
+        v = draw(direction)
+        if kind == "below":
+            v[2] = -abs(v[2])
+    elif kind == "gap":
+        gap = draw(st.sampled_from([1.3, 1e-2, 1e-4, 1e-6, 1e-8, 1e-9, 3e-10, 1.2e-10]))
+        theta, phi = math.acos(gap - 1.0), draw(st.floats(-math.pi, math.pi))
+        u = unit(np.cross(ahat, [math.cos(phi), math.sin(phi), 0.3]))
+        v = math.cos(theta) * ahat + math.sin(theta) * u
+    elif kind == "zeros":
+        base = draw(st.sampled_from([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                     (0.6, 0.0, 0.8), (0.0, 0.6, 0.8), (0.8, 0.6, 0.0)]))
+        v = np.array(base) * draw(st.tuples(*[st.sampled_from([1.0, -1.0])] * 3))
+    elif kind == "nan":  # on any blade, in grade 1 or not
+        v = np.array([1.0, 0.0, 0.0])
+    else:
+        v = draw(st.sampled_from([np.array([0.6, 0.0, 0.8 + 1e-9]), -ahat]))
+    row = Multivector.vector(sig, v).coeffs
+    if kind == "nan":
+        row[draw(st.integers(0, sig.dim - 1))] = math.nan
+    if draw(st.booleans()):
+        row = row * math.sqrt(1.0 + draw(tiny))
+    if draw(st.booleans()):
+        mask = draw(st.sampled_from([m for m in range(sig.dim) if bin(m).count("1") != 1]))
+        row = row + draw(st.one_of(tiny, st.just(1e-9))) * Multivector.blade(sig, mask).coeffs
+    return row
+
+
+@st.composite
+def rotor_inputs(draw):
+    sig = draw(st.sampled_from([CL30, CL31]))
+    a = draw(rotor_a(sig))
+    return sig, a, draw(st.lists(rotor_b(sig, a), min_size=1, max_size=5))
+
+
+class TestOneProductPerCall:
+    """rotor_from_vectors reads a.b off the scalar part of b a and checks a
+    marked unit blade from its mask: every input keeps the bytes, and every
+    bad input the error, of the construction with a | b."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(rotor_inputs())
+    def test_single_and_stacked_calls_keep_the_bytes(self, inputs):
+        sig, a, rows = inputs
+        expected = []
+        for row in rows:
+            b = Multivector(sig, row)
+            expected.append(outcome(lambda: parent_rotor(a, b)))
+            assert outcome(lambda: rotor_from_vectors(a, b).value) == expected[-1]
+        # a stack gives each row its bytes, or the first bad row's error
+        errors = [e for e in expected if isinstance(e, str)]
+        stack = Multivector._wrap(sig, np.array(rows))
+        stacked = outcome(lambda: rotor_from_vectors(a, stack).value)
+        if errors:
+            assert stacked == errors[0]
+        else:
+            assert stacked == b"".join(expected)
+
+    @pytest.mark.parametrize("sig, index", [(CL30, i) for i in (1, 2, 3)]
+                             + [(CL31, i) for i in (1, 2, 3, 4)])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_marked_blades_as_b(self, sig, index, sign):
+        b = Multivector.basis_vector(sig, index)
+        b = b if sign > 0 else -b
+        assert b._blade
+        for a in (Multivector.basis_vector(sig, 3), Multivector.vector(sig, unit([3, -4, 5]))):
+            expected = outcome(lambda: parent_rotor(a, b))
+            assert outcome(lambda: rotor_from_vectors(a, b).value) == expected
+
+    @pytest.mark.parametrize("mask, message", [
+        (0b1000, "a must be a unit vector"),  # e4 e4 = -1
+        (0b0011, "a must be a pure vector"),  # e12
+        (0b0000, "a must be a pure vector"),  # the scalar 1
+    ])
+    def test_marked_a_raises_as_its_unmarked_copy(self, mask, message):
+        marked = Multivector.blade(CL31, mask)
+        unmarked = Multivector(CL31, marked.coeffs.copy())
+        assert marked._blade and not unmarked._blade
+        b = Multivector.basis_vector(CL31, 1)
+        for a in (marked, unmarked, -marked):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                rotor_from_vectors(a, b)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                rotor_from_vectors(a, Multivector._wrap(CL31, np.array([b.coeffs])))
