@@ -33,24 +33,16 @@ __all__ = [
     "blade_grade",
     "blade_indices",
     "blade_str",
-    "geometric_product",
-    "outer_product",
-    "inner_product",
     "reverse",
-    "grade_project",
     "pseudoscalar",
     "spatial_inversion",
     "spatial_parts",
     "dagger",
-    "versor_inverse",
     "canonical_order",
 ]
 
 #: default comparison tolerance for unit-magnitude quantities
 TOL = 1e-12
-
-#: relative threshold below which a versor norm counts as degenerate
-VERSOR_NORM_EPS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -373,18 +365,6 @@ class Multivector:
             "coeffs": [float(self.coeffs[m]) for m in order],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Multivector":
-        sig = Signature(int(d["signature"][0]), int(d["signature"][1]))
-        order = canonical_order(sig)
-        vals = d["coeffs"]
-        if len(vals) != sig.dim:
-            raise ValueError("coefficient count does not match signature")
-        c = np.zeros(sig.dim)
-        for m, v in zip(order, vals):
-            c[m] = float(v)
-        return cls(sig, c)
-
 
 def _signed_blade(sig: Signature, coeffs: np.ndarray, mask: int) -> Multivector:
     """The multivector coeffs = +-e_mask, marked as that signed blade."""
@@ -443,24 +423,8 @@ def canonical_order(sig: Signature) -> list[int]:
 # ---- module-level operations -----------------------------------------
 
 
-def geometric_product(a: Multivector, b: Multivector) -> Multivector:
-    return a * b
-
-
-def outer_product(a: Multivector, b: Multivector) -> Multivector:
-    return a ^ b
-
-
-def inner_product(a: Multivector, b: Multivector) -> Multivector:
-    return a | b
-
-
 def reverse(m: Multivector) -> Multivector:
     return ~m
-
-
-def grade_project(m: Multivector, k: int) -> Multivector:
-    return m.grade(k)
 
 
 def pseudoscalar(sig: Signature) -> Multivector:
@@ -489,20 +453,6 @@ def spatial_parts(m: Multivector) -> tuple[Multivector, Multivector]:
 def dagger(m: Multivector) -> Multivector:
     """Combined reversion and spatial inversion (Cl(3,1) only)."""
     return spatial_inversion(~m)
-
-
-def versor_inverse(v: Multivector) -> Multivector:
-    """Inverse of a versor via its reverse; rejects null or non-versor input."""
-    vt = ~v
-    n = v * vt
-    n0 = n.scalar_part()
-    scale = max(v.norm() ** 2, 1.0)
-    nonscalar = (n - Multivector.scalar(v.sig, n0)).norm()
-    if nonscalar > TOL * max(abs(n0), 1.0):
-        raise ValueError("input is not a versor: V*reverse(V) is not scalar")
-    if abs(n0) < VERSOR_NORM_EPS * scale:
-        raise ValueError("degenerate (null) versor has no inverse")
-    return vt / n0
 
 
 CL30 = Signature(3, 0)

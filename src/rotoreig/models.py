@@ -34,7 +34,6 @@ __all__ = [
     "h_monolayer",
     "solve_monolayer",
     "pseudospin_average",
-    "spin_average",
     "h_qw",
     "solve_qw",
     "h_two_atoms",
@@ -452,10 +451,6 @@ def pseudospin_average(psi: Spinor) -> np.ndarray:
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("spinor must satisfy psi ~psi = 1")
     return (psi.mv * _E3_30 * ~psi.mv).vector_coords()
-
-
-#: spin average of the quantum-well model; same construction as pseudospin
-spin_average = pseudospin_average
 
 
 # ---------------------------------------------------------------------

@@ -8,13 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    TOL,
     CL30,
     Multivector,
     Signature,
     blade_indices,
     pseudoscalar,
-    versor_inverse,
 )
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "determinant",
     "secular_cubic",
     "real_cubic_roots",
-    "eigenblade_residual",
 ]
 
 
@@ -90,9 +87,9 @@ def apply_outermorphism(f: VectorMap, a: Multivector) -> Multivector:
 
 
 def determinant(f: VectorMap) -> float:
-    """det(F) from the image of the pseudoscalar: F(I) = det(F) I."""
-    i = pseudoscalar(f.sig)
-    return (apply_outermorphism(f, i) * versor_inverse(i)).scalar_part()
+    """det(F), the pseudoscalar coefficient of F(I) = det(F) I; +-inf where
+    F(I) overflows, as for ``np.linalg.det``."""
+    return float(apply_outermorphism(f, pseudoscalar(f.sig)).coeffs[-1])
 
 
 def secular_cubic(f: VectorMap) -> tuple[float, float, float]:
@@ -137,9 +134,3 @@ def real_cubic_roots(a2: float, a1: float, a0: float) -> list[float]:
     u = np.cbrt(-q / 2.0 + np.sqrt(q * q / 4.0 + p ** 3 / 27.0))
     v = 0.0 if u == 0.0 else -p / (3.0 * u)
     return [float(u + v + shift)]
-
-
-def eigenblade_residual(f: VectorMap, a: Multivector, lam: float) -> float:
-    """Coefficient norm of F(A) - lambda A; zero iff (A, lambda) is an
-    eigenblade pair of the outermorphism."""
-    return (apply_outermorphism(f, a) - lam * a).norm()

@@ -1,4 +1,4 @@
-"""Rotor construction, validation, application and composition.
+"""Rotor construction, validation and application.
 
 Sign convention: ``rotor_from_vectors(a, b)`` returns R = (1 + b a)/|a + b|,
 which satisfies R a ~R = b under the two-sided rotation used throughout.
@@ -14,11 +14,9 @@ from .algebra import TOL, Multivector
 
 __all__ = [
     "Rotor",
-    "rotor_from_reflections",
     "rotor_exp",
     "rotor_from_vectors",
     "rotate",
-    "compose",
     "is_rotor",
 ]
 
@@ -71,13 +69,6 @@ def _check_unit_vector(v: Multivector, name: str) -> tuple[float, bool]:
     if abs(square - 1.0) > TOL:
         raise ValueError(f"{name} must be a unit vector")
     return square, spill
-
-
-def rotor_from_reflections(m: Multivector, n: Multivector) -> Rotor:
-    """Rotor from two reflections in planes perpendicular to unit m and n."""
-    _check_unit_vector(m, "m")
-    _check_unit_vector(n, "n")
-    return Rotor(m * n)
 
 
 def rotor_exp(b: Multivector, theta: float) -> Rotor:
@@ -145,13 +136,3 @@ def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
 def rotate(r: Rotor, m: Multivector) -> Multivector:
     """Two-sided rotation R M reverse(R); grade- and norm-preserving."""
     return r.value * m * ~r.value
-
-
-def compose(r2: Rotor, r1: Rotor) -> Multivector:
-    """Composite transformation R2 R1.
-
-    The result always satisfies V * reverse(V) = 1 but need not be a rotor
-    (the factors may act in nonintersecting subspaces), so it is returned as
-    a plain multivector; wrap in Rotor when validity is known.
-    """
-    return r2.value * r1.value

@@ -22,7 +22,6 @@ from .algebra import (
     blade_indices,
     dagger,
     pseudoscalar,
-    spatial_parts,
 )
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "ga_action_cl31",
     "cl31_matrix_rep",
     "pauli_matrix",
-    "even_odd_split",
-    "inner_product_bracket",
     "CL30_SPINOR_MASKS",
     "CL31_SPINOR_MASKS",
 ]
@@ -294,24 +291,3 @@ def ga_action_cl31(kind: str, psi: Spinor, i: int = 0, j: int = 0) -> Spinor:
         e34 = Multivector.basis_vector(CL31, 3) * Multivector.basis_vector(CL31, 4)
         return Spinor(i_ps * psi.mv * e34)
     raise ValueError(f"unknown action kind {kind!r}")
-
-
-# ---- splitting and brackets -------------------------------------------
-
-
-def even_odd_split(psi: Spinor) -> tuple[Spinor, Spinor]:
-    """Split a Cl(3,1) spinor into inversion-even and inversion-odd parts."""
-    if psi.algebra != "cl31":
-        raise ValueError("even/odd split is defined for cl31 spinors")
-    even, odd = spatial_parts(psi.mv)
-    return Spinor(even), Spinor(odd)
-
-
-def inner_product_bracket(phi: Spinor, psi: Spinor) -> tuple[float, float]:
-    """(real, imaginary) parts of the Hilbert inner product <phi|psi>,
-    computed as (<dagger(phi) psi>, -<dagger(phi) psi e12>)."""
-    if phi.algebra != "cl31" or psi.algebra != "cl31":
-        raise ValueError("bracket is defined for cl31 spinors")
-    prod = dagger(phi.mv) * psi.mv
-    e12 = Multivector.blade(CL31, 0b0011)
-    return (prod.scalar_part(), -(prod * e12).scalar_part())

@@ -39,10 +39,9 @@ from rotoreig.models import (
     solve_monolayer,
     solve_qw,
     solve_two_atoms,
-    spin_average,
 )
 from rotoreig.rotors import rotor_from_vectors
-from rotoreig.spinors import Spinor, even_odd_split
+from rotoreig.spinors import Spinor
 
 
 def mv30(coeffs_by_mask):
@@ -155,15 +154,15 @@ class TestQuantumWell:
     def test_spin_perpendicular_to_k(self):
         kx, ky, alpha = 0.8, -0.6, 0.3
         for s in solve_qw(kx, ky, alpha):
-            avg = spin_average(s.spinor)
+            avg = pseudospin_average(s.spinor)
             assert abs(kx * avg[0] + ky * avg[1]) <= 1e-12
             assert abs(avg[2]) <= 1e-12
 
     def test_spin_directions(self):
         # at k along e2 (phi = pi/2): <s+-> = +-(sin(phi) e1 - cos(phi) e2) = +-e1
         lower, upper = solve_qw(0.0, 1.0, 0.1)
-        assert spin_average(upper.spinor) == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
-        assert spin_average(lower.spinor) == pytest.approx([-1.0, 0.0, 0.0], abs=1e-12)
+        assert pseudospin_average(upper.spinor) == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+        assert pseudospin_average(lower.spinor) == pytest.approx([-1.0, 0.0, 0.0], abs=1e-12)
 
     def test_zero_coupling_degenerate(self):
         sols = solve_qw(1.0, 0.0, 0.0)
@@ -283,7 +282,7 @@ def cl31_h(a, c, d, c_odd=None, shift=0.0):
     vc_odd = vc if c_odd is None else Multivector.vector(CL31, c_odd)
 
     def h(psi):
-        even, odd = (part.mv for part in even_odd_split(psi))
+        even, odd = spatial_parts(psi.mv)
         minus = -(_I_31 * odd)  # phi-, as I^2 = -1
         return Spinor(va * even * _E3_31 + _I_31 * (vc * even * _E3_31)
                       + vc_odd * minus * _E3_31 + _I_31 * (vd * minus * _E3_31)
@@ -427,8 +426,8 @@ class TestTwoAtoms:
         for s in solve_two_atoms(omega, gamma):
             if not s.band_label.startswith("odd"):
                 continue
-            even, odd = even_odd_split(s.spinor)
-            assert even.mv.norm() <= 1e-14
+            even, odd = spatial_parts(s.spinor.mv)
+            assert even.norm() <= 1e-14
             # carrier target flips against the energy sign
             expected = -np.sign(s.energy) * ahat
             assert s.target_vector == pytest.approx(list(expected))
@@ -492,7 +491,7 @@ bilayer_value = st.one_of(
 
 def even_target(psi: Spinor) -> np.ndarray:
     """psi+ e3 ~psi+ / |psi+|^2 of the inversion-even part psi+."""
-    even = even_odd_split(psi)[0].mv
+    even = spatial_parts(psi.mv)[0]
     return (even * _E3_31 * ~even).vector_coords() / (even * ~even).scalar_part()
 
 

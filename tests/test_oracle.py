@@ -376,6 +376,34 @@ class TestCrossCheck:
         assert len(doc["rotor_energies"]) == len(doc["oracle_energies"]) == 2
 
 
+#: the oracle's textbook matrix of each 4-band model, at a parameter point
+_MATRICES_4 = {
+    "atoms": lambda p: matrix_two_atoms(p.omega, p.Gamma),
+    "bilayer": lambda p: matrix_bilayer(p.kx, p.ky, p.U, p.gamma1, p.eta),
+}
+
+
+class TestMatrixInvariants:
+    """The rotor solver's quartic E^4 - B E^2 + C = 0 is det(M - E) = 0: its
+    roots +-E+, +-E- meet the invariants of the oracle's matrix M, which the
+    test takes with numpy, sharing no code with the solver."""
+
+    @pytest.mark.parametrize("model", list(_MATRICES_4))
+    def test_verify_draws_meet_trace_and_determinant(self, model):
+        # verify's draws: one generator over the models, in MODELS' order
+        rng = random.Random(42)
+        draws = {name: [cli._draw_params(name, rng) for _ in range(1000)] for name in MODELS}
+        for params in draws[model]:
+            low_minus, high_minus, high_plus, low_plus = sorted(
+                s.energy for s in models.solve(params))
+            assert (low_minus, high_minus) == (-low_plus, -high_plus)
+            m = _MATRICES_4[model](params)
+            b = np.trace(m @ m).real / 2.0  # sum of the squared levels over 2
+            # bounds relative to B and B^2: both hold to 1e-15 on these draws
+            assert abs(low_plus ** 2 + high_plus ** 2 - b) <= 1e-14 * b
+            assert abs(low_plus ** 2 * high_plus ** 2 - np.linalg.det(m).real) <= 1e-14 * b * b
+
+
 class TestReportSignedZeros:
     @pytest.mark.parametrize("gamma", [0.0, -0.0])
     def test_energies_fold_negative_zero(self, gamma):

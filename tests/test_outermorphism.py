@@ -11,7 +11,6 @@ from rotoreig.outermorphism import (
     apply_outermorphism,
     apply_vector,
     determinant,
-    eigenblade_residual,
     real_cubic_roots,
     secular_cubic,
 )
@@ -70,11 +69,11 @@ class TestOutermorphism:
 
     def test_swap_eigenbivector(self):
         assert apply_outermorphism(SWAP12, e(1, 2)).approx_eq(-1.0 * e(1, 2))
-        assert eigenblade_residual(SWAP12, e(1, 2), -1.0) <= 1e-15
+        assert (apply_outermorphism(SWAP12, e(1, 2)) + e(1, 2)).norm() <= 1e-15
 
     def test_diagonal_trivector_scale(self):
         assert apply_outermorphism(DIAG231, e(1, 2, 3)).approx_eq(6.0 * e(1, 2, 3))
-        assert eigenblade_residual(DIAG231, e(1, 2), 6.0) <= 1e-15
+        assert (apply_outermorphism(DIAG231, e(1, 2)) - 6.0 * e(1, 2)).norm() <= 1e-15
 
     def test_scalar_passthrough(self):
         m = Multivector.scalar(CL30, 2.5)
@@ -123,6 +122,32 @@ class TestDeterminant:
             mat = rng.standard_normal((3, 3))
             f = VectorMap.from_matrix(CL30, mat)
             assert determinant(f) == pytest.approx(np.linalg.det(mat), abs=1e-10)
+
+    def test_overflowing_image_is_infinite(self):
+        # F(I) = det(F) I overflows to +-inf, as np.linalg.det does; the
+        # product F(I) I^-1 put inf * 0 = NaN into its scalar part
+        for diag, expected in (([1e200] * 3, math.inf), ([1e200, -1e200, 1e200], -math.inf)):
+            f = VectorMap.from_matrix(CL30, np.diag(diag))
+            # the wedge of the images overflows, and inf * 0 leaves NaN on
+            # blades other than I
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert determinant(f) == expected == np.linalg.det(np.diag(diag))
+
+    def test_bits_of_the_product_with_the_inverse_pseudoscalar(self):
+        # F(I) I^-1 with I^-1 = ~I / (I ~I), the earlier formula: wherever it
+        # is finite, the pseudoscalar coefficient of F(I) has the same bits
+        rng = np.random.default_rng(25)
+        for sig in (CL30, CL31):
+            i = pseudoscalar(sig)
+            i_inv = ~i / (i * ~i).scalar_part()
+            for _ in range(500):
+                mat = rng.standard_normal((sig.n, sig.n)) * 10.0 ** rng.uniform(
+                    -100, 100, (sig.n, sig.n))
+                f = VectorMap.from_matrix(sig, mat)
+                with np.errstate(all="ignore"):
+                    product = (apply_outermorphism(f, i) * i_inv).scalar_part()
+                if math.isfinite(product):
+                    assert np.float64(determinant(f)).tobytes() == np.float64(product).tobytes()
 
 
 class TestSecularCubic:

@@ -11,11 +11,9 @@ from rotoreig import rotors
 from rotoreig.algebra import CL30, CL31, TOL, Multivector, pseudoscalar
 from rotoreig.rotors import (
     Rotor,
-    compose,
     is_rotor,
     rotate,
     rotor_exp,
-    rotor_from_reflections,
     rotor_from_vectors,
 )
 
@@ -36,22 +34,6 @@ def random_unit_vector(rng):
 
 
 class TestConstruction:
-    def test_reflections_identity(self):
-        assert rotor_from_reflections(E1, E1).value.approx_eq(ONE)
-
-    def test_reflections_orthogonal(self):
-        assert rotor_from_reflections(E1, E2).value.approx_eq(E12)
-
-    def test_reflections_half_angle(self):
-        n = (E1 + E2) / math.sqrt(2.0)
-        r = rotor_from_reflections(E1, n)
-        assert r.value.approx_eq((ONE + E12) / math.sqrt(2.0))
-        assert (r.value * ~r.value).approx_eq(ONE)
-
-    def test_reflections_reject_non_unit(self):
-        with pytest.raises(ValueError):
-            rotor_from_reflections(2.0 * E1, E2)
-
     def test_exp_zero_angle(self):
         assert rotor_exp(E12, 0.0).value.approx_eq(ONE)
 
@@ -171,16 +153,16 @@ class TestRotate:
 class TestCompose:
     def test_left_identity(self):
         r = rotor_exp(E12, 0.8)
-        assert compose(Rotor(ONE), r).approx_eq(r.value)
+        assert (ONE * r.value).approx_eq(r.value)
 
     def test_same_plane_additivity(self):
-        lhs = compose(rotor_exp(E12, 0.4), rotor_exp(E12, 1.1))
+        lhs = rotor_exp(E12, 0.4).value * rotor_exp(E12, 1.1).value
         assert lhs.approx_eq(rotor_exp(E12, 1.5).value)
 
     def test_composite_action(self):
         r1 = rotor_exp(E12, math.pi / 2)
         r2 = rotor_exp(E23, math.pi / 2)
-        comp = Rotor(compose(r2, r1))
+        comp = Rotor(r2.value * r1.value)
         rng = np.random.default_rng(8)
         for _ in range(20):
             v = Multivector.vector(CL30, rng.standard_normal(3))

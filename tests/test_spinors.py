@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotoreig.algebra import CL30, CL31, TOL, Multivector, Signature, pseudoscalar
+from rotoreig.algebra import (
+    CL30,
+    CL31,
+    TOL,
+    Multivector,
+    Signature,
+    pseudoscalar,
+    spatial_inversion,
+    spatial_parts,
+)
 from rotoreig.spinors import (
     CL30_SPINOR_MASKS,
     CL31_SPINOR_MASKS,
@@ -15,10 +24,8 @@ from rotoreig.spinors import (
     cl31_matrix_rep,
     column_to_spinor_cl30,
     column_to_spinor_cl31,
-    even_odd_split,
     ga_action_cl31,
     imaginary_action_cl30,
-    inner_product_bracket,
     pauli_action_cl30,
     pauli_matrix,
     spinor_to_column_cl30,
@@ -237,55 +244,18 @@ class TestColumnMapsCl31:
 class TestEvenOddSplit:
     def test_examples(self):
         psi = Spinor(Multivector.scalar(CL31, 1.0) + blade31(3, 4))
-        even, odd = even_odd_split(psi)
-        assert even.mv.approx_eq(Multivector.scalar(CL31, 1.0))
-        assert odd.mv.approx_eq(blade31(3, 4))
-        even2, odd2 = even_odd_split(Spinor(blade31(2, 3)))
-        assert even2.mv.approx_eq(blade31(2, 3)) and odd2.mv.norm() == 0.0
+        even, odd = spatial_parts(psi.mv)
+        assert even.approx_eq(Multivector.scalar(CL31, 1.0))
+        assert odd.approx_eq(blade31(3, 4))
+        even2, odd2 = spatial_parts(Spinor(blade31(2, 3)).mv)
+        assert even2.approx_eq(blade31(2, 3)) and odd2.norm() == 0.0
 
     def test_inversion_parity(self):
-        from rotoreig.algebra import spatial_inversion
-
         rng = np.random.default_rng(36)
         for _ in range(30):
             psi = Spinor.from_coeff_vector("cl31", rng.standard_normal(8))
-            even, odd = even_odd_split(psi)
-            assert spatial_inversion(even.mv).approx_eq(even.mv)
-            assert spatial_inversion(odd.mv).approx_eq(-1.0 * odd.mv)
-            assert (even.mv + odd.mv).approx_eq(psi.mv)
+            even, odd = spatial_parts(psi.mv)
+            assert spatial_inversion(even).approx_eq(even)
+            assert spatial_inversion(odd).approx_eq(-1.0 * odd)
+            assert (even + odd).approx_eq(psi.mv)
 
-
-class TestBracket:
-    def test_normalized_identity(self):
-        one = Spinor(Multivector.scalar(CL31, 1.0))
-        assert inner_product_bracket(one, one) == pytest.approx((1.0, 0.0))
-
-    def test_imaginary_direction(self):
-        one = Spinor(Multivector.scalar(CL31, 1.0))
-        e12 = Spinor(blade31(1, 2))
-        # columns [1,0,0,0] and [i,0,0,0] have inner product i
-        assert inner_product_bracket(one, e12) == pytest.approx((0.0, 1.0))
-
-    def test_zero(self):
-        one = Spinor(Multivector.scalar(CL31, 1.0))
-        zero = Spinor(Multivector.zero(CL31))
-        assert inner_product_bracket(one, zero) == (0.0, 0.0)
-
-    def test_module_square(self):
-        rng = np.random.default_rng(37)
-        for _ in range(30):
-            v = rng.standard_normal(8)
-            s = Spinor.from_coeff_vector("cl31", v)
-            re, im = inner_product_bracket(s, s)
-            assert re == pytest.approx(float(np.sum(v * v)))
-            assert abs(im) <= 1e-12 * max(1.0, re)
-
-    def test_matches_complex_inner_product(self):
-        rng = np.random.default_rng(38)
-        for _ in range(50):
-            c1, c2 = random_column(rng, 4), random_column(rng, 4)
-            phi = column_to_spinor_cl31(c1)
-            psi = column_to_spinor_cl31(c2)
-            re, im = inner_product_bracket(phi, psi)
-            expected = np.vdot(c1, c2)
-            assert complex(re, im) == pytest.approx(expected)
