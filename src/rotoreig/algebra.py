@@ -358,13 +358,6 @@ class Multivector:
                 terms.append(("- " if c < 0 else "+ ") + body)
         return " ".join(terms) if terms else "0"
 
-    def to_json_dict(self) -> dict:
-        order = canonical_order(self.sig)
-        return {
-            "signature": [self.sig.p, self.sig.q],
-            "coeffs": [float(self.coeffs[m]) for m in order],
-        }
-
 
 def _signed_blade(sig: Signature, coeffs: np.ndarray, mask: int) -> Multivector:
     """The multivector coeffs = +-e_mask, marked as that signed blade."""

@@ -10,15 +10,13 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import math
 import os
-import random
 import sys
 
 import numpy as np
 
-from . import models, oracle
+from . import models
 from .models import ModelParams
 
 __all__ = ["main", "build_parser"]
@@ -145,6 +143,8 @@ def cmd_eigens(args, out) -> int:
                     rec[spec.average] = [float(v) for v in avg]
                 records.append(rec)
     except models.DegenerateError as exc:
+        import json
+
         doc["degenerate"] = True
         doc["reason"] = str(exc)
         out.write(json.dumps(doc, indent=2) + "\n")
@@ -220,6 +220,12 @@ def _draw_params(model: str, rng: random.Random) -> ModelParams:
 
 
 def cmd_verify(args, out) -> int:
+    # imported here, not at the top: `eigens` and `spectrum` never call the
+    # oracle, so their start-up does not load it
+    import random
+
+    from . import oracle
+
     if args.trials < 1:
         raise SystemExit2("--trials must be at least 1")
     if args.tol < 0.0:
@@ -252,6 +258,8 @@ def cmd_verify(args, out) -> int:
             f"tol={_fmt(args.tol)})\n"
         )
         return 0
+    import json
+
     out.write("verify: FAIL; first failing report:\n")
     out.write(json.dumps(first_failure.to_json_dict(), indent=2) + "\n")
     return 1

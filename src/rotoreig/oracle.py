@@ -233,10 +233,20 @@ _ORACLES = {
 }
 
 
-# fixed spinors used for the action-equivalence spot check
-_SPOT_RNG = np.random.RandomState(20140)
-_SPOT_COLS_2 = _SPOT_RNG.standard_normal((2, 2)) + 1j * _SPOT_RNG.standard_normal((2, 2))
-_SPOT_COLS_4 = _SPOT_RNG.standard_normal((2, 4)) + 1j * _SPOT_RNG.standard_normal((2, 4))
+#: fixed spinors used for the action-equivalence spot check: the draws
+#: ``r.standard_normal(shape) + 1j * r.standard_normal(shape)`` of
+#: ``r = np.random.RandomState(20140)``, (2, 2) then (2, 4), written out so
+#: that importing the oracle does not load numpy.random
+_SPOT_COLS_2 = np.array([
+    [0.12947947708929156-1.2174530570227722j, -0.9545009606972663-1.3635394857005236j],
+    [1.0989738001531568-0.706403679018367j, -0.1450316418275147-1.2753134695706685j],
+])
+_SPOT_COLS_4 = np.array([
+    [-0.17155494701521318-1.3834193303238678j, 0.08576137274152959-0.5180466174144859j,
+     -0.8803824485197445-0.10071687966479977j, 0.6485243158336147+0.27306036898638925j],
+    [0.1342348044079797+1.1365474446775672j, -2.3513317158104052-1.6370271312347773j,
+     -0.4745413316514824+1.0195825662399558j, 2.0947056434108866-0.9672011459616802j],
+])
 
 
 #: per algebra: the column map each way and the (GA action, matrix) pairs

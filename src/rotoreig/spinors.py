@@ -85,9 +85,11 @@ def _layout_of(key: str | Signature) -> _Layout:
 
 def _check_leak(coeffs: np.ndarray, leak: float) -> None:
     """Raise if leak, the largest coefficient outside the spinor subspace,
-    exceeds TOL of the multivector's scale."""
-    # |mv| by hypot, which cannot overflow where mv.norm() does
-    if leak != 0.0 and leak > TOL * max(1.0, math.hypot(*coeffs.tolist())):
+    is not finite or exceeds TOL of the multivector's scale."""
+    # |mv| by hypot, which cannot overflow where mv.norm() does; a NaN or
+    # infinite leak fails no comparison with it, so it is tested on its own
+    if leak != 0.0 and (not math.isfinite(leak)
+                        or leak > TOL * max(1.0, math.hypot(*coeffs.tolist()))):
         raise ValueError(f"multivector leaves the spinor subspace (leak {leak:.2e})")
 
 

@@ -256,15 +256,6 @@ class TestSerialization:
     def test_finite_coefficients_abut_their_blades(self, c):
         assert "*" not in str(Multivector(CL31, np.array(c)))
 
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(11)
-        for sig in (CL30, CL31):
-            m = Multivector(sig, rng.standard_normal(sig.dim))
-            d = m.to_json_dict()
-            assert d["signature"] == [sig.p, sig.q]
-            assert len(d["coeffs"]) == sig.dim
-            assert d["coeffs"] == [m.coeffs[mask] for mask in canonical_order(sig)]
-
     def test_canonical_order_sorted_by_grade_then_mask(self):
         order = canonical_order(CL31)
         keys = [(bin(m).count("1"), m) for m in order]

@@ -492,6 +492,15 @@ class TestActionCheckOncePerAlgebra:
         assert calls == {"cl30": 3 * len(oracle._SPOT_COLS_2),
                          "cl31": 5 * len(oracle._SPOT_COLS_4)}
 
+    def test_spot_columns_are_the_seeded_draws(self):
+        # written out so that importing the oracle does not load numpy.random,
+        # the columns stay bit for bit the RandomState(20140) draws
+        rng = np.random.RandomState(20140)
+        for cols, shape in ((oracle._SPOT_COLS_2, (2, 2)), (oracle._SPOT_COLS_4, (2, 4))):
+            ref = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert cols.dtype == ref.dtype and cols.shape == shape
+            assert cols.tobytes() == ref.tobytes()
+
 
 class TestProductCounts:
     """Exact geometric-product counts per cross_check, one fixed point per

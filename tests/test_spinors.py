@@ -64,6 +64,22 @@ class TestSpinorType:
         else:
             assert Spinor(mv).mv.coeffs.tolist() == [1.0] + [0.0] * 7
 
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_leak_raises(self, sig, bad):
+        # NaN fails every comparison with the bound and inf fails inf > TOL * inf,
+        # so neither may be zeroed away: on its own or as a row of a stack
+        masks = CL30_SPINOR_MASKS if sig == CL30 else CL31_SPINOR_MASKS
+        unit = np.zeros(sig.dim)
+        unit[0] = 1.0
+        for blade in np.setdiff1d(np.arange(sig.dim), masks):
+            row = unit.copy()
+            row[blade] = bad
+            with pytest.raises(ValueError, match="leaves the spinor subspace"):
+                Spinor(Multivector(sig, row))
+            with pytest.raises(ValueError, match="leaves the spinor subspace"):
+                Spinor(Multivector._wrap(sig, np.array([unit, row])))
+
     def test_no_spinor_subspace_outside_cl30_cl31(self):
         with pytest.raises(ValueError):
             Spinor(Multivector.scalar(Signature(2, 0), 1.0))
