@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from . import models
-from .models import ModelParams
+from . import spectra
+from .spectra import ModelParams
 
 __all__ = ["main", "build_parser"]
 
@@ -43,7 +43,7 @@ def cmd_spectrum(args, out) -> int:
         raise SystemExit2("--samples must be at least 2")
     if args.kmin > args.kmax:
         raise SystemExit2("--kmin must not exceed --kmax")
-    spec, params = models.MODELS[args.model], _point_params(args)
+    spec, params = spectra.MODELS[args.model], _point_params(args)
     n = args.samples
     # a value or energy past the largest float is caught by the check below
     with np.errstate(all="ignore"):
@@ -69,7 +69,7 @@ def cmd_spectrum(args, out) -> int:
                 + "\n")
     else:
         # the rotor construction is singular there, so no eigenspinors
-        flags = np.where(np.abs(xs) <= models.DEGENERACY_TOL, _DEGENERATE, "")
+        flags = np.where(np.abs(xs) <= spectra.DEGENERACY_TOL, _DEGENERATE, "")
         template = (f'    {{\n      "{spec.sweep}": %s,\n      "energies": [\n        '
                     + ",\n        ".join(["%s"] * (len(table) - 1)) + "\n      ]%s\n    }")
         rows = [template % row for row in zip(*columns, flags.tolist())]
@@ -130,7 +130,11 @@ def cmd_eigens(args, out) -> int:
     As in ``cmd_spectrum``, the bytes equal those of ``json.dumps(doc,
     indent=2, allow_nan=False)``; only a degenerate point, which has no
     solutions, goes through json."""
-    spec, params = models.MODELS[args.model], _point_params(args)
+    # imported here, not at the top: only `eigens` and `verify` run a rotor
+    # solve, so `spectrum` starts without the geometric algebra
+    from . import models
+
+    spec, params = spectra.MODELS[args.model], _point_params(args)
     doc = {"model": params.model, "params": params.to_json_dict()}
     try:
         # a float that overflows anywhere in the solve raises, not warns
@@ -206,10 +210,12 @@ def _point_overflow(params: ModelParams) -> SystemExit2:
                        "its energies and eigenspinors must be finite floats")
 
 
-def _draw_params(model: str, rng: random.Random) -> ModelParams:
-    # the draw order fixes `verify`'s output per seed: k and phi for every
-    # model, then the model's couplings in order, then eta
-    spec = models.MODELS[model]
+def _draw_params(model: str, rng) -> ModelParams:
+    # rng is a random.Random, unannotated: `random` is imported only by
+    # `verify`, so an annotation naming it would not resolve.  The draw
+    # order fixes `verify`'s output per seed: k and phi for every model,
+    # then the model's couplings in order, then eta
+    spec = spectra.MODELS[model]
     k = 10.0 ** rng.uniform(math.log10(0.01), math.log10(5.0))
     phi = rng.uniform(0.0, 2.0 * math.pi)
     drawn = {"kx": k * math.cos(phi), "ky": k * math.sin(phi)}
@@ -233,7 +239,7 @@ def cmd_verify(args, out) -> int:
     rng = random.Random(args.seed)
     all_pass = True
     first_failure = None
-    for name in models.MODELS:
+    for name in spectra.MODELS:
         max_delta = 0.0
         max_residual = 0.0
         ok = True
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_model(p):
-        p.add_argument("--model", required=True, choices=models.MODELS)
+        p.add_argument("--model", required=True, choices=spectra.MODELS)
         p.add_argument("--alpha", type=_finite_float, default=0.0,
                        help="Rashba coupling (qw)")
         p.add_argument("--omega", type=_finite_float, default=0.0,

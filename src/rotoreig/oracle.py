@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
+from .spectra import MODELS, ModelParams
 from .spinors import (
     Spinor,
     _layout_of,
@@ -191,7 +192,7 @@ def eig_dense(m) -> np.ndarray:
 
 @dataclass
 class CrossCheckReport:
-    params: models.ModelParams
+    params: ModelParams
     rotor_energies: list[float]
     oracle_energies: list[float]
     max_delta: float
@@ -223,8 +224,8 @@ def _energy_delta(rotor: list[float], oracle: list[float]) -> float:
 
 
 #: the oracle's sorted energies per model: Hilbert-space matrices, each
-#: written from its textbook form and sharing no code with ``models``, which
-#: only supplies the ``ModelParams`` fields
+#: written from its textbook form and sharing no code with ``models`` or
+#: ``spectra``, which only supplies the ``ModelParams`` fields
 _ORACLES = {
     "monolayer": lambda p: list(eig_dense(matrix_monolayer(p.kx, p.ky))),
     "qw": lambda p: list(eig_dense(matrix_qw(p.kx, p.ky, p.alphaR))),
@@ -289,14 +290,14 @@ def _action_equivalence_ok(algebra: str) -> bool:
     return True
 
 
-def cross_check(params: models.ModelParams, tol: float = MATCH_TOL) -> CrossCheckReport:
+def cross_check(params: ModelParams, tol: float = MATCH_TOL) -> CrossCheckReport:
     """Compare rotor-method energies against the matrix oracle for one
     parameter point.
 
     The report also carries the algebra's action-equivalence result, which
     ``passed`` requires; that check runs once per algebra per process (see
     ``_action_equivalence_ok``) and its result is copied into every report."""
-    spec = models.MODELS[params.model]
+    spec = MODELS[params.model]
     sols = models.solve(params)
     oracle = _ORACLES[params.model](params)
     rotor = [s.energy for s in sols]

@@ -85,11 +85,19 @@ def _layout_of(key: str | Signature) -> _Layout:
 
 def _check_leak(coeffs: np.ndarray, leak: float) -> None:
     """Raise if leak, the largest coefficient outside the spinor subspace,
-    is not finite or exceeds TOL of the multivector's scale."""
-    # |mv| by hypot, which cannot overflow where mv.norm() does; a NaN or
-    # infinite leak fails no comparison with it, so it is tested on its own
-    if leak != 0.0 and (not math.isfinite(leak)
-                        or leak > TOL * max(1.0, math.hypot(*coeffs.tolist()))):
+    is nonzero and any coefficient is not finite, or if it exceeds TOL of
+    the multivector's scale |mv|."""
+    if leak == 0.0:
+        return
+    # |mv| by hypot, which cannot overflow where mv.norm() does; past the
+    # largest float, a quarter of |mv| against a quarter of the leak (exact)
+    values = coeffs.tolist()
+    scale, part = math.hypot(*values), leak
+    if scale == math.inf and all(map(math.isfinite, values)):
+        scale, part = math.hypot(*(v / 4.0 for v in values)), leak / 4.0
+    # so |mv| is not finite only beside a NaN or infinite coefficient, where
+    # it fails every comparison or passes any leak: that raises on its own
+    if not math.isfinite(scale) or part > TOL * max(1.0, scale):
         raise ValueError(f"multivector leaves the spinor subspace (leak {leak:.2e})")
 
 

@@ -14,10 +14,6 @@ import pytest
 from rotoreig import cli
 from rotoreig.algebra import CL30, CL31, Multivector, pseudoscalar, reverse
 from rotoreig.models import (
-    ModelParams,
-    bilayer_mexican_hat_k,
-    bilayer_quantization_residual,
-    bilayer_spectrum,
     h_bilayer,
     solve_bilayer,
     solve_monolayer,
@@ -41,6 +37,12 @@ from rotoreig.outermorphism import (
     secular_cubic,
 )
 from rotoreig.rotors import rotate, rotor_from_vectors
+from rotoreig.spectra import (
+    ModelParams,
+    bilayer_mexican_hat_k,
+    bilayer_quantization_residual,
+    bilayer_spectrum,
+)
 from rotoreig.spinors import (
     cl31_matrix_rep,
     column_to_spinor_cl30,

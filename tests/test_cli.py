@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotoreig import cli, models
+from rotoreig import cli, models, spectra
 from test_golden import _FLAGS, CASES, GOLDEN
 
 
@@ -132,7 +132,7 @@ def reference_sweep(model, fmt, kmin, kmax, samples, params):
     each sweep value alone, through `json.dumps(doc, indent=2)` and one CSV
     join per row: the byte reference for its column formatting and row
     templates.  Raises what the spectrum raises."""
-    spec = models.MODELS[model]
+    spec = spectra.MODELS[model]
     rows = []
     for i in range(samples):
         x = kmin + (kmax - kmin) * i / (samples - 1)
@@ -147,7 +147,7 @@ def reference_sweep(model, fmt, kmin, kmax, samples, params):
     json_rows = []
     for x, energies in rows:
         row = {spec.sweep: x, "energies": energies}
-        if abs(x) <= models.DEGENERACY_TOL:
+        if abs(x) <= spectra.DEGENERACY_TOL:
             row["degenerate"] = True
         json_rows.append(row)
     doc = {"model": model, "sweep": spec.sweep, "rows": json_rows}
@@ -197,7 +197,7 @@ class TestSweepWriter:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        model=st.sampled_from(list(models.MODELS)),
+        model=st.sampled_from(list(spectra.MODELS)),
         fmt=st.sampled_from(["csv", "json"]),
         samples=st.integers(2, 400),
         ends=st.one_of(
@@ -212,7 +212,7 @@ class TestSweepWriter:
                                                   couplings, eta):
         kmin, kmax = ends
         alpha, omega, gamma1, bias_u = couplings
-        params = models.ModelParams(model, alphaR=alpha, omega=omega, gamma1=gamma1,
+        params = spectra.ModelParams(model, alphaR=alpha, omega=omega, gamma1=gamma1,
                                     U=bias_u, eta=eta)
         argv = ["spectrum", "--model", model, f"--kmin={kmin!r}", f"--kmax={kmax!r}",
                 f"--samples={samples}", f"--format={fmt}", f"--alpha={alpha!r}",
@@ -228,12 +228,12 @@ class TestSweepWriter:
 
     @pytest.mark.parametrize("kmin, kmax, flagged", [
         # both ends sit on the tolerance
-        (-models.DEGENERACY_TOL, models.DEGENERACY_TOL, 2),
+        (-spectra.DEGENERACY_TOL, spectra.DEGENERACY_TOL, 2),
         # the next float above it is not degenerate
-        (models.DEGENERACY_TOL, math.nextafter(models.DEGENERACY_TOL, 1.0), 1),
+        (spectra.DEGENERACY_TOL, math.nextafter(spectra.DEGENERACY_TOL, 1.0), 1),
     ])
     def test_degenerate_flag_includes_the_tolerance(self, kmin, kmax, flagged):
-        params = models.ModelParams("qw", alphaR=0.5)
+        params = spectra.ModelParams("qw", alphaR=0.5)
         expected = reference_sweep("qw", "json", kmin, kmax, 2, params)
         argv = ["spectrum", "--model", "qw", f"--kmin={kmin!r}", f"--kmax={kmax!r}",
                 "--samples=2", "--format=json", "--alpha=0.5"]
@@ -323,7 +323,7 @@ class TestOverflowingSweep:
 
     def test_error_mid_sweep_writes_nothing(self, monkeypatch, capsys):
         # the whole column is one call; it fails at its fifth value, k = 0.5
-        calls, real = [], models.bilayer_spectrum
+        calls, real = [], spectra.bilayer_spectrum
 
         def failing(k, U, gamma1):
             calls.append(k)
@@ -332,7 +332,7 @@ class TestOverflowingSweep:
                 raise ArithmeticError("negative radicand in bilayer spectrum")
             return bands
 
-        monkeypatch.setattr(cli.models, "bilayer_spectrum", failing)
+        monkeypatch.setattr(spectra, "bilayer_spectrum", failing)
         code = cli.main(["spectrum", "--model", "bilayer", "--kmin", "0", "--kmax",
                          "1", "--samples", "9", "--format", "json"])
         captured = capsys.readouterr()
@@ -422,7 +422,7 @@ class TestEigens:
         def leak(params):
             raise ValueError("spinor leaves the spinor subspace")
 
-        monkeypatch.setattr(cli.models, "solve", leak)
+        monkeypatch.setattr(models, "solve", leak)
         code = cli.main(["eigens", "--model", "monolayer", "--kx", "1"])
         captured = capsys.readouterr()
         assert code == 1
@@ -434,7 +434,7 @@ def reference_eigens(argv):
     """`eigens` output by json.dumps, as cmd_eigens wrote it before it
     formatted each solution from templates."""
     args = cli.build_parser().parse_args(argv)
-    spec, params = models.MODELS[args.model], cli._point_params(args)
+    spec, params = spectra.MODELS[args.model], cli._point_params(args)
     doc = {"model": params.model, "params": params.to_json_dict()}
     try:
         sols = models.solve(params)
@@ -458,7 +458,7 @@ class TestEigensWriter:
         assert run_cli(*CASES[name]) == (0, reference_eigens(CASES[name]))
 
     @settings(max_examples=200, deadline=None)
-    @given(model=st.sampled_from(list(models.MODELS)), seed=st.integers(0, 2 ** 32),
+    @given(model=st.sampled_from(list(spectra.MODELS)), seed=st.integers(0, 2 ** 32),
            zeroed=st.sets(st.sampled_from(["kx", "ky", "alphaR", "omega", "Gamma", "U"])))
     def test_drawn_points_equal_the_json_dumps_reference(self, model, seed, zeroed):
         # zeroing couplings reaches degenerate bands ("spinor": null), zeroing
@@ -515,7 +515,7 @@ class TestOverflowingPoint:
         def infinite(params):
             return [models.EigenSolution(math.inf, None, None, "valence", 0.0)]
 
-        monkeypatch.setattr(cli.models, "solve", infinite)
+        monkeypatch.setattr(models, "solve", infinite)
         code = cli.main(["eigens", "--model", "monolayer", "--kx", "1"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
@@ -527,7 +527,7 @@ class TestOverflowingPoint:
         models.EigenSolution(1.0, None, [0.0, -math.inf, 0.0], "valence", 0.0),
     ], ids=["residual", "target"])
     def test_non_finite_value_in_any_template_field(self, monkeypatch, capsys, solution):
-        monkeypatch.setattr(cli.models, "solve", lambda params: [solution])
+        monkeypatch.setattr(models, "solve", lambda params: [solution])
         code = cli.main(["eigens", "--model", "monolayer", "--kx", "1"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from rotoreig import cli, models, oracle
+from rotoreig import cli, oracle, spectra
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -109,13 +109,13 @@ _FLAGS = {"kx": "kx", "ky": "ky", "alphaR": "alpha", "omega": "omega",
           "Gamma": "gamma", "gamma1": "gamma1", "U": "bias-u", "eta": "eta"}
 
 
-def golden_points() -> list[models.ModelParams]:
+def golden_points() -> list[spectra.ModelParams]:
     """50 `verify` draws per model from seed 7, then the edge points."""
     rng = random.Random(7)
     draws = {name: [cli._draw_params(name, rng) for _ in range(50)]
-             for name in models.MODELS}
+             for name in spectra.MODELS}
     points = [p for model_draws in draws.values() for p in model_draws]
-    for name, spec in models.MODELS.items():
+    for name, spec in spectra.MODELS.items():
         base = {field: getattr(draws[name][0], field) for field in spec.fields}
         names = [field for field in spec.fields if field != "eta"]
         for eta in ((1, -1) if "eta" in spec.fields else (None,)):
@@ -124,11 +124,11 @@ def golden_points() -> list[models.ModelParams]:
             for value in EDGE_VALUES:
                 for changed in [[field] for field in names] + [names]:
                     point = {**base, **{field: value for field in changed}}
-                    points.append(models.ModelParams(name, **point))
+                    points.append(spectra.ModelParams(name, **point))
     return points
 
 
-def _report_line(params: models.ModelParams) -> str:
+def _report_line(params: spectra.ModelParams) -> str:
     try:
         doc = oracle.cross_check(params).to_json_dict()
     except (ValueError, ArithmeticError) as exc:
@@ -137,7 +137,7 @@ def _report_line(params: models.ModelParams) -> str:
     return json.dumps(doc) + "\n"
 
 
-def _eigens_record(params: models.ModelParams) -> str:
+def _eigens_record(params: spectra.ModelParams) -> str:
     argv = ["eigens", f"--model={params.model}"] + [
         f"--{_FLAGS[name]}={value!r}"
         for name, value in params.to_json_dict().items() if name != "model"]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rotoreig import cli, models
+from rotoreig import cli, models, spectra
 from rotoreig.algebra import (
     CL30,
     CL31,
@@ -20,14 +20,9 @@ from rotoreig.algebra import (
     spatial_parts,
 )
 from rotoreig.models import (
-    DEGENERACY_TOL,
-    MODELS,
+    HAMILTONIANS,
     DegenerateError,
     EigenSolution,
-    ModelParams,
-    bilayer_mexican_hat_k,
-    bilayer_quantization_residual,
-    bilayer_spectrum,
     expectation_energy,
     h_bilayer,
     h_monolayer,
@@ -41,6 +36,14 @@ from rotoreig.models import (
     solve_two_atoms,
 )
 from rotoreig.rotors import rotor_from_vectors
+from rotoreig.spectra import (
+    DEGENERACY_TOL,
+    MODELS,
+    ModelParams,
+    bilayer_mexican_hat_k,
+    bilayer_quantization_residual,
+    bilayer_spectrum,
+)
 from rotoreig.spinors import Spinor
 
 
@@ -876,6 +879,7 @@ def _check_array_rows(spec, params, x):
 class TestModelRegistry:
     def test_paper_order_and_algebras(self):
         assert list(MODELS) == ["monolayer", "qw", "atoms", "bilayer"]
+        assert list(HAMILTONIANS) == list(MODELS)
         assert [spec.algebra for spec in MODELS.values()] == [
             "cl30", "cl30", "cl31", "cl31"]
 
@@ -942,10 +946,10 @@ class TestModelRegistry:
     def test_h_applications_per_solve(self, monkeypatch, model):
         # Cl(3,0): the read-off and one residual per band; Cl(3,1): the
         # read-off on [1, I] and all four residuals on one stack
-        spec = MODELS[model]
+        spec, h = MODELS[model], HAMILTONIANS[model]
         calls = []
-        monkeypatch.setitem(MODELS, model, dataclasses.replace(
-            spec, h=lambda psi, p: calls.append(psi) or spec.h(psi, p)))
+        monkeypatch.setitem(HAMILTONIANS, model,
+                            lambda psi, p: calls.append(psi) or h(psi, p))
         sols = models.solve(cli._draw_params(model, random.Random(20)))
         assert all(s.spinor is not None for s in sols)
         assert len(calls) == (3 if spec.algebra == "cl30" else 2)
@@ -960,5 +964,9 @@ class TestModelRegistry:
             "cl30", [10.0, 15.0])
         assert models.solve(ModelParams("atoms", omega=4.0, Gamma=5.0)) == (
             "cl31", ("h", 4.0, 5.0))
-        assert MODELS["atoms"].h(None, ModelParams("atoms", omega=4.0, Gamma=5.0)) == (
+        assert HAMILTONIANS["atoms"](None, ModelParams("atoms", omega=4.0, Gamma=5.0)) == (
             "h", 4.0, 5.0)
+        # and patching a spectra attribute must reach its registry entry
+        monkeypatch.setattr(spectra, "bilayer_spectrum", lambda k, u, g1: ("bands", k, u, g1))
+        assert MODELS["bilayer"].spectrum(2.0, ModelParams("bilayer", U=0.5, gamma1=0.25)) == (
+            "bands", 2.0, 0.5, 0.25)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from rotoreig import cli, models, oracle
 from rotoreig.algebra import Multivector
-from rotoreig.models import MODELS, ModelParams
+from rotoreig.spectra import MODELS, ModelParams
 from rotoreig.oracle import (
     cross_check,
     eig_dense,

@@ -5,12 +5,17 @@ import pkgutil
 import subprocess
 import sys
 import textwrap
+import types
+import typing
 
 import pytest
+from test_golden import CASES, GOLDEN
 
 import rotoreig
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(rotoreig.__path__))
+#: the geometric-algebra side, which only the rotor solves load
+GA_MODULES = {"rotoreig.models", "rotoreig.algebra", "rotoreig.rotors", "rotoreig.spinors"}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -27,21 +32,47 @@ def test_all_names_resolve_to_objects_of_the_module(name):
         assert getattr(obj, "__module__", mod.__name__) == mod.__name__, attr
 
 
-def test_imports_load_only_what_each_command_runs():
+def test_imports_load_only_what_each_command_runs(tmp_path):
     # in a fresh interpreter: `eigens` and `spectrum` call neither the oracle
     # nor json, and no command draws from numpy.random, so importing the CLI
-    # loads none of them; `verify` imports the oracle when it runs
-    script = textwrap.dedent("""
+    # loads none of them.  `spectrum` runs on the closed forms alone, so it
+    # loads no geometric algebra; `eigens` imports the rotor solvers and
+    # `verify` the oracle when they run, each with unchanged output
+    spectrum, eigens = "spectrum_bilayer_k0.json", "eigens_bilayer.json"
+    script = textwrap.dedent(f"""
         import sys
         before = set(sys.modules)
         import rotoreig.cli
-        print(sorted({"numpy.random", "rotoreig.oracle", "json"} & (set(sys.modules) - before)))
+        print(sorted({{"numpy.random", "rotoreig.oracle", "json"}} & (set(sys.modules) - before)))
+        ga = {sorted(GA_MODULES)!r}
+        code = rotoreig.cli.main({CASES[spectrum]!r} + ["--out", sys.argv[1]])
+        print(code, [name for name in ga if name in sys.modules])
+        code = rotoreig.cli.main({CASES[eigens]!r} + ["--out", sys.argv[2]])
+        print(code, [name for name in ga if name not in sys.modules])
         import rotoreig.oracle
         print("numpy.random" in sys.modules)
         print(rotoreig.cli.main(["verify", "--trials", "1"]))
     """)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    outs = [tmp_path / spectrum, tmp_path / eigens]
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, outs)],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[:2] == ["[]", "False"]
+    assert lines[:4] == ["[]", "0 []", "0 []", "False"]
     assert lines[-2].startswith("verify: PASS (seed=0, trials=1,") and lines[-1] == "0"
+    for out in outs:
+        assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+def test_every_annotation_resolves_at_run_time():
+    # a lazily imported module named in an annotation makes get_type_hints
+    # raise NameError
+    for name in MODULES:
+        mod = importlib.import_module(f"rotoreig.{name}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = vars(obj).values() if isinstance(obj, type) else []
+            for fn in [obj, *(getattr(m, "__func__", m) for m in members)]:
+                if isinstance(fn, (type, types.FunctionType)):
+                    typing.get_type_hints(fn)

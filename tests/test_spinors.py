@@ -80,6 +80,54 @@ class TestSpinorType:
             with pytest.raises(ValueError, match="leaves the spinor subspace"):
                 Spinor(Multivector._wrap(sig, np.array([unit, row])))
 
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("leak", [1.0, 5e-324])
+    def test_finite_leak_beside_a_non_finite_coefficient_raises(self, sig, bad, leak):
+        # the scale |mv| is then not finite, so TOL of it would pass any leak
+        masks = CL30_SPINOR_MASKS if sig == CL30 else CL31_SPINOR_MASKS
+        unit = np.zeros(sig.dim)
+        unit[0] = 1.0
+        for inside in masks:
+            for outside in np.setdiff1d(np.arange(sig.dim), masks):
+                row = unit.copy()
+                row[inside], row[outside] = bad, leak
+                with pytest.raises(ValueError, match="leaves the spinor subspace"):
+                    Spinor(Multivector(sig, row))
+                with pytest.raises(ValueError, match="leaves the spinor subspace"):
+                    Spinor(Multivector._wrap(sig, np.array([unit, row])))
+
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    @pytest.mark.parametrize("fraction, raises", [(2.0, True), (0.5, False), (1e-600, False)])
+    def test_leak_bound_is_tol_where_the_norm_overflows(self, sig, fraction, raises):
+        # |mv| = 1.5e308 sqrt(2) is past the largest float, but the bound is
+        # still TOL of it: twice that leaks, half of it (or 5e-324) is rounding
+        masks = CL30_SPINOR_MASKS if sig == CL30 else CL31_SPINOR_MASKS
+        outside = np.setdiff1d(np.arange(sig.dim), masks)
+        row = np.zeros(sig.dim)
+        row[list(masks[:2])] = 1.5e308
+        row[outside[-1]] = max(5e-324, fraction * TOL * 1.5e308 * math.sqrt(2.0))
+        unit = np.where(np.arange(sig.dim) == 0, 1.0, 0.0)
+        kept = np.where(np.isin(np.arange(sig.dim), masks), row, 0.0)
+        for mv, expected in ((Multivector(sig, row), kept),
+                             (Multivector._wrap(sig, np.array([unit, row])),
+                              np.array([unit, kept]))):
+            if raises:
+                with pytest.raises(ValueError, match="leaves the spinor subspace"):
+                    Spinor(mv)
+            else:
+                assert Spinor(mv).mv.coeffs.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_without_a_leak_is_kept(self, sig, bad):
+        # no leak, no check: the coefficients pass through as they are
+        masks = CL30_SPINOR_MASKS if sig == CL30 else CL31_SPINOR_MASKS
+        row = np.zeros(sig.dim)
+        row[list(masks)] = [bad, 1.0] + [-0.0] * (len(masks) - 2)
+        for mv in (Multivector(sig, row), Multivector._wrap(sig, np.array([row, row]))):
+            assert Spinor(mv).mv.coeffs.tobytes() == mv.coeffs.tobytes()
+
     def test_no_spinor_subspace_outside_cl30_cl31(self):
         with pytest.raises(ValueError):
             Spinor(Multivector.scalar(Signature(2, 0), 1.0))
