@@ -125,82 +125,78 @@ def _point_params(args) -> ModelParams:
 
 
 def cmd_eigens(args, out) -> int:
-    """Write the eigensolutions at one point, each from fixed templates.
+    """Write the eigensolutions at one point, each straight from its
+    ``EigenSolution`` into fixed templates.
 
     As in ``cmd_spectrum``, the bytes equal those of ``json.dumps(doc,
-    indent=2, allow_nan=False)``; only a degenerate point, which has no
-    solutions, goes through json."""
+    indent=2, allow_nan=False)``."""
     # imported here, not at the top: only `eigens` and `verify` run a rotor
     # solve, so `spectrum` starts without the geometric algebra
     from . import models
 
     spec, params = spectra.MODELS[args.model], _point_params(args)
-    doc = {"model": params.model, "params": params.to_json_dict()}
     try:
-        # a float that overflows anywhere in the solve raises, not warns
+        # a float that overflows anywhere in the solve raises, not warns;
+        # so does writing a solution value that is not a finite float
         with np.errstate(over="raise", invalid="raise"):
-            records = []
+            solutions = []
             for s in models.solve(params):
-                rec = s.to_json_dict()
+                average = None
                 if s.spinor is not None and spec.average:
-                    avg = models.pseudospin_average(s.spinor)
-                    rec[spec.average] = [float(v) for v in avg]
-                records.append(rec)
+                    average = models.pseudospin_average(s.spinor).tolist()
+                solutions.append(_solution_json(s, spec.average, average))
+        body = '"solutions": [\n' + ",\n".join(solutions) + "\n  ]"
     except models.DegenerateError as exc:
-        import json
-
-        doc["degenerate"] = True
-        doc["reason"] = str(exc)
-        out.write(json.dumps(doc, indent=2) + "\n")
-        return 0
+        # its one message, "degenerate point: H = 0, rotor undefined", needs
+        # no JSON escape
+        body = f'"degenerate": true,\n  "reason": "{exc}"'
     except (FloatingPointError, OverflowError):
-        raise _point_overflow(params) from None
-    try:
-        solutions = ",\n".join(map(_solution_json, records))
-    except ValueError:  # a solution value is not a finite float
         raise _point_overflow(params) from None
     # argparse took only finite floats, so the params need no check
     fields = "".join(f',\n    "{name}": {value!r}'
-                     for name, value in doc["params"].items() if name != "model")
+                     for name, value in params.to_json_dict().items() if name != "model")
     out.write(f'{{\n  "model": "{params.model}",\n  "params": {{\n'
-              f'    "model": "{params.model}"{fields}\n  }},\n'
-              f'  "solutions": [\n{solutions}\n  ]\n}}\n')
+              f'    "model": "{params.model}"{fields}\n  }},\n  {body}\n}}\n')
     return 0
 
 
-def _check_finite(*values: float) -> None:
-    """ValueError, as from json with allow_nan=False, if a value is not finite."""
-    if not all(map(math.isfinite, values)):
-        raise ValueError("out of range float value")
+def _json_float(x: float) -> str:
+    """x as json.dumps writes a float; OverflowError, which ``cmd_eigens``
+    reports as an overflowing point, if x is not finite."""
+    if not math.isfinite(x):
+        raise OverflowError("out of range float value")
+    return repr(x)
 
 
 def _json_floats(values: list[float], depth: int) -> str:
     """A list of finite floats as json.dumps(indent=2) writes it at depth."""
-    _check_finite(*values)
     pad = "\n" + "  " * depth
-    return f"[{pad}  " + ("," + pad + "  ").join(map(repr, values)) + f"{pad}]"
+    return f"[{pad}  " + ("," + pad + "  ").join(map(_json_float, values)) + f"{pad}]"
 
 
-#: the keys every solution record starts with; the lists (target, average) follow
-_SOLUTION_HEAD = ("energy", "band", "residual", "degenerate", "spinor")
-
-
-def _solution_json(rec: dict) -> str:
-    """One ``EigenSolution.to_json_dict`` record, with any lists added after
-    it, as json.dumps(indent=2) writes it in the solutions list."""
-    _check_finite(rec["energy"], rec["residual"])
-    spinor = rec["spinor"]
-    if spinor is not None:
-        blocks = "".join(f',\n        "{name}": {_json_floats(block, 4)}'
-                         for name, block in spinor.items() if name != "algebra")
-        spinor = f'{{\n        "algebra": "{spinor["algebra"]}"{blocks}\n      }}'
-    tail = "".join(f',\n      "{key}": {_json_floats(values, 3)}'
-                   for key, values in rec.items() if key not in _SOLUTION_HEAD)
-    return (f'    {{\n      "energy": {rec["energy"]!r},\n'
-            f'      "band": "{rec["band"]}",\n'
-            f'      "residual": {rec["residual"]!r},\n'
-            f'      "degenerate": {"true" if rec["degenerate"] else "false"},\n'
-            f'      "spinor": {spinor or "null"}{tail}\n    }}')
+def _solution_json(s, average_key: str | None, average: list[float] | None) -> str:
+    """One EigenSolution s, then its spinor's e3 average under average_key
+    when there is one, as json.dumps(indent=2) writes it in the solutions
+    list. The energy, the spinor coefficients and the target fold -0.0 into
+    0.0; the residual and the average do not."""
+    # s is unannotated: `models` is imported only by `eigens` and `verify`
+    spinor = "null"
+    if s.spinor is not None:
+        blocks = (s.spinor.coeff_vector() + 0.0).reshape(-1, 4).tolist()
+        spinor = ('{\n        "algebra": "' + s.spinor.algebra + '"'
+                  + "".join(f',\n        "{name}": {_json_floats(block, 4)}'
+                            for name, block in zip("ab", blocks)) + "\n      }")
+    tail = ""
+    if s.target_vector is not None:
+        target = [float(x) + 0.0 for x in s.target_vector]
+        tail += f',\n      "target": {_json_floats(target, 3)}'
+    if average is not None:
+        tail += f',\n      "{average_key}": {_json_floats(average, 3)}'
+    return (f'    {{\n      "energy": {_json_float(float(s.energy) + 0.0)},\n'
+            f'      "band": "{s.band_label}",\n'
+            f'      "residual": {_json_float(float(s.residual))},\n'
+            f'      "degenerate": {"true" if s.degenerate else "false"},\n'
+            f'      "spinor": {spinor}{tail}\n    }}')
 
 
 def _point_overflow(params: ModelParams) -> SystemExit2:
@@ -246,8 +242,7 @@ def cmd_verify(args, out) -> int:
         for _ in range(args.trials):
             report = oracle.cross_check(_draw_params(name, rng), tol=args.tol)
             max_delta = max(max_delta, report.max_delta)
-            if report.residuals:
-                max_residual = max(max_residual, max(report.residuals))
+            max_residual = max(max_residual, max(report.residuals))
             if not report.passed:
                 ok = False
                 if first_failure is None:

@@ -67,18 +67,6 @@ class EigenSolution:
     residual: float
     degenerate: bool = False
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "energy": float(self.energy) + 0.0,
-            "band": self.band_label,
-            "residual": float(self.residual),
-            "degenerate": bool(self.degenerate),
-        }
-        d["spinor"] = None if self.spinor is None else self.spinor.to_json_dict()
-        if self.target_vector is not None:
-            d["target"] = [float(x) + 0.0 for x in self.target_vector]
-        return d
-
 
 def _k_vector(kx: float, ky: float) -> Multivector:
     # kx e1 + ky e2 in one numpy call.  The signs of k's zero coefficients

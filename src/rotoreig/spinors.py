@@ -165,11 +165,6 @@ class Spinor:
     def __repr__(self) -> str:
         return f"Spinor[{self.algebra}]({self.mv})"
 
-    def to_json_dict(self) -> dict:
-        blocks = zip(_LAYOUTS[self.algebra].blocks, self.coeff_vector().reshape(-1, 4))
-        return {"algebra": self.algebra,
-                **{name: [float(x) + 0.0 for x in block] for name, block in blocks}}
-
 
 # ---- column maps ------------------------------------------------------
 

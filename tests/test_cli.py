@@ -431,8 +431,9 @@ class TestEigens:
 
 
 def reference_eigens(argv):
-    """`eigens` output by json.dumps, as cmd_eigens wrote it before it
-    formatted each solution from templates."""
+    """`eigens` output by json.dumps, each solution's dict built here from
+    its EigenSolution, as cmd_eigens wrote it before it formatted each
+    solution from templates."""
     args = cli.build_parser().parse_args(argv)
     spec, params = spectra.MODELS[args.model], cli._point_params(args)
     doc = {"model": params.model, "params": params.to_json_dict()}
@@ -443,7 +444,17 @@ def reference_eigens(argv):
         return json.dumps(doc, indent=2) + "\n"
     records = []
     for s in sols:
-        rec = s.to_json_dict()
+        # -0.0 folds into 0.0 in the energy, the spinor and the target only
+        rec = {"energy": float(s.energy) + 0.0, "band": s.band_label,
+               "residual": float(s.residual), "degenerate": bool(s.degenerate),
+               "spinor": None}
+        if s.spinor is not None:
+            blocks = np.reshape(s.spinor.coeff_vector(), (-1, 4))
+            rec["spinor"] = {"algebra": s.spinor.algebra}
+            rec["spinor"].update((name, [float(x) + 0.0 for x in block])
+                                 for name, block in zip("ab", blocks))
+        if s.target_vector is not None:
+            rec["target"] = [float(x) + 0.0 for x in s.target_vector]
         if s.spinor is not None and spec.average:
             rec[spec.average] = [float(v) for v in models.pseudospin_average(s.spinor)]
         records.append(rec)

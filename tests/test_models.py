@@ -125,9 +125,11 @@ class TestMonolayer:
                 [-kx / k, -ky / k, 0.0]
             )
 
-    def test_pseudospin_requires_normalization(self):
+    @pytest.mark.parametrize("norm", [4.0, 1.0 + 1e-6])
+    def test_pseudospin_requires_normalization(self, norm):
+        # psi ~psi = norm: 1 + 1e-6 is far outside the check's 1e-10
         with pytest.raises(ValueError):
-            pseudospin_average(Spinor(Multivector.scalar(CL30, 2.0)))
+            pseudospin_average(Spinor(Multivector.scalar(CL30, math.sqrt(norm))))
 
     def test_pseudospin_identity(self):
         psi = Spinor(Multivector.scalar(CL30, 1.0))
@@ -265,6 +267,15 @@ class TestSolveCl30:
         sols = solve_cl30(cl30_h(h0, 0.0, hnorm), energies)
         assert [(s.energy, s.band_label, s.degenerate, s.spinor) for s in sols] == [
             (energies[0], "valence", True, None), (energies[1], "conduction", True, None)]
+
+    @pytest.mark.parametrize("params", [ModelParams("monolayer", kx=1e-9),
+                                        ModelParams("qw", kx=1e-9, alphaR=1.0)],
+                             ids=["monolayer", "qw"])
+    def test_h_ten_times_the_tolerance_gets_rotors(self, params):
+        # |h| = 1e-9 is a regular point: two bands, each with its rotor
+        sols = models.solve(params)
+        assert len(sols) == 2
+        assert not any(s.degenerate or s.spinor is None for s in sols)
 
     def test_h_just_above_the_tolerance_gets_rotors(self):
         hnorm = 2.0 * DEGENERACY_TOL
@@ -567,6 +578,10 @@ class TestBilayer:
         for args in ((0.7, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (1e-9, 1e-8, 0.0, 0.0)):
             with pytest.raises(ValueError, match="indeterminate"):
                 bilayer_quantization_residual(*args)
+
+    def test_quantization_residual_at_small_energy_is_determinate(self):
+        # denom / s^2 = 4e-10, far above the 1e-14 bound: ahat^2 ~ 0
+        assert bilayer_quantization_residual(1e-5, 1.0, 1.0, 0.0) == pytest.approx(-1.0)
 
     def test_quantization_residual_does_not_depend_on_units(self):
         # the indeterminate test is relative to the point's energy^4 scale,

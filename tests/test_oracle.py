@@ -251,9 +251,11 @@ class TestJacobi:
         with pytest.raises(ValueError, match="hermitian|non-finite"):
             jacobi_eigh(bad)
 
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ValueError):
-            jacobi_eigh([[0.0, 1.0], [0.0, 0.0]])
+    @pytest.mark.parametrize("bad", [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 1e-9], [0.0, 1.0]]])
+    def test_rejects_nonsymmetric(self, bad):
+        # 1e-9 is far above the check's 1e-12 of max|a|
+        with pytest.raises(ValueError, match="not hermitian"):
+            jacobi_eigh(bad)
 
     def test_rejects_large(self):
         with pytest.raises(ValueError):

@@ -37,8 +37,10 @@ def test_imports_load_only_what_each_command_runs(tmp_path):
     # nor json, and no command draws from numpy.random, so importing the CLI
     # loads none of them.  `spectrum` runs on the closed forms alone, so it
     # loads no geometric algebra; `eigens` imports the rotor solvers and
-    # `verify` the oracle when they run, each with unchanged output
+    # `verify` the oracle when they run, each with unchanged output.  A
+    # degenerate `eigens` point is written from the same template, without json
     spectrum, eigens = "spectrum_bilayer_k0.json", "eigens_bilayer.json"
+    degenerate = "eigens_monolayer_k0.json"
     script = textwrap.dedent(f"""
         import sys
         before = set(sys.modules)
@@ -49,16 +51,18 @@ def test_imports_load_only_what_each_command_runs(tmp_path):
         print(code, [name for name in ga if name in sys.modules])
         code = rotoreig.cli.main({CASES[eigens]!r} + ["--out", sys.argv[2]])
         print(code, [name for name in ga if name not in sys.modules])
+        code = rotoreig.cli.main({CASES[degenerate]!r} + ["--out", sys.argv[3]])
+        print(code, "json" in sys.modules)
         import rotoreig.oracle
         print("numpy.random" in sys.modules)
         print(rotoreig.cli.main(["verify", "--trials", "1"]))
     """)
-    outs = [tmp_path / spectrum, tmp_path / eigens]
+    outs = [tmp_path / spectrum, tmp_path / eigens, tmp_path / degenerate]
     proc = subprocess.run([sys.executable, "-c", script, *map(str, outs)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[:4] == ["[]", "0 []", "0 []", "False"]
+    assert lines[:5] == ["[]", "0 []", "0 []", "0 False", "False"]
     assert lines[-2].startswith("verify: PASS (seed=0, trials=1,") and lines[-1] == "0"
     for out in outs:
         assert out.read_bytes() == (GOLDEN / out.name).read_bytes()

@@ -154,12 +154,6 @@ class TestSpinorType:
         assert np.allclose(s.a, [0, 1, 2, 3])
         assert np.allclose(s.b, [4, 5, 6, 7])
 
-    def test_json_form(self):
-        s = Spinor.from_coeff_vector("cl31", np.arange(8.0))
-        d = s.to_json_dict()
-        assert d["algebra"] == "cl31"
-        assert d["a"] == [0.0, 1.0, 2.0, 3.0] and d["b"] == [4.0, 5.0, 6.0, 7.0]
-
     @pytest.mark.parametrize("sig", [CL30, CL31])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
