@@ -70,21 +70,18 @@ class Signature:
         p, q, n, dim = self.p, self.q, self.n, self.dim
         grades = np.array([blade_grade(m) for m in range(dim)], dtype=np.int64)
 
-        res = np.empty((dim, dim), dtype=np.int64)
-        sign = np.empty((dim, dim), dtype=np.float64)
-        for a in range(dim):
-            for b in range(dim):
-                s = _reorder_sign(a, b)
-                common = a & b
-                for i in range(n):
-                    if common >> i & 1 and i >= p:
-                        s = -s
-                res[a, b] = a ^ b
-                sign[a, b] = s
+        # e_a e_b = +-e_{a^b}: sorting a's factors then b's, each factor of b
+        # passes each greater factor of a, and each shared factor squaring to
+        # -1 flips once more; grades counts the bits (Dorst, Fontijne & Mann,
+        # ch. 19)
+        a = np.arange(dim, dtype=np.int64)[:, None]
+        b = np.arange(dim, dtype=np.int64)
+        res = a ^ b
+        flips = grades[(a & b) >> p] + sum(grades[(a >> s) & b] for s in range(1, n))
+        sign = np.where(flips % 2 == 1, -1.0, 1.0)
 
         # outer product keeps only terms without contracted factors
-        outer_sign = np.where((np.arange(dim)[:, None] & np.arange(dim)[None, :]) == 0,
-                              sign, 0.0)
+        outer_sign = np.where((a & b) == 0, sign, 0.0)
 
         # inner product: grade |r-s| part for homogeneous r,s > 0; scalar
         # arguments act by plain scalar multiplication
@@ -95,7 +92,6 @@ class Signature:
         inner_sign = np.where(keep, sign, 0.0)
 
         rev_sign = np.where(grades * (grades - 1) // 2 % 2 == 1, -1.0, 1.0)
-        order = sorted(range(dim), key=lambda m: (blade_grade(m), m))
         tables = {
             "grades": grades,
             "grade_masks": grades == np.arange(n + 1)[:, None],  # row k: grade k
@@ -110,11 +106,11 @@ class Signature:
             "blade_right": np.take_along_axis(sign.T, res, axis=1),
             "square_sign": sign.diagonal().copy(),  # e_m e_m
             "rev_sign": rev_sign,
-            "order": np.array(order, dtype=np.int64),
+            "order": np.lexsort((b, grades)),  # by grade, then by mask
         }
         # spatial inversion flips each spatial factor (indices 1..3 of Cl(3,1))
         if (p, q) == (3, 1):
-            spatial = np.array([blade_grade(m & 0b0111) for m in range(dim)])
+            spatial = grades[b & 0b0111]
             tables["inv_sign"] = np.where(spatial % 2 == 1, -1.0, 1.0)
             # rows: 1 on the blades that inversion keeps, 1 on those it flips
             tables["inv_parts"] = np.array([spatial % 2 == 0, spatial % 2 == 1], dtype=float)
@@ -144,16 +140,6 @@ def blade_str(mask: int) -> str:
     if mask == 0:
         return ""
     return "e" + "".join(str(i) for i in blade_indices(mask))
-
-
-def _reorder_sign(a: int, b: int) -> int:
-    """Sign from sorting the factors of blade a followed by blade b."""
-    a >>= 1
-    swaps = 0
-    while a:
-        swaps += bin(a & b).count("1")
-        a >>= 1
-    return -1 if swaps & 1 else 1
 
 
 class _Blade(NamedTuple):

@@ -110,18 +110,19 @@ def _overflow(sweep: str, x: float) -> SystemExit2:
                        "its values and energies must be finite floats")
 
 
+#: the coupling flags: (flag, argparse attribute, ModelParams field, help)
+_COUPLINGS = (
+    ("--alpha", "alpha", "alphaR", "Rashba coupling (qw)"),
+    ("--omega", "omega", "omega", "level splitting (atoms)"),
+    ("--gamma", "gamma", "Gamma", "dipole coupling (atoms)"),
+    ("--gamma1", "gamma1", "gamma1", "interlayer coupling (bilayer)"),
+    ("--bias-u", "bias_u", "U", "half interlayer bias U (bilayer)"),
+)
+
+
 def _point_params(args) -> ModelParams:
-    return ModelParams(
-        model=args.model,
-        kx=args.kx,
-        ky=args.ky,
-        alphaR=args.alpha,
-        omega=args.omega,
-        Gamma=args.gamma,
-        gamma1=args.gamma1,
-        U=args.bias_u,
-        eta=args.eta,
-    )
+    return ModelParams(args.model, args.kx, args.ky, eta=args.eta,
+                       **{field: getattr(args, attr) for _, attr, field, _ in _COUPLINGS})
 
 
 def cmd_eigens(args, out) -> int:
@@ -291,16 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_model(p):
         p.add_argument("--model", required=True, choices=spectra.MODELS)
-        p.add_argument("--alpha", type=_finite_float, default=0.0,
-                       help="Rashba coupling (qw)")
-        p.add_argument("--omega", type=_finite_float, default=0.0,
-                       help="level splitting (atoms)")
-        p.add_argument("--gamma", type=_finite_float, default=0.0,
-                       help="dipole coupling (atoms)")
-        p.add_argument("--gamma1", type=_finite_float, default=0.0,
-                       help="interlayer coupling (bilayer)")
-        p.add_argument("--bias-u", type=_finite_float, default=0.0,
-                       help="half interlayer bias U (bilayer)")
+        for flag, attr, _, text in _COUPLINGS:
+            p.add_argument(flag, dest=attr, type=_finite_float, default=0.0, help=text)
         p.add_argument("--eta", type=int, default=1, choices=[1, -1],
                        help="valley index (bilayer)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -350,8 +343,11 @@ def main(argv=None) -> int:
         # opened only once the command has its output, so a failing command
         # leaves an existing file as it was
         if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(out.getvalue())
+            try:
+                with open(args.out, "w", newline="") as fh:
+                    fh.write(out.getvalue())
+            except OSError as exc:
+                raise SystemExit2(f"cannot write {args.out}: {exc.strerror}") from None
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -75,28 +75,19 @@ def _k_vector(kx: float, ky: float) -> Multivector:
     return Multivector._wrap(CL30, np.array([0.0, kx, ky, 0.0, 0.0, 0.0, 0.0, 0.0]))
 
 
-def _eigenpair(h, energies, psi: Multivector, targets, labels) -> list[EigenSolution]:
-    """The eigenpairs (energies[i], row i of psi), psi one spinor or a stack
-    of them, with the residuals max|H psi - E psi| of the Hamiltonian h: one
-    Spinor check and one application of h for them all."""
-    spinor = Spinor(psi)
-    if psi.coeffs.ndim == 1:
-        residual = float(np.abs(h(spinor).mv.coeffs - energies[0] * psi.coeffs).max())
-        return [EigenSolution(energies[0], spinor, targets[0], labels[0], residual)]
-    gap = np.abs(h(spinor).mv.coeffs - np.array(energies)[:, None] * psi.coeffs)
-    return list(map(EigenSolution, energies, spinor._rows(), targets, labels,
-                    gap.max(axis=1).tolist()))
-
-
 def _stacked_eigenpairs(h, bands: list, psi: np.ndarray, targets) -> list[EigenSolution]:
     """bands, with each (energy, label) made its eigenpair with the next row
-    of the stack psi, and the next target, by one ``_eigenpair`` call; the
-    EigenSolutions among them (degenerate bands) stay where they are."""
+    of the stack psi, the next target and the residual max|H psi - E psi| of
+    the Hamiltonian h: one Spinor check and one application of h for them
+    all; the EigenSolutions among them (degenerate bands) stay where they are."""
     pending = [band for band in bands if isinstance(band, tuple)]
     if not pending:
         return bands
     energies, labels = zip(*pending)
-    solved = iter(_eigenpair(h, energies, Multivector._wrap(CL31, psi), targets, labels))
+    spinor = Spinor(Multivector._wrap(CL31, psi))
+    gap = np.abs(h(spinor).mv.coeffs - np.array(energies)[:, None] * psi)
+    solved = map(EigenSolution, energies, spinor._rows(), targets, labels,
+                 gap.max(axis=1).tolist())
     return [next(solved) if isinstance(band, tuple) else band for band in bands]
 
 
@@ -133,7 +124,9 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
         target = sign * (hvec / hnorm)
         psi = rotor_from_vectors(_E3_30, target).value
         # one band at a time: a stack of two costs Cl(3,0) more than it saves
-        out += _eigenpair(h, (energy,), psi, (target.vector_coords(),), (label,))
+        spinor = Spinor(psi)
+        residual = float(np.abs(h(spinor).mv.coeffs - energy * psi.coeffs).max())
+        out.append(EigenSolution(energy, spinor, target.vector_coords(), label, residual))
     return out
 
 

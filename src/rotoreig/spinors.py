@@ -54,14 +54,12 @@ class _Layout(NamedTuple):
     masks: np.ndarray
     signs: np.ndarray
     outside: np.ndarray
-    blocks: str  # the names of the coefficient blocks of four, in order
     bra: Callable[[Multivector], Multivector]  # the Hilbert adjoint of a spinor
 
 
 def _layout(sig: Signature, tag: str, masks, signs, bra) -> _Layout:
     outside = [m for m in range(sig.dim) if m not in masks]
-    return _Layout(sig, tag, np.array(masks), np.array(signs, float), np.array(outside),
-                   "ab"[:len(masks) // 4], bra)
+    return _Layout(sig, tag, np.array(masks), np.array(signs, float), np.array(outside), bra)
 
 
 #: the spinor layout of each algebra, keyed by its tag and by its signature
@@ -158,7 +156,7 @@ class Spinor:
 
     @property
     def b(self) -> np.ndarray:
-        if "b" not in _LAYOUTS[self.algebra].blocks:
+        if len(_LAYOUTS[self.algebra].masks) == 4:
             raise ValueError("b coefficients exist only for cl31 spinors")
         return self.coeff_vector()[4:]
 

@@ -52,6 +52,35 @@ class TestSignature:
             Signature(7, 2)
 
 
+def reference_product(p, a, b):
+    """(sign, mask) of e_a e_b in Cl(p, q), counted by hand: sort a's factors
+    followed by b's by adjacent swaps, one sign flip per swap, then contract
+    each pair of equal factors, one more flip per factor with index >= p."""
+    factors = [i for i in range(8) if a >> i & 1] + [i for i in range(8) if b >> i & 1]
+    swaps = 0
+    for end in range(len(factors) - 1, 0, -1):
+        for j in range(end):
+            if factors[j] > factors[j + 1]:
+                factors[j], factors[j + 1] = factors[j + 1], factors[j]
+                swaps += 1
+    sign, mask = (-1.0 if swaps % 2 else 1.0), 0
+    for i in factors:  # sorted, so equal factors are neighbours
+        if mask >> i & 1 and i >= p:
+            sign = -sign
+        mask ^= 1 << i
+    return sign, mask
+
+
+class TestSignTables:
+    @pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7) for p in range(n + 1)])
+    def test_equal_the_swap_count(self, p, q):
+        sig = Signature(p, q)
+        signs, masks = zip(*(reference_product(p, a, b)
+                             for a in range(sig.dim) for b in range(sig.dim)))
+        assert sig.tables["gp_sign"].tolist() == list(signs)
+        assert sig.tables["res"].tolist() == list(masks)
+
+
 class TestGeometricProduct:
     def test_euclidean_square(self):
         assert (e(CL30, 1) * e(CL30, 1)).approx_eq(Multivector.scalar(CL30, 1.0))

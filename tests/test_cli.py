@@ -113,6 +113,20 @@ class TestSpectrum:
         assert (code, out) == (1, "")
         assert "verify: FAIL" in path.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--model", "monolayer", "--kmin", "0", "--kmax", "1"),
+        ("eigens", "--model", "monolayer", "--kx", "1"),
+        ("verify", "--trials", "1"),
+    ])
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, argv, where, capsys):
+        path = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+        assert cli.main([*argv, "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
     def test_bad_sample_count(self):
         code, _ = run_cli(
             "spectrum", "--model", "monolayer", "--kmin", "0", "--kmax", "1",
