@@ -33,7 +33,6 @@ __all__ = [
     "blade_grade",
     "blade_indices",
     "blade_str",
-    "reverse",
     "pseudoscalar",
     "spatial_inversion",
     "spatial_parts",
@@ -208,6 +207,8 @@ class Multivector:
     @classmethod
     def vector(cls, sig: Signature, coords) -> "Multivector":
         """Grade-1 element from a coordinate sequence (padded with zeros)."""
+        if len(coords) > sig.n:
+            raise ValueError(f"{len(coords)} vector coordinates out of range for n={sig.n}")
         c = np.zeros(sig.dim)
         for i, x in enumerate(coords):
             c[1 << i] = x
@@ -320,10 +321,6 @@ class Multivector:
             return NotImplemented
         return self.sig == other.sig and bool(np.array_equal(self.coeffs, other.coeffs))
 
-    def __hash__(self):
-        # + 0.0 folds -0.0 into 0.0, which __eq__ does not tell apart
-        return hash((self.sig, (self.coeffs + 0.0).tobytes()))
-
     # ---- serialization ------------------------------------------------
     def __repr__(self) -> str:
         return f"Multivector({self.sig.p},{self.sig.q}; {self})"
@@ -400,10 +397,6 @@ def canonical_order(sig: Signature) -> list[int]:
 
 
 # ---- module-level operations -----------------------------------------
-
-
-def reverse(m: Multivector) -> Multivector:
-    return ~m
 
 
 def pseudoscalar(sig: Signature) -> Multivector:

@@ -68,7 +68,8 @@ def cmd_spectrum(args, out) -> int:
         text = (f"{spec.sweep},{bands}\n" + "\n".join(map(",".join, zip(*columns)))
                 + "\n")
     else:
-        # the rotor construction is singular there, so no eigenspinors
+        # each sweep value with |x| <= DEGENERACY_TOL, whatever the bands
+        # there: `eigens` may still build some or all of their rotors
         flags = np.where(np.abs(xs) <= spectra.DEGENERACY_TOL, _DEGENERATE, "")
         template = (f'    {{\n      "{spec.sweep}": %s,\n      "energies": [\n        '
                     + ",\n        ".join(["%s"] * (len(table) - 1)) + "\n      ]%s\n    }")

@@ -31,14 +31,10 @@ __all__ = [
     "solve_cl30",
     "solve_cl31",
     "h_monolayer",
-    "solve_monolayer",
     "pseudospin_average",
     "h_qw",
-    "solve_qw",
     "h_two_atoms",
-    "solve_two_atoms",
     "h_bilayer",
-    "solve_bilayer",
     "expectation_energy",
 ]
 
@@ -324,17 +320,13 @@ def h_monolayer(psi: Spinor, kx: float, ky: float) -> Spinor:
     return Spinor(_k_vector(kx, ky) * psi.mv * _E3_30)
 
 
-def solve_monolayer(kx: float, ky: float) -> list[EigenSolution]:
-    """Both bands E = -|k|, +|k| with rotor eigenspinors (1 -+ khat e3)/sqrt2."""
-    return solve(ModelParams("monolayer", kx=kx, ky=ky))
-
-
 def pseudospin_average(psi: Spinor) -> np.ndarray:
     """Pseudospin direction psi e3 ~psi of a normalized Cl(3,0) spinor."""
     if psi.algebra != "cl30":
         raise ValueError("pseudospin average is defined for cl30 spinors")
     norm = (psi.mv * ~psi.mv).scalar_part()
-    if abs(norm - 1.0) > 1e-10:
+    # written so that a NaN norm fails it too
+    if not abs(norm - 1.0) <= 1e-10:
         raise ValueError("spinor must satisfy psi ~psi = 1")
     return (psi.mv * _E3_30 * ~psi.mv).vector_coords()
 
@@ -354,11 +346,6 @@ def h_qw(psi: Spinor, kx: float, ky: float, alphaR: float) -> Spinor:
     return Spinor(kin + so)
 
 
-def solve_qw(kx: float, ky: float, alphaR: float) -> list[EigenSolution]:
-    """Spin-split bands E = k^2/2 -+ k alphaR with in-plane rotor targets."""
-    return solve(ModelParams("qw", kx=kx, ky=ky, alphaR=alphaR))
-
-
 # ---------------------------------------------------------------------
 # two coupled two-level atoms
 # ---------------------------------------------------------------------
@@ -373,11 +360,6 @@ def h_two_atoms(psi: Spinor, omega: float, Gamma: float) -> Spinor:
         raise ValueError("two-atom model lives in Cl(3,1)")
     odd_part = spatial_parts(psi.mv)[1]
     return Spinor((omega * (_E3_31 * odd_part) - Gamma * (_E2_31 * psi.mv)) * _E3_31)
-
-
-def solve_two_atoms(omega: float, Gamma: float) -> list[EigenSolution]:
-    """Four levels: even sector -+Gamma, odd sector -+sqrt(omega^2+Gamma^2)."""
-    return solve(ModelParams("atoms", omega=omega, Gamma=Gamma))
 
 
 # ---------------------------------------------------------------------
@@ -397,11 +379,6 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
     bias = eta * params.U * (_E3_31 * psi.mv)
     # the three terms share the right factor e3
     return Spinor((kin + coupling + bias) * _E3_31)
-
-
-def solve_bilayer(params: ModelParams) -> list[EigenSolution]:
-    """Four bands from ``solve_cl31`` on h_bilayer."""
-    return solve(params)
 
 
 # ---------------------------------------------------------------------

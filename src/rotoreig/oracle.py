@@ -24,10 +24,8 @@ from .spectra import MODELS, ModelParams
 from .spinors import (
     Spinor,
     _layout_of,
-    column_to_spinor_cl30,
-    column_to_spinor_cl31,
-    spinor_to_column_cl30,
-    spinor_to_column_cl31,
+    column_to_spinor,
+    spinor_to_column,
     pauli_matrix,
     pauli_action_cl30,
     ga_action_cl31,
@@ -41,7 +39,6 @@ __all__ = [
     "matrix_bilayer",
     "ga_operator_matrix",
     "jacobi_eigh",
-    "eig_dense",
     "CrossCheckReport",
     "cross_check",
 ]
@@ -179,12 +176,6 @@ def jacobi_eigh(a, vectors: bool = False):
     return vals[order]
 
 
-def eig_dense(m) -> np.ndarray:
-    """Sorted real eigenvalues of a real symmetric or complex hermitian
-    matrix."""
-    return jacobi_eigh(m)
-
-
 # ---------------------------------------------------------------------
 # cross checks
 # ---------------------------------------------------------------------
@@ -227,10 +218,10 @@ def _energy_delta(rotor: list[float], oracle: list[float]) -> float:
 #: written from its textbook form and sharing no code with ``models`` or
 #: ``spectra``, which only supplies the ``ModelParams`` fields
 _ORACLES = {
-    "monolayer": lambda p: list(eig_dense(matrix_monolayer(p.kx, p.ky))),
-    "qw": lambda p: list(eig_dense(matrix_qw(p.kx, p.ky, p.alphaR))),
-    "atoms": lambda p: list(eig_dense(matrix_two_atoms(p.omega, p.Gamma))),
-    "bilayer": lambda p: list(eig_dense(matrix_bilayer(p.kx, p.ky, p.U, p.gamma1, p.eta))),
+    "monolayer": lambda p: list(jacobi_eigh(matrix_monolayer(p.kx, p.ky))),
+    "qw": lambda p: list(jacobi_eigh(matrix_qw(p.kx, p.ky, p.alphaR))),
+    "atoms": lambda p: list(jacobi_eigh(matrix_two_atoms(p.omega, p.Gamma))),
+    "bilayer": lambda p: list(jacobi_eigh(matrix_bilayer(p.kx, p.ky, p.U, p.gamma1, p.eta))),
 }
 
 
@@ -250,21 +241,17 @@ _SPOT_COLS_4 = np.array([
 ])
 
 
-#: per algebra: the column map each way and the (GA action, matrix) pairs
-#: that must agree on every spot-check column.  The lambdas look the
-#: actions up as module attributes when called, so a patched
-#: ``oracle.pauli_action_cl30`` is what the check runs.
+#: per algebra: the spot-check columns and the (GA action, matrix) pairs
+#: that must agree on each of them.  The lambdas look the actions up as
+#: module attributes when called, so a patched ``oracle.pauli_action_cl30``
+#: is what the check runs.
 _ACTION_PAIRS = {
     "cl30": (
         _SPOT_COLS_2,
-        lambda col: column_to_spinor_cl30(col),
-        lambda psi: spinor_to_column_cl30(psi),
         [(lambda psi, i=i: pauli_action_cl30(i, psi), pauli_matrix(i)) for i in (1, 2, 3)],
     ),
     "cl31": (
         _SPOT_COLS_4,
-        lambda col: column_to_spinor_cl31(col),
-        lambda psi: spinor_to_column_cl31(psi),
         [(lambda psi, i=i: ga_action_cl31("vector", psi, i), cl31_matrix_rep(1 << (i - 1)))
          for i in (1, 2, 3, 4)]
         + [(lambda psi: ga_action_cl31("imaginary", psi), 1j * np.eye(4))],
@@ -278,12 +265,12 @@ def _action_equivalence_ok(algebra: str) -> bool:
 
     The inputs are constant, so the answer is computed once per algebra per
     process and reused by every ``cross_check``."""
-    cols, to_spinor, to_column, pairs = _ACTION_PAIRS[algebra]
+    cols, pairs = _ACTION_PAIRS[algebra]
     try:
         for col in cols:
-            psi = to_spinor(col)
+            psi = column_to_spinor(col)
             for action, matrix in pairs:
-                if np.max(np.abs(to_column(action(psi)) - matrix @ col)) > 1e-12:
+                if np.max(np.abs(spinor_to_column(action(psi)) - matrix @ col)) > 1e-12:
                     return False
     except ValueError:
         return False

@@ -26,28 +26,21 @@ from .algebra import (
 
 __all__ = [
     "Spinor",
-    "column_to_spinor_cl30",
-    "spinor_to_column_cl30",
-    "column_to_spinor_cl31",
-    "spinor_to_column_cl31",
+    "column_to_spinor",
+    "spinor_to_column",
     "pauli_action_cl30",
     "imaginary_action_cl30",
     "ga_action_cl31",
     "cl31_matrix_rep",
     "pauli_matrix",
-    "CL30_SPINOR_MASKS",
-    "CL31_SPINOR_MASKS",
 ]
-
-# masks: e23=6, e13=5, e12=3 (Cl(3,0) even part)
-CL30_SPINOR_MASKS = (0, 6, 5, 3)
-# Cl(3,1): 1, e23, e13, e12, e1234, e14, e24, e34
-CL31_SPINOR_MASKS = (0, 6, 5, 3, 15, 9, 10, 12)
 
 
 class _Layout(NamedTuple):
     """One algebra's spinor subspace: coefficient j is ``signs[j]`` times the
-    coefficient of blade ``masks[j]``; the ``outside`` blades are zero."""
+    coefficient of blade ``masks[j]``; the ``outside`` blades are zero.  Part
+    k of the column spinor (the real parts, then the imaginary parts) is
+    ``col_signs[k]`` times coefficient ``col_order[k]``."""
 
     sig: Signature
     tag: str
@@ -55,22 +48,30 @@ class _Layout(NamedTuple):
     signs: np.ndarray
     outside: np.ndarray
     bra: Callable[[Multivector], Multivector]  # the Hilbert adjoint of a spinor
+    col_order: np.ndarray
+    col_signs: np.ndarray
 
 
-def _layout(sig: Signature, tag: str, masks, signs, bra) -> _Layout:
+def _layout(sig: Signature, tag: str, masks, signs, bra, col_order, col_signs) -> _Layout:
     outside = [m for m in range(sig.dim) if m not in masks]
-    return _Layout(sig, tag, np.array(masks), np.array(signs, float), np.array(outside), bra)
+    return _Layout(sig, tag, np.array(masks), np.array(signs, float), np.array(outside),
+                   bra, np.array(col_order), np.array(col_signs, float))
 
 
-#: the spinor layout of each algebra, keyed by its tag and by its signature
+#: the spinor layout of each algebra, keyed by its tag, by its signature and
+#: by the shape of its column spinor
 _LAYOUTS = {key: layout for layout in (
-    # a0 + a1 e23 + a2 e31 + a3 e12; canonical storage uses e13 = -e31,
-    # hence the sign on a2
-    _layout(CL30, "cl30", CL30_SPINOR_MASKS, [1, 1, -1, 1], Multivector.__invert__),
+    # a0 + a1 e23 + a2 e31 + a3 e12 (masks 0, e23, e13, e12); canonical
+    # storage uses e13 = -e31, hence the sign on a2.  Column
+    # [a0 + i a3, -a2 + i a1]
+    _layout(CL30, "cl30", (0, 6, 5, 3), [1, 1, -1, 1], Multivector.__invert__,
+            (0, 2, 3, 1), (1, -1, 1, 1)),
     # a0 + a1 e23 - a2 e31 + a3 e12 - b0 I - b1 e14 + b2 e24 + b3 e34
-    # (e31 = -e13 cancels the printed minus on a2)
-    _layout(CL31, "cl31", CL31_SPINOR_MASKS, [1, 1, 1, 1, -1, -1, 1, 1], dagger),
-) for key in (layout.tag, layout.sig)}
+    # (e31 = -e13 cancels the printed minus on a2).  Column
+    # [a0 + i a3, -b3 + i b0, -b2 - i b1, -a1 + i a2]
+    _layout(CL31, "cl31", (0, 6, 5, 3, 15, 9, 10, 12), [1, 1, 1, 1, -1, -1, 1, 1], dagger,
+            (0, 7, 6, 1, 3, 4, 5, 2), (1, -1, -1, -1, 1, 1, -1, 1)),
+) for key in (layout.tag, layout.sig, (len(layout.masks) // 2,))}
 
 
 def _layout_of(key: str | Signature) -> _Layout:
@@ -150,16 +151,6 @@ class Spinor:
         layout = _LAYOUTS[self.algebra]
         return layout.signs * self.mv.coeffs[layout.masks]
 
-    @property
-    def a(self) -> np.ndarray:
-        return self.coeff_vector()[:4]
-
-    @property
-    def b(self) -> np.ndarray:
-        if len(_LAYOUTS[self.algebra].masks) == 4:
-            raise ValueError("b coefficients exist only for cl31 spinors")
-        return self.coeff_vector()[4:]
-
     def __repr__(self) -> str:
         return f"Spinor[{self.algebra}]({self.mv})"
 
@@ -167,42 +158,24 @@ class Spinor:
 # ---- column maps ------------------------------------------------------
 
 
-def column_to_spinor_cl30(col) -> Spinor:
-    """Two complex components -> even Cl(3,0) multivector."""
+def column_to_spinor(col) -> Spinor:
+    """Complex column spinor -> GA spinor: two entries give a Cl(3,0)
+    spinor, four a Cl(3,1) one."""
     col = np.asarray(col, dtype=complex)
-    if col.shape != (2,):
-        raise ValueError("cl30 column spinor must have 2 complex entries")
-    a0, a3 = col[0].real, col[0].imag
-    a2, a1 = -col[1].real, col[1].imag
-    return Spinor.from_coeff_vector("cl30", [a0, a1, a2, a3])
+    layout = _LAYOUTS.get(col.shape)
+    if layout is None:
+        raise ValueError(f"a column spinor has 2 or 4 complex entries, not shape {col.shape}")
+    vec = np.empty(len(layout.masks))
+    vec[layout.col_order] = layout.col_signs * np.concatenate([col.real, col.imag])
+    return Spinor.from_coeff_vector(layout.tag, vec)
 
 
-def spinor_to_column_cl30(psi: Spinor) -> np.ndarray:
-    if psi.algebra != "cl30":
-        raise ValueError("expected a cl30 spinor")
-    a0, a1, a2, a3 = psi.coeff_vector()
-    return np.array([a0 + 1j * a3, -a2 + 1j * a1])
-
-
-def column_to_spinor_cl31(col) -> Spinor:
-    """Four complex components -> even+odd Cl(3,1) spinor."""
-    col = np.asarray(col, dtype=complex)
-    if col.shape != (4,):
-        raise ValueError("cl31 column spinor must have 4 complex entries")
-    a0, a3 = col[0].real, col[0].imag
-    b3, b0 = -col[1].real, col[1].imag
-    b2, b1 = -col[2].real, -col[2].imag
-    a1, a2 = -col[3].real, col[3].imag
-    return Spinor.from_coeff_vector("cl31", [a0, a1, a2, a3, b0, b1, b2, b3])
-
-
-def spinor_to_column_cl31(psi: Spinor) -> np.ndarray:
-    if psi.algebra != "cl31":
-        raise ValueError("expected a cl31 spinor")
-    a0, a1, a2, a3, b0, b1, b2, b3 = psi.coeff_vector()
-    return np.array(
-        [a0 + 1j * a3, -b3 + 1j * b0, -b2 - 1j * b1, -a1 + 1j * a2]
-    )
+def spinor_to_column(psi: Spinor) -> np.ndarray:
+    """GA spinor -> complex column spinor; inverse of ``column_to_spinor``."""
+    layout = _LAYOUTS[psi.algebra]
+    parts = layout.col_signs * psi.coeff_vector()[layout.col_order]
+    n = len(parts) // 2
+    return parts[:n] + 1j * parts[n:]
 
 
 # ---- matrix representations ------------------------------------------

@@ -12,17 +12,10 @@ import numpy as np
 import pytest
 
 from rotoreig import cli
-from rotoreig.algebra import CL30, CL31, Multivector, pseudoscalar, reverse
-from rotoreig.models import (
-    h_bilayer,
-    solve_bilayer,
-    solve_monolayer,
-    solve_qw,
-    solve_two_atoms,
-)
+from rotoreig.algebra import CL30, CL31, Multivector, pseudoscalar
+from rotoreig.models import h_bilayer, solve
 from rotoreig.oracle import (
     cross_check,
-    eig_dense,
     ga_operator_matrix,
     jacobi_eigh,
     matrix_monolayer,
@@ -45,14 +38,12 @@ from rotoreig.spectra import (
 )
 from rotoreig.spinors import (
     cl31_matrix_rep,
-    column_to_spinor_cl30,
-    column_to_spinor_cl31,
+    column_to_spinor,
     ga_action_cl31,
     imaginary_action_cl30,
     pauli_action_cl30,
     pauli_matrix,
-    spinor_to_column_cl30,
-    spinor_to_column_cl31,
+    spinor_to_column,
 )
 from test_golden import GOLDEN
 
@@ -82,8 +73,8 @@ def test_criterion_1_monolayer_spectrum_equivalence():
     worst = 0.0
     for _ in range(1000):
         kx, ky = random_k(rng)
-        rotor = [s.energy for s in solve_monolayer(kx, ky)]
-        oracle = eig_dense(matrix_monolayer(kx, ky))
+        rotor = [s.energy for s in solve(ModelParams("monolayer", kx=kx, ky=ky))]
+        oracle = jacobi_eigh(matrix_monolayer(kx, ky))
         worst = max(worst, energy_delta(rotor, oracle))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed <= 1.0
@@ -97,8 +88,8 @@ def test_criterion_2_quantum_well_spectrum_equivalence():
     for _ in range(1000):
         kx, ky = random_k(rng)
         alpha = rng.uniform(0.01, 2.0)
-        rotor = [s.energy for s in solve_qw(kx, ky, alpha)]
-        oracle = eig_dense(matrix_qw(kx, ky, alpha))
+        rotor = [s.energy for s in solve(ModelParams("qw", kx=kx, ky=ky, alphaR=alpha))]
+        oracle = jacobi_eigh(matrix_qw(kx, ky, alpha))
         worst = max(worst, energy_delta(rotor, oracle))
     report(2, "quantum well spectrum equivalence", worst <= 1e-12,
            f"max delta {worst:.2e} over 1000 draws")
@@ -110,8 +101,8 @@ def test_criterion_3_two_atoms_spectrum_equivalence():
     for _ in range(1000):
         omega = rng.uniform(0.01, 2.0)
         gamma = rng.uniform(0.01, 2.0)
-        rotor = [s.energy for s in solve_two_atoms(omega, gamma)]
-        oracle = eig_dense(matrix_two_atoms(omega, gamma))
+        rotor = [s.energy for s in solve(ModelParams("atoms", omega=omega, Gamma=gamma))]
+        oracle = jacobi_eigh(matrix_two_atoms(omega, gamma))
         worst = max(worst, energy_delta(rotor, oracle))
     report(3, "two-atom spectrum equivalence", worst <= 1e-12,
            f"max delta {worst:.2e} over 1000 draws")
@@ -157,7 +148,7 @@ def test_criterion_5_eigenspinor_contracts():
         omega = rng.uniform(0.01, 2.0)
         gamma = rng.uniform(0.01, 2.0)
 
-        for sign, s in zip((-1.0, 1.0), solve_monolayer(kx, ky)):
+        for sign, s in zip((-1.0, 1.0), solve(ModelParams("monolayer", kx=kx, ky=ky))):
             worst_res = max(worst_res, s.residual)
             psi = s.spinor.mv
             worst_norm = max(worst_norm, abs((psi * ~psi).scalar_part() - 1.0))
@@ -165,7 +156,7 @@ def test_criterion_5_eigenspinor_contracts():
             worst_target = max(
                 worst_target, (psi * e3 * ~psi - doc).norm()
             )
-        for sign, s in zip((-1.0, 1.0), solve_qw(kx, ky, alpha)):
+        for sign, s in zip((-1.0, 1.0), solve(ModelParams("qw", kx=kx, ky=ky, alphaR=alpha))):
             worst_res = max(worst_res, s.residual)
             psi = s.spinor.mv
             worst_norm = max(worst_norm, abs((psi * ~psi).scalar_part() - 1.0))
@@ -173,7 +164,7 @@ def test_criterion_5_eigenspinor_contracts():
             worst_target = max(worst_target, (psi * e3 * ~psi - doc).norm())
 
         root = math.hypot(omega, gamma)
-        for s in solve_two_atoms(omega, gamma):
+        for s in solve(ModelParams("atoms", omega=omega, Gamma=gamma)):
             worst_res = max(worst_res, s.residual)
             sign = 1.0 if s.energy > 0 else -1.0
             if s.band_label.startswith("even"):
@@ -185,7 +176,7 @@ def test_criterion_5_eigenspinor_contracts():
                 worst_target, float(np.max(np.abs(s.target_vector - doc)))
             )
     bparams = ModelParams("bilayer", kx=0.9, ky=0.4, gamma1=0.5, U=0.25, eta=1)
-    for s in solve_bilayer(bparams):
+    for s in solve(bparams):
         worst_res = max(worst_res, s.residual)
     ok = worst_res <= 1e-10 and worst_norm <= 1e-12 and worst_target <= 1e-12
     report(5, "eigenspinor residual/normalization/target contracts", ok,
@@ -199,31 +190,31 @@ def test_criterion_6_mapping_rule_equivalence():
     worst = 0.0
     for _ in range(100):
         col = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        psi = column_to_spinor_cl30(col)
+        psi = column_to_spinor(col)
         scale = max(1.0, float(np.abs(col).max()))
         for i in (1, 2, 3):
-            lhs = spinor_to_column_cl30(pauli_action_cl30(i, psi))
+            lhs = spinor_to_column(pauli_action_cl30(i, psi))
             worst = max(worst, float(np.max(np.abs(lhs - pauli_matrix(i) @ col))) / scale)
-        lhs = spinor_to_column_cl30(imaginary_action_cl30(psi))
+        lhs = spinor_to_column(imaginary_action_cl30(psi))
         worst = max(worst, float(np.max(np.abs(lhs - 1j * col))) / scale)
     for _ in range(100):
         col = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        psi = column_to_spinor_cl31(col)
+        psi = column_to_spinor(col)
         scale = max(1.0, float(np.abs(col).max()))
         for i in range(1, 5):
-            lhs = spinor_to_column_cl31(ga_action_cl31("vector", psi, i))
+            lhs = spinor_to_column(ga_action_cl31("vector", psi, i))
             rhs = cl31_matrix_rep(1 << (i - 1)) @ col
             worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
-            lhs = spinor_to_column_cl31(ga_action_cl31("pseudovector", psi, i))
+            lhs = spinor_to_column(ga_action_cl31("pseudovector", psi, i))
             rep = i_ps.coeffs[15] * cl31_matrix_rep(0b1111) @ cl31_matrix_rep(1 << (i - 1))
             worst = max(worst, float(np.max(np.abs(lhs - rep @ col))) / scale)
             for j in range(1, 5):
                 if i == j:
                     continue
-                lhs = spinor_to_column_cl31(ga_action_cl31("bivector", psi, i, j))
+                lhs = spinor_to_column(ga_action_cl31("bivector", psi, i, j))
                 rep = cl31_matrix_rep(1 << (i - 1)) @ cl31_matrix_rep(1 << (j - 1))
                 worst = max(worst, float(np.max(np.abs(lhs - rep @ col))) / scale)
-        lhs = spinor_to_column_cl31(ga_action_cl31("imaginary", psi))
+        lhs = spinor_to_column(ga_action_cl31("imaginary", psi))
         worst = max(worst, float(np.max(np.abs(lhs - 1j * col))) / scale)
     report(6, "generator action equivalence, 100 spinors per action",
            worst <= 1e-12, f"max mismatch {worst:.2e}")
@@ -245,7 +236,7 @@ def test_criterion_7_ga_core_property_suite():
         sig = CL31 if rng.random() < 0.5 else CL30
         a, b, c = unit_mv(sig), unit_mv(sig), unit_mv(sig)
         worst = max(worst, ((a * b) * c - a * (b * c)).norm())
-        worst = max(worst, (reverse(a * b) - reverse(b) * reverse(a)).norm())
+        worst = max(worst, (~(a * b) - ~b * ~a).norm())
         total = Multivector.zero(sig)
         for k in range(sig.n + 1):
             total = total + a.grade(k)

@@ -29,11 +29,7 @@ from rotoreig.models import (
     h_qw,
     h_two_atoms,
     pseudospin_average,
-    solve_bilayer,
     solve_cl30,
-    solve_monolayer,
-    solve_qw,
-    solve_two_atoms,
 )
 from rotoreig.rotors import rotor_from_vectors
 from rotoreig.spectra import (
@@ -91,7 +87,7 @@ class TestMonolayer:
         assert out.mv.approx_eq(Multivector.blade(CL30, E13_MASK))
 
     def test_unit_k_eigenspinors(self):
-        sols = solve_monolayer(1.0, 0.0)
+        sols = models.solve(ModelParams("monolayer", kx=1.0, ky=0.0))
         assert [s.energy for s in sols] == pytest.approx([-1.0, 1.0])
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         plus = mv30({0: inv_sqrt2, E13_MASK: inv_sqrt2})
@@ -100,7 +96,7 @@ class TestMonolayer:
         assert sols[0].spinor.mv.approx_eq(minus)
 
     def test_345_triangle(self):
-        sols = solve_monolayer(3.0, 4.0)
+        sols = models.solve(ModelParams("monolayer", kx=3.0, ky=4.0))
         assert [s.energy for s in sols] == pytest.approx([-5.0, 5.0])
         assert sols[1].target_vector == pytest.approx([0.6, 0.8, 0.0])
         assert all(s.residual <= 1e-12 for s in sols)
@@ -108,7 +104,7 @@ class TestMonolayer:
 
     def test_dirac_point_rejected(self):
         with pytest.raises(DegenerateError):
-            solve_monolayer(0.0, 0.0)
+            models.solve(ModelParams("monolayer", kx=0.0, ky=0.0))
 
     def test_pseudospin_of_bands(self):
         rng = np.random.default_rng(41)
@@ -117,7 +113,7 @@ class TestMonolayer:
             k = math.hypot(kx, ky)
             if k < 1e-3:
                 continue
-            valence, conduction = solve_monolayer(kx, ky)
+            valence, conduction = models.solve(ModelParams("monolayer", kx=kx, ky=ky))
             assert pseudospin_average(conduction.spinor) == pytest.approx(
                 [kx / k, ky / k, 0.0]
             )
@@ -131,6 +127,12 @@ class TestMonolayer:
         with pytest.raises(ValueError):
             pseudospin_average(Spinor(Multivector.scalar(CL30, math.sqrt(norm))))
 
+    def test_pseudospin_rejects_a_nan_spinor(self):
+        # NaN fails every comparison, so the norm check must be one it fails
+        psi = Spinor(Multivector(CL30, [math.nan] + [0.0] * 7))
+        with pytest.raises(ValueError, match="psi ~psi = 1"):
+            pseudospin_average(psi)
+
     def test_pseudospin_identity(self):
         psi = Spinor(Multivector.scalar(CL30, 1.0))
         assert pseudospin_average(psi) == pytest.approx([0.0, 0.0, 1.0])
@@ -138,11 +140,11 @@ class TestMonolayer:
 
 class TestQuantumWell:
     def test_energies_k10(self):
-        sols = solve_qw(1.0, 0.0, 0.5)
+        sols = models.solve(ModelParams("qw", kx=1.0, ky=0.0, alphaR=0.5))
         assert [s.energy for s in sols] == pytest.approx([0.0, 1.0])
 
     def test_energies_k01(self):
-        sols = solve_qw(0.0, 1.0, 0.1)
+        sols = models.solve(ModelParams("qw", kx=0.0, ky=1.0, alphaR=0.1))
         assert [s.energy for s in sols] == pytest.approx([0.4, 0.6])
 
     def test_residuals_and_rotors(self):
@@ -152,40 +154,40 @@ class TestQuantumWell:
             alpha = rng.uniform(0.05, 2.0)
             if math.hypot(kx, ky) < 1e-3:
                 continue
-            for s in solve_qw(kx, ky, alpha):
+            for s in models.solve(ModelParams("qw", kx=kx, ky=ky, alphaR=alpha)):
                 assert s.residual <= 1e-12
                 assert (s.spinor.mv * ~s.spinor.mv).scalar_part() == pytest.approx(1.0)
 
     def test_spin_perpendicular_to_k(self):
         kx, ky, alpha = 0.8, -0.6, 0.3
-        for s in solve_qw(kx, ky, alpha):
+        for s in models.solve(ModelParams("qw", kx=kx, ky=ky, alphaR=alpha)):
             avg = pseudospin_average(s.spinor)
             assert abs(kx * avg[0] + ky * avg[1]) <= 1e-12
             assert abs(avg[2]) <= 1e-12
 
     def test_spin_directions(self):
         # at k along e2 (phi = pi/2): <s+-> = +-(sin(phi) e1 - cos(phi) e2) = +-e1
-        lower, upper = solve_qw(0.0, 1.0, 0.1)
+        lower, upper = models.solve(ModelParams("qw", kx=0.0, ky=1.0, alphaR=0.1))
         assert pseudospin_average(upper.spinor) == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
         assert pseudospin_average(lower.spinor) == pytest.approx([-1.0, 0.0, 0.0], abs=1e-12)
 
     def test_zero_coupling_degenerate(self):
-        sols = solve_qw(1.0, 0.0, 0.0)
+        sols = models.solve(ModelParams("qw", kx=1.0, ky=0.0, alphaR=0.0))
         assert all(s.degenerate and s.spinor is None for s in sols)
         assert [s.energy for s in sols] == pytest.approx([0.5, 0.5])
 
     def test_near_zero_coupling_keeps_the_split_energies(self):
         # degenerate to the rotor map, but the energies and band order are
         # those of the split bands, k^2/2 -+ k alphaR
-        sols = solve_qw(1.0, 0.0, -1e-13)
+        sols = models.solve(ModelParams("qw", kx=1.0, ky=0.0, alphaR=-1e-13))
         assert all(s.degenerate and s.spinor is None for s in sols)
         assert [s.energy for s in sols] == [0.5 - 1e-13, 0.5 + 1e-13]
         assert [s.band_label for s in sols] == [
-            s.band_label for s in solve_qw(1.0, 0.0, -0.5)]
+            s.band_label for s in models.solve(ModelParams("qw", kx=1.0, ky=0.0, alphaR=-0.5))]
 
     def test_zero_k_rejected(self):
         with pytest.raises(DegenerateError):
-            solve_qw(0.0, 0.0, 0.5)
+            models.solve(ModelParams("qw", kx=0.0, ky=0.0, alphaR=0.5))
 
     def test_large_k_sweep_solves_every_point(self):
         # a target built from (k^2/2 - E)/(alphaR k^2) cancels k^2/2 against E
@@ -196,7 +198,8 @@ class TestQuantumWell:
                 k = 10.0 ** (decade + rng.random())
                 phi = rng.uniform(0.0, 2.0 * math.pi)
                 alpha = rng.uniform(0.01, 2.0)
-                for s in solve_qw(k * math.cos(phi), k * math.sin(phi), alpha):
+                for s in models.solve(ModelParams("qw", kx=k * math.cos(phi),
+                                                  ky=k * math.sin(phi), alphaR=alpha)):
                     assert abs(math.hypot(*s.target_vector) - 1.0) <= 4 * math.ulp(1.0)
                     assert s.residual <= 1e-10 * max(1.0, abs(s.energy))
 
@@ -206,7 +209,7 @@ class TestQuantumWell:
         for _ in range(20):
             kx, ky = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
             k = math.hypot(kx, ky)
-            sols = solve_qw(kx, ky, alpha)
+            sols = models.solve(ModelParams("qw", kx=kx, ky=ky, alphaR=alpha))
             assert [s.band_label for s in sols] == ["valence", "conduction"]
             assert sols[0].energy < sols[1].energy
             for sign in (-1.0, 1.0):
@@ -329,7 +332,7 @@ class TestSolveCl31:
     @pytest.mark.parametrize("eta", [1, -1])
     def test_bilayer_is_its_read_off_blocks(self, eta):
         # h_bilayer has a = eta U e3, c = -eta k and d = gamma1 e2 - eta U e3
-        sols = solve_bilayer(ModelParams("bilayer", kx=0.3, ky=-0.7, U=0.2,
+        sols = models.solve(ModelParams("bilayer", kx=0.3, ky=-0.7, U=0.2,
                                          gamma1=0.4, eta=eta))
         blocks = models.solve_cl31(cl31_h([0.0, 0.0, eta * 0.2], [-eta * 0.3, eta * 0.7, 0.0],
                                           [0.0, 0.4, -eta * 0.2]))
@@ -338,7 +341,7 @@ class TestSolveCl31:
 
     def test_two_atoms_is_its_read_off_blocks(self):
         # h_two_atoms has a = -Gamma e2, c = 0 and d = Gamma e2 - omega e3
-        sols = solve_two_atoms(0.7, 1.3)
+        sols = models.solve(ModelParams("atoms", omega=0.7, Gamma=1.3))
         blocks = models.solve_cl31(cl31_h([0.0, -1.3, 0.0], [0.0, 0.0, 0.0], [0.0, 1.3, -0.7]))
         assert [(s.energy, s.band_label) for s in sols] == [
             (b.energy, b.band_label) for b in blocks]
@@ -371,12 +374,12 @@ class TestSolveCl31:
         # is I R + phi+, whose b block is the unit rotor R; the inner bands
         # stay even, so the stack holds both sectors
         params = ModelParams("bilayer", kx=1e-4, ky=0.0, gamma1=1.0, U=0.2)
-        sols = solve_bilayer(params)
+        sols = models.solve(params)
         for s in (sols[0], sols[3]):
             assert s.residual <= 1e-15
-            assert abs(np.linalg.norm(s.spinor.b) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(s.spinor.coeff_vector()[4:]) - 1.0) <= 1e-12
         for s in (sols[1], sols[2]):
-            assert abs(np.linalg.norm(s.spinor.a) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(s.spinor.coeff_vector()[:4]) - 1.0) <= 1e-12
 
     def test_stacked_rotor_to_is_the_single_call(self):
         # the half turn below the e1e2 plane is a per-row mask on a stack
@@ -413,12 +416,12 @@ class TestSolveCl31:
 
 class TestTwoAtoms:
     def test_level_structure_345(self):
-        sols = solve_two_atoms(3.0, 4.0)
+        sols = models.solve(ModelParams("atoms", omega=3.0, Gamma=4.0))
         assert [s.energy for s in sols] == pytest.approx([-5.0, -4.0, 4.0, 5.0])
         assert all(s.residual <= 1e-12 for s in sols)
 
     def test_even_rotors(self):
-        sols = solve_two_atoms(3.0, 4.0)
+        sols = models.solve(ModelParams("atoms", omega=3.0, Gamma=4.0))
         by_label = {s.band_label: s for s in sols}
         inv_sqrt2 = 1.0 / math.sqrt(2.0)
         plus = Multivector.scalar(CL31, inv_sqrt2) + inv_sqrt2 * Multivector.blade(
@@ -437,7 +440,7 @@ class TestTwoAtoms:
         omega, gamma = 3.0, 4.0
         root = 5.0
         ahat = np.array([0.0, -gamma / root, omega / root, 0.0])
-        for s in solve_two_atoms(omega, gamma):
+        for s in models.solve(ModelParams("atoms", omega=omega, Gamma=gamma)):
             if not s.band_label.startswith("odd"):
                 continue
             even, odd = spatial_parts(s.spinor.mv)
@@ -447,11 +450,11 @@ class TestTwoAtoms:
             assert s.target_vector == pytest.approx(list(expected))
 
     def test_symmetric_limit(self):
-        sols = solve_two_atoms(0.0, 1.0)
+        sols = models.solve(ModelParams("atoms", omega=0.0, Gamma=1.0))
         assert [s.energy for s in sols] == pytest.approx([-1.0, -1.0, 1.0, 1.0])
 
     def test_uncoupled_limit(self):
-        sols = solve_two_atoms(1.0, 0.0)
+        sols = models.solve(ModelParams("atoms", omega=1.0, Gamma=0.0))
         evens = [s for s in sols if s.band_label.startswith("even")]
         odds = [s for s in sols if s.band_label.startswith("odd")]
         assert all(s.degenerate for s in evens)
@@ -459,14 +462,14 @@ class TestTwoAtoms:
         assert sorted(s.energy for s in odds) == pytest.approx([-1.0, 1.0])
 
     def test_near_uncoupled_keeps_the_split_energies(self):
-        sols = solve_two_atoms(1.0, 1e-11)
+        sols = models.solve(ModelParams("atoms", omega=1.0, Gamma=1e-11))
         assert [s.energy for s in sols] == [-1.0, -1e-11, 1e-11, 1.0]
         assert [s.band_label for s in sols] == ["odd-1", "even-1", "even-2", "odd-2"]
         assert [s.degenerate for s in sols] == [False, True, True, False]
 
     def test_fully_degenerate_rejected(self):
         with pytest.raises(DegenerateError):
-            solve_two_atoms(0.0, 0.0)
+            models.solve(ModelParams("atoms", omega=0.0, Gamma=0.0))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=8, max_size=8),
@@ -519,7 +522,7 @@ class TestBilayer:
 
         monkeypatch.setattr(models, "h_bilayer", leaky)
         with pytest.raises(ValueError, match="leaves the spinor subspace"):
-            solve_bilayer(ModelParams("bilayer", kx=0.5, gamma1=0.4, U=0.2))
+            models.solve(ModelParams("bilayer", kx=0.5, gamma1=0.4, U=0.2))
 
     def test_gamma_term_vanishes_on_even(self):
         params = ModelParams("bilayer", kx=0.4, ky=0.1, gamma1=0.9, U=0.0)
@@ -560,7 +563,7 @@ class TestBilayer:
         energies = bilayer_spectrum(k, u, g1)
         assert energies[2] == -energies[1]
         assert abs(Decimal(energies[2]) - low) <= Decimal(1e-15) * low
-        sols = solve_bilayer(ModelParams("bilayer", kx=k, U=u, gamma1=g1))
+        sols = models.solve(ModelParams("bilayer", kx=k, U=u, gamma1=g1))
         assert [s.energy for s in sols] == energies
 
     def test_spectrum_even_in_energy(self):
@@ -611,7 +614,7 @@ class TestBilayer:
 
     def test_solver_contracts(self):
         params = ModelParams("bilayer", kx=0.5, ky=0.0, gamma1=0.4, U=0.0, eta=1)
-        sols = solve_bilayer(params)
+        sols = models.solve(params)
         assert [s.energy for s in sols] == pytest.approx(
             bilayer_spectrum(0.5, 0.0, 0.4)
         )
@@ -622,14 +625,14 @@ class TestBilayer:
 
     def test_valley_symmetry(self):
         base = dict(kx=0.7, ky=-0.2, gamma1=0.5, U=0.3)
-        plus = solve_bilayer(ModelParams("bilayer", eta=1, **base))
-        minus = solve_bilayer(ModelParams("bilayer", eta=-1, **base))
+        plus = models.solve(ModelParams("bilayer", eta=1, **base))
+        minus = models.solve(ModelParams("bilayer", eta=-1, **base))
         assert [s.energy for s in plus] == pytest.approx([s.energy for s in minus])
 
     def test_even_part_target_satisfies_quantization(self):
         params = ModelParams("bilayer", kx=1.0, ky=0.3, gamma1=0.5, U=0.2, eta=1)
         k = params.k
-        for s in solve_bilayer(params):
+        for s in models.solve(params):
             if s.degenerate:
                 continue
             assert abs(bilayer_quantization_residual(s.energy, k, 0.2, 0.5)) <= 1e-10
@@ -638,7 +641,7 @@ class TestBilayer:
         rng = random.Random(42)
         for _ in range(1000):
             params = cli._draw_params("bilayer", rng)
-            sols = solve_bilayer(params)
+            sols = models.solve(params)
             assert [s.energy.hex() for s in sols] == [
                 e.hex() for e in bilayer_spectrum(params.k, params.U, params.gamma1)]
             for s in sols:
@@ -663,17 +666,17 @@ class TestBilayer:
     @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, 1e-300, 1e-11])
     def test_vanishing_hamiltonian_is_a_singular_point(self, value):
         with pytest.raises(DegenerateError, match="H = 0"):
-            solve_bilayer(ModelParams("bilayer", kx=value, ky=value, gamma1=value,
+            models.solve(ModelParams("bilayer", kx=value, ky=value, gamma1=value,
                                       U=value))
 
     @pytest.mark.parametrize("eta", [1, -1])
     def test_k0_dimer_bands_take_their_rotor_in_the_odd_sector(self, eta):
         u, g1 = 0.2, 0.4
-        sols = solve_bilayer(ModelParams("bilayer", gamma1=g1, U=u, eta=eta))
+        sols = models.solve(ModelParams("bilayer", gamma1=g1, U=u, eta=eta))
         root = math.hypot(u, g1)
         for s in (sols[0], sols[3]):
             assert not s.degenerate and abs(s.energy) == pytest.approx(root, rel=1e-15)
-            assert np.all(s.spinor.a == 0.0)
+            assert np.all(s.spinor.coeff_vector()[:4] == 0.0)
             # psi = I R with R a rotor; its target is R e3 ~R = sign(E) d/|d|
             carrier = -(pseudoscalar(CL31) * s.spinor.mv)
             assert (carrier * ~carrier).approx_eq(Multivector.scalar(CL31, 1.0), 1e-15)
@@ -687,7 +690,7 @@ class TestBilayer:
     def test_targets_at_or_near_minus_e3_use_a_half_turn(self, kx):
         # at k = 0 the bands E = -+U have targets eta U e3 / E = -+e3, and
         # rotor_from_vectors rejects e3 -> -e3
-        sols = solve_bilayer(ModelParams("bilayer", kx=kx, gamma1=0.4, U=0.2))
+        sols = models.solve(ModelParams("bilayer", kx=kx, gamma1=0.4, U=0.2))
         for s in sols[1:3]:
             assert s.target_vector[2] == pytest.approx(math.copysign(1.0, s.energy),
                                                        abs=1e-8)
@@ -704,7 +707,7 @@ class TestBilayer:
         (dict(gamma1=128.74039035465384), [False, True, True, False]),
     ])
     def test_crossings_are_degenerate_bands_without_spinor(self, params, crossing):
-        sols = solve_bilayer(ModelParams("bilayer", **params))
+        sols = models.solve(ModelParams("bilayer", **params))
         assert [s.degenerate for s in sols] == crossing
         for s in sols:
             if s.degenerate:
@@ -718,7 +721,7 @@ class TestBilayer:
         # the inner bands, and for gamma1 -> 0 the odd one E^2 - U^2 as well
         u = 1.0
         kx = math.sqrt(4.0 * u * u + 2.0 * gamma1 * gamma1)
-        sols = solve_bilayer(ModelParams("bilayer", kx=kx, ky=0.0, gamma1=gamma1, U=u))
+        sols = models.solve(ModelParams("bilayer", kx=kx, ky=0.0, gamma1=gamma1, U=u))
         for s in sols:
             assert not s.degenerate
             assert s.residual <= 1e-15 * max(1.0, abs(s.energy))
@@ -728,14 +731,14 @@ class TestBilayer:
     def test_near_crossing_is_solved_to_rounding(self, kx):
         # k = gamma1 = 0 is a crossing; a little off it the levels are simple
         # and the complements, taken from the closed form, keep full accuracy
-        sols = solve_bilayer(ModelParams("bilayer", kx=kx, gamma1=1e-4, U=1.0))
+        sols = models.solve(ModelParams("bilayer", kx=kx, gamma1=1e-4, U=1.0))
         assert [s.degenerate for s in sols] == [False] * 4
         assert all(s.residual <= 1e-15 for s in sols)
 
     @pytest.mark.parametrize("kx", [1e6, 1e60, 1e76])
     def test_scale_free(self, kx):
         # the reduction runs on H / span: no power of the scale overflows
-        sols = solve_bilayer(ModelParams("bilayer", kx=kx, ky=0.3 * kx,
+        sols = models.solve(ModelParams("bilayer", kx=kx, ky=0.3 * kx,
                                          gamma1=0.4 * kx, U=0.2 * kx))
         for s in sols:
             assert not s.degenerate
@@ -750,7 +753,7 @@ class TestBilayer:
 
         monkeypatch.setattr(models, "_cl31_levels", shifted)
         with pytest.raises(ValueError, match="quantization condition"):
-            solve_bilayer(ModelParams("bilayer", kx=0.5, gamma1=0.4, U=0.2))
+            models.solve(ModelParams("bilayer", kx=0.5, gamma1=0.4, U=0.2))
 
     @settings(max_examples=300, deadline=None)
     @given(bilayer_value, bilayer_value, bilayer_value, bilayer_value,
@@ -761,7 +764,7 @@ class TestBilayer:
     def test_any_point_solves_or_is_singular(self, kx, ky, gamma1, u, eta):
         params = ModelParams("bilayer", kx=kx, ky=ky, gamma1=gamma1, U=u, eta=eta)
         try:
-            sols = solve_bilayer(params)
+            sols = models.solve(params)
         except DegenerateError:
             assert max(params.k, abs(u), abs(gamma1)) <= DEGENERACY_TOL
             return
@@ -837,12 +840,15 @@ class TestKVectorInOneCall:
 class TestExpectationEnergy:
     def test_eigenspinors_give_eigenvalues(self):
         cases = [
-            (ModelParams("monolayer", kx=1.2, ky=-0.7), solve_monolayer(1.2, -0.7)),
-            (ModelParams("qw", kx=0.3, ky=0.9, alphaR=0.4), solve_qw(0.3, 0.9, 0.4)),
-            (ModelParams("atoms", omega=1.1, Gamma=0.6), solve_two_atoms(1.1, 0.6)),
+            (ModelParams("monolayer", kx=1.2, ky=-0.7),
+             models.solve(ModelParams("monolayer", kx=1.2, ky=-0.7))),
+            (ModelParams("qw", kx=0.3, ky=0.9, alphaR=0.4),
+             models.solve(ModelParams("qw", kx=0.3, ky=0.9, alphaR=0.4))),
+            (ModelParams("atoms", omega=1.1, Gamma=0.6),
+             models.solve(ModelParams("atoms", omega=1.1, Gamma=0.6))),
         ]
         bparams = ModelParams("bilayer", kx=0.8, ky=0.2, gamma1=0.4, U=0.15, eta=1)
-        cases.append((bparams, solve_bilayer(bparams)))
+        cases.append((bparams, models.solve(bparams)))
         for params, sols in cases:
             for s in sols:
                 if s.spinor is None:

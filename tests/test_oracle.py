@@ -15,7 +15,6 @@ from rotoreig.algebra import Multivector
 from rotoreig.spectra import MODELS, ModelParams
 from rotoreig.oracle import (
     cross_check,
-    eig_dense,
     ga_operator_matrix,
     jacobi_eigh,
     matrix_bilayer,
@@ -23,7 +22,7 @@ from rotoreig.oracle import (
     matrix_qw,
     matrix_two_atoms,
 )
-from rotoreig.spinors import Spinor, column_to_spinor_cl31, spinor_to_column_cl31
+from rotoreig.spinors import Spinor, column_to_spinor, spinor_to_column
 
 
 class TestModelMatrices:
@@ -35,11 +34,11 @@ class TestModelMatrices:
 
     def test_qw_limits(self):
         assert np.allclose(matrix_qw(1.0, 1.0, 0.0), np.eye(2))
-        vals = eig_dense(matrix_qw(1.0, 0.0, 0.5))
+        vals = jacobi_eigh(matrix_qw(1.0, 0.0, 0.5))
         assert vals == pytest.approx([0.0, 1.0])
 
     def test_two_atoms_eigenvalues(self):
-        vals = eig_dense(matrix_two_atoms(3.0, 4.0))
+        vals = jacobi_eigh(matrix_two_atoms(3.0, 4.0))
         assert vals == pytest.approx([-5.0, -4.0, 4.0, 5.0])
 
     def test_two_atoms_uncoupled_diagonal(self):
@@ -57,7 +56,7 @@ class TestModelMatrices:
 
     def test_bilayer_eigenvalues_at_k0(self):
         # the dimer B1, A2 at +-sqrt(U^2 + gamma1^2), A1 at -U and B2 at U
-        vals = eig_dense(matrix_bilayer(0.0, 0.0, 0.3, 0.4, 1))
+        vals = jacobi_eigh(matrix_bilayer(0.0, 0.0, 0.3, 0.4, 1))
         assert vals == pytest.approx([-0.5, -0.3, 0.3, 0.5], abs=1e-15)
 
     @pytest.mark.parametrize("eta", [1, -1])
@@ -73,8 +72,8 @@ class TestModelMatrices:
             params = ModelParams("bilayer", kx=kx, ky=ky, U=u, gamma1=g1, eta=eta)
             m = swap @ matrix_bilayer(kx, -ky, u, g1, eta) @ swap
             col = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            got = spinor_to_column_cl31(
-                models.h_bilayer(column_to_spinor_cl31(col), params))
+            got = spinor_to_column(
+                models.h_bilayer(column_to_spinor(col), params))
             assert np.max(np.abs(got - m @ col)) <= 1e-15 * np.max(np.abs(col))
 
     def test_ga_two_atoms_is_the_permuted_matrix(self):
@@ -84,7 +83,7 @@ class TestModelMatrices:
         rng = np.random.default_rng(63)
         for omega, gamma in [(0.7, 1.3), *rng.uniform(-2.0, 2.0, (20, 2))]:
             g = np.column_stack([
-                spinor_to_column_cl31(models.h_two_atoms(column_to_spinor_cl31(col), omega, gamma))
+                spinor_to_column(models.h_two_atoms(column_to_spinor(col), omega, gamma))
                 for col in np.eye(4, dtype=complex)])
             assert np.array_equal(g[perm][:, perm], matrix_two_atoms(omega, gamma))
 
@@ -192,7 +191,7 @@ class TestJacobi:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 with pytest.raises(ValueError, match="non-finite"):
-                    eig_dense(dense)
+                    jacobi_eigh(dense)
             assert caught == []
 
     def test_identity(self):
@@ -268,21 +267,21 @@ class TestEigDense:
         for _ in range(30):
             m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             m = (m + m.conj().T) / 2.0
-            assert np.max(np.abs(eig_dense(m) - np.linalg.eigvalsh(m))) <= 1e-10
+            assert np.max(np.abs(jacobi_eigh(m) - np.linalg.eigvalsh(m))) <= 1e-10
 
     def test_two_atoms_symmetric_limit(self):
-        assert eig_dense(matrix_two_atoms(1.0, 1.0)) == pytest.approx(
+        assert jacobi_eigh(matrix_two_atoms(1.0, 1.0)) == pytest.approx(
             [-math.sqrt(2.0), -1.0, 1.0, math.sqrt(2.0)]
         )
 
     def test_rejects_nonhermitian_complex(self):
         with pytest.raises(ValueError):
-            eig_dense(np.array([[0.0, 1j], [1j, 0.0]]))
+            jacobi_eigh(np.array([[0.0, 1j], [1j, 0.0]]))
 
     @pytest.mark.parametrize("bad", [np.array(2.0 + 0j), np.array([1.0 + 0j, 2.0])])
     def test_rejects_complex_non_matrix(self, bad):
         with pytest.raises(ValueError, match="square matrix"):
-            eig_dense(bad)
+            jacobi_eigh(bad)
 
 
 class TestGaOperatorMatrix:

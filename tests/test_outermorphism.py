@@ -49,6 +49,10 @@ class TestVectorMap:
         mat = rng.standard_normal((3, 3))
         assert np.allclose(VectorMap.from_matrix(CL30, mat).matrix(), mat)
 
+    def test_rejects_a_matrix_with_too_many_rows(self):
+        with pytest.raises(ValueError, match="n=3"):
+            VectorMap.from_matrix(CL30, np.ones((4, 3)))
+
     def test_rejects_non_vector_image(self):
         with pytest.raises(ValueError):
             VectorMap(CL30, (e(1), e(2), e(1, 2)))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotoreig import oracle
 from rotoreig.algebra import (
     CL30,
     CL31,
@@ -18,18 +19,15 @@ from rotoreig.algebra import (
     spatial_parts,
 )
 from rotoreig.spinors import (
-    CL30_SPINOR_MASKS,
-    CL31_SPINOR_MASKS,
+    _LAYOUTS,
     Spinor,
     cl31_matrix_rep,
-    column_to_spinor_cl30,
-    column_to_spinor_cl31,
+    column_to_spinor,
     ga_action_cl31,
     imaginary_action_cl30,
     pauli_action_cl30,
     pauli_matrix,
-    spinor_to_column_cl30,
-    spinor_to_column_cl31,
+    spinor_to_column,
 )
 
 
@@ -69,7 +67,7 @@ class TestSpinorType:
     def test_non_finite_leak_raises(self, sig, bad):
         # NaN fails every comparison with the bound and inf fails inf > TOL * inf,
         # so neither may be zeroed away: on its own or as a row of a stack
-        masks = CL30_SPINOR_MASKS if sig == CL30 else CL31_SPINOR_MASKS
+        masks = _LAYOUTS[sig].masks
         unit = np.zeros(sig.dim)
         unit[0] = 1.0
         for blade in np.setdiff1d(np.arange(sig.dim), masks):
@@ -85,7 +83,7 @@ class TestSpinorType:
     @pytest.mark.parametrize("leak", [1.0, 5e-324])
     def test_finite_leak_beside_a_non_finite_coefficient_raises(self, sig, bad, leak):
         # the scale |mv| is then not finite, so TOL of it would pass any leak
-        masks = CL30_SPINOR_MASKS if sig == CL30 else CL31_SPINOR_MASKS
+        masks = _LAYOUTS[sig].masks
         unit = np.zeros(sig.dim)
         unit[0] = 1.0
         for inside in masks:
@@ -102,7 +100,7 @@ class TestSpinorType:
     def test_leak_bound_is_tol_where_the_norm_overflows(self, sig, fraction, raises):
         # |mv| = 1.5e308 sqrt(2) is past the largest float, but the bound is
         # still TOL of it: twice that leaks, half of it (or 5e-324) is rounding
-        masks = CL30_SPINOR_MASKS if sig == CL30 else CL31_SPINOR_MASKS
+        masks = _LAYOUTS[sig].masks
         outside = np.setdiff1d(np.arange(sig.dim), masks)
         row = np.zeros(sig.dim)
         row[list(masks[:2])] = 1.5e308
@@ -122,7 +120,7 @@ class TestSpinorType:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficient_without_a_leak_is_kept(self, sig, bad):
         # no leak, no check: the coefficients pass through as they are
-        masks = CL30_SPINOR_MASKS if sig == CL30 else CL31_SPINOR_MASKS
+        masks = _LAYOUTS[sig].masks
         row = np.zeros(sig.dim)
         row[list(masks)] = [bad, 1.0] + [-0.0] * (len(masks) - 2)
         for mv in (Multivector(sig, row), Multivector._wrap(sig, np.array([row, row]))):
@@ -151,8 +149,8 @@ class TestSpinorType:
 
     def test_ab_accessors(self):
         s = Spinor.from_coeff_vector("cl31", np.arange(8.0))
-        assert np.allclose(s.a, [0, 1, 2, 3])
-        assert np.allclose(s.b, [4, 5, 6, 7])
+        assert np.allclose(s.coeff_vector()[:4], [0, 1, 2, 3])
+        assert np.allclose(s.coeff_vector()[4:], [4, 5, 6, 7])
 
     @pytest.mark.parametrize("sig", [CL30, CL31])
     @settings(max_examples=150, deadline=None)
@@ -162,8 +160,7 @@ class TestSpinorType:
         # with the blades outside the subspace scaled from 0 to a full leak
         special = [0.0, -0.0, 5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]
         coeff = st.one_of(st.sampled_from(special), st.floats(-10.0, 10.0))
-        inside = np.isin(np.arange(sig.dim), CL30_SPINOR_MASKS if sig == CL30
-                         else CL31_SPINOR_MASKS)
+        inside = np.isin(np.arange(sig.dim), _LAYOUTS[sig].masks)
         rows = []
         for _ in range(data.draw(st.integers(1, 4))):
             row = np.array(data.draw(st.lists(coeff, min_size=sig.dim, max_size=sig.dim)))
@@ -189,49 +186,99 @@ class TestSpinorType:
             assert got.mv.coeffs.tobytes() == ref.mv.coeffs.tobytes()
 
     def test_subspace_masks(self):
-        assert set(CL30_SPINOR_MASKS) == {0b000, 0b110, 0b101, 0b011}
+        assert set(_LAYOUTS["cl30"].masks) == {0b000, 0b110, 0b101, 0b011}
         # Cl(3,1): even bivectors e23,e13,e12 plus I, e14, e24, e34
-        assert set(CL31_SPINOR_MASKS) == {0, 6, 5, 3, 15, 9, 10, 12}
+        assert set(_LAYOUTS["cl31"].masks) == {0, 6, 5, 3, 15, 9, 10, 12}
+
+
+def reference_coeffs(col):
+    """The spinor coefficients (a0..a3) or (a0..a3, b0..b3) of a column,
+    written out by hand: the reference for ``column_to_spinor``."""
+    if len(col) == 2:
+        return [col[0].real, col[1].imag, -col[1].real, col[0].imag]
+    return [col[0].real, -col[3].real, col[3].imag, col[0].imag,
+            col[1].imag, -col[2].imag, -col[2].real, -col[1].real]
+
+
+def reference_column(psi):
+    """The column of a spinor, written out by hand: the reference for
+    ``spinor_to_column``."""
+    if psi.algebra == "cl30":
+        a0, a1, a2, a3 = psi.coeff_vector()
+        return np.array([a0 + 1j * a3, -a2 + 1j * a1])
+    a0, a1, a2, a3, b0, b1, b2, b3 = psi.coeff_vector()
+    return np.array([a0 + 1j * a3, -b3 + 1j * b0, -b2 - 1j * b1, -a1 + 1j * a2])
+
+
+def spot_and_random_columns():
+    """The oracle's spot-check columns, then random ones of both lengths."""
+    rng = np.random.default_rng(37)
+    return [*oracle._SPOT_COLS_2, *oracle._SPOT_COLS_4] + [
+        random_column(rng, n) for n in (2, 4) for _ in range(25)]
+
+
+class TestColumnMaps:
+    def test_round_trip_is_exact(self):
+        for col in spot_and_random_columns():
+            assert np.array_equal(spinor_to_column(column_to_spinor(col)), col)
+
+    def test_maps_agree_with_the_hand_formulas(self):
+        for col in spot_and_random_columns():
+            psi = column_to_spinor(col)
+            assert psi.algebra == ("cl30" if len(col) == 2 else "cl31")
+            assert psi.coeff_vector().tolist() == reference_coeffs(col)
+            assert np.array_equal(spinor_to_column(psi), reference_column(psi))
+        # spinors built from coefficients, not from a column
+        rng = np.random.default_rng(38)
+        for algebra, n in (("cl30", 4), ("cl31", 8)):
+            for _ in range(25):
+                psi = Spinor.from_coeff_vector(algebra, rng.standard_normal(n))
+                assert np.array_equal(spinor_to_column(psi), reference_column(psi))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (8,)])
+    def test_other_shapes_raise(self, shape):
+        with pytest.raises(ValueError, match="2 or 4 complex entries"):
+            column_to_spinor(np.ones(shape, dtype=complex))
 
 
 class TestColumnMapsCl30:
     def test_basis_columns(self):
-        assert column_to_spinor_cl30([1, 0]).mv.approx_eq(
+        assert column_to_spinor([1, 0]).mv.approx_eq(
             Multivector.scalar(CL30, 1.0)
         )
-        assert column_to_spinor_cl30([0, 0]).mv.norm() == 0.0
+        assert column_to_spinor([0, 0]).mv.norm() == 0.0
 
     def test_round_trip(self):
         rng = np.random.default_rng(32)
         for _ in range(50):
             col = random_column(rng, 2)
-            back = spinor_to_column_cl30(column_to_spinor_cl30(col))
+            back = spinor_to_column(column_to_spinor(col))
             assert np.max(np.abs(back - col)) <= 1e-15 * max(1.0, np.abs(col).max())
 
     def test_action_equivalence(self):
         rng = np.random.default_rng(33)
         for _ in range(100):
             col = random_column(rng, 2)
-            psi = column_to_spinor_cl30(col)
+            psi = column_to_spinor(col)
             for i in (1, 2, 3):
-                lhs = spinor_to_column_cl30(pauli_action_cl30(i, psi))
+                lhs = spinor_to_column(pauli_action_cl30(i, psi))
                 rhs = pauli_matrix(i) @ col
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.abs(col).max())
-            lhs = spinor_to_column_cl30(imaginary_action_cl30(psi))
+            lhs = spinor_to_column(imaginary_action_cl30(psi))
             assert np.max(np.abs(lhs - 1j * col)) <= 1e-12 * max(1.0, np.abs(col).max())
 
     def test_sigma3_on_identity(self):
-        psi = column_to_spinor_cl30([1, 0])
+        psi = column_to_spinor([1, 0])
         assert pauli_action_cl30(3, psi).mv.approx_eq(Multivector.scalar(CL30, 1.0))
 
 
 class TestColumnMapsCl31:
     def test_basis_columns(self):
-        assert column_to_spinor_cl31([1, 0, 0, 0]).mv.approx_eq(
+        assert column_to_spinor([1, 0, 0, 0]).mv.approx_eq(
             Multivector.scalar(CL31, 1.0)
         )
-        assert column_to_spinor_cl31([1j, 0, 0, 0]).mv.approx_eq(blade31(1, 2))
-        assert column_to_spinor_cl31([0, 1j, 0, 0]).mv.approx_eq(
+        assert column_to_spinor([1j, 0, 0, 0]).mv.approx_eq(blade31(1, 2))
+        assert column_to_spinor([0, 1j, 0, 0]).mv.approx_eq(
             -1.0 * pseudoscalar(CL31)
         )
 
@@ -239,7 +286,7 @@ class TestColumnMapsCl31:
         rng = np.random.default_rng(34)
         for _ in range(50):
             col = random_column(rng, 4)
-            back = spinor_to_column_cl31(column_to_spinor_cl31(col))
+            back = spinor_to_column(column_to_spinor(col))
             assert np.max(np.abs(back - col)) <= 1e-15 * max(1.0, np.abs(col).max())
 
     def test_generator_matrices(self):
@@ -267,30 +314,30 @@ class TestColumnMapsCl31:
         i_ps = pseudoscalar(CL31)
         for _ in range(100):
             col = random_column(rng, 4)
-            psi = column_to_spinor_cl31(col)
+            psi = column_to_spinor(col)
             scale = max(1.0, np.abs(col).max())
             for i in range(1, 5):
-                lhs = spinor_to_column_cl31(ga_action_cl31("vector", psi, i))
+                lhs = spinor_to_column(ga_action_cl31("vector", psi, i))
                 assert np.max(np.abs(lhs - cl31_matrix_rep(1 << (i - 1)) @ col)) <= 1e-12 * scale
-                lhs = spinor_to_column_cl31(ga_action_cl31("pseudovector", psi, i))
+                lhs = spinor_to_column(ga_action_cl31("pseudovector", psi, i))
                 rep = (i_ps.coeffs[15] * cl31_matrix_rep(0b1111)) @ cl31_matrix_rep(1 << (i - 1))
                 assert np.max(np.abs(lhs - rep @ col)) <= 1e-12 * scale
             for i in range(1, 5):
                 for j in range(1, 5):
                     if i == j:
                         continue
-                    lhs = spinor_to_column_cl31(ga_action_cl31("bivector", psi, i, j))
+                    lhs = spinor_to_column(ga_action_cl31("bivector", psi, i, j))
                     rep = cl31_matrix_rep(1 << (i - 1)) @ cl31_matrix_rep(1 << (j - 1))
                     assert np.max(np.abs(lhs - rep @ col)) <= 1e-12 * scale
-            lhs = spinor_to_column_cl31(ga_action_cl31("imaginary", psi))
+            lhs = spinor_to_column(ga_action_cl31("imaginary", psi))
             assert np.max(np.abs(lhs - 1j * col)) <= 1e-12 * scale
 
     def test_imaginary_unit_on_identity(self):
-        psi = column_to_spinor_cl31([1, 0, 0, 0])
+        psi = column_to_spinor([1, 0, 0, 0])
         assert ga_action_cl31("imaginary", psi).mv.approx_eq(blade31(1, 2))
 
     def test_invalid_action_arguments(self):
-        psi = column_to_spinor_cl31([1, 0, 0, 0])
+        psi = column_to_spinor([1, 0, 0, 0])
         with pytest.raises(ValueError):
             ga_action_cl31("vector", psi, 5)
         with pytest.raises(ValueError):
