@@ -43,6 +43,11 @@ __all__ = [
 #: default comparison tolerance for unit-magnitude quantities
 TOL = 1e-12
 
+#: zeros, cut to each algebra's dim: a dot with them is 0 for finite
+#: coefficients and NaN otherwise, and raises no float flag on finite ones
+_ZERO = np.zeros(256)
+_ZERO.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Signature:
@@ -95,6 +100,7 @@ class Signature:
             "grades": grades,
             "grade_masks": grades == np.arange(n + 1)[:, None],  # row k: grade k
             "odd": np.flatnonzero(grades % 2 == 1),
+            "not_vector": np.flatnonzero(grades != 1),
             "res": res.ravel(),
             "gp_sign": sign.ravel(),
             "outer_sign": outer_sign.ravel(),
@@ -233,8 +239,9 @@ class Multivector:
                 out = self.coeffs[right.gather] * right.on_right + 0.0
             else:
                 out = other.coeffs[left.gather] * left.on_left + 0.0
-            # the dense sum's inf * 0 terms put NaN where the gather has none
-            if np.isfinite(out).all():
+            # the dense sum's inf * 0 terms put NaN where the gather has none;
+            # 0 times each coefficient sums to 0 unless one is NaN or inf
+            if out.dot(_ZERO[:sig.dim]) == 0.0:
                 if left and right:
                     return _signed_blade(sig, out, left.mask ^ right.mask)
                 return Multivector._wrap(sig, out)
@@ -365,7 +372,7 @@ def _stacked_product(a: Multivector, b: Multivector, sign_key: str) -> Multivect
             out = b.coeffs.take(left.gather, axis=1) * left.on_left + 0.0
         # one non-finite row sends the whole stack to the dense sum, which
         # keeps that row's NaN bits; on a finite row the gather equals it
-        if np.isfinite(out).all():
+        if out.ravel().dot(np.zeros(out.size)) == 0.0:
             return Multivector._wrap(sig, out)
     dim = sig.dim
     w = sig.tables[sign_key] * (a.coeffs[..., :, None] * b.coeffs[..., None, :]).reshape(

@@ -104,7 +104,10 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
         raise OverflowError("the energies overflow a float")
     h_of_one = h(_ONE_30).mv
     h0 = h_of_one.scalar_part()
-    hvec = (h_of_one - h0) * _E3_30
+    # (H(1) - h0) e3 in one gather: H(1) - h0 is exactly 0.0 on the scalar,
+    # which e3 takes to e3 (blade 0b100)
+    hvec = h_of_one * _E3_30
+    hvec.coeffs[0b100] = 0.0
     hnorm = math.hypot(*hvec.vector_coords())
     if max(abs(h0), hnorm) <= DEGENERACY_TOL:
         raise DegenerateError("degenerate point: H = 0, rotor undefined")
@@ -117,7 +120,7 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
         if hnorm <= DEGENERACY_TOL * max(1.0, abs(h0)):
             out.append(EigenSolution(energy, None, None, label, 0.0, degenerate=True))
             continue
-        target = sign * (hvec / hnorm)
+        target = hvec / (sign * hnorm)  # -(x / y) = x / -y, signed zeros too
         psi = rotor_from_vectors(_E3_30, target).value
         # one band at a time: a stack of two costs Cl(3,0) more than it saves
         spinor = Spinor(psi)
@@ -324,7 +327,9 @@ def pseudospin_average(psi: Spinor) -> np.ndarray:
     """Pseudospin direction psi e3 ~psi of a normalized Cl(3,0) spinor."""
     if psi.algebra != "cl30":
         raise ValueError("pseudospin average is defined for cl30 spinors")
-    norm = (psi.mv * ~psi.mv).scalar_part()
+    # <psi ~psi>_0 is the sum of the coefficients' squares; only compared
+    coeffs = psi.mv.coeffs
+    norm = float(coeffs.dot(coeffs))
     # written so that a NaN norm fails it too
     if not abs(norm - 1.0) <= 1e-10:
         raise ValueError("spinor must satisfy psi ~psi = 1")

@@ -13,8 +13,11 @@ per algebra per process and its result is copied into each report.
 
 from __future__ import annotations
 
+import cmath
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,16 +117,21 @@ def jacobi_eigh(a, vectors: bool = False):
     a = np.array(a, dtype=complex if np.iscomplexobj(a) else float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] > 16:
         raise ValueError("expected a small square matrix")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
     n = a.shape[0]
-    ah = a.conj().T
-    if np.abs(a - ah).max() > 1e-12 * max(1.0, np.abs(a).max()):
-        raise ValueError("matrix is not hermitian")
-    a = (a + ah) / 2.0
-    scale = max(1.0, float(np.abs(a).max()))
-    negligible = 1e-14 * scale / n
+    # the checks and (a + a^H)/2 on flat lists in row order: Python's
+    # complex +, -, / 2.0 and abs (libm hypot) are numpy's formulas, so they
+    # give numpy's bits
     rows = a.tolist()
+    flat = list(itertools.chain.from_iterable(rows))
+    if not all(map(cmath.isfinite, flat)):
+        raise ValueError("matrix has non-finite entries")
+    adjoint = [x.conjugate() for x in itertools.chain.from_iterable(zip(*rows))]
+    if max(map(abs, map(operator.sub, flat, adjoint))) > 1e-12 * max(1.0, max(map(abs, flat))):
+        raise ValueError("matrix is not hermitian")
+    half = [(x + y) / 2.0 for x, y in zip(flat, adjoint)]
+    scale = max(1.0, max(map(abs, half)))
+    negligible = 1e-14 * scale / n
+    rows = [half[i:i + n] for i in range(0, n * n, n)]
     # eigenvector columns, stored as rows of v^T
     vt = np.eye(n).tolist() if vectors else None
     for _ in range(100):
@@ -218,10 +226,10 @@ def _energy_delta(rotor: list[float], oracle: list[float]) -> float:
 #: written from its textbook form and sharing no code with ``models`` or
 #: ``spectra``, which only supplies the ``ModelParams`` fields
 _ORACLES = {
-    "monolayer": lambda p: list(jacobi_eigh(matrix_monolayer(p.kx, p.ky))),
-    "qw": lambda p: list(jacobi_eigh(matrix_qw(p.kx, p.ky, p.alphaR))),
-    "atoms": lambda p: list(jacobi_eigh(matrix_two_atoms(p.omega, p.Gamma))),
-    "bilayer": lambda p: list(jacobi_eigh(matrix_bilayer(p.kx, p.ky, p.U, p.gamma1, p.eta))),
+    "monolayer": lambda p: jacobi_eigh(matrix_monolayer(p.kx, p.ky)).tolist(),
+    "qw": lambda p: jacobi_eigh(matrix_qw(p.kx, p.ky, p.alphaR)).tolist(),
+    "atoms": lambda p: jacobi_eigh(matrix_two_atoms(p.omega, p.Gamma)).tolist(),
+    "bilayer": lambda p: jacobi_eigh(matrix_bilayer(p.kx, p.ky, p.U, p.gamma1, p.eta)).tolist(),
 }
 
 

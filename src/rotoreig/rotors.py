@@ -59,8 +59,10 @@ def _check_unit_vector(v: Multivector, name: str) -> tuple[float, bool]:
     if blade:  # +-e_m: the grade and the square of its mask m
         impure, spill = t["grades"][blade.mask] != 1, False
     else:
-        outside = np.abs(v.coeffs[~t["grade_masks"][1]])
-        impure, spill = (outside > TOL).any(), (outside > 0.0).any()
+        outside = v.coeffs[t["not_vector"]]
+        # fmax skips NaN, which a plain max returns, hiding a part above TOL
+        top = np.fmax.reduce(np.abs(outside)) if np.count_nonzero(outside) else 0.0
+        impure, spill = top > TOL, top > 0.0
     if impure:
         raise ValueError(f"{name} must be a pure vector")
     # v v = sum of c_m^2 e_m e_m: a metric-weighted dot, no product needed
@@ -114,7 +116,7 @@ def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
     # a stack: each check as above, on the floats of each row, and each
     # step in one numpy call over every row
     rows = b.coeffs
-    outside = np.abs(rows[:, ~sig.tables["grade_masks"][1]])
+    outside = np.abs(rows.take(sig.tables["not_vector"], axis=1))
     # every row projected onto grade 1: on a row that passes its checks this
     # drops parts below TOL, as the call on that row alone does, or zeros,
     # whose signs reach no product (its sums start at +0.0)

@@ -9,6 +9,7 @@ the mapping (matrix action then map == map then GA action).
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,7 +39,8 @@ __all__ = [
 
 class _Layout(NamedTuple):
     """One algebra's spinor subspace: coefficient j is ``signs[j]`` times the
-    coefficient of blade ``masks[j]``; the ``outside`` blades are zero.  Part
+    coefficient of blade ``masks[j]``; the ``outside`` blades are zero, and
+    ``bound`` holds the largest float on the blades inside and 0 outside.  Part
     k of the column spinor (the real parts, then the imaginary parts) is
     ``col_signs[k]`` times coefficient ``col_order[k]``."""
 
@@ -47,6 +49,7 @@ class _Layout(NamedTuple):
     masks: np.ndarray
     signs: np.ndarray
     outside: np.ndarray
+    bound: np.ndarray
     bra: Callable[[Multivector], Multivector]  # the Hilbert adjoint of a spinor
     col_order: np.ndarray
     col_signs: np.ndarray
@@ -54,8 +57,10 @@ class _Layout(NamedTuple):
 
 def _layout(sig: Signature, tag: str, masks, signs, bra, col_order, col_signs) -> _Layout:
     outside = [m for m in range(sig.dim) if m not in masks]
+    bound = np.where(np.isin(np.arange(sig.dim), masks), sys.float_info.max, 0.0)
+    bound.flags.writeable = False
     return _Layout(sig, tag, np.array(masks), np.array(signs, float), np.array(outside),
-                   bra, np.array(col_order), np.array(col_signs, float))
+                   bound, bra, np.array(col_order), np.array(col_signs, float))
 
 
 #: the spinor layout of each algebra, keyed by its tag, by its signature and
@@ -82,11 +87,14 @@ def _layout_of(key: str | Signature) -> _Layout:
         raise ValueError(f"no spinor subspace defined for {key!r}") from None
 
 
-def _check_leak(coeffs: np.ndarray, leak: float) -> None:
-    """Raise if leak, the largest coefficient outside the spinor subspace,
-    is nonzero and any coefficient is not finite, or if it exceeds TOL of
-    the multivector's scale |mv|."""
+def _check_leak(coeffs: np.ndarray, outside: np.ndarray) -> None:
+    """Raise if a coefficient is not finite, or if the leak, the largest
+    coefficient outside the spinor subspace, exceeds TOL of the
+    multivector's scale |mv|."""
+    leak = float(np.abs(coeffs[outside]).max())
     if leak == 0.0:
+        if not all(map(math.isfinite, coeffs.tolist())):
+            raise ValueError("spinor has a coefficient that is not finite")
         return
     # |mv| by hypot, which cannot overflow where mv.norm() does; past the
     # largest float, a quarter of |mv| against a quarter of the leak (exact)
@@ -112,14 +120,15 @@ class Spinor:
         layout = _layout_of(mv.sig)
         outside = layout.outside
         clean = mv.coeffs.copy()
+        # |c| <= bound fails only on a nonzero blade outside the subspace and
+        # on NaN or inf, and raises no float flag; then a row at a time, the
+        # first bad row raises
+        if np.count_nonzero(np.abs(clean) <= layout.bound) != clean.size:
+            for row in clean.reshape(-1, layout.sig.dim):
+                _check_leak(row, outside)
         if clean.ndim == 1:
-            _check_leak(clean, float(np.abs(clean[outside]).max()))
             clean[outside] = 0.0
         else:
-            # the first leaking row raises
-            leaks = np.abs(clean.take(outside, axis=1)).max(axis=1)
-            for row, leak in zip(clean, leaks.tolist()):
-                _check_leak(row, leak)
             clean[:, outside] = 0.0
         self.algebra = layout.tag
         self.mv = Multivector._wrap(mv.sig, clean)

@@ -440,6 +440,30 @@ class TestBladeProducts:
                 assert product.coeffs.tobytes() == dense_product(a, b).tobytes()
                 assert (-product)._blade is not None
 
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    def test_finiteness_check_raises_no_flag_on_huge_coefficients(self, sig):
+        # the gather's check must neither overflow nor underflow where the
+        # gather itself does not, 1-D and stacked: a sum of squares would
+        rows = np.array([np.full(sig.dim, 1e200), np.full(sig.dim, -1e308),
+                         np.linspace(1e300, 1.7e308, sig.dim),
+                         np.where(np.arange(sig.dim) % 2 == 0, 1e308, 5e-324)])
+        for mask in range(sig.dim):
+            for blade in (Multivector.blade(sig, mask), -Multivector.blade(sig, mask)):
+                for row in rows:
+                    x = Multivector(sig, row)
+                    with np.errstate(all="raise"):
+                        cases = [(x * blade, dense_product(x, blade)),
+                                 (blade * x, dense_product(blade, x))]
+                    for got, ref in cases:
+                        assert got.coeffs.tobytes() == ref.tobytes(), (mask, row)
+                with np.errstate(all="raise"):
+                    right, left = stack(sig, rows) * blade, blade * stack(sig, rows)
+                singles = [Multivector(sig, row) for row in rows]
+                assert right.coeffs.tobytes() == b"".join(
+                    dense_product(x, blade).tobytes() for x in singles), mask
+                assert left.coeffs.tobytes() == b"".join(
+                    dense_product(blade, x).tobytes() for x in singles), mask
+
     def test_dense_and_scaled_multivectors_are_not_marked(self):
         e1 = Multivector.basis_vector(CL31, 1)
         for m in (2.0 * e1, e1 / 1.0, e1 + e1, ~e1, Multivector(CL31, e1.coeffs),

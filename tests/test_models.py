@@ -128,8 +128,13 @@ class TestMonolayer:
             pseudospin_average(Spinor(Multivector.scalar(CL30, math.sqrt(norm))))
 
     def test_pseudospin_rejects_a_nan_spinor(self):
-        # NaN fails every comparison, so the norm check must be one it fails
-        psi = Spinor(Multivector(CL30, [math.nan] + [0.0] * 7))
+        # NaN fails every comparison, so the norm check must be one it fails;
+        # Spinor refuses NaN, so the spinor is built past its check
+        nan = Multivector(CL30, [math.nan] + [0.0] * 7)
+        with pytest.raises(ValueError, match="not finite"):
+            Spinor(nan)
+        psi = object.__new__(Spinor)
+        psi.algebra, psi.mv = "cl30", nan
         with pytest.raises(ValueError, match="psi ~psi = 1"):
             pseudospin_average(psi)
 

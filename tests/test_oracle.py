@@ -1,5 +1,6 @@
 """Matrix oracle: hand-rolled eigensolvers and rotor cross-checks."""
 
+import hashlib
 import json
 import math
 import random
@@ -138,6 +139,64 @@ def assert_bit_identical(m):
     assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
 
 
+def random_hermitian(rnd, n):
+    """An n x n complex matrix, hermitian up to a relative 1e-14 on each lower
+    entry so that the Jacobi's averaging step changes bits; drawn with the
+    stdlib so the draws do not depend on numpy's generators."""
+    scale = 10.0 ** rnd.uniform(-3, 3)
+    m = [[0j] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = complex(rnd.gauss(0.0, scale), 0.0)
+        for j in range(i + 1, n):
+            m[i][j] = complex(rnd.gauss(0.0, scale), rnd.gauss(0.0, scale))
+            m[j][i] = m[i][j].conjugate() * (1.0 + 1e-14 * rnd.gauss(0.0, 1.0))
+    return m
+
+
+#: the complex Jacobi's inputs, grouped; their bits are pinned in
+#: JACOBI_DIGESTS
+JACOBI_CASES = {
+    "models": lambda: [
+        matrix_monolayer(0.3, -1.2), matrix_monolayer(1.7, 0.0), matrix_monolayer(1e-8, 3e5),
+        matrix_qw(0.4, 0.9, 0.6), matrix_qw(-2.5, 0.01, 1.9), matrix_qw(3.0, -4.0, 1e-9),
+        matrix_bilayer(0.3, 0.7, 0.2, 0.4, 1), matrix_bilayer(1.1, -0.2, -0.5, 1.3, -1),
+        matrix_bilayer(0.02, 0.0, 0.0, 1.0, 1), matrix_bilayer(4.0, 2.0, 1e-3, 1e3, -1)],
+    "random 2x2": lambda: [random_hermitian(rnd, 2) for rnd in [random.Random(61)]
+                           for _ in range(200)],
+    "random 4x4": lambda: [random_hermitian(rnd, 4) for rnd in [random.Random(62)]
+                           for _ in range(100)],
+    "signed zeros": lambda: [
+        matrix_monolayer(-0.0, 0.0), matrix_monolayer(0.0, -0.0), matrix_monolayer(-0.0, -0.0),
+        matrix_monolayer(-0.5, -0.0), matrix_qw(-0.0, -0.0, 1.0), matrix_qw(-0.0, 0.7, -0.3),
+        matrix_bilayer(-0.0, -0.0, -0.0, 0.4, 1), matrix_bilayer(0.6, -0.0, -0.0, -0.0, -1),
+        [[complex(-0.0, -0.0), complex(-0.0, 1.0)], [complex(-0.0, -1.0), complex(0.0, -0.0)]],
+        [[-0.0, complex(2.0, -0.0)], [complex(2.0, 0.0), -0.0]],
+        [[complex(1.0, -0.0), complex(-0.0, -0.0)], [complex(-0.0, 0.0), complex(-1.0, 0.0)]]],
+}
+
+#: sha256 of the values' then the vectors' bytes of every matrix in a group,
+#: recorded from the Jacobi before its set-up moved from numpy to lists
+JACOBI_DIGESTS = {
+    "models":
+        "9492f5e1f1c46e9d95ac63297098301c30436a69a1f3ee173d88d351ed802b7f",
+    "random 2x2":
+        "459192ed59b4d76a2d5cf6956b676a8a312a5360be42e6ae3a33c55c8590af24",
+    "random 4x4":
+        "76ca7c314f22c26da71688b8706a3e74485850fbfe948317591a7375a8694f05",
+    "signed zeros":
+        "f2e50b8cd2e47b9a8c017e1e247fc419f78c42f739cc6b572a7486a4a64f9604",
+}
+
+
+def jacobi_digest(mats) -> str:
+    digest = hashlib.sha256()
+    for m in mats:
+        vals, vecs = jacobi_eigh(m, vectors=True)
+        assert np.array_equal(jacobi_eigh(m), vals)
+        digest.update(vals.tobytes() + vecs.tobytes())
+    return digest.hexdigest()
+
+
 class TestJacobi:
     def test_bit_identical_to_numpy_reference(self):
         rng = np.random.default_rng(55)
@@ -148,6 +207,10 @@ class TestJacobi:
         # exact ties and zero rotation angles (theta == 0)
         assert_bit_identical(np.ones((4, 4)))
         assert_bit_identical([[1.0, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("group", JACOBI_CASES)
+    def test_complex_bits_are_stored(self, group):
+        assert jacobi_digest(JACOBI_CASES[group]()) == JACOBI_DIGESTS[group]
 
     def test_bit_identical_on_hermitian_embeddings(self):
         # the real embedding [[re, -im], [im, re]] doubles every eigenvalue:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotoreig import rotors
@@ -446,6 +446,10 @@ class TestOneProductPerCall:
 
     @settings(max_examples=500, deadline=None)
     @given(rotor_inputs())
+    # a part above TOL beside a NaN outside grade 1: a plain max of their
+    # absolute values is NaN, which passes the TOL check
+    @example((CL30, Multivector.basis_vector(CL30, 3),
+              [np.array([1e-9, 1.0, 0.0, math.nan, 0.0, 0.0, 0.0, 0.0])]))
     def test_single_and_stacked_calls_keep_the_bytes(self, inputs):
         sig, a, rows = inputs
         expected = []
@@ -461,6 +465,15 @@ class TestOneProductPerCall:
             assert stacked == errors[0]
         else:
             assert stacked == b"".join(expected)
+
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    def test_part_above_tol_beside_a_nan_is_impure(self, sig):
+        b = Multivector.basis_vector(sig, 2).coeffs.copy()
+        b[0], b[3] = 1e-9, math.nan
+        a = Multivector.basis_vector(sig, 3)
+        for rows in (b, np.array([b])):
+            with pytest.raises(ValueError, match="^b must be a pure vector$"):
+                rotor_from_vectors(a, Multivector._wrap(sig, rows))
 
     @pytest.mark.parametrize("sig, index", [(CL30, i) for i in (1, 2, 3)]
                              + [(CL31, i) for i in (1, 2, 3, 4)])

@@ -1,6 +1,7 @@
 """Column-spinor / GA-spinor bridge and matrix representations."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -118,13 +119,32 @@ class TestSpinorType:
 
     @pytest.mark.parametrize("sig", [CL30, CL31])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_coefficient_without_a_leak_is_kept(self, sig, bad):
-        # no leak, no check: the coefficients pass through as they are
+    def test_non_finite_coefficient_without_a_leak_raises(self, sig, bad):
+        # on each blade of the subspace, on its own or as a row of a stack,
+        # and with no float warning on the way
         masks = _LAYOUTS[sig].masks
-        row = np.zeros(sig.dim)
-        row[list(masks)] = [bad, 1.0] + [-0.0] * (len(masks) - 2)
-        for mv in (Multivector(sig, row), Multivector._wrap(sig, np.array([row, row]))):
-            assert Spinor(mv).mv.coeffs.tobytes() == mv.coeffs.tobytes()
+        unit = np.zeros(sig.dim)
+        unit[0] = 1.0
+        for inside in masks:
+            row = np.zeros(sig.dim)
+            row[list(masks)] = [1.0] + [-0.0] * (len(masks) - 1)
+            row[inside] = bad
+            for mv in (Multivector(sig, row), Multivector._wrap(sig, np.array([unit, row]))):
+                with np.errstate(all="raise"), pytest.raises(
+                        ValueError, match="^spinor has a coefficient that is not finite$"):
+                    Spinor(mv)
+
+    @pytest.mark.parametrize("sig", [CL30, CL31])
+    def test_finite_spinors_pass_without_a_float_flag(self, sig):
+        # the check compares |c| with the largest float inside the subspace:
+        # no float flag at the extremes, and the bits pass through
+        masks = list(_LAYOUTS[sig].masks)
+        for value in (sys.float_info.max, -sys.float_info.max, 5e-324, -0.0, 1e-300):
+            row = np.zeros(sig.dim)
+            row[masks] = value
+            for mv in (Multivector(sig, row), Multivector._wrap(sig, np.array([row, row]))):
+                with np.errstate(all="raise"):
+                    assert Spinor(mv).mv.coeffs.tobytes() == mv.coeffs.tobytes()
 
     def test_no_spinor_subspace_outside_cl30_cl31(self):
         with pytest.raises(ValueError):
