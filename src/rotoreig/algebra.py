@@ -1,27 +1,39 @@
-"""Dense multivector arithmetic for small Clifford algebras Cl(p,q).
+"""Multivector arithmetic for small Clifford algebras Cl(p,q).
 
 Basis blades are encoded as bitmasks: bit i set means the basis vector
 ``e_{i+1}`` is a factor of the blade, with factors kept in ascending index
-order.  Coefficients are stored densely (2^n reals, indexed by mask), which
-beats sparse maps for the n <= 4 algebras used in practice.
+order.  A multivector has 2^n coefficients, indexed by mask.
 
-A product sums all 4^n signed coefficient pairs with one ``bincount``, but
-a geometric product with a signed blade +-e_m (marked when built by ``blade``,
-``basis_vector``, ``pseudoscalar``, negation or a product of such) gathers
-x[k ^ m] times a sign row (Dorst, Fontijne & Mann, ch. 19): the same bits.
+A single multivector holds them as a tuple of finite Python floats, with its
+support: an int whose bit m is set where blade m may be nonzero, a superset
+of the nonzero blades that each step carries statically (a product's is its
+kernel's, ``+`` takes the union, ``grade`` and ``Spinor`` intersect).  Each
+product runs a straight-line kernel, generated at first use per signature,
+kind and pair of supports (Fontijne, *Efficient Implementation of Geometric
+Algebra*, 2007).  It sums each target blade's terms from 0.0 in the order of
+the dense sum, which ``bincount``s all 4^n signed coefficient pairs, so the
+bits are the dense sum's: the terms it drops hold a zero coefficient, and a
+sum that starts at +0.0 does not change by adding +-0.  A non-finite operand
+or result, and a division by 0.0, take numpy's dense path instead, which
+keeps numpy's bits, warnings and errstate.
 
-Inside the package a multivector may also hold a stack of n multivectors,
-coefficients of shape (n, 2^n), built with ``Multivector._wrap``.  Products
-(``*``, ``^``, ``|``), ``+``, ``-``, scalar ``*`` and ``/``, ``grade`` and
-``spatial_parts`` take a stack, in one numpy call per product, and give row i
-the bits of the same operation on row i alone.
+Inside the package a multivector may also hold numpy coefficients, built
+with ``Multivector._wrap``: a stack of n multivectors, shape (n, 2^n), or a
+single one that is not finite.  Products (``*``, ``^``, ``|``), ``+``, ``-``,
+scalar ``*`` and ``/``, ``grade`` and ``spatial_parts`` take a stack, in one
+numpy call per product, and give row i the bits of the same operation on
+row i alone.  A geometric product of a stack with a single blade +-e_m
+gathers x[k ^ m] times a sign row (Dorst, Fontijne & Mann, ch. 19): the same
+bits.
 """
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import NamedTuple
+from functools import cache, cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -34,19 +46,16 @@ __all__ = [
     "blade_indices",
     "blade_str",
     "pseudoscalar",
-    "spatial_inversion",
     "spatial_parts",
-    "dagger",
     "canonical_order",
 ]
 
 #: default comparison tolerance for unit-magnitude quantities
 TOL = 1e-12
 
-#: zeros, cut to each algebra's dim: a dot with them is 0 for finite
-#: coefficients and NaN otherwise, and raises no float flag on finite ones
-_ZERO = np.zeros(256)
-_ZERO.flags.writeable = False
+#: generated product kernels kept per signature; past this many, the oldest
+#: is dropped, and generated again if it is needed again
+KERNEL_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -113,15 +122,19 @@ class Signature:
             "rev_sign": rev_sign,
             "order": np.lexsort((b, grades)),  # by grade, then by mask
         }
-        # spatial inversion flips each spatial factor (indices 1..3 of Cl(3,1))
+        # rows: 1 on the blades that spatial inversion (indices 1..3 of
+        # Cl(3,1) flipped) keeps, 1 on those it flips
         if (p, q) == (3, 1):
             spatial = grades[b & 0b0111]
-            tables["inv_sign"] = np.where(spatial % 2 == 1, -1.0, 1.0)
-            # rows: 1 on the blades that inversion keeps, 1 on those it flips
             tables["inv_parts"] = np.array([spatial % 2 == 0, spatial % 2 == 1], dtype=float)
         for table in tables.values():
             table.flags.writeable = False  # shared by every multivector
         return tables
+
+    @cached_property
+    def _code(self) -> "_Code":
+        """The generated float code of single multivectors (see ``algebra``)."""
+        return _Code(self)
 
     def metric_sign(self, i: int) -> int:
         """Square of basis vector e_{i+1} (+1 or -1)."""
@@ -147,42 +160,181 @@ def blade_str(mask: int) -> str:
     return "e" + "".join(str(i) for i in blade_indices(mask))
 
 
-class _Blade(NamedTuple):
-    """Signed blade +-e_m: gather j ^ m, sign rows of e_m x and x e_m."""
+@cache
+def _packer(size: int):
+    return struct.Struct(f"{size}d").pack
 
-    mask: int
-    gather: np.ndarray
-    on_left: np.ndarray
-    on_right: np.ndarray
+
+def _float_array(c: tuple) -> np.ndarray:
+    """A read-only float64 array of the floats c (a view of their bytes,
+    which np.array of Python floats takes twice as long to build)."""
+    return np.frombuffer(_packer(len(c))(*c))
+
+
+def _float_rows(rows: list) -> np.ndarray:
+    """The read-only (len(rows), width) float64 array of equal-width float
+    sequences."""
+    if not rows:
+        return np.empty((0, 0))
+    return _float_array([x for row in rows for x in row]).reshape(len(rows), -1)
+
+
+@lru_cache(maxsize=KERNEL_CACHE_SIZE)
+def _bits(support: int) -> tuple[int, ...]:
+    """The blade masks whose bits are set in a support, ascending."""
+    return tuple(m for m in range(support.bit_length()) if support >> m & 1)
+
+
+def _compile(dim: int, params: str, exprs: list[str]):
+    """A function of params returning the tuple of exprs, in which ai (and
+    bi) name coefficient i of the tuple a (and b)."""
+    unpack = "".join(f"    {', '.join(f'{x}{i}' for i in range(dim))}, = {x}\n"
+                     for x in ("a", "b") if x in params.split(", "))
+    src = f"def f({params}):\n{unpack}    return ({', '.join(exprs)},)\n"
+    namespace: dict = {}
+    exec(compile(src, "<rotoreig generated>", "exec"), namespace)
+    return namespace["f"]
+
+
+class _Code:
+    """One signature's straight-line float code, each function generated at
+    first use: the elementwise steps, and the projections and product
+    kernels, keyed by the supports they were made for."""
+
+    def __init__(self, sig: Signature) -> None:
+        t = sig.tables
+        self.tables, self.dim, self.n = t, sig.dim, sig.n
+        self.grade_bits = [sum(1 << m for m in np.flatnonzero(row).tolist())
+                           for row in t["grade_masks"]]
+        self.square_sign = t["square_sign"].tolist()
+        self.projections: dict = {}
+        self.kernels: dict = {}
+        self.blades: dict = {}
+
+    def _each(self, params: str, term) -> Callable:
+        return _compile(self.dim, params, [term(i) for i in range(self.dim)])
+
+    add = cached_property(lambda self: self._each("a, b", lambda i: f"a{i} + b{i}"))
+    sub = cached_property(lambda self: self._each("a, b", lambda i: f"a{i} - b{i}"))
+    # Multivector.scalar's zeros added as well, which fold -0.0
+    add_scalar = cached_property(lambda self: self._each(
+        "a, s", lambda i: f"a{i} + 0.0" if i else "a0 + s"))
+    neg = cached_property(lambda self: self._each("a", lambda i: f"-a{i}"))
+    scale = cached_property(lambda self: self._each("a, s", lambda i: f"a{i} * s"))
+    div = cached_property(lambda self: self._each("a, s", lambda i: f"a{i} / s"))
+    # x * -1.0 is -x, and x * 1.0 is x, signed zeros too
+    rev = cached_property(lambda self: self._each(
+        "a", lambda i: f"-a{i}" if self.tables["rev_sign"][i] < 0 else f"a{i}"))
+    vector = cached_property(lambda self: _compile(
+        self.dim, "a", [f"a{1 << i}" for i in range(self.n)]))
+
+    def blade_rows(self, m: int, c: float) -> tuple:
+        """The gather j ^ m and the sign rows of c e_m x and x c e_m, kept in
+        ``blades`` for the most recent KERNEL_CACHE_SIZE pairs (m, c)."""
+        if len(self.blades) >= KERNEL_CACHE_SIZE:
+            del self.blades[next(iter(self.blades))]
+        t, dim = self.tables, self.dim
+        rows = self.blades[m, c] = (t["res"][m * dim:(m + 1) * dim],
+                                    c * t["blade_left"][m], c * t["blade_right"][m])
+        return rows
+
+    def projection(self, support: int):
+        """c on the blades of support, 0.0 elsewhere: np.where(mask, c, 0.0)."""
+        f = self.projections.get(support)
+        if f is None:
+            f = self.projections[support] = _compile(
+                self.dim, "a", [f"a{m}" if support >> m & 1 else "0.0" for m in range(self.dim)])
+        return f
+
+    def kernel(self, sign_key: str, sa: int, sb: int) -> tuple:
+        """The product a b of sign table sign_key for supports sa and sb, with
+        the support of its result.  Target k sums, from 0.0 and in the dense
+        sum's order (ascending i, j = i ^ k), sign * (a_i * b_j) for each i in
+        sa and j in sb: a term of sign 0 stays as 0.0 * (a_i * b_j), which is
+        NaN where a_i * b_j overflows, as in the dense sum."""
+        kernels = self.kernels
+        if len(kernels) >= KERNEL_CACHE_SIZE:
+            del kernels[next(iter(kernels))]
+        sign, dim = self.tables[sign_key].tolist(), self.dim
+        left, exprs, support = _bits(sa), [], 0
+        for k in range(dim):
+            expr = "0.0"
+            for i in left:
+                j = i ^ k
+                if sb >> j & 1:
+                    s = sign[i * dim + j]
+                    expr += (f" + a{i} * b{j}" if s > 0 else f" - a{i} * b{j}" if s < 0
+                             else f" + 0.0 * (a{i} * b{j})")
+                    support |= (s != 0) << k
+            exprs.append(expr)
+        entry = kernels[sign_key, sa, sb] = (_compile(dim, "a, b", exprs), support)
+        return entry
 
 
 class Multivector:
-    """Immutable-by-convention element of Cl(p,q) with dense coefficients.
+    """Immutable element of Cl(p,q).
 
     Supports ``+``, ``-``, scalar ``*``/``/``, geometric product ``*``,
     outer product ``^``, inner product ``|`` and reversion ``~``.
     """
 
-    __slots__ = ("sig", "coeffs", "_blade")
+    __slots__ = ("sig", "_c", "_support", "_array")
 
     def __init__(self, sig: Signature, coeffs) -> None:
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape != (sig.dim,):
             raise ValueError(f"expected {sig.dim} coefficients, got {coeffs.shape}")
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "_blade", None)
+        self.sig = sig
+        c = tuple(coeffs.tolist())
+        if math.isfinite(sum(c)):
+            self._c, self._array = c, None
+            self._support = sum(1 << m for m, x in enumerate(c) if x)
+        else:
+            self._c, self._support, self._array = None, None, coeffs
 
     @classmethod
-    def _wrap(cls, sig: Signature, coeffs: np.ndarray, blade=None) -> "Multivector":
+    def _wrap(cls, sig: Signature, coeffs: np.ndarray) -> "Multivector":
         """Internal constructor for float64 coefficients of shape (dim,), or
         (n, dim) for a stack, that the caller has already produced; skips
-        ``__init__``'s checks.  A stack carries no blade mark."""
+        ``__init__``'s checks and keeps the numpy storage."""
         mv = object.__new__(cls)
         mv.sig = sig
-        mv.coeffs = coeffs
-        mv._blade = blade
+        mv._c = mv._support = None
+        mv._array = coeffs
         return mv
+
+    @classmethod
+    def _of(cls, sig: Signature, c: tuple, support: int) -> "Multivector":
+        """Internal constructor for a tuple of dim finite floats, zero outside
+        support; skips every check."""
+        mv = object.__new__(cls)
+        mv.sig = sig
+        mv._c = c
+        mv._support = support
+        mv._array = None
+        return mv
+
+    @classmethod
+    def _of_floats(cls, sig: Signature, c: tuple, support: int) -> "Multivector":
+        """``_of`` for a tuple of dim floats, zero outside support, that may
+        not be finite: numpy storage then."""
+        return cls._of(sig, c, support) if math.isfinite(sum(c)) else cls._wrap(sig, np.array(c))
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The coefficients as numpy float64, read-only on a single
+        multivector (built on first access)."""
+        array = self._array
+        if array is None:
+            array = self._array = _float_array(self._c)
+        return array
+
+    def _floats(self) -> tuple:
+        """The coefficients of a single multivector as Python floats."""
+        return self._c if self._c is not None else tuple(self._array.tolist())
+
+    def _is_stack(self) -> bool:
+        return self._c is None and self._array.ndim == 2
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -201,7 +353,7 @@ class Multivector:
             raise ValueError(f"blade mask {mask} out of range")
         c = np.zeros(sig.dim)
         c[mask] = 1.0
-        return _signed_blade(sig, c, mask)
+        return cls(sig, c)
 
     @classmethod
     def basis_vector(cls, sig: Signature, i: int) -> "Multivector":
@@ -229,62 +381,84 @@ class Multivector:
         sig = self.sig
         if other.sig is not sig:
             self._check_sig(other)
-        if self.coeffs.ndim + other.coeffs.ndim > 2:
+        a, b = self._c, other._c
+        if a is not None and b is not None:
+            entry = sig._code.kernels.get((sign_key, self._support, other._support))
+            if entry is None:
+                entry = sig._code.kernel(sign_key, self._support, other._support)
+            c = entry[0](a, b)
+            # a sum past the largest float reads as not finite too, which
+            # only sends finite floats to numpy's path, with the same bits
+            if math.isfinite(sum(c)):
+                return Multivector._of(sig, c, entry[1])
+            # an overflow: the dense sum's bits and float flags
+        elif (a is None and self._array.ndim == 2) or (b is None and other._array.ndim == 2):
             return _stacked_product(self, other, sign_key)
-        left, right = self._blade, other._blade
-        if sign_key == "gp_sign" and (left or right):
-            # a signed permutation; + 0.0 as in the dense sum, which starts
-            # at +0.0 and so never returns -0.0
-            if right:
-                out = self.coeffs[right.gather] * right.on_right + 0.0
-            else:
-                out = other.coeffs[left.gather] * left.on_left + 0.0
-            # the dense sum's inf * 0 terms put NaN where the gather has none;
-            # 0 times each coefficient sums to 0 unless one is NaN or inf
-            if out.dot(_ZERO[:sig.dim]) == 0.0:
-                if left and right:
-                    return _signed_blade(sig, out, left.mask ^ right.mask)
-                return Multivector._wrap(sig, out)
         t = sig.tables
         # a[:, None] * b is np.outer's own computation, so the bits match
         w = t[sign_key] * (self.coeffs[:, None] * other.coeffs).ravel()
-        out = np.bincount(t["res"], weights=w, minlength=sig.dim)
-        return Multivector._wrap(sig, out)
+        return Multivector._wrap(sig, np.bincount(t["res"], weights=w, minlength=sig.dim))
 
     # ---- arithmetic ---------------------------------------------------
     def __add__(self, other):
+        sig = self.sig
         if isinstance(other, Multivector):
-            if other.sig is not self.sig:
+            if other.sig is not sig:
                 self._check_sig(other)
-            return Multivector._wrap(self.sig, self.coeffs + other.coeffs)
+            if self._c is not None and other._c is not None:
+                c = sig._code.add(self._c, other._c)
+                if math.isfinite(sum(c)):
+                    return Multivector._of(sig, c, self._support | other._support)
+            return Multivector._wrap(sig, self.coeffs + other.coeffs)
+        if self._c is not None and isinstance(other, (int, float)):
+            c = sig._code.add_scalar(self._c, float(other))
+            if math.isfinite(sum(c)):
+                return Multivector._of(sig, c, self._support | 1)
         # Multivector.scalar's coefficients, without building the Multivector
-        c = np.zeros(self.sig.dim)
+        c = np.zeros(sig.dim)
         c[0] = other
-        return Multivector._wrap(self.sig, self.coeffs + c)
+        return Multivector._wrap(sig, self.coeffs + c)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if self._c is not None and isinstance(other, Multivector) and other._c is not None:
+            if other.sig is not self.sig:
+                self._check_sig(other)
+            # x - y is x + (-y), signed zeros too
+            c = self.sig._code.sub(self._c, other._c)
+            if math.isfinite(sum(c)):
+                return Multivector._of(self.sig, c, self._support | other._support)
         return self + (-other if isinstance(other, Multivector) else -float(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        if self._blade:
-            return _signed_blade(self.sig, -self.coeffs, self._blade.mask)
-        return Multivector._wrap(self.sig, -self.coeffs)
+        if self._c is not None:
+            return Multivector._of(self.sig, self.sig._code.neg(self._c), self._support)
+        return Multivector._wrap(self.sig, -self._array)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return self._product(other, "gp_sign")
-        return Multivector._wrap(self.sig, self.coeffs * float(other))
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        return Multivector._wrap(self.sig, self.coeffs * float(other))
+        s = float(other)
+        if self._c is not None:
+            c = self.sig._code.scale(self._c, s)
+            if math.isfinite(sum(c)):
+                return Multivector._of(self.sig, c, self._support)
+        return Multivector._wrap(self.sig, self.coeffs * s)
 
     def __truediv__(self, other):
-        return Multivector._wrap(self.sig, self.coeffs / float(other))
+        s = float(other)
+        if self._c is not None and s != 0.0:  # numpy's inf, NaN and warnings at 0.0
+            c = self.sig._code.div(self._c, s)
+            if math.isfinite(sum(c)):
+                return Multivector._of(self.sig, c, self._support)
+        return Multivector._wrap(self.sig, self.coeffs / s)
 
     def __xor__(self, other):
         return self._product(other, "outer_sign")
@@ -293,15 +467,32 @@ class Multivector:
         return self._product(other, "inner_sign")
 
     def __invert__(self):
+        if self._c is not None:
+            return Multivector._of(self.sig, self.sig._code.rev(self._c), self._support)
         return Multivector._wrap(self.sig, self.coeffs * self.sig.tables["rev_sign"])
 
     # ---- queries ------------------------------------------------------
     def scalar_part(self) -> float:
-        return float(self.coeffs[0])
+        return self._c[0] if self._c is not None else float(self.coeffs[0])
+
+    def _project(self, support: int) -> "Multivector":
+        """The coefficients on the blades of support, 0.0 elsewhere."""
+        c = self.sig._code.projection(support)(self._c)
+        return Multivector._of(self.sig, c, self._support & support)
+
+    def _without(self, mask: int) -> "Multivector":
+        """This multivector with the coefficient of blade mask set to 0.0."""
+        if self._c is not None:
+            return self._project((1 << self.sig.dim) - 1 & ~(1 << mask))
+        c = self.coeffs.copy()
+        c[..., mask] = 0.0
+        return Multivector._wrap(self.sig, c)
 
     def grade(self, k: int) -> "Multivector":
         if not 0 <= k <= self.sig.n:
             raise ValueError(f"grade {k} out of range for n={self.sig.n}")
+        if self._c is not None:
+            return self._project(self.sig._code.grade_bits[k])
         mask = self.sig.tables["grade_masks"][k]
         return Multivector._wrap(self.sig, np.where(mask, self.coeffs, 0.0))
 
@@ -315,8 +506,14 @@ class Multivector:
     def is_even(self) -> bool:
         return bool((np.abs(self.coeffs[self.sig.tables["odd"]]) <= TOL).all())
 
+    def _vector(self) -> tuple:
+        """The grade-1 coordinates of a single multivector as Python floats."""
+        return self.sig._code.vector(self._floats())
+
     def vector_coords(self) -> np.ndarray:
         """Coordinates of the grade-1 part."""
+        if self._c is not None:
+            return _float_array(self.sig._code.vector(self._c))
         return self.coeffs[self.sig.tables["grade_masks"][1]]
 
     def approx_eq(self, other: "Multivector", tol: float = TOL) -> bool:
@@ -349,37 +546,31 @@ class Multivector:
         return " ".join(terms) if terms else "0"
 
 
-def _signed_blade(sig: Signature, coeffs: np.ndarray, mask: int) -> Multivector:
-    """The multivector coeffs = +-e_mask, marked as that signed blade."""
-    t, dim = sig.tables, sig.dim
-    scale = coeffs[mask]
-    return Multivector._wrap(sig, coeffs, _Blade(
-        mask, t["res"][mask * dim:(mask + 1) * dim],
-        scale * t["blade_left"][mask], scale * t["blade_right"][mask]))
-
-
 def _stacked_product(a: Multivector, b: Multivector, sign_key: str) -> Multivector:
-    """``_product`` where a or b is a stack: the same gather or dense sum,
-    one numpy call over every row instead of one per row."""
-    sig, left, right = a.sig, a._blade, b._blade
-    if sign_key == "gp_sign" and (left or right):
-        # a blade is a single multivector, so the other factor is the stack;
-        # take(axis=1) gathers the same values as [:, gather], in a third
-        # of the time
-        if right:
-            out = a.coeffs.take(right.gather, axis=1) * right.on_right + 0.0
-        else:
-            out = b.coeffs.take(left.gather, axis=1) * left.on_left + 0.0
-        # one non-finite row sends the whole stack to the dense sum, which
-        # keeps that row's NaN bits; on a finite row the gather equals it
+    """``_product`` where a or b is a stack: one numpy call over every row,
+    a signed gather for a single multivector whose support is one blade,
+    else the dense sum."""
+    sig = a.sig
+    single, rows = (b, a) if b._c is not None else (a, b)
+    s = single._support
+    if sign_key == "gp_sign" and s and not s & (s - 1):
+        # x e_m puts sign * x[k ^ m] at k, and (x c) sign = x (c sign)
+        # exactly for sign +-1; take(axis=1) gathers as [:, gather] does, in
+        # a third of the time
+        m = s.bit_length() - 1
+        c = single._c[m]
+        gather, on_left, on_right = sig._code.blades.get((m, c)) or sig._code.blade_rows(m, c)
+        out = rows._array.take(gather, axis=1) * (on_right if single is b else on_left) + 0.0
+        # the dense sum's inf * 0 terms put NaN where the gather has none;
+        # 0 times each coefficient sums to 0 unless one is NaN or inf, so one
+        # non-finite row sends the whole stack to the dense sum
         if out.ravel().dot(np.zeros(out.size)) == 0.0:
             return Multivector._wrap(sig, out)
-    dim = sig.dim
-    w = sig.tables[sign_key] * (a.coeffs[..., :, None] * b.coeffs[..., None, :]).reshape(
-        -1, dim * dim)
-    rows = len(w)
-    out = np.bincount(_stacked_res(sig, rows), weights=w.ravel(), minlength=rows * dim)
-    return Multivector._wrap(sig, out.reshape(rows, dim))
+    t, dim = sig.tables, sig.dim
+    w = t[sign_key] * (a.coeffs[..., :, None] * b.coeffs[..., None, :]).reshape(-1, dim * dim)
+    n = len(w)
+    out = np.bincount(_stacked_res(sig, n), weights=w.ravel(), minlength=n * dim)
+    return Multivector._wrap(sig, out.reshape(n, dim))
 
 
 @cache
@@ -410,28 +601,17 @@ def pseudoscalar(sig: Signature) -> Multivector:
     return Multivector.blade(sig, sig.dim - 1)
 
 
-def spatial_inversion(m: Multivector) -> Multivector:
-    """Flip all spatial basis vectors, leaving e4 fixed (Cl(3,1) only)."""
-    inv_sign = m.sig.tables.get("inv_sign")
-    if inv_sign is None:
-        raise ValueError("spatial inversion requires signature (3, 1)")
-    return Multivector._wrap(m.sig, m.coeffs * inv_sign)
-
-
 def spatial_parts(m: Multivector) -> tuple[Multivector, Multivector]:
     """The parts (m + mbar)/2 and (m - mbar)/2 that spatial inversion mbar
-    keeps and flips, taken blade by blade so neither overflows (Cl(3,1) only)."""
+    (each spatial factor e1, e2, e3 flipped, e4 kept) keeps and flips, taken
+    blade by blade so neither overflows (Cl(3,1) only)."""
     inv_parts = m.sig.tables.get("inv_parts")
     if inv_parts is None:
         raise ValueError("spatial inversion requires signature (3, 1)")
     # a stack multiplies each row by both parts: shape (2, n, dim)
-    even, odd = m.coeffs * (inv_parts if m.coeffs.ndim == 1 else inv_parts[:, None])
+    coeffs = m.coeffs
+    even, odd = coeffs * (inv_parts if coeffs.ndim == 1 else inv_parts[:, None])
     return Multivector._wrap(m.sig, even), Multivector._wrap(m.sig, odd)
-
-
-def dagger(m: Multivector) -> Multivector:
-    """Combined reversion and spatial inversion (Cl(3,1) only)."""
-    return spatial_inversion(~m)
 
 
 CL30 = Signature(3, 0)

@@ -16,12 +16,13 @@ from .algebra import (
     CL31,
     TOL,
     Multivector,
+    _float_rows,
     pseudoscalar,
     spatial_parts,
 )
 from .rotors import rotor_from_vectors
 from .spectra import DEGENERACY_TOL, MODELS, ModelParams, _cl31_levels, _unit_scale
-from .spinors import Spinor, _layout_of
+from .spinors import Spinor
 
 __all__ = [
     "HAMILTONIANS",
@@ -35,7 +36,6 @@ __all__ = [
     "h_qw",
     "h_two_atoms",
     "h_bilayer",
-    "expectation_energy",
 ]
 
 _E3_30 = Multivector.basis_vector(CL30, 3)
@@ -65,10 +65,10 @@ class EigenSolution:
 
 
 def _k_vector(kx: float, ky: float) -> Multivector:
-    # kx e1 + ky e2 in one numpy call.  The signs of k's zero coefficients
-    # reach no result: every product k enters sums its terms from +0.0, or
-    # adds + 0.0 to a gather
-    return Multivector._wrap(CL30, np.array([0.0, kx, ky, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    # kx e1 + ky e2 in one step.  The signs of k's zero coefficients reach no
+    # result: every product k enters sums its terms from +0.0
+    return Multivector._of_floats(CL30, (0.0, float(kx), float(ky), 0.0, 0.0, 0.0, 0.0, 0.0),
+                                  0b110)
 
 
 def _stacked_eigenpairs(h, bands: list, psi: np.ndarray, targets) -> list[EigenSolution]:
@@ -104,11 +104,10 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
         raise OverflowError("the energies overflow a float")
     h_of_one = h(_ONE_30).mv
     h0 = h_of_one.scalar_part()
-    # (H(1) - h0) e3 in one gather: H(1) - h0 is exactly 0.0 on the scalar,
+    # (H(1) - h0) e3 in one product: H(1) - h0 is exactly 0.0 on the scalar,
     # which e3 takes to e3 (blade 0b100)
-    hvec = h_of_one * _E3_30
-    hvec.coeffs[0b100] = 0.0
-    hnorm = math.hypot(*hvec.vector_coords())
+    hvec = (h_of_one * _E3_30)._without(0b100)
+    hnorm = math.hypot(*hvec._vector())
     if max(abs(h0), hnorm) <= DEGENERACY_TOL:
         raise DegenerateError("degenerate point: H = 0, rotor undefined")
     out = []
@@ -124,7 +123,7 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
         psi = rotor_from_vectors(_E3_30, target).value
         # one band at a time: a stack of two costs Cl(3,0) more than it saves
         spinor = Spinor(psi)
-        residual = float(np.abs(h(spinor).mv.coeffs - energy * psi.coeffs).max())
+        residual = max(map(abs, (h(spinor).mv - energy * psi)._floats()))
         out.append(EigenSolution(energy, spinor, target.vector_coords(), label, residual))
     return out
 
@@ -140,8 +139,9 @@ _ONE_AND_I_31 = Spinor(Multivector._wrap(
     CL31, np.array([Multivector.scalar(CL31, 1.0).coeffs, _I31.coeffs])))
 #: -I e3: -I X e3 = X (-I e3) for X = <H>_-, which commutes with I
 _MIE3_31 = -(_I31 * _E3_31)
-#: 1 on the blades of a block vector (e1, e2, e3), 0 elsewhere
+#: 1 on the blades of a block vector (e1, e2, e3), 0 elsewhere, and their support
 _IN_BLOCK_31 = Multivector.vector(CL31, [1.0, 1.0, 1.0]).coeffs
+_VECTOR_BITS_31 = 0b10110
 #: a coupled band whose even-sector t is at most this fraction of the odd
 #: sector's (outer bands near c = 0, where phi+ vanishes) takes its rotor
 #: in the odd sector
@@ -158,7 +158,9 @@ def _read_off(h) -> list[Multivector]:
     if np.abs(read - blocks[[0, 2, 2, 3]]).max() > TOL * np.abs(read).max():
         raise ValueError("H is not in Pauli-block form: a block has a scalar, e4 or "
                          "higher-grade part, or H(1) and H(I) give different couplings c")
-    return [Multivector._wrap(CL31, row) for row in blocks[[0, 2, 3]]]
+    # finite: each row of H's stacks passed a Spinor check
+    return [Multivector._of(CL31, tuple(row), _VECTOR_BITS_31)
+            for row in blocks[[0, 2, 3]].tolist()]
 
 
 def _rotor_to(target: Multivector) -> Multivector:
@@ -166,8 +168,8 @@ def _rotor_to(target: Multivector) -> Multivector:
     taking e3 to each row of a stack of targets."""
     # rotor_from_vectors rejects e3 -> -e3 and loses accuracy near it, so
     # below the e1e2 plane a half turn e31 takes e3 to -e3 first
-    if target.coeffs.ndim == 1:
-        below = target.coeffs[4] < 0.0
+    if not target._is_stack():
+        below = target._floats()[4] < 0.0
         rotor = rotor_from_vectors(_E3_31, -target if below else target).value
         return rotor * _E31_31 if below else rotor
     below = target.coeffs[:, 4:5] < 0.0
@@ -193,7 +195,7 @@ def solve_cl31(h) -> list[EigenSolution]:
     mask: the sector's rows of a, d and the numerators, the half turn below
     the e1e2 plane and psi = R + I phi- or I R + phi+."""
     a, c, d = _read_off(h)
-    coords = [v.vector_coords()[:3].tolist() for v in (a, c, d)]
+    coords = [v._vector()[:3] for v in (a, c, d)]
     na, nc, nd = (math.hypot(*x) for x in coords)
     if max(na, nc, nd) <= DEGENERACY_TOL:
         raise DegenerateError("degenerate point: H = 0, rotor undefined")
@@ -286,19 +288,24 @@ def _uncoupled(h, a: Multivector, na: float, d: Multivector, nd: float) -> list[
     """Levels -+|a| (even-i), -+|d| (odd-i); a block <= DEGENERACY_TOL: no rotors."""
     out, psis, targets = [], [], []
     # one rotor per sector: a stack of two costs more than it saves
-    for sector, block, norm, carrier in (("even", a, na, 1.0), ("odd", d, nd, _I31)):
+    for sector, block, norm in (("even", a, na), ("odd", d, nd)):
         if norm <= DEGENERACY_TOL:
             out += [EigenSolution(e, None, None, f"{sector}-{i}", 0.0, True)
                     for e, i in ((-norm, 1), (norm, 2))]
             continue
         # the level +|block|: the rotor e3 -> block/|block| (times I if odd);
         # e23 anticommutes with e3, so upper e23 takes e3 to -block/|block|
-        upper = carrier * _rotor_to(block / norm)
+        upper = _rotor_to(block / norm)
+        if sector == "odd":
+            upper = _I31 * upper
+        # each target is block / energy on the vector blades, all that a
+        # target keeps: |block| = |energy|, so no quotient overflows
+        vector = block._vector()
         for energy, i, psi in ((-norm, 1, upper * _E23_31), (norm, 2, upper)):
             out.append((energy, f"{sector}-{i}"))
-            psis.append(psi.coeffs)
-            targets.append((block / energy).vector_coords())
-    return sorted(_stacked_eigenpairs(h, out, np.array(psis), targets),
+            psis.append(psi._floats())
+            targets.append([x / energy for x in vector])
+    return sorted(_stacked_eigenpairs(h, out, _float_rows(psis), _float_rows(targets)),
                   key=lambda s: s.energy)
 
 
@@ -328,8 +335,9 @@ def pseudospin_average(psi: Spinor) -> np.ndarray:
     if psi.algebra != "cl30":
         raise ValueError("pseudospin average is defined for cl30 spinors")
     # <psi ~psi>_0 is the sum of the coefficients' squares; only compared
-    coeffs = psi.mv.coeffs
-    norm = float(coeffs.dot(coeffs))
+    norm = 0.0
+    for x in psi.mv._floats():
+        norm += x * x
     # written so that a NaN norm fails it too
     if not abs(norm - 1.0) <= 1e-10:
         raise ValueError("spinor must satisfy psi ~psi = 1")
@@ -384,25 +392,6 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
     bias = eta * params.U * (_E3_31 * psi.mv)
     # the three terms share the right factor e3
     return Spinor((kin + coupling + bias) * _E3_31)
-
-
-# ---------------------------------------------------------------------
-# expectation value
-# ---------------------------------------------------------------------
-
-
-def expectation_energy(psi: Spinor, params: ModelParams) -> float:
-    """Rayleigh value <psi~ H(psi)> / <psi~ psi> (dagger in Cl(3,1));
-    equals the eigenenergy on eigenspinors."""
-    h_psi = HAMILTONIANS[params.model](psi, params)
-    bra = _layout_of(psi.algebra).bra(psi.mv)
-    norm = (bra * psi.mv).scalar_part()
-    # relative to the spinor's own scale m^2, m its largest coefficient: the
-    # quotient does not depend on the spinor's scale
-    top = float(np.abs(psi.mv.coeffs).max())
-    if top == 0.0 or abs(norm) / top <= 1e-14 * top:
-        raise ValueError("cannot normalize a null spinor")
-    return (bra * h_psi.mv).scalar_part() / norm
 
 
 # ---------------------------------------------------------------------

@@ -129,6 +129,12 @@ def jacobi_eigh(a, vectors: bool = False):
     if max(map(abs, map(operator.sub, flat, adjoint))) > 1e-12 * max(1.0, max(map(abs, flat))):
         raise ValueError("matrix is not hermitian")
     half = [(x + y) / 2.0 for x, y in zip(flat, adjoint)]
+    if not all(map(cmath.isfinite, half)):
+        # a sum past the largest float: halved first there, which cannot
+        # overflow.  Only there, as a/2 + a^H/2 loses the last bit of a
+        # subnormal half and, under complex / 2.0, may fold a zero's sign
+        half = [h if cmath.isfinite(h) else x / 2.0 + y / 2.0
+                for h, x, y in zip(half, flat, adjoint)]
     scale = max(1.0, max(map(abs, half)))
     negligible = 1e-14 * scale / n
     rows = [half[i:i + n] for i in range(0, n * n, n)]

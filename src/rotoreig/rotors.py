@@ -10,11 +10,10 @@ import math
 
 import numpy as np
 
-from .algebra import TOL, Multivector
+from .algebra import TOL, Multivector, _bits
 
 __all__ = [
     "Rotor",
-    "rotor_exp",
     "rotor_from_vectors",
     "rotate",
     "is_rotor",
@@ -22,11 +21,6 @@ __all__ = [
 
 #: unit vectors closer than this to antiparallel have no unique rotation plane
 ANTIPARALLEL_TOL = 1e-10
-
-#: the scalar 1 as coefficients, cut to each algebra's dim: 1 + b a with the
-#: bits of ``Multivector.__add__``, which folds -0.0 in the same way
-_ONE = np.eye(1, 256)[0]
-_ONE.flags.writeable = False
 
 
 class Rotor:
@@ -55,32 +49,33 @@ def is_rotor(m: Multivector) -> bool:
 def _check_unit_vector(v: Multivector, name: str) -> tuple[float, bool]:
     """Reject v unless it is a vector, unit to TOL; return v v and whether v
     has parts outside grade 1, all below TOL."""
-    t, blade = v.sig.tables, v._blade
-    if blade:  # +-e_m: the grade and the square of its mask m
-        impure, spill = t["grades"][blade.mask] != 1, False
+    t, c = v.sig.tables, v._c
+    if c is not None:  # finite floats: the parts of its support outside grade 1
+        code = v.sig._code
+        outside = v._support & ~code.grade_bits[1]
+        top = max(abs(c[m]) for m in _bits(outside)) if outside else 0.0
     else:
         outside = v.coeffs[t["not_vector"]]
         # fmax skips NaN, which a plain max returns, hiding a part above TOL
         top = np.fmax.reduce(np.abs(outside)) if np.count_nonzero(outside) else 0.0
-        impure, spill = top > TOL, top > 0.0
-    if impure:
+    if top > TOL:
         raise ValueError(f"{name} must be a pure vector")
-    # v v = sum of c_m^2 e_m e_m: a metric-weighted dot, no product needed
-    square = float(t["square_sign"][blade.mask] if blade
-                   else (v.coeffs * v.coeffs) @ t["square_sign"])
+    # v v = sum of c_m^2 e_m e_m: a metric-weighted dot, no product needed.
+    # Summed in Python where at most two terms are nonzero, as every order
+    # sums them alike; else by numpy's dot, in the order of its BLAS (which
+    # the closed-form check near antiparallel resolves to the last bit)
+    if c is not None:
+        signs = code.square_sign
+        terms = [c[m] * c[m] * signs[m] for m in _bits(v._support) if c[m]]
+    if c is None or len(terms) > 2:
+        square = float((v.coeffs * v.coeffs) @ t["square_sign"])
+    else:
+        square = 0.0
+        for term in terms:
+            square += term
     if abs(square - 1.0) > TOL:
         raise ValueError(f"{name} must be a unit vector")
-    return square, spill
-
-
-def rotor_exp(b: Multivector, theta: float) -> Rotor:
-    """cos(theta/2) + B sin(theta/2) for a unit bivector B (B*B = -1)."""
-    if b.grades_present(TOL) - {2}:
-        raise ValueError("rotation plane must be a pure bivector")
-    sq = b * b
-    if (sq + 1.0).norm() > TOL * b.sig.dim:
-        raise ValueError("rotation plane must be a unit bivector (B*B = -1)")
-    return Rotor(math.cos(theta / 2.0) + b * math.sin(theta / 2.0))
+    return square, top > 0.0
 
 
 def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
@@ -88,8 +83,8 @@ def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
 
     R ~R - 1 = (a^2 b^2 - 1)/(2 (1 + a.b)) is held to is_rotor's bound
     TOL * dim in that closed form; R's own rounding, which grows near
-    antiparallel, is not checked.  Antiparallel inputs are rejected: pick
-    the plane with rotor_exp instead.
+    antiparallel, is not checked.  Antiparallel inputs are rejected: no
+    rotation plane is defined there.
 
     b may also be a stack of vectors (see ``algebra``); R is then the stack
     of their rotors, one numpy call per step for every row, row i with the
@@ -99,7 +94,7 @@ def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
     # parts outside grade 1, all below TOL, would make R odd
     a1 = a.grade(1) if spill else a
     sig, rotor = a.sig, object.__new__(Rotor)
-    if b.coeffs.ndim == 1:
+    if not b._is_stack():
         b2, spill = _check_unit_vector(b, "b")
         # a.b is the scalar part of b a: the same terms, summed in the same
         # order as in a | b
@@ -107,8 +102,7 @@ def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
         cos_theta = ba.scalar_part()
         if cos_theta < -1.0 + ANTIPARALLEL_TOL:
             raise ValueError("rotation plane undefined for antiparallel vectors")
-        rotor.value = Multivector._wrap(
-            sig, (ba.coeffs + _ONE[:sig.dim]) / math.sqrt(2.0 * (1.0 + cos_theta)))
+        rotor.value = (ba + 1.0) / math.sqrt(2.0 * (1.0 + cos_theta))
         # written so that NaN fails it
         if not abs(a2 * b2 - 1.0) <= TOL * sig.dim * 2.0 * (1.0 + cos_theta):
             raise ValueError(f"not a rotor: {rotor.value}")
@@ -131,7 +125,7 @@ def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
             # the call on this row alone raises its error
             rotor_from_vectors(a, Multivector._wrap(sig, rows[i]))
     denominator = np.array([math.sqrt(2.0 * (1.0 + cos)) for cos in cos_theta])
-    rotor.value = Multivector._wrap(sig, (ba.coeffs + _ONE[:sig.dim]) / denominator[:, None])
+    rotor.value = Multivector._wrap(sig, (ba + 1.0).coeffs / denominator[:, None])
     return rotor
 
 

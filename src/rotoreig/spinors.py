@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .algebra import (
     CL31,
     Multivector,
     Signature,
+    _bits,
     blade_indices,
-    dagger,
     pseudoscalar,
 )
 
@@ -40,9 +40,10 @@ __all__ = [
 class _Layout(NamedTuple):
     """One algebra's spinor subspace: coefficient j is ``signs[j]`` times the
     coefficient of blade ``masks[j]``; the ``outside`` blades are zero, and
-    ``bound`` holds the largest float on the blades inside and 0 outside.  Part
-    k of the column spinor (the real parts, then the imaginary parts) is
-    ``col_signs[k]`` times coefficient ``col_order[k]``."""
+    ``bound`` holds the largest float on the blades inside and 0 outside;
+    ``inside`` is the support of the blades inside.  Part k of the column
+    spinor (the real parts, then the imaginary parts) is ``col_signs[k]``
+    times coefficient ``col_order[k]``."""
 
     sig: Signature
     tag: str
@@ -50,17 +51,18 @@ class _Layout(NamedTuple):
     signs: np.ndarray
     outside: np.ndarray
     bound: np.ndarray
-    bra: Callable[[Multivector], Multivector]  # the Hilbert adjoint of a spinor
+    inside: int
     col_order: np.ndarray
     col_signs: np.ndarray
 
 
-def _layout(sig: Signature, tag: str, masks, signs, bra, col_order, col_signs) -> _Layout:
+def _layout(sig: Signature, tag: str, masks, signs, col_order, col_signs) -> _Layout:
     outside = [m for m in range(sig.dim) if m not in masks]
     bound = np.where(np.isin(np.arange(sig.dim), masks), sys.float_info.max, 0.0)
     bound.flags.writeable = False
     return _Layout(sig, tag, np.array(masks), np.array(signs, float), np.array(outside),
-                   bound, bra, np.array(col_order), np.array(col_signs, float))
+                   bound, sum(1 << m for m in masks), np.array(col_order),
+                   np.array(col_signs, float))
 
 
 #: the spinor layout of each algebra, keyed by its tag, by its signature and
@@ -69,12 +71,11 @@ _LAYOUTS = {key: layout for layout in (
     # a0 + a1 e23 + a2 e31 + a3 e12 (masks 0, e23, e13, e12); canonical
     # storage uses e13 = -e31, hence the sign on a2.  Column
     # [a0 + i a3, -a2 + i a1]
-    _layout(CL30, "cl30", (0, 6, 5, 3), [1, 1, -1, 1], Multivector.__invert__,
-            (0, 2, 3, 1), (1, -1, 1, 1)),
+    _layout(CL30, "cl30", (0, 6, 5, 3), [1, 1, -1, 1], (0, 2, 3, 1), (1, -1, 1, 1)),
     # a0 + a1 e23 - a2 e31 + a3 e12 - b0 I - b1 e14 + b2 e24 + b3 e34
     # (e31 = -e13 cancels the printed minus on a2).  Column
     # [a0 + i a3, -b3 + i b0, -b2 - i b1, -a1 + i a2]
-    _layout(CL31, "cl31", (0, 6, 5, 3, 15, 9, 10, 12), [1, 1, 1, 1, -1, -1, 1, 1], dagger,
+    _layout(CL31, "cl31", (0, 6, 5, 3, 15, 9, 10, 12), [1, 1, 1, 1, -1, -1, 1, 1],
             (0, 7, 6, 1, 3, 4, 5, 2), (1, -1, -1, -1, 1, 1, -1, 1)),
 ) for key in (layout.tag, layout.sig, (len(layout.masks) // 2,))}
 
@@ -87,18 +88,16 @@ def _layout_of(key: str | Signature) -> _Layout:
         raise ValueError(f"no spinor subspace defined for {key!r}") from None
 
 
-def _check_leak(coeffs: np.ndarray, outside: np.ndarray) -> None:
+def _check_leak(values: list[float], leak: float) -> None:
     """Raise if a coefficient is not finite, or if the leak, the largest
     coefficient outside the spinor subspace, exceeds TOL of the
     multivector's scale |mv|."""
-    leak = float(np.abs(coeffs[outside]).max())
     if leak == 0.0:
-        if not all(map(math.isfinite, coeffs.tolist())):
+        if not all(map(math.isfinite, values)):
             raise ValueError("spinor has a coefficient that is not finite")
         return
     # |mv| by hypot, which cannot overflow where mv.norm() does; past the
     # largest float, a quarter of |mv| against a quarter of the leak (exact)
-    values = coeffs.tolist()
     scale, part = math.hypot(*values), leak
     if scale == math.inf and all(map(math.isfinite, values)):
         scale, part = math.hypot(*(v / 4.0 for v in values)), leak / 4.0
@@ -118,6 +117,16 @@ class Spinor:
 
     def __init__(self, mv: Multivector) -> None:
         layout = _layout_of(mv.sig)
+        self.algebra = layout.tag
+        c = mv._c
+        if c is not None:
+            # finite floats: only blades of its support outside the subspace
+            # can leak
+            spill = mv._support & ~layout.inside
+            if spill:
+                _check_leak(c, max(abs(c[m]) for m in _bits(spill)))
+            self.mv = mv._project(layout.inside)
+            return
         outside = layout.outside
         clean = mv.coeffs.copy()
         # |c| <= bound fails only on a nonzero blade outside the subspace and
@@ -125,12 +134,11 @@ class Spinor:
         # first bad row raises
         if np.count_nonzero(np.abs(clean) <= layout.bound) != clean.size:
             for row in clean.reshape(-1, layout.sig.dim):
-                _check_leak(row, outside)
+                _check_leak(row.tolist(), float(np.abs(row[outside]).max()))
         if clean.ndim == 1:
             clean[outside] = 0.0
         else:
             clean[:, outside] = 0.0
-        self.algebra = layout.tag
         self.mv = Multivector._wrap(mv.sig, clean)
 
     def _rows(self) -> list["Spinor"]:

@@ -16,14 +16,12 @@ from rotoreig.algebra import (
     CL31,
     Multivector,
     pseudoscalar,
-    spatial_inversion,
     spatial_parts,
 )
 from rotoreig.models import (
     HAMILTONIANS,
     DegenerateError,
     EigenSolution,
-    expectation_energy,
     h_bilayer,
     h_monolayer,
     h_qw,
@@ -41,6 +39,12 @@ from rotoreig.spectra import (
     bilayer_spectrum,
 )
 from rotoreig.spinors import Spinor
+
+
+def spatial_inversion(m):
+    """m with each spatial factor e1, e2, e3 flipped and e4 kept (Cl(3,1))."""
+    sign = [(-1.0) ** bin(mask & 0b0111).count("1") for mask in range(m.sig.dim)]
+    return Multivector(m.sig, m.coeffs * sign)
 
 
 def mv30(coeffs_by_mask):
@@ -840,42 +844,6 @@ class TestKVectorInOneCall:
             assert h_outcome(lambda: h_bilayer(psi, params)) == h_outcome(lambda: Spinor(
                 (float(eta) * (k * psi.mv * i31) + -gamma1 * (e2 * odd)
                  + float(eta) * U * (e3 * psi.mv)) * e3))
-
-
-class TestExpectationEnergy:
-    def test_eigenspinors_give_eigenvalues(self):
-        cases = [
-            (ModelParams("monolayer", kx=1.2, ky=-0.7),
-             models.solve(ModelParams("monolayer", kx=1.2, ky=-0.7))),
-            (ModelParams("qw", kx=0.3, ky=0.9, alphaR=0.4),
-             models.solve(ModelParams("qw", kx=0.3, ky=0.9, alphaR=0.4))),
-            (ModelParams("atoms", omega=1.1, Gamma=0.6),
-             models.solve(ModelParams("atoms", omega=1.1, Gamma=0.6))),
-        ]
-        bparams = ModelParams("bilayer", kx=0.8, ky=0.2, gamma1=0.4, U=0.15, eta=1)
-        cases.append((bparams, models.solve(bparams)))
-        for params, sols in cases:
-            for s in sols:
-                if s.spinor is None:
-                    continue
-                assert expectation_energy(s.spinor, params) == pytest.approx(
-                    s.energy, abs=1e-10
-                )
-
-    def test_value_does_not_depend_on_the_spinor_scale(self):
-        cases = [ModelParams("monolayer", kx=1.2, ky=-0.7),
-                 ModelParams("bilayer", kx=0.8, ky=0.2, gamma1=0.4, U=0.15, eta=1)]
-        for params in cases:
-            for s in models.solve(params):
-                values = [expectation_energy(Spinor(c * s.spinor.mv), params)
-                          for c in (1.0, 1e-8, 1e8, 1e-7)]
-                assert values == pytest.approx([s.energy] * 4, rel=1e-14, abs=0.0)
-
-    def test_null_spinor_rejected(self):
-        with pytest.raises(ValueError):
-            expectation_energy(
-                Spinor(Multivector.zero(CL30)), ModelParams("monolayer", kx=1.0)
-            )
 
 
 def _spectrum_at(spec, x, params):

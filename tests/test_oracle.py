@@ -212,6 +212,14 @@ class TestJacobi:
     def test_complex_bits_are_stored(self, group):
         assert jacobi_digest(JACOBI_CASES[group]()) == JACOBI_DIGESTS[group]
 
+    def test_entries_past_half_the_largest_float(self):
+        # a/2 + a^H/2 does not overflow where (a + a^H)/2 did: the Jacobi
+        # and the monolayer cross check at kx = ky = 1e308 give an answer
+        assert jacobi_eigh([[0.0, 1.2e308], [1.2e308, 0.0]]).tolist() == pytest.approx(
+            [-1.2e308, 1.2e308], rel=1e-15)
+        report = cross_check(ModelParams("monolayer", kx=1e308, ky=1e308))
+        assert report.passed and report.oracle_energies[1] > 1.4e308
+
     def test_bit_identical_on_hermitian_embeddings(self):
         # the real embedding [[re, -im], [im, re]] doubles every eigenvalue:
         # a real symmetric matrix with exact pairs, which must still come out
@@ -568,24 +576,25 @@ class TestActionCheckOncePerAlgebra:
 
 class TestProductCounts:
     """Exact geometric-product counts per cross_check, one fixed point per
-    model, split into signed-blade gathers and dense products; a change to
-    either count must be deliberate."""
+    model, split into products of two single multivectors (a generated
+    kernel) and products with a stack (numpy); a change to either count must
+    be deliberate."""
 
     POINTS = {
-        ModelParams("monolayer", kx=0.3, ky=-1.2): {"blade": 6, "dense": 3},
-        ModelParams("qw", kx=0.3, ky=1.1, alphaR=0.7): {"blade": 9, "dense": 3},
-        ModelParams("atoms", omega=3.0, Gamma=4.0): {"blade": 14, "dense": 0},
-        ModelParams("bilayer", kx=0.5, ky=0.1, gamma1=0.4, U=0.2): {"blade": 14, "dense": 7},
+        ModelParams("monolayer", kx=0.3, ky=-1.2): {"kernel": 9, "stack": 0},
+        ModelParams("qw", kx=0.3, ky=1.1, alphaR=0.7): {"kernel": 12, "stack": 0},
+        ModelParams("atoms", omega=3.0, Gamma=4.0): {"kernel": 6, "stack": 8},
+        ModelParams("bilayer", kx=0.5, ky=0.1, gamma1=0.4, U=0.2): {"kernel": 4, "stack": 17},
     }
 
     @pytest.mark.parametrize("params", list(POINTS), ids=lambda p: p.model)
     def test_products_per_cross_check(self, monkeypatch, params):
         real = Multivector._product
-        counts = {"blade": 0, "dense": 0}
+        counts = {"kernel": 0, "stack": 0}
 
         def counting(self, other, sign_key):
-            marked = sign_key == "gp_sign" and (self._blade or other._blade)
-            counts["blade" if marked else "dense"] += 1
+            single = self._c is not None and other._c is not None
+            counts["kernel" if single else "stack"] += 1
             return real(self, other, sign_key)
 
         cross_check(params)  # the action spot check runs once per process

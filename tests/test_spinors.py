@@ -16,7 +16,6 @@ from rotoreig.algebra import (
     Multivector,
     Signature,
     pseudoscalar,
-    spatial_inversion,
     spatial_parts,
 )
 from rotoreig.spinors import (
@@ -30,6 +29,12 @@ from rotoreig.spinors import (
     pauli_matrix,
     spinor_to_column,
 )
+
+
+def spatial_inversion(m):
+    """m with each spatial factor e1, e2, e3 flipped and e4 kept (Cl(3,1))."""
+    sign = [(-1.0) ** bin(mask & 0b0111).count("1") for mask in range(m.sig.dim)]
+    return Multivector(m.sig, m.coeffs * sign)
 
 
 def random_column(rng, n):
