@@ -53,8 +53,9 @@ __all__ = [
 #: default comparison tolerance for unit-magnitude quantities
 TOL = 1e-12
 
-#: generated product kernels kept per signature; past this many, the oldest
-#: is dropped, and generated again if it is needed again
+#: generated product kernels (and projections, and blade rows) kept per
+#: signature; past this many, the oldest is dropped, and generated again if
+#: it is needed again
 KERNEL_CACHE_SIZE = 256
 
 
@@ -240,9 +241,12 @@ class _Code:
 
     def projection(self, support: int):
         """c on the blades of support, 0.0 elsewhere: np.where(mask, c, 0.0)."""
-        f = self.projections.get(support)
+        projections = self.projections
+        f = projections.get(support)
         if f is None:
-            f = self.projections[support] = _compile(
+            if len(projections) >= KERNEL_CACHE_SIZE:
+                del projections[next(iter(projections))]
+            f = projections[support] = _compile(
                 self.dim, "a", [f"a{m}" if support >> m & 1 else "0.0" for m in range(self.dim)])
         return f
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rotoreig.algebra import (
     CL30,
     CL31,
+    KERNEL_CACHE_SIZE,
     Multivector,
     Signature,
     canonical_order,
@@ -591,6 +592,42 @@ class TestKernels:
                     x / zero
                 with np.errstate(all="ignore"):
                     assert (x / zero).coeffs.tobytes() == (x.coeffs / zero).tobytes()
+
+    def test_kernel_cache_stays_bounded(self):
+        # more support pairs than the cache holds: the oldest kernels are
+        # dropped, and one made again after its eviction gives the same bits
+        code, rng = CL31._code, np.random.default_rng(27)
+        xs = []
+        for _ in range(40):
+            c = rng.standard_normal(CL31.dim)
+            c[rng.random(CL31.dim) < 0.5] = 0.0
+            xs.append(Multivector(CL31, c))
+        keys = set()
+        for a in xs:
+            for b in xs:
+                assert (a * b).coeffs.tobytes() == dense_product(a, b).tobytes()
+                keys.add(("gp_sign", a._support, b._support))
+                assert len(code.kernels) <= KERNEL_CACHE_SIZE
+        assert len(keys) > KERNEL_CACHE_SIZE
+        assert ("gp_sign", xs[0]._support, xs[0]._support) not in code.kernels
+        assert (xs[0] * xs[0]).coeffs.tobytes() == dense_product(xs[0], xs[0]).tobytes()
+
+    def test_projection_and_blade_row_caches_stay_bounded(self):
+        # a projection per support and blade rows per (blade, coefficient)
+        # pair, past the cache size: each cache keeps at most that many
+        code, rng = CL31._code, np.random.default_rng(28)
+        x = Multivector(CL31, rng.standard_normal(CL31.dim))
+        rows = stack(CL31, rng.standard_normal((3, CL31.dim)))
+        for i in range(KERNEL_CACHE_SIZE + 40):
+            support = int(rng.integers(1, 1 << CL31.dim))
+            mask = np.array([support >> m & 1 for m in range(CL31.dim)], dtype=bool)
+            got = x._project(support)
+            assert got.coeffs.tobytes() == np.where(mask, x.coeffs, 0.0).tobytes()
+            assert len(code.projections) <= KERNEL_CACHE_SIZE
+            blade = (1.0 + i) * Multivector.blade(CL31, i % CL31.dim)
+            assert (rows * blade).coeffs.tobytes() == b"".join(
+                dense_product(Multivector(CL31, r), blade).tobytes() for r in rows.coeffs)
+            assert len(code.blades) <= KERNEL_CACHE_SIZE
 
 
 # ---- stacks of multivectors ---------------------------------------------
