@@ -4,27 +4,22 @@ Basis blades are encoded as bitmasks: bit i set means the basis vector
 ``e_{i+1}`` is a factor of the blade, with factors kept in ascending index
 order.  A multivector has 2^n coefficients, indexed by mask.
 
-A single multivector holds them as a tuple of finite Python floats, with its
+A multivector holds them as a tuple of finite Python floats, with its
 support: an int whose bit m is set where blade m may be nonzero, a superset
 of the nonzero blades that each step carries statically (a product's is its
-kernel's, ``+`` takes the union, ``grade`` and ``Spinor`` intersect).  Each
-product runs a straight-line kernel, generated at first use per signature,
-kind and pair of supports (Fontijne, *Efficient Implementation of Geometric
-Algebra*, 2007).  It sums each target blade's terms from 0.0 in the order of
-the dense sum, which ``bincount``s all 4^n signed coefficient pairs, so the
-bits are the dense sum's: the terms it drops hold a zero coefficient, and a
-sum that starts at +0.0 does not change by adding +-0.  A non-finite operand
-or result, and a division by 0.0, take numpy's dense path instead, which
-keeps numpy's bits, warnings and errstate.
+kernel's, ``+`` takes the union, ``grade``, ``spatial_parts`` and ``Spinor``
+intersect).  Each product runs a straight-line kernel, generated at first
+use per signature, kind and pair of supports (Fontijne, *Efficient
+Implementation of Geometric Algebra*, 2007).  It sums each target blade's
+terms from 0.0 in the order of the dense sum, which ``bincount``s all 4^n
+signed coefficient pairs, so the bits are the dense sum's: the terms it
+drops hold a zero coefficient, and a sum that starts at +0.0 does not change
+by adding +-0.
 
-Inside the package a multivector may also hold numpy coefficients, built
-with ``Multivector._wrap``: a stack of n multivectors, shape (n, 2^n), or a
-single one that is not finite.  Products (``*``, ``^``, ``|``), ``+``, ``-``,
-scalar ``*`` and ``/``, ``grade`` and ``spatial_parts`` take a stack, in one
-numpy call per product, and give row i the bits of the same operation on
-row i alone.  A geometric product of a stack with a single blade +-e_m
-gathers x[k ^ m] times a sign row (Dorst, Fontijne & Mann, ch. 19): the same
-bits.
+A multivector that is not finite, or whose coefficients' sum overflows,
+holds numpy coefficients instead, built inside the package with
+``Multivector._wrap``: such an operand or result, and a division by 0.0,
+take numpy's dense path, which keeps numpy's bits, warnings and errstate.
 """
 
 from __future__ import annotations
@@ -42,18 +37,15 @@ __all__ = [
     "Multivector",
     "CL30",
     "CL31",
-    "blade_grade",
     "blade_indices",
-    "blade_str",
     "pseudoscalar",
     "spatial_parts",
-    "canonical_order",
 ]
 
 #: default comparison tolerance for unit-magnitude quantities
 TOL = 1e-12
 
-#: generated product kernels (and projections, and blade rows) kept per
+#: generated product kernels (and projections) kept per
 #: signature; past this many, the oldest is dropped, and generated again if
 #: it is needed again
 KERNEL_CACHE_SIZE = 256
@@ -82,7 +74,7 @@ class Signature:
     def tables(self) -> dict:
         """Product tables, flattened over mask pairs, and blade index arrays."""
         p, q, n, dim = self.p, self.q, self.n, self.dim
-        grades = np.array([blade_grade(m) for m in range(dim)], dtype=np.int64)
+        grades = np.array([bin(m).count("1") for m in range(dim)], dtype=np.int64)
 
         # e_a e_b = +-e_{a^b}: sorting a's factors then b's, each factor of b
         # passes each greater factor of a, and each shared factor squaring to
@@ -115,13 +107,9 @@ class Signature:
             "gp_sign": sign.ravel(),
             "outer_sign": outer_sign.ravel(),
             "inner_sign": inner_sign.ravel(),
-            # e_m x and x e_m put sign[m, j ^ m] x[j ^ m] and sign[j ^ m, m]
-            # x[j ^ m] at j: row m of each, with j ^ m row m of res
-            "blade_left": np.take_along_axis(sign, res, axis=1),
-            "blade_right": np.take_along_axis(sign.T, res, axis=1),
             "square_sign": sign.diagonal().copy(),  # e_m e_m
             "rev_sign": rev_sign,
-            "order": np.lexsort((b, grades)),  # by grade, then by mask
+            "order": np.lexsort((b, grades)),  # by grade, then by mask: str's order
         }
         # rows: 1 on the blades that spatial inversion (indices 1..3 of
         # Cl(3,1) flipped) keeps, 1 on those it flips
@@ -134,7 +122,7 @@ class Signature:
 
     @cached_property
     def _code(self) -> "_Code":
-        """The generated float code of single multivectors (see ``algebra``)."""
+        """The generated float code of finite multivectors (see ``algebra``)."""
         return _Code(self)
 
     def metric_sign(self, i: int) -> int:
@@ -144,21 +132,9 @@ class Signature:
         return 1 if i < self.p else -1
 
 
-def blade_grade(mask: int) -> int:
-    """Grade of a basis blade = number of vector factors."""
-    return bin(mask).count("1")
-
-
 def blade_indices(mask: int) -> list[int]:
     """1-based vector indices of a blade mask, ascending."""
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def blade_str(mask: int) -> str:
-    """Canonical name of a basis blade: '' for the scalar, else e.g. 'e134'."""
-    if mask == 0:
-        return ""
-    return "e" + "".join(str(i) for i in blade_indices(mask))
 
 
 @cache
@@ -170,14 +146,6 @@ def _float_array(c: tuple) -> np.ndarray:
     """A read-only float64 array of the floats c (a view of their bytes,
     which np.array of Python floats takes twice as long to build)."""
     return np.frombuffer(_packer(len(c))(*c))
-
-
-def _float_rows(rows: list) -> np.ndarray:
-    """The read-only (len(rows), width) float64 array of equal-width float
-    sequences."""
-    if not rows:
-        return np.empty((0, 0))
-    return _float_array([x for row in rows for x in row]).reshape(len(rows), -1)
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -210,7 +178,6 @@ class _Code:
         self.square_sign = t["square_sign"].tolist()
         self.projections: dict = {}
         self.kernels: dict = {}
-        self.blades: dict = {}
 
     def _each(self, params: str, term) -> Callable:
         return _compile(self.dim, params, [term(i) for i in range(self.dim)])
@@ -229,15 +196,12 @@ class _Code:
     vector = cached_property(lambda self: _compile(
         self.dim, "a", [f"a{1 << i}" for i in range(self.n)]))
 
-    def blade_rows(self, m: int, c: float) -> tuple:
-        """The gather j ^ m and the sign rows of c e_m x and x c e_m, kept in
-        ``blades`` for the most recent KERNEL_CACHE_SIZE pairs (m, c)."""
-        if len(self.blades) >= KERNEL_CACHE_SIZE:
-            del self.blades[next(iter(self.blades))]
-        t, dim = self.tables, self.dim
-        rows = self.blades[m, c] = (t["res"][m * dim:(m + 1) * dim],
-                                    c * t["blade_left"][m], c * t["blade_right"][m])
-        return rows
+    # spatial_parts' two halves with their supports: c times a row of
+    # inv_parts, x * 1.0 = x and x * 0.0 = +-0.0, as numpy gives them
+    spatial = cached_property(lambda self: [
+        (self._each("a", lambda i: f"a{i}" if row[i] else f"a{i} * 0.0"),
+         sum(1 << i for i, keep in enumerate(row) if keep))
+        for row in self.tables["inv_parts"].tolist()])
 
     def projection(self, support: int):
         """c on the blades of support, 0.0 elsewhere: np.where(mask, c, 0.0)."""
@@ -298,9 +262,9 @@ class Multivector:
 
     @classmethod
     def _wrap(cls, sig: Signature, coeffs: np.ndarray) -> "Multivector":
-        """Internal constructor for float64 coefficients of shape (dim,), or
-        (n, dim) for a stack, that the caller has already produced; skips
-        ``__init__``'s checks and keeps the numpy storage."""
+        """Internal constructor for float64 coefficients of shape (dim,) that
+        the caller has already produced; skips ``__init__``'s checks and keeps
+        the numpy storage."""
         mv = object.__new__(cls)
         mv.sig = sig
         mv._c = mv._support = None
@@ -326,19 +290,16 @@ class Multivector:
 
     @property
     def coeffs(self) -> np.ndarray:
-        """The coefficients as numpy float64, read-only on a single
-        multivector (built on first access)."""
+        """The coefficients as numpy float64, read-only where they are
+        floats (built on first access)."""
         array = self._array
         if array is None:
             array = self._array = _float_array(self._c)
         return array
 
     def _floats(self) -> tuple:
-        """The coefficients of a single multivector as Python floats."""
+        """The coefficients as Python floats."""
         return self._c if self._c is not None else tuple(self._array.tolist())
-
-    def _is_stack(self) -> bool:
-        return self._c is None and self._array.ndim == 2
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -396,8 +357,6 @@ class Multivector:
             if math.isfinite(sum(c)):
                 return Multivector._of(sig, c, entry[1])
             # an overflow: the dense sum's bits and float flags
-        elif (a is None and self._array.ndim == 2) or (b is None and other._array.ndim == 2):
-            return _stacked_product(self, other, sign_key)
         t = sig.tables
         # a[:, None] * b is np.outer's own computation, so the bits match
         w = t[sign_key] * (self.coeffs[:, None] * other.coeffs).ravel()
@@ -489,7 +448,7 @@ class Multivector:
         if self._c is not None:
             return self._project((1 << self.sig.dim) - 1 & ~(1 << mask))
         c = self.coeffs.copy()
-        c[..., mask] = 0.0
+        c[mask] = 0.0
         return Multivector._wrap(self.sig, c)
 
     def grade(self, k: int) -> "Multivector":
@@ -511,7 +470,7 @@ class Multivector:
         return bool((np.abs(self.coeffs[self.sig.tables["odd"]]) <= TOL).all())
 
     def _vector(self) -> tuple:
-        """The grade-1 coordinates of a single multivector as Python floats."""
+        """The grade-1 coordinates as Python floats."""
         return self.sig._code.vector(self._floats())
 
     def vector_coords(self) -> np.ndarray:
@@ -535,14 +494,14 @@ class Multivector:
 
     def __str__(self) -> str:
         terms = []
-        for mask in canonical_order(self.sig):
+        for mask in self.sig.tables["order"].tolist():
             c = self.coeffs[mask]
             if c == 0.0:
                 continue
             mag = _fmt_float(abs(c))
             # "nan*e1", not "nane1"; finite coefficients abut their blade
             sep = "" if np.isfinite(c) else "*"
-            body = mag + sep + blade_str(mask) if mask else mag
+            body = mag + sep + "e" + "".join(map(str, blade_indices(mask))) if mask else mag
             if not terms:
                 terms.append(("-" if c < 0 else "") + body)
             else:
@@ -550,52 +509,11 @@ class Multivector:
         return " ".join(terms) if terms else "0"
 
 
-def _stacked_product(a: Multivector, b: Multivector, sign_key: str) -> Multivector:
-    """``_product`` where a or b is a stack: one numpy call over every row,
-    a signed gather for a single multivector whose support is one blade,
-    else the dense sum."""
-    sig = a.sig
-    single, rows = (b, a) if b._c is not None else (a, b)
-    s = single._support
-    if sign_key == "gp_sign" and s and not s & (s - 1):
-        # x e_m puts sign * x[k ^ m] at k, and (x c) sign = x (c sign)
-        # exactly for sign +-1; take(axis=1) gathers as [:, gather] does, in
-        # a third of the time
-        m = s.bit_length() - 1
-        c = single._c[m]
-        gather, on_left, on_right = sig._code.blades.get((m, c)) or sig._code.blade_rows(m, c)
-        out = rows._array.take(gather, axis=1) * (on_right if single is b else on_left) + 0.0
-        # the dense sum's inf * 0 terms put NaN where the gather has none;
-        # 0 times each coefficient sums to 0 unless one is NaN or inf, so one
-        # non-finite row sends the whole stack to the dense sum
-        if out.ravel().dot(np.zeros(out.size)) == 0.0:
-            return Multivector._wrap(sig, out)
-    t, dim = sig.tables, sig.dim
-    w = t[sign_key] * (a.coeffs[..., :, None] * b.coeffs[..., None, :]).reshape(-1, dim * dim)
-    n = len(w)
-    out = np.bincount(_stacked_res(sig, n), weights=w.ravel(), minlength=n * dim)
-    return Multivector._wrap(sig, out.reshape(n, dim))
-
-
-@cache
-def _stacked_res(sig: Signature, rows: int) -> np.ndarray:
-    """The product's target blades, offset by dim * i on row i: bincount then
-    sums each row's terms in their own bins, in the order of one product."""
-    res = (sig.tables["res"] + sig.dim * np.arange(rows)[:, None]).ravel()
-    res.flags.writeable = False
-    return res
-
-
 def _fmt_float(x: float) -> str:
     x = float(x)
     if x.is_integer() and abs(x) < 1e16:
         return str(int(x))
     return repr(x)
-
-
-def canonical_order(sig: Signature) -> list[int]:
-    """Blade masks sorted by (grade, mask); the stable file/CLI order."""
-    return sig.tables["order"].tolist()
 
 
 # ---- module-level operations -----------------------------------------
@@ -612,9 +530,10 @@ def spatial_parts(m: Multivector) -> tuple[Multivector, Multivector]:
     inv_parts = m.sig.tables.get("inv_parts")
     if inv_parts is None:
         raise ValueError("spatial inversion requires signature (3, 1)")
-    # a stack multiplies each row by both parts: shape (2, n, dim)
-    coeffs = m.coeffs
-    even, odd = coeffs * (inv_parts if coeffs.ndim == 1 else inv_parts[:, None])
+    if m._c is not None:
+        return tuple(Multivector._of(m.sig, part(m._c), m._support & support)
+                     for part, support in m.sig._code.spatial)
+    even, odd = m.coeffs * inv_parts
     return Multivector._wrap(m.sig, even), Multivector._wrap(m.sig, odd)
 
 

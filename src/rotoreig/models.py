@@ -16,7 +16,6 @@ from .algebra import (
     CL31,
     TOL,
     Multivector,
-    _float_rows,
     pseudoscalar,
     spatial_parts,
 )
@@ -71,20 +70,13 @@ def _k_vector(kx: float, ky: float) -> Multivector:
                                   0b110)
 
 
-def _stacked_eigenpairs(h, bands: list, psi: np.ndarray, targets) -> list[EigenSolution]:
-    """bands, with each (energy, label) made its eigenpair with the next row
-    of the stack psi, the next target and the residual max|H psi - E psi| of
-    the Hamiltonian h: one Spinor check and one application of h for them
-    all; the EigenSolutions among them (degenerate bands) stay where they are."""
-    pending = [band for band in bands if isinstance(band, tuple)]
-    if not pending:
-        return bands
-    energies, labels = zip(*pending)
-    spinor = Spinor(Multivector._wrap(CL31, psi))
-    gap = np.abs(h(spinor).mv.coeffs - np.array(energies)[:, None] * psi)
-    solved = map(EigenSolution, energies, spinor._rows(), targets, labels,
-                 gap.max(axis=1).tolist())
-    return [next(solved) if isinstance(band, tuple) else band for band in bands]
+def _eigenpair(h, energy: float, label: str, psi: Multivector,
+               target: Multivector) -> EigenSolution:
+    """The eigenpair (energy, psi) of the Hamiltonian h, with the vector
+    coordinates of its rotor's target and the residual max|H psi - E psi|."""
+    spinor = Spinor(psi)
+    residual = max(map(abs, (h(spinor).mv - energy * psi)._floats()))
+    return EigenSolution(energy, spinor, target.vector_coords(), label, residual)
 
 
 #: the scalar spinor 1, on which ``solve_cl30`` reads a Hamiltonian off
@@ -121,10 +113,7 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
             continue
         target = hvec / (sign * hnorm)  # -(x / y) = x / -y, signed zeros too
         psi = rotor_from_vectors(_E3_30, target).value
-        # one band at a time: a stack of two costs Cl(3,0) more than it saves
-        spinor = Spinor(psi)
-        residual = max(map(abs, (h(spinor).mv - energy * psi)._floats()))
-        out.append(EigenSolution(energy, spinor, target.vector_coords(), label, residual))
+        out.append(_eigenpair(h, energy, label, psi, target))
     return out
 
 
@@ -133,10 +122,8 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
 # ---------------------------------------------------------------------
 
 
-#: the spinors 1 and I as one stack, on which ``solve_cl31`` reads a
-#: Hamiltonian off
-_ONE_AND_I_31 = Spinor(Multivector._wrap(
-    CL31, np.array([Multivector.scalar(CL31, 1.0).coeffs, _I31.coeffs])))
+#: the spinors 1 and I, on which ``solve_cl31`` reads a Hamiltonian off
+_ONE_31, _I_31 = Spinor(Multivector.scalar(CL31, 1.0)), Spinor(_I31)
 #: -I e3: -I X e3 = X (-I e3) for X = <H>_-, which commutes with I
 _MIE3_31 = -(_I31 * _E3_31)
 #: 1 on the blades of a block vector (e1, e2, e3), 0 elsewhere, and their support
@@ -150,32 +137,29 @@ _SINGULAR_TOL = 1e-6
 
 def _read_off(h) -> list[Multivector]:
     """The vector blocks a, c, d of h: H(1) = a e3 + I c e3, H(I) = c e3 + I d e3."""
-    plus, minus = spatial_parts(h(_ONE_AND_I_31).mv)
-    # <H(1)>_+ e3, <H(I)>_+ e3, -I <H(1)>_- e3 and -I <H(I)>_- e3: a, c, c, d
-    read = np.concatenate([(plus * _E3_31).coeffs, (minus * _MIE3_31).coeffs])
+    read = []
+    for spinor in (_ONE_31, _I_31):
+        plus, minus = spatial_parts(h(spinor).mv)
+        read += [(plus * _E3_31)._floats(), (minus * _MIE3_31)._floats()]
+    # <H(1)>_+ e3, -I <H(1)>_- e3, <H(I)>_+ e3 and -I <H(I)>_- e3: a, c, c, d
+    read = np.array(read)
     blocks = read * _IN_BLOCK_31
     # a part below TOL of H's largest is rounding; c is read off H(1)
-    if np.abs(read - blocks[[0, 2, 2, 3]]).max() > TOL * np.abs(read).max():
+    if np.abs(read - blocks[[0, 1, 1, 3]]).max() > TOL * np.abs(read).max():
         raise ValueError("H is not in Pauli-block form: a block has a scalar, e4 or "
                          "higher-grade part, or H(1) and H(I) give different couplings c")
-    # finite: each row of H's stacks passed a Spinor check
+    # finite: each of H's results passed a Spinor check
     return [Multivector._of(CL31, tuple(row), _VECTOR_BITS_31)
-            for row in blocks[[0, 2, 3]].tolist()]
+            for row in blocks[[0, 1, 3]].tolist()]
 
 
 def _rotor_to(target: Multivector) -> Multivector:
-    """The rotor taking e3 to the unit vector target, or the stack of rotors
-    taking e3 to each row of a stack of targets."""
+    """The rotor taking e3 to the unit vector target."""
     # rotor_from_vectors rejects e3 -> -e3 and loses accuracy near it, so
     # below the e1e2 plane a half turn e31 takes e3 to -e3 first
-    if not target._is_stack():
-        below = target._floats()[4] < 0.0
-        rotor = rotor_from_vectors(_E3_31, -target if below else target).value
-        return rotor * _E31_31 if below else rotor
-    below = target.coeffs[:, 4:5] < 0.0
-    rotor = rotor_from_vectors(_E3_31, Multivector._wrap(
-        CL31, np.where(below, -target.coeffs, target.coeffs))).value
-    return Multivector._wrap(CL31, np.where(below, (rotor * _E31_31).coeffs, rotor.coeffs))
+    below = target._floats()[4] < 0.0
+    rotor = rotor_from_vectors(_E3_31, -target if below else target).value
+    return rotor * _E31_31 if below else rotor
 
 
 def solve_cl31(h) -> list[EigenSolution]:
@@ -188,12 +172,10 @@ def solve_cl31(h) -> list[EigenSolution]:
     d) c / s = h0 + h, s = E^2 - |d|^2, |h| = |E - h0|: with t = s - |c|^2 the
     target is (s a + c d c) / (E t) and phi- = (c a + d c) R / t.
 
-    The coupled bands are built as one stack.  A loop over the bands picks
-    each band's sector, t and s, and, on the stack of s h, |h| (math.hypot
-    per band), the crossings and the quantization check; every other step
-    is one numpy call over the bands that get a rotor, each branch a per-row
-    mask: the sector's rows of a, d and the numerators, the half turn below
-    the e1e2 plane and psi = R + I phi- or I R + phi+."""
+    Each band is solved on its own, on single multivectors: first, for every
+    band, its sector, t and s, s h and |h|, the crossings and the
+    quantization check; then, band by band, the rotor, psi = R + I phi- or
+    I R + phi+ and the residual."""
     a, c, d = _read_off(h)
     coords = [v._vector()[:3] for v in (a, c, d)]
     na, nc, nd = (math.hypot(*x) for x in coords)
@@ -226,10 +208,6 @@ def solve_cl31(h) -> list[EigenSolution]:
     return out
 
 
-#: the blades of a Cl(3,1) vector, in the order of ``vector_coords``
-_VECTOR_31 = CL31.tables["grade_masks"][1]
-
-
 def _coupled(h, energies, a, c, d, nc: float, t_even: float, t_odd: float) -> list:
     """The four bands of ``solve_cl31`` at |c| > 0, with t_even and t_odd
     already divided by E+^2."""
@@ -244,19 +222,16 @@ def _coupled(h, energies, a, c, d, nc: float, t_even: float, t_odd: float) -> li
     for te, to in ((t_even, t_odd), (-t_odd, -t_even), (-t_odd, -t_even), (t_even, t_odd)):
         is_odd.append(abs(te) <= _SINGULAR_TOL * abs(to))
         ts.append(to if is_odd[-1] else te)
-    # each band's kept block, c keep + e c (phi-'s numerator) and c e c, per
-    # sector; the odd one only if a band uses it
-    odd = np.array(is_odd)[:, None]
-    even = (a, c * a + d * c, (c * d * c).grade(1))
-    if odd.any():
-        swapped = (d, c * d + a * c, (c * a * c).grade(1))
-        keep, numerator, cec = (np.where(odd, o.coeffs, e.coeffs) for e, o in zip(even, swapped))
-    else:  # one row for every band
-        keep, numerator, cec = (v.coeffs for v in even)
-    hs = keep * np.array([cc + t for t in ts])[:, None] + cec  # s h
-    bands, live, scale = [], [], []
-    for i, (energy, t, h_coords) in enumerate(zip(energies, ts, hs[:, _VECTOR_31].tolist())):
-        hnorm = math.hypot(*h_coords)
+    # each sector's kept block, c keep + e c (phi-'s numerator) and c e c;
+    # the odd one only if a band uses it
+    sectors = [(a, c * a + d * c, (c * d * c).grade(1))]
+    if any(is_odd):
+        sectors.append((d, c * d + a * c, (c * a * c).grade(1)))
+    bands = []
+    for i, (energy, t, odd) in enumerate(zip(energies, ts, is_odd)):
+        keep, numerator, cec = sectors[odd]
+        hs = keep * (cc + t) + cec  # s h
+        hnorm = math.hypot(*hs._vector())
         # |h| at most DEGENERACY_TOL of H's scale: M(E) = h0 on the whole
         # sector, and a neighbouring band lies within 2 |h| (a crossing, no
         # spinor); where phi+ vanishes, is_odd swaps a and d (psi = I R + phi+)
@@ -267,27 +242,26 @@ def _coupled(h, energies, a, c, d, nc: float, t_even: float, t_odd: float) -> li
         # H's scale: E^2 carries the levels' rounding, E up to its root
         if abs((energy / span) ** 2 - (hnorm / t) ** 2) > 1e-10:
             raise ValueError(f"E = {energy!r} fails the quantization condition")
-        bands.append((energy, f"band-{i + 1}"))
-        live.append(i)
-        scale.append((math.copysign(1.0 / hnorm, energy * t), 1.0 / t))
-    if not live:
-        return bands
-    if len(live) < len(bands):  # the crossings get no rotor
-        hs, odd = hs[live], odd[live]
-        numerator = numerator[live] if numerator.ndim == 2 else numerator
-    scale = np.array(scale)
-    targets = hs * scale[:, :1]  # h / (E - h0)
-    rotor = _rotor_to(Multivector._wrap(CL31, targets))
-    rest = (Multivector._wrap(CL31, numerator) * rotor).coeffs * scale[:, 1:]  # phi- / t
-    psi = np.where(odd, (_I31 * rotor).coeffs + rest,
-                   rotor.coeffs + (_I31 * Multivector._wrap(CL31, rest)).coeffs)
-    return _stacked_eigenpairs(h, bands, psi, targets[:, _VECTOR_31])
+        # the target h / (E - h0) = s h / (E t), a unit vector
+        bands.append((energy, f"band-{i + 1}", hs * math.copysign(1.0 / hnorm, energy * t),
+                      numerator, 1.0 / t, odd))
+    # once every band has passed: each rotor R: e3 -> h / (E - h0) and psi =
+    # R + I phi- or I R + phi+
+    out = []
+    for band in bands:
+        if isinstance(band, tuple):
+            energy, label, target, numerator, inverse_t, odd = band
+            rotor = _rotor_to(target)
+            rest = (numerator * rotor) * inverse_t  # phi- / t
+            band = _eigenpair(h, energy, label,
+                              _I31 * rotor + rest if odd else rotor + _I31 * rest, target)
+        out.append(band)
+    return out
 
 
 def _uncoupled(h, a: Multivector, na: float, d: Multivector, nd: float) -> list[EigenSolution]:
     """Levels -+|a| (even-i), -+|d| (odd-i); a block <= DEGENERACY_TOL: no rotors."""
-    out, psis, targets = [], [], []
-    # one rotor per sector: a stack of two costs more than it saves
+    out = []
     for sector, block, norm in (("even", a, na), ("odd", d, nd)):
         if norm <= DEGENERACY_TOL:
             out += [EigenSolution(e, None, None, f"{sector}-{i}", 0.0, True)
@@ -298,14 +272,11 @@ def _uncoupled(h, a: Multivector, na: float, d: Multivector, nd: float) -> list[
         upper = _rotor_to(block / norm)
         if sector == "odd":
             upper = _I31 * upper
-        # each target is block / energy on the vector blades, all that a
-        # target keeps: |block| = |energy|, so no quotient overflows
-        vector = block._vector()
-        for energy, i, psi in ((-norm, 1, upper * _E23_31), (norm, 2, upper)):
-            out.append((energy, f"{sector}-{i}"))
-            psis.append(psi._floats())
-            targets.append([x / energy for x in vector])
-    return sorted(_stacked_eigenpairs(h, out, _float_rows(psis), _float_rows(targets)),
+        # each target is block / energy: |block| = |energy|, so no quotient
+        # overflows
+        out += [(energy, f"{sector}-{i}", psi, block / energy)
+                for energy, i, psi in ((-norm, 1, upper * _E23_31), (norm, 2, upper))]
+    return sorted([_eigenpair(h, *band) if isinstance(band, tuple) else band for band in out],
                   key=lambda s: s.energy)
 
 
@@ -385,7 +356,9 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
     + eta U e3 psi e3 in Cl(3,1)."""
     if psi.algebra != "cl31":
         raise ValueError("bilayer model lives in Cl(3,1)")
-    k = Multivector._wrap(CL31, np.array([0.0, params.kx, params.ky] + [0.0] * 13))
+    # as _k_vector, in Cl(3,1)
+    k = Multivector._of_floats(CL31, (0.0, float(params.kx), float(params.ky)) + (0.0,) * 13,
+                               0b110)
     eta = float(params.eta)
     kin = eta * (k * psi.mv * _I31)
     coupling = -params.gamma1 * (_E2_31 * spatial_parts(psi.mv)[1])

@@ -24,8 +24,7 @@ ANTIPARALLEL_TOL = 1e-10
 
 
 class Rotor:
-    """A validated rotor: even multivector R with R * reverse(R) = 1, or a
-    stack of them from ``rotor_from_vectors``."""
+    """A validated rotor: even multivector R with R * reverse(R) = 1."""
 
     __slots__ = ("value",)
 
@@ -84,48 +83,22 @@ def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
     R ~R - 1 = (a^2 b^2 - 1)/(2 (1 + a.b)) is held to is_rotor's bound
     TOL * dim in that closed form; R's own rounding, which grows near
     antiparallel, is not checked.  Antiparallel inputs are rejected: no
-    rotation plane is defined there.
-
-    b may also be a stack of vectors (see ``algebra``); R is then the stack
-    of their rotors, one numpy call per step for every row, row i with the
-    bits and the checks of the call on row i alone.  The first row that
-    fails a check raises that call's error."""
+    rotation plane is defined there."""
     a2, spill = _check_unit_vector(a, "a")
     # parts outside grade 1, all below TOL, would make R odd
     a1 = a.grade(1) if spill else a
-    sig, rotor = a.sig, object.__new__(Rotor)
-    if not b._is_stack():
-        b2, spill = _check_unit_vector(b, "b")
-        # a.b is the scalar part of b a: the same terms, summed in the same
-        # order as in a | b
-        ba = (b.grade(1) if spill else b) * a1
-        cos_theta = ba.scalar_part()
-        if cos_theta < -1.0 + ANTIPARALLEL_TOL:
-            raise ValueError("rotation plane undefined for antiparallel vectors")
-        rotor.value = (ba + 1.0) / math.sqrt(2.0 * (1.0 + cos_theta))
-        # written so that NaN fails it
-        if not abs(a2 * b2 - 1.0) <= TOL * sig.dim * 2.0 * (1.0 + cos_theta):
-            raise ValueError(f"not a rotor: {rotor.value}")
-        return rotor
-    # a stack: each check as above, on the floats of each row, and each
-    # step in one numpy call over every row
-    rows = b.coeffs
-    outside = np.abs(rows.take(sig.tables["not_vector"], axis=1))
-    # every row projected onto grade 1: on a row that passes its checks this
-    # drops parts below TOL, as the call on that row alone does, or zeros,
-    # whose signs reach no product (its sums start at +0.0)
-    ba = b.grade(1) * a1
-    cos_theta = ba.coeffs[:, 0].tolist()
-    # one dot per row: a matrix-vector product sums in another order
-    checks = zip((outside > TOL).any(axis=1).tolist(), rows * rows, cos_theta)
-    for i, (impure, square, cos) in enumerate(checks):
-        b2 = float(square @ sig.tables["square_sign"])
-        if (impure or abs(b2 - 1.0) > TOL or cos < -1.0 + ANTIPARALLEL_TOL
-                or not abs(a2 * b2 - 1.0) <= TOL * sig.dim * 2.0 * (1.0 + cos)):
-            # the call on this row alone raises its error
-            rotor_from_vectors(a, Multivector._wrap(sig, rows[i]))
-    denominator = np.array([math.sqrt(2.0 * (1.0 + cos)) for cos in cos_theta])
-    rotor.value = Multivector._wrap(sig, (ba + 1.0).coeffs / denominator[:, None])
+    b2, spill = _check_unit_vector(b, "b")
+    # a.b is the scalar part of b a: the same terms, summed in the same order
+    # as in a | b
+    ba = (b.grade(1) if spill else b) * a1
+    cos_theta = ba.scalar_part()
+    if cos_theta < -1.0 + ANTIPARALLEL_TOL:
+        raise ValueError("rotation plane undefined for antiparallel vectors")
+    rotor = object.__new__(Rotor)
+    rotor.value = (ba + 1.0) / math.sqrt(2.0 * (1.0 + cos_theta))
+    # written so that NaN fails it
+    if not abs(a2 * b2 - 1.0) <= TOL * a.sig.dim * 2.0 * (1.0 + cos_theta):
+        raise ValueError(f"not a rotor: {rotor.value}")
     return rotor
 
 

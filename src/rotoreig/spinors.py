@@ -108,10 +108,7 @@ def _check_leak(values: list[float], leak: float) -> None:
 
 
 class Spinor:
-    """GA spinor: a multivector confined to the algebra's spinor subspace.
-
-    Inside the package it may hold a stack of spinors (see ``algebra``), each
-    row checked on its own; ``_rows`` gives them back one by one."""
+    """GA spinor: a multivector confined to the algebra's spinor subspace."""
 
     __slots__ = ("algebra", "mv")
 
@@ -130,27 +127,11 @@ class Spinor:
         outside = layout.outside
         clean = mv.coeffs.copy()
         # |c| <= bound fails only on a nonzero blade outside the subspace and
-        # on NaN or inf, and raises no float flag; then a row at a time, the
-        # first bad row raises
+        # on NaN or inf, and raises no float flag
         if np.count_nonzero(np.abs(clean) <= layout.bound) != clean.size:
-            for row in clean.reshape(-1, layout.sig.dim):
-                _check_leak(row.tolist(), float(np.abs(row[outside]).max()))
-        if clean.ndim == 1:
-            clean[outside] = 0.0
-        else:
-            clean[:, outside] = 0.0
+            _check_leak(clean.tolist(), float(np.abs(clean[outside]).max()))
+        clean[outside] = 0.0
         self.mv = Multivector._wrap(mv.sig, clean)
-
-    def _rows(self) -> list["Spinor"]:
-        """The spinors of a stack, each a Spinor of its own that the stack's
-        check already covers."""
-        out = []
-        for row in self.mv.coeffs:
-            spinor = object.__new__(Spinor)
-            spinor.algebra = self.algebra
-            spinor.mv = Multivector._wrap(self.mv.sig, row)
-            out.append(spinor)
-        return out
 
     # ---- coefficient views --------------------------------------------
     @classmethod

@@ -14,7 +14,6 @@ from rotoreig.algebra import (
     KERNEL_CACHE_SIZE,
     Multivector,
     Signature,
-    canonical_order,
     pseudoscalar,
     spatial_parts,
 )
@@ -283,8 +282,8 @@ class TestSerialization:
     def test_finite_coefficients_abut_their_blades(self, c):
         assert "*" not in str(Multivector(CL31, np.array(c)))
 
-    def test_canonical_order_sorted_by_grade_then_mask(self):
-        order = canonical_order(CL31)
+    def test_text_order_sorted_by_grade_then_mask(self):
+        order = CL31.tables["order"].tolist()
         keys = [(bin(m).count("1"), m) for m in order]
         assert keys == sorted(keys)
 
@@ -372,10 +371,9 @@ class TestReferenceFormulas:
 # ---- products with a basis blade ---------------------------------------
 # A single multivector carries its support, a superset of its nonzero blades:
 # blade, basis_vector, pseudoscalar, and negations and products of their
-# results have a one-blade support.  Each product on single multivectors runs
-# a kernel generated for the two supports, and a geometric product of a stack
-# with a one-blade multivector takes a signed-permutation gather; both must
-# give the dense kernel's bytes.
+# results have a one-blade support.  Each product of finite multivectors runs
+# a kernel generated for the two supports, which must give the dense kernel's
+# bytes.
 
 
 def dense_product(a, b, sign_key="gp_sign"):
@@ -433,8 +431,9 @@ class TestBladeProducts:
 
     @pytest.mark.parametrize("sig", [CL30, CL31])
     def test_finiteness_check_raises_no_flag_on_huge_coefficients(self, sig):
-        # the gather's check must neither overflow nor underflow where the
-        # gather itself does not, 1-D and stacked: a sum of squares would
+        # a product with a blade must neither overflow nor underflow where
+        # its terms do not, on floats and on numpy's path (the rows whose sum
+        # overflows): a sum of squares would
         rows = np.array([np.full(sig.dim, 1e200), np.full(sig.dim, -1e308),
                          np.linspace(1e300, 1.7e308, sig.dim),
                          np.where(np.arange(sig.dim) % 2 == 0, 1e308, 5e-324)])
@@ -447,13 +446,6 @@ class TestBladeProducts:
                                  (blade * x, dense_product(blade, x))]
                     for got, ref in cases:
                         assert got.coeffs.tobytes() == ref.tobytes(), (mask, row)
-                with np.errstate(all="raise"):
-                    right, left = stack(sig, rows) * blade, blade * stack(sig, rows)
-                singles = [Multivector(sig, row) for row in rows]
-                assert right.coeffs.tobytes() == b"".join(
-                    dense_product(x, blade).tobytes() for x in singles), mask
-                assert left.coeffs.tobytes() == b"".join(
-                    dense_product(blade, x).tobytes() for x in singles), mask
 
     def test_supports_are_carried_statically(self):
         # scaled, summed and reversed blades keep their one-blade support;
@@ -539,19 +531,20 @@ class TestKernels:
                 assert got._c is not None and covered(got)
                 assert got.coeffs.tobytes() == dense_product(a, b, sign_key).tobytes()
 
-    @pytest.mark.parametrize("sig", [CL30, CL31])
-    @settings(max_examples=50, deadline=None)
-    @given(data=st.data())
-    def test_single_operands_mixed_with_stacks(self, sig, data):
-        x, y, z = (data.draw(scaled_mv(sig)) for _ in range(3))
-        blade = -Multivector.blade(sig, data.draw(st.integers(0, sig.dim - 1)))
-        rows = stack(sig, np.array([x.coeffs, y.coeffs]))
-        for sign_key, op in PRODUCTS:
-            for single in (z, blade, z * blade):
-                for got, pairs in ((op(rows, single), [(x, single), (y, single)]),
-                                   (op(single, rows), [(single, x), (single, y)])):
-                    assert got.coeffs.tobytes() == b"".join(
-                        dense_product(a, b, sign_key).tobytes() for a, b in pairs)
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(scaled_mv(CL31), raw_mv(CL31)))
+    def test_spatial_parts_keep_numpy_bits(self, m):
+        # x * 1.0 and x * 0.0 blade by blade, as numpy multiplies by the
+        # rows of inv_parts: -0.0 where x < 0, not a projection's +0.0; on
+        # floats each part's support is m's on the part's blades
+        inv_parts = CL31.tables["inv_parts"]
+        with np.errstate(all="ignore"):
+            refs, parts = m.coeffs * inv_parts, spatial_parts(m)
+        for got, ref, row in zip(parts, refs, inv_parts):
+            assert got.coeffs.tobytes() == ref.tobytes()
+            assert (got._c is None) == (m._c is None)
+            blades = sum(1 << int(i) for i in np.flatnonzero(row))
+            assert got._c is None or got._support == m._support & blades
 
     @pytest.mark.parametrize("sig", [CL30, CL31])
     def test_non_finite_operands_keep_numpy_bits_and_warnings(self, sig):
@@ -612,95 +605,14 @@ class TestKernels:
         assert ("gp_sign", xs[0]._support, xs[0]._support) not in code.kernels
         assert (xs[0] * xs[0]).coeffs.tobytes() == dense_product(xs[0], xs[0]).tobytes()
 
-    def test_projection_and_blade_row_caches_stay_bounded(self):
-        # a projection per support and blade rows per (blade, coefficient)
-        # pair, past the cache size: each cache keeps at most that many
+    def test_projection_cache_stays_bounded(self):
+        # a projection per support, past the cache size: the cache keeps at
+        # most that many
         code, rng = CL31._code, np.random.default_rng(28)
         x = Multivector(CL31, rng.standard_normal(CL31.dim))
-        rows = stack(CL31, rng.standard_normal((3, CL31.dim)))
-        for i in range(KERNEL_CACHE_SIZE + 40):
+        for _ in range(KERNEL_CACHE_SIZE + 40):
             support = int(rng.integers(1, 1 << CL31.dim))
             mask = np.array([support >> m & 1 for m in range(CL31.dim)], dtype=bool)
             got = x._project(support)
             assert got.coeffs.tobytes() == np.where(mask, x.coeffs, 0.0).tobytes()
             assert len(code.projections) <= KERNEL_CACHE_SIZE
-            blade = (1.0 + i) * Multivector.blade(CL31, i % CL31.dim)
-            assert (rows * blade).coeffs.tobytes() == b"".join(
-                dense_product(Multivector(CL31, r), blade).tobytes() for r in rows.coeffs)
-            assert len(code.blades) <= KERNEL_CACHE_SIZE
-
-
-# ---- stacks of multivectors ---------------------------------------------
-# A multivector may hold a stack of n multivectors (coefficients (n, dim)),
-# built inside the package with ``Multivector._wrap``; every operation on a
-# stack must give row i the bytes of the same operation on row i alone.
-
-
-@st.composite
-def stacks(draw, sig):
-    """Two stacks of one height, rows drawn from ``coefficient_rows`` (random,
-    +-0.0, subnormal, +-inf and NaN entries) and from any floats."""
-    row = st.one_of(st.sampled_from(coefficient_rows(sig)),
-                    st.lists(any_coeff, min_size=sig.dim, max_size=sig.dim))
-    n = draw(st.integers(1, 4))
-    return [np.array(draw(st.lists(row, min_size=n, max_size=n))) for _ in range(2)]
-
-
-def stack(sig, rows):
-    return Multivector._wrap(sig, rows)
-
-
-def row_by_row(sig, op, *operands):
-    """op on each row alone: a stack's row i, or a single multivector, per operand."""
-    height = max(len(x) for x in operands if isinstance(x, np.ndarray))
-    return [op(*(Multivector(sig, x[i]) if isinstance(x, np.ndarray) else x
-                 for x in operands)) for i in range(height)]
-
-
-class TestStacks:
-    @pytest.mark.parametrize("sig", [CL30, CL31])
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_each_row_has_the_bits_of_its_own_operation(self, sig, data):
-        rows, others = data.draw(stacks(sig))
-        single = Multivector(sig, data.draw(st.sampled_from(coefficient_rows(sig))))
-        blade = Multivector.blade(sig, data.draw(st.integers(0, sig.dim - 1)))
-        if data.draw(st.booleans()):
-            blade = -blade
-        assert bin(blade._support).count("1") == 1
-        ops = [lambda a, b: a * b, lambda a, b: a ^ b, lambda a, b: a | b,
-               lambda a, b: a + b, lambda a, b: a - b]
-        pairs = [(rows, others), (rows, single), (single, rows), (rows, blade),
-                 (blade, rows)]
-        with np.errstate(all="ignore"):
-            for op in ops:
-                for x, y in pairs:
-                    got = op(*(stack(sig, v) if isinstance(v, np.ndarray) else v
-                               for v in (x, y)))
-                    ref = row_by_row(sig, op, x, y)
-                    assert got.coeffs.shape == (len(ref), sig.dim)
-                    for got_row, ref_row in zip(got.coeffs, ref):
-                        assert got_row.tobytes() == ref_row.coeffs.tobytes()
-            unary = [lambda a: -a, lambda a: 2.5 * a, lambda a: a * 1e300,
-                     lambda a: a / 3.0, lambda a: a + 1.0, lambda a: ~a,
-                     lambda a: a.grade(2)]
-            for op in unary:
-                got = op(stack(sig, rows))
-                for got_row, ref in zip(got.coeffs, row_by_row(sig, op, rows)):
-                    assert got_row.tobytes() == ref.coeffs.tobytes()
-
-    @settings(max_examples=100, deadline=None)
-    @given(stacks(CL31))
-    def test_spatial_parts_row_by_row(self, pair):
-        rows = pair[0]
-        with np.errstate(all="ignore"):
-            parts = spatial_parts(stack(CL31, rows))
-            for i, row in enumerate(rows):
-                for got, ref in zip(parts, spatial_parts(Multivector(CL31, row))):
-                    assert got.coeffs[i].tobytes() == ref.coeffs.tobytes()
-
-    def test_a_stack_keeps_numpy_storage(self):
-        e3 = Multivector.basis_vector(CL31, 3)
-        rows = stack(CL31, np.array([e3.coeffs, e3.coeffs]))
-        for m in (rows * e3, e3 * rows, -rows, rows * rows):
-            assert m._c is None and m.coeffs.shape == (2, CL31.dim)

@@ -381,7 +381,7 @@ class TestSolveCl31:
         # at k = 1e-4 phi+ all but vanishes on the outer bands: their even
         # sector's t is below _SINGULAR_TOL of the odd one's, so their psi
         # is I R + phi+, whose b block is the unit rotor R; the inner bands
-        # stay even, so the stack holds both sectors
+        # stay even, so the bands use both sectors
         params = ModelParams("bilayer", kx=1e-4, ky=0.0, gamma1=1.0, U=0.2)
         sols = models.solve(params)
         for s in (sols[0], sols[3]):
@@ -389,20 +389,6 @@ class TestSolveCl31:
             assert abs(np.linalg.norm(s.spinor.coeff_vector()[4:]) - 1.0) <= 1e-12
         for s in (sols[1], sols[2]):
             assert abs(np.linalg.norm(s.spinor.coeff_vector()[:4]) - 1.0) <= 1e-12
-
-    def test_stacked_rotor_to_is_the_single_call(self):
-        # the half turn below the e1e2 plane is a per-row mask on a stack
-        rng = np.random.default_rng(8)
-        rows = rng.standard_normal((40, 3))
-        rows[::2, 2] = -np.abs(rows[::2, 2])
-        rows[-1] = [0.0, 0.0, -1.0]
-        rows[-2] = [1e-6, 0.0, -1.0]
-        targets = np.array([Multivector.vector(CL31, v / np.linalg.norm(v)).coeffs
-                            for v in rows])
-        stack = models._rotor_to(Multivector._wrap(CL31, targets)).coeffs
-        for target, rotor in zip(targets, stack):
-            single = models._rotor_to(Multivector(CL31, target)).coeffs
-            assert rotor.tobytes() == single.tobytes()
 
     def test_higher_grade_block_part_raises(self):
         # psi e12 is i psi: H(1) gains e12, so <H(1)>_+ e3 gains e123
@@ -803,9 +789,9 @@ def h_outcome(build):
 
 
 class TestKVectorInOneCall:
-    """k is built in one numpy call, not as kx e1 + ky e2 from blades, whose
-    zeros may be -0.0: the sign of a zero reaches no product, so every
-    Hamiltonian k enters keeps its bytes."""
+    """k is built in one step from its floats, not as kx e1 + ky e2 from
+    blades, whose zeros may be -0.0: the sign of a zero reaches no product,
+    so every Hamiltonian k enters keeps its bytes."""
 
     @staticmethod
     def blade_k(kx, ky):
@@ -821,9 +807,8 @@ class TestKVectorInOneCall:
     def test_cl30_hamiltonians_keep_their_bytes(self, kx, ky, alphaR, coeffs):
         e3, e12 = Multivector.basis_vector(CL30, 3), Multivector.blade(CL30, 0b011)
         k = self.blade_k(kx, ky)
-        rows = [Spinor.from_coeff_vector("cl30", coeffs[i:i + 4]).mv.coeffs for i in (0, 4)]
-        for psi in (Spinor(Multivector.scalar(CL30, 1.0)), Spinor(Multivector(CL30, rows[0])),
-                    Spinor(Multivector._wrap(CL30, np.array(rows)))):
+        row = Spinor.from_coeff_vector("cl30", coeffs[:4]).mv.coeffs
+        for psi in (Spinor(Multivector.scalar(CL30, 1.0)), Spinor(Multivector(CL30, row))):
             assert h_outcome(lambda: h_monolayer(psi, kx, ky)) == h_outcome(
                 lambda: Spinor(k * psi.mv * e3))
             assert h_outcome(lambda: h_qw(psi, kx, ky, alphaR)) == h_outcome(
@@ -837,9 +822,8 @@ class TestKVectorInOneCall:
         params = ModelParams("bilayer", kx=kx, ky=ky, gamma1=gamma1, U=U, eta=eta)
         e2, e3, i31 = Multivector.basis_vector(CL31, 2), _E3_31, pseudoscalar(CL31)
         k = Multivector.vector(CL31, [kx, ky, 0.0, 0.0])
-        rows = [Spinor.from_coeff_vector("cl31", coeffs[i:i + 8]).mv.coeffs for i in (0, 8)]
-        for psi in (Spinor(Multivector.scalar(CL31, 1.0)), Spinor(Multivector(CL31, rows[0])),
-                    Spinor(Multivector._wrap(CL31, np.array(rows)))):
+        row = Spinor.from_coeff_vector("cl31", coeffs[:8]).mv.coeffs
+        for psi in (Spinor(Multivector.scalar(CL31, 1.0)), Spinor(Multivector(CL31, row))):
             odd = spatial_parts(psi.mv)[1]
             assert h_outcome(lambda: h_bilayer(psi, params)) == h_outcome(lambda: Spinor(
                 (float(eta) * (k * psi.mv * i31) + -gamma1 * (e2 * odd)
@@ -924,29 +908,39 @@ class TestModelRegistry:
 
     @pytest.mark.parametrize("model", list(MODELS))
     def test_each_eigenspinor_is_built_once(self, monkeypatch, model):
-        # Cl(3,0): H(1), from which solve_cl30 reads h0 and h, then per band
-        # one Spinor for the rotor eigenspinor and one for H applied to it.
-        # Cl(3,1): H applied to the stack [1, I], from which solve_cl31 reads
-        # a, c and d, then one Spinor for the stack of eigenspinors and one
-        # for H applied to it
+        # the read-off, H(1) in Cl(3,0) (h0 and h) and H(1) and H(I) in
+        # Cl(3,1) (a, c and d), then per band one Spinor for the rotor
+        # eigenspinor and one for H applied to it
         builds = []
         monkeypatch.setattr(models, "Spinor",
                             lambda mv: builds.append(mv) or Spinor(mv))
         sols = models.solve(cli._draw_params(model, random.Random(20)))
-        assert len(builds) == (2 * len(sols) + 1 if MODELS[model].algebra == "cl30" else 3)
+        # 1 + 2 * 2 and 2 + 2 * 4
+        assert len(builds) == (5 if MODELS[model].algebra == "cl30" else 10)
         assert all(type(s.spinor) is Spinor for s in sols)
 
     @pytest.mark.parametrize("model", list(MODELS))
     def test_h_applications_per_solve(self, monkeypatch, model):
-        # Cl(3,0): the read-off and one residual per band; Cl(3,1): the
-        # read-off on [1, I] and all four residuals on one stack
+        # the read-off, on 1 in Cl(3,0) and on 1 and I in Cl(3,1), and one
+        # residual per band
         spec, h = MODELS[model], HAMILTONIANS[model]
         calls = []
         monkeypatch.setitem(HAMILTONIANS, model,
                             lambda psi, p: calls.append(psi) or h(psi, p))
         sols = models.solve(cli._draw_params(model, random.Random(20)))
         assert all(s.spinor is not None for s in sols)
-        assert len(calls) == (3 if spec.algebra == "cl30" else 2)
+        assert len(calls) == (3 if spec.algebra == "cl30" else 6)
+
+    @pytest.mark.parametrize("model, rotors", [
+        ("monolayer", 2), ("qw", 2), ("atoms", 2), ("bilayer", 4)])
+    def test_rotor_calls_per_solve(self, monkeypatch, model, rotors):
+        # one per band; uncoupled, one per sector, whose two bands share it
+        calls = []
+        monkeypatch.setattr(models, "rotor_from_vectors",
+                            lambda a, b: calls.append(b) or rotor_from_vectors(a, b))
+        sols = models.solve(cli._draw_params(model, random.Random(20)))
+        assert all(s.spinor is not None for s in sols)
+        assert len(calls) == rotors
 
     def test_entries_call_the_module_functions(self, monkeypatch):
         # patching a module attribute (as the benchmark tracer does) must

@@ -576,25 +576,24 @@ class TestActionCheckOncePerAlgebra:
 
 class TestProductCounts:
     """Exact geometric-product counts per cross_check, one fixed point per
-    model, split into products of two single multivectors (a generated
-    kernel) and products with a stack (numpy); a change to either count must
-    be deliberate."""
+    model, each a product of two multivectors of floats (a generated
+    kernel); a change to a count must be deliberate."""
 
     POINTS = {
-        ModelParams("monolayer", kx=0.3, ky=-1.2): {"kernel": 9, "stack": 0},
-        ModelParams("qw", kx=0.3, ky=1.1, alphaR=0.7): {"kernel": 12, "stack": 0},
-        ModelParams("atoms", omega=3.0, Gamma=4.0): {"kernel": 6, "stack": 8},
-        ModelParams("bilayer", kx=0.5, ky=0.1, gamma1=0.4, U=0.2): {"kernel": 4, "stack": 17},
+        ModelParams("monolayer", kx=0.3, ky=-1.2): {"kernel": 9},
+        ModelParams("qw", kx=0.3, ky=1.1, alphaR=0.7): {"kernel": 12},
+        ModelParams("atoms", omega=3.0, Gamma=4.0): {"kernel": 28},
+        ModelParams("bilayer", kx=0.5, ky=0.1, gamma1=0.4, U=0.2): {"kernel": 52},
     }
 
     @pytest.mark.parametrize("params", list(POINTS), ids=lambda p: p.model)
     def test_products_per_cross_check(self, monkeypatch, params):
         real = Multivector._product
-        counts = {"kernel": 0, "stack": 0}
+        counts = {}
 
         def counting(self, other, sign_key):
-            single = self._c is not None and other._c is not None
-            counts["kernel" if single else "stack"] += 1
+            kind = "kernel" if self._c is not None and other._c is not None else "numpy"
+            counts[kind] = counts.get(kind, 0) + 1
             return real(self, other, sign_key)
 
         cross_check(params)  # the action spot check runs once per process
