@@ -11,15 +11,14 @@ kernel's, ``+`` takes the union, ``grade``, ``spatial_parts`` and ``Spinor``
 intersect).  Each product runs a straight-line kernel, generated at first
 use per signature, kind and pair of supports (Fontijne, *Efficient
 Implementation of Geometric Algebra*, 2007).  It sums each target blade's
-terms from 0.0 in the order of the dense sum, which ``bincount``s all 4^n
-signed coefficient pairs, so the bits are the dense sum's: the terms it
-drops hold a zero coefficient, and a sum that starts at +0.0 does not change
-by adding +-0.
+terms from 0.0 in the order of the dense sum over all 4^n signed
+coefficient pairs (ascending i, j = i ^ k), so the bits are the dense sum's:
+the terms it drops hold a zero coefficient, and a sum that starts at +0.0
+does not change by adding +-0.
 
-A multivector that is not finite, or whose coefficients' sum overflows,
-holds numpy coefficients instead, built inside the package with
-``Multivector._wrap``: such an operand or result, and a division by 0.0,
-take numpy's dense path, which keeps numpy's bits, warnings and errstate.
+The constructor refuses NaN and +-inf with ValueError.  A step whose result
+has a coefficient that is not finite, which with finite operands is an
+overflow, raises OverflowError; a division by 0.0 raises ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ class Signature:
         # ch. 19)
         a = np.arange(dim, dtype=np.int64)[:, None]
         b = np.arange(dim, dtype=np.int64)
-        res = a ^ b
         flips = grades[(a & b) >> p] + sum(grades[(a >> s) & b] for s in range(1, n))
         sign = np.where(flips % 2 == 1, -1.0, 1.0)
 
@@ -93,7 +91,7 @@ class Signature:
         # arguments act by plain scalar multiplication
         ga = grades[:, None]
         gb = grades[None, :]
-        gres = grades[res]
+        gres = grades[a ^ b]
         keep = (ga == 0) | (gb == 0) | (gres == np.abs(ga - gb))
         inner_sign = np.where(keep, sign, 0.0)
 
@@ -102,8 +100,6 @@ class Signature:
             "grades": grades,
             "grade_masks": grades == np.arange(n + 1)[:, None],  # row k: grade k
             "odd": np.flatnonzero(grades % 2 == 1),
-            "not_vector": np.flatnonzero(grades != 1),
-            "res": res.ravel(),
             "gp_sign": sign.ravel(),
             "outer_sign": outer_sign.ravel(),
             "inner_sign": inner_sign.ravel(),
@@ -122,7 +118,7 @@ class Signature:
 
     @cached_property
     def _code(self) -> "_Code":
-        """The generated float code of finite multivectors (see ``algebra``)."""
+        """The generated float code of its multivectors (see ``algebra``)."""
         return _Code(self)
 
     def metric_sign(self, i: int) -> int:
@@ -219,7 +215,8 @@ class _Code:
         the support of its result.  Target k sums, from 0.0 and in the dense
         sum's order (ascending i, j = i ^ k), sign * (a_i * b_j) for each i in
         sa and j in sb: a term of sign 0 stays as 0.0 * (a_i * b_j), which is
-        NaN where a_i * b_j overflows, as in the dense sum."""
+        NaN, and so an OverflowError, where a_i * b_j overflows, as the dense
+        sum is not finite there."""
         kernels = self.kernels
         if len(kernels) >= KERNEL_CACHE_SIZE:
             del kernels[next(iter(kernels))]
@@ -252,24 +249,11 @@ class Multivector:
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape != (sig.dim,):
             raise ValueError(f"expected {sig.dim} coefficients, got {coeffs.shape}")
-        self.sig = sig
         c = tuple(coeffs.tolist())
-        if math.isfinite(sum(c)):
-            self._c, self._array = c, None
-            self._support = sum(1 << m for m, x in enumerate(c) if x)
-        else:
-            self._c, self._support, self._array = None, None, coeffs
-
-    @classmethod
-    def _wrap(cls, sig: Signature, coeffs: np.ndarray) -> "Multivector":
-        """Internal constructor for float64 coefficients of shape (dim,) that
-        the caller has already produced; skips ``__init__``'s checks and keeps
-        the numpy storage."""
-        mv = object.__new__(cls)
-        mv.sig = sig
-        mv._c = mv._support = None
-        mv._array = coeffs
-        return mv
+        if not (math.isfinite(sum(c)) or all(map(math.isfinite, c))):
+            raise ValueError("multivector coefficients must be finite")
+        self.sig, self._c, self._array = sig, c, None
+        self._support = sum(1 << m for m, x in enumerate(c) if x)
 
     @classmethod
     def _of(cls, sig: Signature, c: tuple, support: int) -> "Multivector":
@@ -285,21 +269,20 @@ class Multivector:
     @classmethod
     def _of_floats(cls, sig: Signature, c: tuple, support: int) -> "Multivector":
         """``_of`` for a tuple of dim floats, zero outside support, that may
-        not be finite: numpy storage then."""
-        return cls._of(sig, c, support) if math.isfinite(sum(c)) else cls._wrap(sig, np.array(c))
+        not be finite: OverflowError then.  A step tests ``sum(c)`` inline
+        and calls this only where that sum is not finite."""
+        if math.isfinite(sum(c)) or all(map(math.isfinite, c)):
+            return cls._of(sig, c, support)
+        raise OverflowError("a multivector coefficient is not finite")
 
     @property
     def coeffs(self) -> np.ndarray:
-        """The coefficients as numpy float64, read-only where they are
-        floats (built on first access)."""
+        """The coefficients as a read-only numpy float64 array (built on
+        first access)."""
         array = self._array
         if array is None:
             array = self._array = _float_array(self._c)
         return array
-
-    def _floats(self) -> tuple:
-        """The coefficients as Python floats."""
-        return self._c if self._c is not None else tuple(self._array.tolist())
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -346,21 +329,15 @@ class Multivector:
         sig = self.sig
         if other.sig is not sig:
             self._check_sig(other)
-        a, b = self._c, other._c
-        if a is not None and b is not None:
-            entry = sig._code.kernels.get((sign_key, self._support, other._support))
-            if entry is None:
-                entry = sig._code.kernel(sign_key, self._support, other._support)
-            c = entry[0](a, b)
-            # a sum past the largest float reads as not finite too, which
-            # only sends finite floats to numpy's path, with the same bits
-            if math.isfinite(sum(c)):
-                return Multivector._of(sig, c, entry[1])
-            # an overflow: the dense sum's bits and float flags
-        t = sig.tables
-        # a[:, None] * b is np.outer's own computation, so the bits match
-        w = t[sign_key] * (self.coeffs[:, None] * other.coeffs).ravel()
-        return Multivector._wrap(sig, np.bincount(t["res"], weights=w, minlength=sig.dim))
+        entry = sig._code.kernels.get((sign_key, self._support, other._support))
+        if entry is None:
+            entry = sig._code.kernel(sign_key, self._support, other._support)
+        c = entry[0](self._c, other._c)
+        # every step tests its result so, inline: a sum past the largest
+        # float reads as not finite too, and _of_floats keeps its floats
+        if math.isfinite(sum(c)):
+            return Multivector._of(sig, c, entry[1])
+        return Multivector._of_floats(sig, c, entry[1])
 
     # ---- arithmetic ---------------------------------------------------
     def __add__(self, other):
@@ -368,39 +345,31 @@ class Multivector:
         if isinstance(other, Multivector):
             if other.sig is not sig:
                 self._check_sig(other)
-            if self._c is not None and other._c is not None:
-                c = sig._code.add(self._c, other._c)
-                if math.isfinite(sum(c)):
-                    return Multivector._of(sig, c, self._support | other._support)
-            return Multivector._wrap(sig, self.coeffs + other.coeffs)
-        if self._c is not None and isinstance(other, (int, float)):
-            c = sig._code.add_scalar(self._c, float(other))
-            if math.isfinite(sum(c)):
-                return Multivector._of(sig, c, self._support | 1)
-        # Multivector.scalar's coefficients, without building the Multivector
-        c = np.zeros(sig.dim)
-        c[0] = other
-        return Multivector._wrap(sig, self.coeffs + c)
+            c, support = sig._code.add(self._c, other._c), self._support | other._support
+        else:
+            c, support = sig._code.add_scalar(self._c, float(other)), self._support | 1
+        if math.isfinite(sum(c)):
+            return Multivector._of(sig, c, support)
+        return Multivector._of_floats(sig, c, support)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if self._c is not None and isinstance(other, Multivector) and other._c is not None:
-            if other.sig is not self.sig:
-                self._check_sig(other)
-            # x - y is x + (-y), signed zeros too
-            c = self.sig._code.sub(self._c, other._c)
-            if math.isfinite(sum(c)):
-                return Multivector._of(self.sig, c, self._support | other._support)
-        return self + (-other if isinstance(other, Multivector) else -float(other))
+        if not isinstance(other, Multivector):
+            return self + -float(other)
+        if other.sig is not self.sig:
+            self._check_sig(other)
+        # x - y is x + (-y), signed zeros too
+        c, support = self.sig._code.sub(self._c, other._c), self._support | other._support
+        if math.isfinite(sum(c)):
+            return Multivector._of(self.sig, c, support)
+        return Multivector._of_floats(self.sig, c, support)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        if self._c is not None:
-            return Multivector._of(self.sig, self.sig._code.neg(self._c), self._support)
-        return Multivector._wrap(self.sig, -self._array)
+        return Multivector._of(self.sig, self.sig._code.neg(self._c), self._support)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -408,20 +377,16 @@ class Multivector:
         return self.__rmul__(other)
 
     def __rmul__(self, other):
-        s = float(other)
-        if self._c is not None:
-            c = self.sig._code.scale(self._c, s)
-            if math.isfinite(sum(c)):
-                return Multivector._of(self.sig, c, self._support)
-        return Multivector._wrap(self.sig, self.coeffs * s)
+        c = self.sig._code.scale(self._c, float(other))
+        if math.isfinite(sum(c)):
+            return Multivector._of(self.sig, c, self._support)
+        return Multivector._of_floats(self.sig, c, self._support)
 
     def __truediv__(self, other):
-        s = float(other)
-        if self._c is not None and s != 0.0:  # numpy's inf, NaN and warnings at 0.0
-            c = self.sig._code.div(self._c, s)
-            if math.isfinite(sum(c)):
-                return Multivector._of(self.sig, c, self._support)
-        return Multivector._wrap(self.sig, self.coeffs / s)
+        c = self.sig._code.div(self._c, float(other))  # ZeroDivisionError at 0.0
+        if math.isfinite(sum(c)):
+            return Multivector._of(self.sig, c, self._support)
+        return Multivector._of_floats(self.sig, c, self._support)
 
     def __xor__(self, other):
         return self._product(other, "outer_sign")
@@ -430,13 +395,11 @@ class Multivector:
         return self._product(other, "inner_sign")
 
     def __invert__(self):
-        if self._c is not None:
-            return Multivector._of(self.sig, self.sig._code.rev(self._c), self._support)
-        return Multivector._wrap(self.sig, self.coeffs * self.sig.tables["rev_sign"])
+        return Multivector._of(self.sig, self.sig._code.rev(self._c), self._support)
 
     # ---- queries ------------------------------------------------------
     def scalar_part(self) -> float:
-        return self._c[0] if self._c is not None else float(self.coeffs[0])
+        return self._c[0]
 
     def _project(self, support: int) -> "Multivector":
         """The coefficients on the blades of support, 0.0 elsewhere."""
@@ -445,19 +408,12 @@ class Multivector:
 
     def _without(self, mask: int) -> "Multivector":
         """This multivector with the coefficient of blade mask set to 0.0."""
-        if self._c is not None:
-            return self._project((1 << self.sig.dim) - 1 & ~(1 << mask))
-        c = self.coeffs.copy()
-        c[mask] = 0.0
-        return Multivector._wrap(self.sig, c)
+        return self._project((1 << self.sig.dim) - 1 & ~(1 << mask))
 
     def grade(self, k: int) -> "Multivector":
         if not 0 <= k <= self.sig.n:
             raise ValueError(f"grade {k} out of range for n={self.sig.n}")
-        if self._c is not None:
-            return self._project(self.sig._code.grade_bits[k])
-        mask = self.sig.tables["grade_masks"][k]
-        return Multivector._wrap(self.sig, np.where(mask, self.coeffs, 0.0))
+        return self._project(self.sig._code.grade_bits[k])
 
     def grades_present(self, tol: float = 0.0) -> set[int]:
         return set(self.sig.tables["grades"][np.abs(self.coeffs) > tol].tolist())
@@ -471,13 +427,11 @@ class Multivector:
 
     def _vector(self) -> tuple:
         """The grade-1 coordinates as Python floats."""
-        return self.sig._code.vector(self._floats())
+        return self.sig._code.vector(self._c)
 
     def vector_coords(self) -> np.ndarray:
         """Coordinates of the grade-1 part."""
-        if self._c is not None:
-            return _float_array(self.sig._code.vector(self._c))
-        return self.coeffs[self.sig.tables["grade_masks"][1]]
+        return _float_array(self.sig._code.vector(self._c))
 
     def approx_eq(self, other: "Multivector", tol: float = TOL) -> bool:
         self._check_sig(other)
@@ -495,13 +449,11 @@ class Multivector:
     def __str__(self) -> str:
         terms = []
         for mask in self.sig.tables["order"].tolist():
-            c = self.coeffs[mask]
+            c = self._c[mask]
             if c == 0.0:
                 continue
             mag = _fmt_float(abs(c))
-            # "nan*e1", not "nane1"; finite coefficients abut their blade
-            sep = "" if np.isfinite(c) else "*"
-            body = mag + sep + "e" + "".join(map(str, blade_indices(mask))) if mask else mag
+            body = mag + "e" + "".join(map(str, blade_indices(mask))) if mask else mag
             if not terms:
                 terms.append(("-" if c < 0 else "") + body)
             else:
@@ -527,14 +479,10 @@ def spatial_parts(m: Multivector) -> tuple[Multivector, Multivector]:
     """The parts (m + mbar)/2 and (m - mbar)/2 that spatial inversion mbar
     (each spatial factor e1, e2, e3 flipped, e4 kept) keeps and flips, taken
     blade by blade so neither overflows (Cl(3,1) only)."""
-    inv_parts = m.sig.tables.get("inv_parts")
-    if inv_parts is None:
+    if "inv_parts" not in m.sig.tables:
         raise ValueError("spatial inversion requires signature (3, 1)")
-    if m._c is not None:
-        return tuple(Multivector._of(m.sig, part(m._c), m._support & support)
-                     for part, support in m.sig._code.spatial)
-    even, odd = m.coeffs * inv_parts
-    return Multivector._wrap(m.sig, even), Multivector._wrap(m.sig, odd)
+    return tuple(Multivector._of(m.sig, part(m._c), m._support & support)
+                 for part, support in m.sig._code.spatial)
 
 
 CL30 = Signature(3, 0)

@@ -75,7 +75,7 @@ def _eigenpair(h, energy: float, label: str, psi: Multivector,
     """The eigenpair (energy, psi) of the Hamiltonian h, with the vector
     coordinates of its rotor's target and the residual max|H psi - E psi|."""
     spinor = Spinor(psi)
-    residual = max(map(abs, (h(spinor).mv - energy * psi)._floats()))
+    residual = max(map(abs, (h(spinor).mv - energy * psi)._c))
     return EigenSolution(energy, spinor, target.vector_coords(), label, residual)
 
 
@@ -140,7 +140,7 @@ def _read_off(h) -> list[Multivector]:
     read = []
     for spinor in (_ONE_31, _I_31):
         plus, minus = spatial_parts(h(spinor).mv)
-        read += [(plus * _E3_31)._floats(), (minus * _MIE3_31)._floats()]
+        read += [(plus * _E3_31)._c, (minus * _MIE3_31)._c]
     # <H(1)>_+ e3, -I <H(1)>_- e3, <H(I)>_+ e3 and -I <H(I)>_- e3: a, c, c, d
     read = np.array(read)
     blocks = read * _IN_BLOCK_31
@@ -157,7 +157,7 @@ def _rotor_to(target: Multivector) -> Multivector:
     """The rotor taking e3 to the unit vector target."""
     # rotor_from_vectors rejects e3 -> -e3 and loses accuracy near it, so
     # below the e1e2 plane a half turn e31 takes e3 to -e3 first
-    below = target._floats()[4] < 0.0
+    below = target._c[4] < 0.0
     rotor = rotor_from_vectors(_E3_31, -target if below else target).value
     return rotor * _E31_31 if below else rotor
 
@@ -307,10 +307,9 @@ def pseudospin_average(psi: Spinor) -> np.ndarray:
         raise ValueError("pseudospin average is defined for cl30 spinors")
     # <psi ~psi>_0 is the sum of the coefficients' squares; only compared
     norm = 0.0
-    for x in psi.mv._floats():
+    for x in psi.mv._c:
         norm += x * x
-    # written so that a NaN norm fails it too
-    if not abs(norm - 1.0) <= 1e-10:
+    if abs(norm - 1.0) > 1e-10:
         raise ValueError("spinor must satisfy psi ~psi = 1")
     return (psi.mv * _E3_30 * ~psi.mv).vector_coords()
 

@@ -87,8 +87,8 @@ def apply_outermorphism(f: VectorMap, a: Multivector) -> Multivector:
 
 
 def determinant(f: VectorMap) -> float:
-    """det(F), the pseudoscalar coefficient of F(I) = det(F) I; +-inf where
-    F(I) overflows, as for ``np.linalg.det``."""
+    """det(F), the pseudoscalar coefficient of F(I) = det(F) I; OverflowError
+    where F(I) overflows, where ``np.linalg.det`` returns +-inf."""
     return float(apply_outermorphism(f, pseudoscalar(f.sig)).coeffs[-1])
 
 

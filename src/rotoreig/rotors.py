@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .algebra import TOL, Multivector, _bits
 
 __all__ = [
@@ -48,26 +46,20 @@ def is_rotor(m: Multivector) -> bool:
 def _check_unit_vector(v: Multivector, name: str) -> tuple[float, bool]:
     """Reject v unless it is a vector, unit to TOL; return v v and whether v
     has parts outside grade 1, all below TOL."""
-    t, c = v.sig.tables, v._c
-    if c is not None:  # finite floats: the parts of its support outside grade 1
-        code = v.sig._code
-        outside = v._support & ~code.grade_bits[1]
-        top = max(abs(c[m]) for m in _bits(outside)) if outside else 0.0
-    else:
-        outside = v.coeffs[t["not_vector"]]
-        # fmax skips NaN, which a plain max returns, hiding a part above TOL
-        top = np.fmax.reduce(np.abs(outside)) if np.count_nonzero(outside) else 0.0
+    c, code = v._c, v.sig._code
+    # the parts of its support outside grade 1
+    outside = v._support & ~code.grade_bits[1]
+    top = max(abs(c[m]) for m in _bits(outside)) if outside else 0.0
     if top > TOL:
         raise ValueError(f"{name} must be a pure vector")
     # v v = sum of c_m^2 e_m e_m: a metric-weighted dot, no product needed.
     # Summed in Python where at most two terms are nonzero, as every order
     # sums them alike; else by numpy's dot, in the order of its BLAS (which
     # the closed-form check near antiparallel resolves to the last bit)
-    if c is not None:
-        signs = code.square_sign
-        terms = [c[m] * c[m] * signs[m] for m in _bits(v._support) if c[m]]
-    if c is None or len(terms) > 2:
-        square = float((v.coeffs * v.coeffs) @ t["square_sign"])
+    signs = code.square_sign
+    terms = [c[m] * c[m] * signs[m] for m in _bits(v._support) if c[m]]
+    if len(terms) > 2:
+        square = float((v.coeffs * v.coeffs) @ v.sig.tables["square_sign"])
     else:
         square = 0.0
         for term in terms:

@@ -9,7 +9,6 @@ the mapping (matrix action then map == map then GA action).
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +38,8 @@ __all__ = [
 
 class _Layout(NamedTuple):
     """One algebra's spinor subspace: coefficient j is ``signs[j]`` times the
-    coefficient of blade ``masks[j]``; the ``outside`` blades are zero, and
-    ``bound`` holds the largest float on the blades inside and 0 outside;
-    ``inside`` is the support of the blades inside.  Part k of the column
+    coefficient of blade ``masks[j]``, and ``inside`` is the support of
+    these blades; the blades outside are zero.  Part k of the column
     spinor (the real parts, then the imaginary parts) is ``col_signs[k]``
     times coefficient ``col_order[k]``."""
 
@@ -49,20 +47,14 @@ class _Layout(NamedTuple):
     tag: str
     masks: np.ndarray
     signs: np.ndarray
-    outside: np.ndarray
-    bound: np.ndarray
     inside: int
     col_order: np.ndarray
     col_signs: np.ndarray
 
 
 def _layout(sig: Signature, tag: str, masks, signs, col_order, col_signs) -> _Layout:
-    outside = [m for m in range(sig.dim) if m not in masks]
-    bound = np.where(np.isin(np.arange(sig.dim), masks), sys.float_info.max, 0.0)
-    bound.flags.writeable = False
-    return _Layout(sig, tag, np.array(masks), np.array(signs, float), np.array(outside),
-                   bound, sum(1 << m for m in masks), np.array(col_order),
-                   np.array(col_signs, float))
+    return _Layout(sig, tag, np.array(masks), np.array(signs, float), sum(1 << m for m in masks),
+                   np.array(col_order), np.array(col_signs, float))
 
 
 #: the spinor layout of each algebra, keyed by its tag, by its signature and
@@ -89,21 +81,16 @@ def _layout_of(key: str | Signature) -> _Layout:
 
 
 def _check_leak(values: list[float], leak: float) -> None:
-    """Raise if a coefficient is not finite, or if the leak, the largest
-    coefficient outside the spinor subspace, exceeds TOL of the
-    multivector's scale |mv|."""
+    """Raise if the leak, the largest coefficient outside the spinor
+    subspace, exceeds TOL of the multivector's scale |mv|."""
     if leak == 0.0:
-        if not all(map(math.isfinite, values)):
-            raise ValueError("spinor has a coefficient that is not finite")
         return
     # |mv| by hypot, which cannot overflow where mv.norm() does; past the
     # largest float, a quarter of |mv| against a quarter of the leak (exact)
     scale, part = math.hypot(*values), leak
-    if scale == math.inf and all(map(math.isfinite, values)):
+    if scale == math.inf:
         scale, part = math.hypot(*(v / 4.0 for v in values)), leak / 4.0
-    # so |mv| is not finite only beside a NaN or infinite coefficient, where
-    # it fails every comparison or passes any leak: that raises on its own
-    if not math.isfinite(scale) or part > TOL * max(1.0, scale):
+    if part > TOL * max(1.0, scale):
         raise ValueError(f"multivector leaves the spinor subspace (leak {leak:.2e})")
 
 
@@ -115,23 +102,11 @@ class Spinor:
     def __init__(self, mv: Multivector) -> None:
         layout = _layout_of(mv.sig)
         self.algebra = layout.tag
-        c = mv._c
-        if c is not None:
-            # finite floats: only blades of its support outside the subspace
-            # can leak
-            spill = mv._support & ~layout.inside
-            if spill:
-                _check_leak(c, max(abs(c[m]) for m in _bits(spill)))
-            self.mv = mv._project(layout.inside)
-            return
-        outside = layout.outside
-        clean = mv.coeffs.copy()
-        # |c| <= bound fails only on a nonzero blade outside the subspace and
-        # on NaN or inf, and raises no float flag
-        if np.count_nonzero(np.abs(clean) <= layout.bound) != clean.size:
-            _check_leak(clean.tolist(), float(np.abs(clean[outside]).max()))
-        clean[outside] = 0.0
-        self.mv = Multivector._wrap(mv.sig, clean)
+        # only blades of its support outside the subspace can leak
+        spill, c = mv._support & ~layout.inside, mv._c
+        if spill:
+            _check_leak(c, max(abs(c[m]) for m in _bits(spill)))
+        self.mv = mv._project(layout.inside)
 
     # ---- coefficient views --------------------------------------------
     @classmethod

@@ -29,6 +29,15 @@ DIAG231 = VectorMap.from_matrix(CL30, np.diag([2.0, 3.0, 1.0]))
 SWAP12 = VectorMap.from_matrix(CL30, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
 
+def dense(sig, sign_key, a, b):
+    """The product of sign table sign_key on numpy coefficients: every signed
+    pair, e_i e_j summed into blade i ^ j, with inf * 0 = NaN where a term
+    overflows."""
+    blades = np.arange(sig.dim)
+    w = sig.tables[sign_key] * (a[:, None] * b).ravel()
+    return np.bincount((blades[:, None] ^ blades).ravel(), weights=w, minlength=sig.dim)
+
+
 def char_poly_eigenvalues(mat):
     """Independent 3x3 eigenvalue oracle: characteristic polynomial roots."""
     mat = np.asarray(mat, dtype=float)
@@ -128,30 +137,42 @@ class TestDeterminant:
             assert determinant(f) == pytest.approx(np.linalg.det(mat), abs=1e-10)
 
     def test_overflowing_image_is_infinite(self):
-        # F(I) = det(F) I overflows to +-inf, as np.linalg.det does; the
-        # product F(I) I^-1 put inf * 0 = NaN into its scalar part
+        # F(I) = det(F) I overflows where np.linalg.det is +-inf: the wedge
+        # of the images raises
         for diag, expected in (([1e200] * 3, math.inf), ([1e200, -1e200, 1e200], -math.inf)):
             f = VectorMap.from_matrix(CL30, np.diag(diag))
-            # the wedge of the images overflows, and inf * 0 leaves NaN on
-            # blades other than I
-            with np.errstate(over="ignore", invalid="ignore"):
-                assert determinant(f) == expected == np.linalg.det(np.diag(diag))
+            with pytest.raises(OverflowError):
+                determinant(f)
+            with np.errstate(over="ignore"):
+                assert np.linalg.det(np.diag(diag)) == expected
 
     def test_bits_of_the_product_with_the_inverse_pseudoscalar(self):
-        # F(I) I^-1 with I^-1 = ~I / (I ~I), the earlier formula: wherever it
-        # is finite, the pseudoscalar coefficient of F(I) has the same bits
+        # F(I) I^-1 with I^-1 = ~I / (I ~I), the earlier formula, taken on
+        # numpy's dense products: where it is finite, the pseudoscalar
+        # coefficient of F(I) has the same bits; elsewhere determinant raises
         rng = np.random.default_rng(25)
+        outcomes = set()
         for sig in (CL30, CL31):
             i = pseudoscalar(sig)
-            i_inv = ~i / (i * ~i).scalar_part()
+            i_inv = (~i / (i * ~i).scalar_part()).coeffs
             for _ in range(500):
                 mat = rng.standard_normal((sig.n, sig.n)) * 10.0 ** rng.uniform(
                     -100, 100, (sig.n, sig.n))
                 f = VectorMap.from_matrix(sig, mat)
                 with np.errstate(all="ignore"):
-                    product = (apply_outermorphism(f, i) * i_inv).scalar_part()
-                if math.isfinite(product):
-                    assert np.float64(determinant(f)).tobytes() == np.float64(product).tobytes()
+                    image = f.images[0].coeffs
+                    for g in f.images[1:]:
+                        image = dense(sig, "outer_sign", image, g.coeffs)
+                    product = dense(sig, "gp_sign", image, i_inv)[0]
+                try:
+                    det = determinant(f)
+                except OverflowError:
+                    assert not math.isfinite(product)
+                    outcomes.add("raised")
+                    continue
+                assert np.float64(det).tobytes() == np.float64(product).tobytes()
+                outcomes.add("finite")
+        assert outcomes == {"raised", "finite"}
 
 
 class TestSecularCubic:
