@@ -19,14 +19,16 @@ does not change by adding +-0.
 The constructor refuses NaN and +-inf with ValueError.  A step whose result
 has a coefficient that is not finite, which with finite operands is an
 overflow, raises OverflowError; a division by 0.0 raises ZeroDivisionError.
+Every step and query reads the tuple alone, so no result depends on the
+platform's BLAS; numpy serves only the tables, the public constructor's
+input and the arrays that ``coeffs`` and ``vector_coords`` return.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -133,17 +135,6 @@ def blade_indices(mask: int) -> list[int]:
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-@cache
-def _packer(size: int):
-    return struct.Struct(f"{size}d").pack
-
-
-def _float_array(c: tuple) -> np.ndarray:
-    """A read-only float64 array of the floats c (a view of their bytes,
-    which np.array of Python floats takes twice as long to build)."""
-    return np.frombuffer(_packer(len(c))(*c))
-
-
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
 def _bits(support: int) -> tuple[int, ...]:
     """The blade masks whose bits are set in a support, ascending."""
@@ -172,6 +163,7 @@ class _Code:
         self.grade_bits = [sum(1 << m for m in np.flatnonzero(row).tolist())
                            for row in t["grade_masks"]]
         self.square_sign = t["square_sign"].tolist()
+        self.grades, self.odd = t["grades"].tolist(), t["odd"].tolist()
         self.projections: dict = {}
         self.kernels: dict = {}
 
@@ -243,7 +235,7 @@ class Multivector:
     outer product ``^``, inner product ``|`` and reversion ``~``.
     """
 
-    __slots__ = ("sig", "_c", "_support", "_array")
+    __slots__ = ("sig", "_c", "_support")
 
     def __init__(self, sig: Signature, coeffs) -> None:
         coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -252,7 +244,7 @@ class Multivector:
         c = tuple(coeffs.tolist())
         if not (math.isfinite(sum(c)) or all(map(math.isfinite, c))):
             raise ValueError("multivector coefficients must be finite")
-        self.sig, self._c, self._array = sig, c, None
+        self.sig, self._c = sig, c
         self._support = sum(1 << m for m, x in enumerate(c) if x)
 
     @classmethod
@@ -263,7 +255,6 @@ class Multivector:
         mv.sig = sig
         mv._c = c
         mv._support = support
-        mv._array = None
         return mv
 
     @classmethod
@@ -277,12 +268,8 @@ class Multivector:
 
     @property
     def coeffs(self) -> np.ndarray:
-        """The coefficients as a read-only numpy float64 array (built on
-        first access)."""
-        array = self._array
-        if array is None:
-            array = self._array = _float_array(self._c)
-        return array
+        """The coefficients as a new numpy float64 array."""
+        return np.array(self._c)
 
     # ---- constructors -------------------------------------------------
     @classmethod
@@ -416,14 +403,20 @@ class Multivector:
         return self._project(self.sig._code.grade_bits[k])
 
     def grades_present(self, tol: float = 0.0) -> set[int]:
-        return set(self.sig.tables["grades"][np.abs(self.coeffs) > tol].tolist())
+        grades = self.sig._code.grades
+        return {grades[m] for m, x in enumerate(self._c) if abs(x) > tol}
 
     def norm(self) -> float:
-        """Euclidean norm of the coefficient vector."""
-        return float(np.sqrt(np.dot(self.coeffs, self.coeffs)))
+        """Euclidean norm of the coefficient vector: the squares summed from
+        0.0 in blade order, the same bits on every platform."""
+        total = 0.0
+        for x in self._c:
+            total += x * x
+        return math.sqrt(total)
 
     def is_even(self) -> bool:
-        return bool((np.abs(self.coeffs[self.sig.tables["odd"]]) <= TOL).all())
+        c = self._c
+        return all(abs(c[m]) <= TOL for m in self.sig._code.odd)
 
     def _vector(self) -> tuple:
         """The grade-1 coordinates as Python floats."""
@@ -431,16 +424,16 @@ class Multivector:
 
     def vector_coords(self) -> np.ndarray:
         """Coordinates of the grade-1 part."""
-        return _float_array(self.sig._code.vector(self._c))
+        return np.array(self.sig._code.vector(self._c))
 
     def approx_eq(self, other: "Multivector", tol: float = TOL) -> bool:
         self._check_sig(other)
-        return bool(np.all(np.abs(self.coeffs - other.coeffs) <= tol))
+        return all(abs(x - y) <= tol for x, y in zip(self._c, other._c))
 
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self.sig == other.sig and bool(np.array_equal(self.coeffs, other.coeffs))
+        return self.sig == other.sig and self._c == other._c
 
     # ---- serialization ------------------------------------------------
     def __repr__(self) -> str:

@@ -138,21 +138,20 @@ def cmd_eigens(args, out) -> int:
 
     spec, params = spectra.MODELS[args.model], _point_params(args)
     try:
-        # a float that overflows anywhere in the solve raises, not warns;
+        # a float that overflows anywhere in the solve raises OverflowError;
         # so does writing a solution value that is not a finite float
-        with np.errstate(over="raise", invalid="raise"):
-            solutions = []
-            for s in models.solve(params):
-                average = None
-                if s.spinor is not None and spec.average:
-                    average = models.pseudospin_average(s.spinor).tolist()
-                solutions.append(_solution_json(s, spec.average, average))
+        solutions = []
+        for s in models.solve(params):
+            average = None
+            if s.spinor is not None and spec.average:
+                average = models.pseudospin_average(s.spinor).tolist()
+            solutions.append(_solution_json(s, spec.average, average))
         body = '"solutions": [\n' + ",\n".join(solutions) + "\n  ]"
     except models.DegenerateError as exc:
         # its one message, "degenerate point: H = 0, rotor undefined", needs
         # no JSON escape
         body = f'"degenerate": true,\n  "reason": "{exc}"'
-    except (FloatingPointError, OverflowError):
+    except OverflowError:
         raise _point_overflow(params) from None
     # argparse took only finite floats, so the params need no check
     fields = "".join(f',\n    "{name}": {value!r}'

@@ -16,11 +16,12 @@ from .algebra import (
     CL31,
     TOL,
     Multivector,
+    _bits,
     pseudoscalar,
     spatial_parts,
 )
 from .rotors import rotor_from_vectors
-from .spectra import DEGENERACY_TOL, MODELS, ModelParams, _cl31_levels, _unit_scale
+from .spectra import DEGENERACY_TOL, MODELS, ModelParams, _check_finite, _cl31_levels, _unit_scale
 from .spinors import Spinor
 
 __all__ = [
@@ -126,9 +127,9 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
 _ONE_31, _I_31 = Spinor(Multivector.scalar(CL31, 1.0)), Spinor(_I31)
 #: -I e3: -I X e3 = X (-I e3) for X = <H>_-, which commutes with I
 _MIE3_31 = -(_I31 * _E3_31)
-#: 1 on the blades of a block vector (e1, e2, e3), 0 elsewhere, and their support
-_IN_BLOCK_31 = Multivector.vector(CL31, [1.0, 1.0, 1.0]).coeffs
+#: the support of a block vector (e1, e2, e3), and the blades outside it
 _VECTOR_BITS_31 = 0b10110
+_OFF_BLOCK_31 = [m for m in range(CL31.dim) if not _VECTOR_BITS_31 >> m & 1]
 #: a coupled band whose even-sector t is at most this fraction of the odd
 #: sector's (outer bands near c = 0, where phi+ vanishes) takes its rotor
 #: in the odd sector
@@ -142,15 +143,19 @@ def _read_off(h) -> list[Multivector]:
         plus, minus = spatial_parts(h(spinor).mv)
         read += [(plus * _E3_31)._c, (minus * _MIE3_31)._c]
     # <H(1)>_+ e3, -I <H(1)>_- e3, <H(I)>_+ e3 and -I <H(I)>_- e3: a, c, c, d
-    read = np.array(read)
-    blocks = read * _IN_BLOCK_31
-    # a part below TOL of H's largest is rounding; c is read off H(1)
-    if np.abs(read - blocks[[0, 1, 1, 3]]).max() > TOL * np.abs(read).max():
+    a, c, c_again, d = read
+    # a part below TOL of H's largest is rounding: off the block blades, and
+    # in the second c's difference from the first, which is the one kept
+    apart = max(max(abs(row[m]) for row in read for m in _OFF_BLOCK_31),
+                max(abs(c_again[m] - c[m]) for m in _bits(_VECTOR_BITS_31)))
+    if apart > TOL * max(abs(x) for row in read for x in row):
         raise ValueError("H is not in Pauli-block form: a block has a scalar, e4 or "
                          "higher-grade part, or H(1) and H(I) give different couplings c")
-    # finite: each of H's results passed a Spinor check
-    return [Multivector._of(CL31, tuple(row), _VECTOR_BITS_31)
-            for row in blocks[[0, 1, 3]].tolist()]
+    # finite: each of H's results passed a Spinor check; the blades off the
+    # block keep x * 0.0, the signed zero of their rounding
+    return [Multivector._of(CL31, tuple(x if _VECTOR_BITS_31 >> m & 1 else x * 0.0
+                                        for m, x in enumerate(row)), _VECTOR_BITS_31)
+            for row in (a, c, d)]
 
 
 def _rotor_to(target: Multivector) -> Multivector:
@@ -298,6 +303,7 @@ def h_monolayer(psi: Spinor, kx: float, ky: float) -> Spinor:
     """Massless-band Hamiltonian: H(psi) = k psi e3 in Cl(3,0)."""
     if psi.algebra != "cl30":
         raise ValueError("monolayer model lives in Cl(3,0)")
+    _check_finite(kx=kx, ky=ky)
     return Spinor(_k_vector(kx, ky) * psi.mv * _E3_30)
 
 
@@ -323,6 +329,7 @@ def h_qw(psi: Spinor, kx: float, ky: float, alphaR: float) -> Spinor:
     """H(psi) = (k^2/2) psi + alphaR e12 k psi e3 in Cl(3,0)."""
     if psi.algebra != "cl30":
         raise ValueError("quantum-well model lives in Cl(3,0)")
+    _check_finite(kx=kx, ky=ky, alphaR=alphaR)
     k2 = kx * kx + ky * ky
     kin = (k2 / 2.0) * psi.mv
     so = alphaR * (_E12_30 * _k_vector(kx, ky) * psi.mv * _E3_30)
@@ -341,6 +348,7 @@ def h_two_atoms(psi: Spinor, omega: float, Gamma: float) -> Spinor:
     d = Gamma e2 - omega e3, with levels -+Gamma and -+sqrt(omega^2 + Gamma^2)."""
     if psi.algebra != "cl31":
         raise ValueError("two-atom model lives in Cl(3,1)")
+    _check_finite(omega=omega, Gamma=Gamma)
     odd_part = spatial_parts(psi.mv)[1]
     return Spinor((omega * (_E3_31 * odd_part) - Gamma * (_E2_31 * psi.mv)) * _E3_31)
 

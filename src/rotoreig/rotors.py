@@ -52,19 +52,15 @@ def _check_unit_vector(v: Multivector, name: str) -> tuple[float, bool]:
     top = max(abs(c[m]) for m in _bits(outside)) if outside else 0.0
     if top > TOL:
         raise ValueError(f"{name} must be a pure vector")
-    # v v = sum of c_m^2 e_m e_m: a metric-weighted dot, no product needed.
-    # Summed in Python where at most two terms are nonzero, as every order
-    # sums them alike; else by numpy's dot, in the order of its BLAS (which
-    # the closed-form check near antiparallel resolves to the last bit)
-    signs = code.square_sign
-    terms = [c[m] * c[m] * signs[m] for m in _bits(v._support) if c[m]]
-    if len(terms) > 2:
-        square = float((v.coeffs * v.coeffs) @ v.sig.tables["square_sign"])
-    else:
-        square = 0.0
-        for term in terms:
-            square += term
-    if abs(square - 1.0) > TOL:
+    # v v = sum of c_m^2 e_m e_m: a metric-weighted dot, no product needed,
+    # summed from 0.0 in blade order, so its last bit (which the closed-form
+    # check near antiparallel resolves) is the same on every platform
+    signs, square = code.square_sign, 0.0
+    for m in _bits(v._support):
+        square += c[m] * c[m] * signs[m]
+    # written so that NaN fails it: squares past the largest float, one of
+    # them e4's, sum to inf - inf
+    if not abs(square - 1.0) <= TOL:
         raise ValueError(f"{name} must be a unit vector")
     return square, top > 0.0
 

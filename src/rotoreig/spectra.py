@@ -50,10 +50,7 @@ class ModelParams:
             raise ValueError(f"unknown model {self.model!r}")
         if self.eta not in (1, -1):
             raise ValueError("eta must be +1 or -1")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite float, got {value!r}")
+        _check_finite(**{name: getattr(self, name) for name in _FLOAT_FIELDS})
 
     @property
     def k(self) -> float:
@@ -62,6 +59,14 @@ class ModelParams:
     def to_json_dict(self) -> dict:
         return {"model": self.model,
                 **{name: getattr(self, name) for name in MODELS[self.model].fields}}
+
+
+def _check_finite(**values: float) -> None:
+    """Refuse a NaN or infinite parameter by name with ValueError (a step
+    that met it would report an overflow)."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite float, got {value!r}")
 
 
 #: the ModelParams fields that hold a float, each of which must be finite

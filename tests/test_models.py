@@ -827,6 +827,37 @@ class TestKVectorInOneCall:
                  + float(eta) * U * (e3 * psi.mv)) * e3))
 
 
+class TestRawFloatHamiltonians:
+    """h_monolayer, h_qw and h_two_atoms take raw floats: a NaN or infinite
+    one is refused by name, as ModelParams refuses it, while a finite value
+    whose step overflows stays an OverflowError."""
+
+    HAMILTONIANS = {"monolayer": (h_monolayer, CL30, ("kx", "ky")),
+                    "qw": (h_qw, CL30, ("kx", "ky", "alphaR")),
+                    "atoms": (h_two_atoms, CL31, ("omega", "Gamma"))}
+
+    @pytest.mark.parametrize("model", list(HAMILTONIANS))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_named(self, model, bad):
+        h, sig, names = self.HAMILTONIANS[model]
+        psi = Spinor(Multivector.scalar(sig, 1.0))
+        for i, name in enumerate(names):
+            args = [1.0] * len(names)
+            args[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be a finite float, got {bad!r}$"):
+                h(psi, *args)
+
+    @pytest.mark.parametrize("model, scale, args", [
+        ("monolayer", 1e10, (1e300, 0.0)),
+        ("qw", 1.0, (1e300, 0.0, 1.0)),  # k^2 overflows
+        ("atoms", 1e10, (1.0, 1e300)),
+    ])
+    def test_finite_overflow_stays_an_overflow(self, model, scale, args):
+        h, sig, _ = self.HAMILTONIANS[model]
+        with pytest.raises(OverflowError):
+            h(Spinor(Multivector.scalar(sig, scale)), *args)
+
+
 def _spectrum_at(spec, x, params):
     """The spectrum's energies at the single sweep value x, as floats."""
     return [band.item() for band in spec.spectrum(np.array([x]), params)]

@@ -1,6 +1,7 @@
 """Rotor construction, application, and composition."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,15 @@ class TestClosedFormCheck:
         assert not got.coeffs[CL30.tables["odd"]].any()
 
 
+def unit_square(v):
+    """v v, the metric-weighted squares summed from 0.0 in blade order: the
+    same bits on every platform, where np.dot's order is its BLAS's."""
+    square = 0.0
+    for c, sign in zip(v.coeffs.tolist(), v.sig.tables["square_sign"].tolist()):
+        square += c * c * sign
+    return square
+
+
 def parent_rotor(a, b):
     """rotor_from_vectors on one b as it was built with a.b from a | b: the
     reference whose bytes, and whose errors, the call must keep."""
@@ -264,8 +274,8 @@ def parent_rotor(a, b):
     for v, name in ((a, "a"), (b, "b")):
         if v.grades_present(TOL) - {1}:
             raise ValueError(f"{name} must be a pure vector")
-        squares.append(float((v.coeffs * v.coeffs) @ v.sig.tables["square_sign"]))
-        if abs(squares[-1] - 1.0) > TOL:
+        squares.append(unit_square(v))
+        if not abs(squares[-1] - 1.0) <= TOL:
             raise ValueError(f"{name} must be a unit vector")
     a, b = (v if v.grades_present() <= {1} else v.grade(1) for v in (a, b))
     cos_theta = (a | b).scalar_part()
@@ -387,3 +397,26 @@ class TestOneProductPerCall:
         for a in (marked, unmarked, -marked):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 rotor_from_vectors(a, b)
+
+    @pytest.mark.parametrize("coords", [
+        # unit Cl(3,1) vectors whose square a BLAS that sums np.dot in lanes
+        # (OpenBLAS on x86-64) rounds to other last bits
+        [0.97, 0.37, -0.39, 0.47947888378947384],
+        [0.86, -0.89, -0.78, 1.067754653466797],
+        [-0.45, -0.31, 0.95, -0.44844174649557333],
+    ])
+    def test_square_sums_in_blade_order(self, coords):
+        v = Multivector.vector(CL31, coords)
+        assert rotors._check_unit_vector(v, "a") == (unit_square(v), False)
+
+    def test_overflowing_square_is_not_unit(self):
+        # e1 e1 + e4 e4 = inf - inf = NaN, which must fail the unit check
+        # itself, with no warning, and not pass on to "not a rotor"
+        v = Multivector.vector(CL31, [1e200, 1e-300, 0.0, 1e200])
+        e3 = Multivector.basis_vector(CL31, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^a must be a unit vector$"):
+                rotor_from_vectors(v, e3)
+            with pytest.raises(ValueError, match="^b must be a unit vector$"):
+                rotor_from_vectors(e3, v)
