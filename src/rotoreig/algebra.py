@@ -20,18 +20,18 @@ The constructor refuses NaN and +-inf with ValueError.  A step whose result
 has a coefficient that is not finite, which with finite operands is an
 overflow, raises OverflowError; a division by 0.0 raises ZeroDivisionError.
 Every step and query reads the tuple alone, so no result depends on the
-platform's BLAS; numpy serves only the tables, the public constructor's
-input and the arrays that ``coeffs`` and ``vector_coords`` return.
+platform's BLAS.  The tables are tuples of Python ints and floats, so the
+module loads no numpy; only ``coeffs`` and ``vector_coords``, which return
+numpy arrays, import it.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
-
-import numpy as np
 
 __all__ = [
     "Signature",
@@ -73,49 +73,42 @@ class Signature:
 
     @cached_property
     def tables(self) -> dict:
-        """Product tables, flattened over mask pairs, and blade index arrays."""
-        p, q, n, dim = self.p, self.q, self.n, self.dim
-        grades = np.array([bin(m).count("1") for m in range(dim)], dtype=np.int64)
+        """Product tables, flattened over mask pairs, and blade index tuples."""
+        p, n, dim = self.p, self.n, self.dim
+        grades = tuple(bin(m).count("1") for m in range(dim))
 
         # e_a e_b = +-e_{a^b}: sorting a's factors then b's, each factor of b
         # passes each greater factor of a, and each shared factor squaring to
         # -1 flips once more; grades counts the bits (Dorst, Fontijne & Mann,
         # ch. 19)
-        a = np.arange(dim, dtype=np.int64)[:, None]
-        b = np.arange(dim, dtype=np.int64)
-        flips = grades[(a & b) >> p] + sum(grades[(a >> s) & b] for s in range(1, n))
-        sign = np.where(flips % 2 == 1, -1.0, 1.0)
-
-        # outer product keeps only terms without contracted factors
-        outer_sign = np.where((a & b) == 0, sign, 0.0)
-
-        # inner product: grade |r-s| part for homogeneous r,s > 0; scalar
-        # arguments act by plain scalar multiplication
-        ga = grades[:, None]
-        gb = grades[None, :]
-        gres = grades[a ^ b]
-        keep = (ga == 0) | (gb == 0) | (gres == np.abs(ga - gb))
-        inner_sign = np.where(keep, sign, 0.0)
-
-        rev_sign = np.where(grades * (grades - 1) // 2 % 2 == 1, -1.0, 1.0)
+        pairs = [(a, b) for a in range(dim) for b in range(dim)]
+        flips = (grades[(a & b) >> p] + sum(grades[(a >> s) & b] for s in range(1, n))
+                 for a, b in pairs)
+        sign = tuple(-1.0 if f % 2 else 1.0 for f in flips)
+        # the inner product keeps the grade |r-s| part for homogeneous r,s > 0;
+        # scalar arguments act by plain scalar multiplication
+        inner = (not grades[a] or not grades[b] or grades[a ^ b] == abs(grades[a] - grades[b])
+                 for a, b in pairs)
         tables = {
             "grades": grades,
-            "grade_masks": grades == np.arange(n + 1)[:, None],  # row k: grade k
-            "odd": np.flatnonzero(grades % 2 == 1),
-            "gp_sign": sign.ravel(),
-            "outer_sign": outer_sign.ravel(),
-            "inner_sign": inner_sign.ravel(),
-            "square_sign": sign.diagonal().copy(),  # e_m e_m
-            "rev_sign": rev_sign,
-            "order": np.lexsort((b, grades)),  # by grade, then by mask: str's order
+            # grade k's blades, as a support
+            "grade_supports": tuple(sum(1 << m for m in range(dim) if grades[m] == k)
+                                    for k in range(n + 1)),
+            "odd": tuple(m for m in range(dim) if grades[m] % 2),
+            "gp_sign": sign,
+            # the outer product keeps only terms without contracted factors
+            "outer_sign": tuple(s if not a & b else 0.0 for s, (a, b) in zip(sign, pairs)),
+            "inner_sign": tuple(s if keep else 0.0 for s, keep in zip(sign, inner)),
+            "square_sign": sign[::dim + 1],  # e_m e_m
+            "rev_sign": tuple(-1.0 if g * (g - 1) // 2 % 2 else 1.0 for g in grades),
+            # by grade, then by mask: str's order
+            "order": tuple(sorted(range(dim), key=lambda m: (grades[m], m))),
         }
-        # rows: 1 on the blades that spatial inversion (indices 1..3 of
-        # Cl(3,1) flipped) keeps, 1 on those it flips
-        if (p, q) == (3, 1):
-            spatial = grades[b & 0b0111]
-            tables["inv_parts"] = np.array([spatial % 2 == 0, spatial % 2 == 1], dtype=float)
-        for table in tables.values():
-            table.flags.writeable = False  # shared by every multivector
+        # rows: 1.0 on the blades that spatial inversion (indices 1..3 of
+        # Cl(3,1) flipped) keeps, 1.0 on those it flips
+        if (self.p, self.q) == (3, 1):
+            tables["inv_parts"] = tuple(tuple(float(grades[m & 0b0111] % 2 == odd)
+                                              for m in range(dim)) for odd in (0, 1))
         return tables
 
     @cached_property
@@ -133,6 +126,17 @@ class Signature:
 def blade_indices(mask: int) -> list[int]:
     """1-based vector indices of a blade mask, ascending."""
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _floats(values) -> tuple | None:
+    """A flat sequence of reals (a 1-D array too) as a tuple of floats, else None."""
+    # a bare number, or a sequence of sequences, raises TypeError; a string
+    # is a sequence of digits, and an array's shape, read without numpy,
+    # refuses a 2-D one
+    with suppress(TypeError):
+        if not isinstance(values, (str, bytes)) and len(getattr(values, "shape", ())) < 2:
+            return tuple(map(float, values))
+    return None
 
 
 @lru_cache(maxsize=KERNEL_CACHE_SIZE)
@@ -158,12 +162,9 @@ class _Code:
     kernels, keyed by the supports they were made for."""
 
     def __init__(self, sig: Signature) -> None:
-        t = sig.tables
-        self.tables, self.dim, self.n = t, sig.dim, sig.n
-        self.grade_bits = [sum(1 << m for m in np.flatnonzero(row).tolist())
-                           for row in t["grade_masks"]]
-        self.square_sign = t["square_sign"].tolist()
-        self.grades, self.odd = t["grades"].tolist(), t["odd"].tolist()
+        t = self.tables = sig.tables
+        self.dim, self.n, self.grades, self.odd = sig.dim, sig.n, t["grades"], t["odd"]
+        self.grade_bits, self.square_sign = t["grade_supports"], t["square_sign"]
         self.projections: dict = {}
         self.kernels: dict = {}
 
@@ -185,14 +186,14 @@ class _Code:
         self.dim, "a", [f"a{1 << i}" for i in range(self.n)]))
 
     # spatial_parts' two halves with their supports: c times a row of
-    # inv_parts, x * 1.0 = x and x * 0.0 = +-0.0, as numpy gives them
+    # inv_parts, x * 1.0 = x and x * 0.0 = +-0.0
     spatial = cached_property(lambda self: [
         (self._each("a", lambda i: f"a{i}" if row[i] else f"a{i} * 0.0"),
          sum(1 << i for i, keep in enumerate(row) if keep))
-        for row in self.tables["inv_parts"].tolist()])
+        for row in self.tables["inv_parts"]])
 
     def projection(self, support: int):
-        """c on the blades of support, 0.0 elsewhere: np.where(mask, c, 0.0)."""
+        """c on the blades of support, 0.0 elsewhere."""
         projections = self.projections
         f = projections.get(support)
         if f is None:
@@ -212,7 +213,7 @@ class _Code:
         kernels = self.kernels
         if len(kernels) >= KERNEL_CACHE_SIZE:
             del kernels[next(iter(kernels))]
-        sign, dim = self.tables[sign_key].tolist(), self.dim
+        sign, dim = self.tables[sign_key], self.dim
         left, exprs, support = _bits(sa), [], 0
         for k in range(dim):
             expr = "0.0"
@@ -238,10 +239,9 @@ class Multivector:
     __slots__ = ("sig", "_c", "_support")
 
     def __init__(self, sig: Signature, coeffs) -> None:
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape != (sig.dim,):
-            raise ValueError(f"expected {sig.dim} coefficients, got {coeffs.shape}")
-        c = tuple(coeffs.tolist())
+        c = _floats(coeffs)
+        if c is None or len(c) != sig.dim:
+            raise ValueError(f"expected a sequence of {sig.dim} real coefficients")
         if not (math.isfinite(sum(c)) or all(map(math.isfinite, c))):
             raise ValueError("multivector coefficients must be finite")
         self.sig, self._c = sig, c
@@ -267,28 +267,26 @@ class Multivector:
         raise OverflowError("a multivector coefficient is not finite")
 
     @property
-    def coeffs(self) -> np.ndarray:
+    def coeffs(self):
         """The coefficients as a new numpy float64 array."""
+        import numpy as np
+
         return np.array(self._c)
 
     # ---- constructors -------------------------------------------------
     @classmethod
     def zero(cls, sig: Signature) -> "Multivector":
-        return cls(sig, np.zeros(sig.dim))
+        return cls(sig, (0.0,) * sig.dim)
 
     @classmethod
     def scalar(cls, sig: Signature, value: float) -> "Multivector":
-        c = np.zeros(sig.dim)
-        c[0] = value
-        return cls(sig, c)
+        return cls(sig, (value,) + (0.0,) * (sig.dim - 1))
 
     @classmethod
     def blade(cls, sig: Signature, mask: int) -> "Multivector":
         if not 0 <= mask < sig.dim:
             raise ValueError(f"blade mask {mask} out of range")
-        c = np.zeros(sig.dim)
-        c[mask] = 1.0
-        return cls(sig, c)
+        return cls(sig, tuple(float(m == mask) for m in range(sig.dim)))
 
     @classmethod
     def basis_vector(cls, sig: Signature, i: int) -> "Multivector":
@@ -300,9 +298,10 @@ class Multivector:
     @classmethod
     def vector(cls, sig: Signature, coords) -> "Multivector":
         """Grade-1 element from a coordinate sequence (padded with zeros)."""
-        if len(coords) > sig.n:
-            raise ValueError(f"{len(coords)} vector coordinates out of range for n={sig.n}")
-        c = np.zeros(sig.dim)
+        coords = _floats(coords)
+        if coords is None or len(coords) > sig.n:
+            raise ValueError(f"expected a sequence of at most n={sig.n} real vector coordinates")
+        c = [0.0] * sig.dim
         for i, x in enumerate(coords):
             c[1 << i] = x
         return cls(sig, c)
@@ -422,8 +421,10 @@ class Multivector:
         """The grade-1 coordinates as Python floats."""
         return self.sig._code.vector(self._c)
 
-    def vector_coords(self) -> np.ndarray:
-        """Coordinates of the grade-1 part."""
+    def vector_coords(self):
+        """Coordinates of the grade-1 part, as a new numpy float64 array."""
+        import numpy as np
+
         return np.array(self.sig._code.vector(self._c))
 
     def approx_eq(self, other: "Multivector", tol: float = TOL) -> bool:
@@ -441,7 +442,7 @@ class Multivector:
 
     def __str__(self) -> str:
         terms = []
-        for mask in self.sig.tables["order"].tolist():
+        for mask in self.sig.tables["order"]:
             c = self._c[mask]
             if c == 0.0:
                 continue

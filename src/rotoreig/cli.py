@@ -12,9 +12,8 @@ import functools
 import io
 import math
 import os
+import re
 import sys
-
-import numpy as np
 
 from . import spectra
 from .spectra import ModelParams
@@ -43,6 +42,10 @@ def cmd_spectrum(args, out) -> int:
         raise SystemExit2("--samples must be at least 2")
     if args.kmin > args.kmax:
         raise SystemExit2("--kmin must not exceed --kmax")
+    # imported here, not at the top: `eigens` and `verify` run no sweep,
+    # so they start without numpy
+    import numpy as np
+
     spec, params = spectra.MODELS[args.model], _point_params(args)
     n = args.samples
     # a value or energy past the largest float is caught by the check below
@@ -84,9 +87,9 @@ def cmd_spectrum(args, out) -> int:
     return 0
 
 
-def _column_texts(table: np.ndarray) -> list[list[str]]:
+def _column_texts(table) -> list[list[str]]:
     """The texts ``repr(v + 0.0)`` of the finite entries v of each row of
-    table, a sweep column.
+    table, a 2-D numpy array of sweep columns.
 
     ``repr(-a)`` is ``"-" + repr(a)``, so a column whose magnitudes equal an
     earlier column's reuses that column's reprs and signs them: repr runs
@@ -94,7 +97,7 @@ def _column_texts(table: np.ndarray) -> list[list[str]]:
     another band negated)."""
     texts, reprs = [], {}
     for column in table:
-        magnitudes = np.abs(column)  # + 0.0 folds -0.0: abs does too
+        magnitudes = abs(column)  # + 0.0 folds -0.0: abs does too
         key = magnitudes.tobytes()
         if key not in reprs:
             reprs[key] = list(map(repr, magnitudes.tolist()))
@@ -144,7 +147,7 @@ def cmd_eigens(args, out) -> int:
         for s in models.solve(params):
             average = None
             if s.spinor is not None and spec.average:
-                average = models.pseudospin_average(s.spinor).tolist()
+                average = models.pseudospin_average(s.spinor)
             solutions.append(_solution_json(s, spec.average, average))
         body = '"solutions": [\n' + ",\n".join(solutions) + "\n  ]"
     except models.DegenerateError as exc:
@@ -169,13 +172,13 @@ def _json_float(x: float) -> str:
     return repr(x)
 
 
-def _json_floats(values: list[float], depth: int) -> str:
-    """A list of finite floats as json.dumps(indent=2) writes it at depth."""
+def _json_floats(values, depth: int) -> str:
+    """A list or tuple of finite floats as json.dumps(indent=2) writes it at depth."""
     pad = "\n" + "  " * depth
     return f"[{pad}  " + ("," + pad + "  ").join(map(_json_float, values)) + f"{pad}]"
 
 
-def _solution_json(s, average_key: str | None, average: list[float] | None) -> str:
+def _solution_json(s, average_key: str | None, average: tuple[float, ...] | None) -> str:
     """One EigenSolution s, then its spinor's e3 average under average_key
     when there is one, as json.dumps(indent=2) writes it in the solutions
     list. The energy, the spinor coefficients and the target fold -0.0 into
@@ -183,13 +186,13 @@ def _solution_json(s, average_key: str | None, average: list[float] | None) -> s
     # s is unannotated: `models` is imported only by `eigens` and `verify`
     spinor = "null"
     if s.spinor is not None:
-        blocks = (s.spinor.coeff_vector() + 0.0).reshape(-1, 4).tolist()
+        coeffs = [x + 0.0 for x in s.spinor.coeff_vector()]
         spinor = ('{\n        "algebra": "' + s.spinor.algebra + '"'
-                  + "".join(f',\n        "{name}": {_json_floats(block, 4)}'
-                            for name, block in zip("ab", blocks)) + "\n      }")
+                  + "".join(f',\n        "{name}": {_json_floats(coeffs[i:i + 4], 4)}'
+                            for name, i in zip("ab", range(0, len(coeffs), 4))) + "\n      }")
     tail = ""
     if s.target_vector is not None:
-        target = [float(x) + 0.0 for x in s.target_vector]
+        target = [x + 0.0 for x in s.target_vector]
         tail += f',\n      "target": {_json_floats(target, 3)}'
     if average is not None:
         tail += f',\n      "{average_key}": {_json_floats(average, 3)}'
@@ -321,6 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--tol", type=_finite_float, default=1e-10)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(func=cmd_verify)
+    # each subparser parses its own flags.  argparse's negative-number pattern
+    # (r'^-\d+$|^-\d*\.\d+$' on Python 3.10 to 3.13) with the exponent form
+    # added: an argument it matches is a value, so `--kx -1e-5` reads as
+    # `--kx=-1e-5` instead of as a missing argument
+    for p in (p_spec, p_eig, p_ver):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return parser
 
 

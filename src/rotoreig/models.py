@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .algebra import (
     CL30,
     CL31,
@@ -58,7 +56,7 @@ class EigenSolution:
 
     energy: float
     spinor: Spinor | None
-    target_vector: np.ndarray | None
+    target_vector: tuple[float, ...] | None
     band_label: str
     residual: float
     degenerate: bool = False
@@ -77,7 +75,7 @@ def _eigenpair(h, energy: float, label: str, psi: Multivector,
     coordinates of its rotor's target and the residual max|H psi - E psi|."""
     spinor = Spinor(psi)
     residual = max(map(abs, (h(spinor).mv - energy * psi)._c))
-    return EigenSolution(energy, spinor, target.vector_coords(), label, residual)
+    return EigenSolution(energy, spinor, target._vector(), label, residual)
 
 
 #: the scalar spinor 1, on which ``solve_cl30`` reads a Hamiltonian off
@@ -307,8 +305,8 @@ def h_monolayer(psi: Spinor, kx: float, ky: float) -> Spinor:
     return Spinor(_k_vector(kx, ky) * psi.mv * _E3_30)
 
 
-def pseudospin_average(psi: Spinor) -> np.ndarray:
-    """Pseudospin direction psi e3 ~psi of a normalized Cl(3,0) spinor."""
+def pseudospin_average(psi: Spinor) -> tuple[float, ...]:
+    """The coordinates of psi e3 ~psi, the pseudospin of a unit Cl(3,0) spinor."""
     if psi.algebra != "cl30":
         raise ValueError("pseudospin average is defined for cl30 spinors")
     # <psi ~psi>_0 is the sum of the coefficients' squares; only compared
@@ -317,7 +315,7 @@ def pseudospin_average(psi: Spinor) -> np.ndarray:
         norm += x * x
     if abs(norm - 1.0) > 1e-10:
         raise ValueError("spinor must satisfy psi ~psi = 1")
-    return (psi.mv * _E3_30 * ~psi.mv).vector_coords()
+    return (psi.mv * _E3_30 * ~psi.mv)._vector()
 
 
 # ---------------------------------------------------------------------

@@ -61,7 +61,7 @@ def apply_vector(f: VectorMap, x: Multivector) -> Multivector:
     if x.grades_present(0.0) - {1}:
         raise ValueError("apply_vector requires a pure vector")
     out = Multivector.zero(f.sig)
-    for i, c in enumerate(x.vector_coords()):
+    for i, c in enumerate(x._vector()):
         if c != 0.0:
             out = out + c * f.images[i]
     return out
@@ -71,8 +71,7 @@ def apply_outermorphism(f: VectorMap, a: Multivector) -> Multivector:
     """Extend the map to blades: each basis blade maps to the wedge of the
     images of its factors; scalars pass through unchanged."""
     result = Multivector.zero(f.sig)
-    for mask in range(f.sig.dim):
-        c = a.coeffs[mask]
+    for mask, c in enumerate(a._c):
         if c == 0.0:
             continue
         if mask == 0:
@@ -89,7 +88,7 @@ def apply_outermorphism(f: VectorMap, a: Multivector) -> Multivector:
 def determinant(f: VectorMap) -> float:
     """det(F), the pseudoscalar coefficient of F(I) = det(F) I; OverflowError
     where F(I) overflows, where ``np.linalg.det`` returns +-inf."""
-    return float(apply_outermorphism(f, pseudoscalar(f.sig)).coeffs[-1])
+    return apply_outermorphism(f, pseudoscalar(f.sig))._c[-1]
 
 
 def secular_cubic(f: VectorMap) -> tuple[float, float, float]:

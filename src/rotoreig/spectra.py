@@ -1,16 +1,15 @@
 """The four models' parameters and closed-form bands (hbar = v_F = m* = 1).
 
-Numpy only: a band sweep needs no geometric algebra, so it loads none.  Each
+No geometric algebra: a band sweep needs none, so it loads none.  Each
 spectrum gives, bit for bit, the energies the rotor solvers in ``models``
-give; ``solve_cl31`` reads its levels off ``_cl31_levels`` here."""
+give; ``solve_cl31`` reads its levels off ``_cl31_levels`` here.  Only the
+array sweeps import numpy, so a rotor solve loads none."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
 from typing import Callable
-
-import numpy as np
 
 __all__ = [
     "MODELS",
@@ -83,10 +82,10 @@ class ModelSpec:
     fields: tuple[str, ...]     # the model's ModelParams fields, in JSON order
     couplings: tuple[str, ...]  # the couplings `verify` draws, in draw order
     sweep: str                  # the ModelParams attribute `spectrum` sweeps
-    # the ascending bands at each value of a 1-D array of sweep values, one
-    # array per band, bit for bit the energies `solve` gives there; the
+    # the ascending bands at each value of a 1-D numpy array of sweep values,
+    # one array per band, bit for bit the energies `solve` gives there; the
     # Cl(3,0) ones are plain arithmetic, which `solve` runs on a float
-    spectrum: Callable[[np.ndarray, ModelParams], list[np.ndarray]]
+    spectrum: Callable[..., list]
     average: str | None         # JSON key of the eigenspinors' e3 average
 
 
@@ -128,10 +127,12 @@ def _cl31_levels(na: float, nc: float, nd: float, gap: float, m: float,
 # ---------------------------------------------------------------------
 
 
-def _two_atoms_spectrum(omega: float, Gamma: np.ndarray) -> list[np.ndarray]:
+def _two_atoms_spectrum(omega: float, Gamma) -> list:
     """The levels -+sqrt(omega^2 + Gamma^2), -+|Gamma|, ascending, at each
-    value of a 1-D array of Gamma; math.hypot per element, because np.hypot
-    differs from it in the last bit."""
+    value of a 1-D numpy array of Gamma; math.hypot per element, because
+    np.hypot differs from it in the last bit."""
+    import numpy as np
+
     root = np.array([math.hypot(omega, g) for g in Gamma.tolist()])
     return [-root, -abs(Gamma), abs(Gamma), root]
 
@@ -141,7 +142,6 @@ def _two_atoms_spectrum(omega: float, Gamma: np.ndarray) -> list[np.ndarray]:
 # ---------------------------------------------------------------------
 
 
-@np.errstate(all="ignore")  # non-finite k gives non-finite bands, not warnings
 def bilayer_spectrum(k, U: float, gamma1: float) -> list:
     """The four bands at wave-vector magnitude k, ascending: four floats at a
     float k, four arrays at a 1-D array of k.  They are ``_cl31_levels`` of
@@ -149,25 +149,28 @@ def bilayer_spectrum(k, U: float, gamma1: float) -> list:
     in the same order and scaled by the same power of two, each branch an
     ``np.where``: bit for bit the solver's.  ``solve_cl31`` keeps the scalar
     functions: on its floats this array form costs about 43 us a solve."""
+    import numpy as np
+
     ks = np.asarray(k, dtype=float)
-    na, nc, nd = abs(U), np.abs(ks), math.hypot(gamma1, U)
-    # _unit_scale per element; frexp and ldexp are exact
-    top = np.maximum(nc, max(na, nd))
-    f = np.where((2.0 ** -250 < top) & (top < 2.0 ** 250), 1.0,
-                 np.ldexp(1.0, np.minimum(1000, -np.frexp(top)[1])))
-    k, U, g1 = ks * f, U * f, gamma1 * f
-    na, nc, nd = na * f, nc * f, nd * f
-    kk, gu = k * k, U * g1
-    gap, m = g1 * g1 / 2.0, kk * (g1 * g1 + (2.0 * U) * (2.0 * U))
-    const = (kk - U * U) * (kk - U * U) + gu * gu
-    root = np.where(gap * gap + m > 0.0, np.sqrt(gap * gap + m), 0.0)
-    upper = (na * na + nd * nd) / 2.0 + nc * nc + root
-    coupled = nc * nc != 0.0
-    lo = np.where(coupled, np.where(const > 0.0, np.sqrt(const / upper), 0.0),
-                  np.minimum(na, nd))
-    hi = np.where(coupled, np.sqrt(upper), np.maximum(na, nd))
-    bands = [-hi / f, -lo / f, lo / f, hi / f]
-    return bands if ks.ndim else [float(band) for band in bands]
+    with np.errstate(all="ignore"):  # non-finite k gives non-finite bands, not warnings
+        na, nc, nd = abs(U), np.abs(ks), math.hypot(gamma1, U)
+        # _unit_scale per element; frexp and ldexp are exact
+        top = np.maximum(nc, max(na, nd))
+        f = np.where((2.0 ** -250 < top) & (top < 2.0 ** 250), 1.0,
+                     np.ldexp(1.0, np.minimum(1000, -np.frexp(top)[1])))
+        k, U, g1 = ks * f, U * f, gamma1 * f
+        na, nc, nd = na * f, nc * f, nd * f
+        kk, gu = k * k, U * g1
+        gap, m = g1 * g1 / 2.0, kk * (g1 * g1 + (2.0 * U) * (2.0 * U))
+        const = (kk - U * U) * (kk - U * U) + gu * gu
+        root = np.where(gap * gap + m > 0.0, np.sqrt(gap * gap + m), 0.0)
+        upper = (na * na + nd * nd) / 2.0 + nc * nc + root
+        coupled = nc * nc != 0.0
+        lo = np.where(coupled, np.where(const > 0.0, np.sqrt(const / upper), 0.0),
+                      np.minimum(na, nd))
+        hi = np.where(coupled, np.sqrt(upper), np.maximum(na, nd))
+        bands = [-hi / f, -lo / f, lo / f, hi / f]
+        return bands if ks.ndim else [float(band) for band in bands]
 
 
 def bilayer_mexican_hat_k(U: float, gamma1: float) -> float:

@@ -3,15 +3,14 @@
 Cl(3,0) spinors live on grades {0, 2}; Cl(3,1) spinors on the 8-dimensional
 span {1, e23, e31, e12, I, e14, e24, e34}.  The column correspondences are
 real-linear bijections fixed so that every generator action commutes with
-the mapping (matrix action then map == map then GA action).
+the mapping (matrix action then map == map then GA action).  Only the
+functions that return numpy arrays import numpy.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .algebra import (
     TOL,
@@ -20,6 +19,7 @@ from .algebra import (
     Multivector,
     Signature,
     _bits,
+    _floats,
     blade_indices,
     pseudoscalar,
 )
@@ -45,16 +45,15 @@ class _Layout(NamedTuple):
 
     sig: Signature
     tag: str
-    masks: np.ndarray
-    signs: np.ndarray
+    masks: tuple[int, ...]
+    signs: tuple[int, ...]  # +-1, exact: x * 1 is x, and x * -1 is -x
     inside: int
-    col_order: np.ndarray
-    col_signs: np.ndarray
+    col_order: tuple[int, ...]
+    col_signs: tuple[int, ...]
 
 
 def _layout(sig: Signature, tag: str, masks, signs, col_order, col_signs) -> _Layout:
-    return _Layout(sig, tag, np.array(masks), np.array(signs, float), sum(1 << m for m in masks),
-                   np.array(col_order), np.array(col_signs, float))
+    return _Layout(sig, tag, masks, signs, sum(1 << m for m in masks), col_order, col_signs)
 
 
 #: the spinor layout of each algebra, keyed by its tag, by its signature and
@@ -63,11 +62,11 @@ _LAYOUTS = {key: layout for layout in (
     # a0 + a1 e23 + a2 e31 + a3 e12 (masks 0, e23, e13, e12); canonical
     # storage uses e13 = -e31, hence the sign on a2.  Column
     # [a0 + i a3, -a2 + i a1]
-    _layout(CL30, "cl30", (0, 6, 5, 3), [1, 1, -1, 1], (0, 2, 3, 1), (1, -1, 1, 1)),
+    _layout(CL30, "cl30", (0, 6, 5, 3), (1, 1, -1, 1), (0, 2, 3, 1), (1, -1, 1, 1)),
     # a0 + a1 e23 - a2 e31 + a3 e12 - b0 I - b1 e14 + b2 e24 + b3 e34
     # (e31 = -e13 cancels the printed minus on a2).  Column
     # [a0 + i a3, -b3 + i b0, -b2 - i b1, -a1 + i a2]
-    _layout(CL31, "cl31", (0, 6, 5, 3, 15, 9, 10, 12), [1, 1, 1, 1, -1, -1, 1, 1],
+    _layout(CL31, "cl31", (0, 6, 5, 3, 15, 9, 10, 12), (1, 1, 1, 1, -1, -1, 1, 1),
             (0, 7, 6, 1, 3, 4, 5, 2), (1, -1, -1, -1, 1, 1, -1, 1)),
 ) for key in (layout.tag, layout.sig, (len(layout.masks) // 2,))}
 
@@ -112,17 +111,18 @@ class Spinor:
     @classmethod
     def from_coeff_vector(cls, algebra: str, vec) -> "Spinor":
         layout = _layout_of(algebra)
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != layout.signs.shape:
+        vec = _floats(vec)
+        if vec is None or len(vec) != len(layout.signs):
             raise ValueError(f"{algebra} spinor needs {len(layout.signs)} real coefficients")
-        c = np.zeros(layout.sig.dim)
-        c[layout.masks] = layout.signs * vec
+        c = [0.0] * layout.sig.dim
+        for m, sign, x in zip(layout.masks, layout.signs, vec):
+            c[m] = sign * x
         return cls(Multivector(layout.sig, c))
 
-    def coeff_vector(self) -> np.ndarray:
-        """Real coefficients (a0..a3) or (a0..a3, b0..b3)."""
-        layout = _LAYOUTS[self.algebra]
-        return layout.signs * self.mv.coeffs[layout.masks]
+    def coeff_vector(self) -> tuple[float, ...]:
+        """Real coefficients (a0..a3) or (a0..a3, b0..b3), as floats."""
+        layout, c = _LAYOUTS[self.algebra], self.mv._c
+        return tuple(sign * c[m] for m, sign in zip(layout.masks, layout.signs))
 
     def __repr__(self) -> str:
         return f"Spinor[{self.algebra}]({self.mv})"
@@ -134,54 +134,55 @@ class Spinor:
 def column_to_spinor(col) -> Spinor:
     """Complex column spinor -> GA spinor: two entries give a Cl(3,0)
     spinor, four a Cl(3,1) one."""
+    import numpy as np
+
     col = np.asarray(col, dtype=complex)
     layout = _LAYOUTS.get(col.shape)
     if layout is None:
         raise ValueError(f"a column spinor has 2 or 4 complex entries, not shape {col.shape}")
     vec = np.empty(len(layout.masks))
-    vec[layout.col_order] = layout.col_signs * np.concatenate([col.real, col.imag])
+    vec[list(layout.col_order)] = np.multiply(layout.col_signs, np.append(col.real, col.imag))
     return Spinor.from_coeff_vector(layout.tag, vec)
 
 
-def spinor_to_column(psi: Spinor) -> np.ndarray:
-    """GA spinor -> complex column spinor; inverse of ``column_to_spinor``."""
+def spinor_to_column(psi: Spinor):
+    """GA spinor -> complex numpy column; inverse of ``column_to_spinor``."""
+    import numpy as np
+
     layout = _LAYOUTS[psi.algebra]
-    parts = layout.col_signs * psi.coeff_vector()[layout.col_order]
+    parts = np.multiply(layout.col_signs, np.take(psi.coeff_vector(), layout.col_order))
     n = len(parts) // 2
     return parts[:n] + 1j * parts[n:]
 
 
 # ---- matrix representations ------------------------------------------
 
-_SIGMA = {
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_SIGMA = {1: ((0, 1), (1, 0)), 2: ((0, -1j), (1j, 0)), 3: ((1, 0), (0, -1))}
 
 
-def pauli_matrix(i: int) -> np.ndarray:
+def pauli_matrix(i: int):
+    """Pauli matrix sigma_i as a new 2x2 complex numpy array."""
+    import numpy as np
+
     if i not in _SIGMA:
         raise ValueError("Pauli index must be 1, 2 or 3")
-    return _SIGMA[i].copy()
+    return np.array(_SIGMA[i], dtype=complex)
 
 
-def _cl31_generators() -> list[np.ndarray]:
-    one = np.eye(2, dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
-    e1 = np.block([[zero, one], [one, zero]])
-    e2 = 1j * np.block([[zero, -one], [one, zero]])
-    e3 = np.block([[_SIGMA[2], zero], [zero, -_SIGMA[2]]])
-    e4 = 1j * np.block([[_SIGMA[3], zero], [zero, -_SIGMA[3]]])
-    return [e1, e2, e3, e4]
+def cl31_matrix_rep(mask: int):
+    """4x4 complex numpy representation of a Cl(3,1) basis blade; composite
+    blades are products of the generator matrices in ascending index order."""
+    import numpy as np
 
-
-def cl31_matrix_rep(mask: int) -> np.ndarray:
-    """4x4 complex representation of a Cl(3,1) basis blade; composite blades
-    are products of the generator matrices in ascending index order."""
     if not 0 <= mask < CL31.dim:
         raise ValueError(f"blade mask {mask} out of range for Cl(3,1)")
-    gens = _cl31_generators()
+    one = np.eye(2, dtype=complex)
+    zero = np.zeros((2, 2), dtype=complex)
+    s2, s3 = pauli_matrix(2), pauli_matrix(3)
+    gens = [np.block([[zero, one], [one, zero]]),
+            1j * np.block([[zero, -one], [one, zero]]),
+            np.block([[s2, zero], [zero, -s2]]),
+            1j * np.block([[s3, zero], [zero, -s3]])]
     out = np.eye(4, dtype=complex)
     for i in blade_indices(mask):
         out = out @ gens[i - 1]

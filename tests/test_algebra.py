@@ -67,6 +67,20 @@ class TestVectorConstructor:
             Multivector.vector(sig, list(range(1, sig.n + 2)))
 
     @pytest.mark.parametrize("sig", [CL30, CL31])
+    @pytest.mark.parametrize("shape", ["wrong length", "row", "column", "bare float", "text"])
+    def test_anything_but_a_flat_sequence_of_the_length_is_refused(self, sig, shape):
+        # a (1, n) or an (n, 1) array, a bare float or a string of digits is
+        # no coefficient sequence, though it holds the right number of reals
+        for wrong, right, build, match in (
+                (sig.dim - 1, sig.dim, lambda c: Multivector(sig, c),
+                 f"expected a sequence of {sig.dim} real"),
+                (sig.n + 1, sig.n, lambda c: Multivector.vector(sig, c), f"n={sig.n} real vector")):
+            bad = {"wrong length": np.ones(wrong), "row": np.ones((1, right)),
+                   "column": np.ones((right, 1)), "bare float": 1.0, "text": "1" * right}[shape]
+            with pytest.raises(ValueError, match=match):
+                build(bad)
+
+    @pytest.mark.parametrize("sig", [CL30, CL31])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_is_refused(self, sig, bad):
         # on each blade, by the constructor and the two that build on it
@@ -103,13 +117,59 @@ def reference_product(p, a, b):
     return sign, mask
 
 
+def numpy_tables(p, q):
+    """``Signature.tables`` as numpy arrays, as they were built before the
+    tables became tuples, with ``grade_masks`` (row k: grade k's blades)
+    read off as the grade supports."""
+    n = p + q
+    dim = 1 << n
+    grades = np.array([bin(m).count("1") for m in range(dim)], dtype=np.int64)
+    a = np.arange(dim, dtype=np.int64)[:, None]
+    b = np.arange(dim, dtype=np.int64)
+    flips = grades[(a & b) >> p] + sum(grades[(a >> s) & b] for s in range(1, n))
+    sign = np.where(flips % 2 == 1, -1.0, 1.0)
+    outer_sign = np.where((a & b) == 0, sign, 0.0)
+    ga, gb, gres = grades[:, None], grades[None, :], grades[a ^ b]
+    keep = (ga == 0) | (gb == 0) | (gres == np.abs(ga - gb))
+    grade_masks = grades == np.arange(n + 1)[:, None]
+    tables = {
+        "grades": grades,
+        "grade_supports": [sum(1 << int(m) for m in np.flatnonzero(row)) for row in grade_masks],
+        "odd": np.flatnonzero(grades % 2 == 1),
+        "gp_sign": sign.ravel(),
+        "outer_sign": outer_sign.ravel(),
+        "inner_sign": np.where(keep, sign, 0.0).ravel(),
+        "square_sign": sign.diagonal().copy(),
+        "rev_sign": np.where(grades * (grades - 1) // 2 % 2 == 1, -1.0, 1.0),
+        "order": np.lexsort((b, grades)),
+    }
+    if (p, q) == (3, 1):
+        spatial = grades[b & 0b0111]
+        tables["inv_parts"] = np.array([spatial % 2 == 0, spatial % 2 == 1], dtype=float)
+    return tables
+
+
 class TestSignTables:
+    @pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7) for p in range(n + 1)])
+    def test_equal_the_numpy_construction(self, p, q):
+        # the same keys, and in each the same numbers of the same types:
+        # ints for masks and grades, floats for signs and inv_parts' rows
+        ref, tables = numpy_tables(p, q), Signature(p, q).tables
+        assert tables.keys() == ref.keys()
+        for name, table in tables.items():
+            expected = np.asarray(ref[name]).tolist()
+            assert table == (tuple(map(tuple, expected)) if name == "inv_parts"
+                             else tuple(expected)), name
+            kind = float if "sign" in name or name == "inv_parts" else int
+            flat = [x for row in table for x in row] if name == "inv_parts" else table
+            assert {type(x) for x in flat} == {kind}, name
+
     @pytest.mark.parametrize("p, q", [(p, n - p) for n in range(1, 7) for p in range(n + 1)])
     def test_equal_the_swap_count(self, p, q):
         sig = Signature(p, q)
         signs, masks = zip(*(reference_product(p, a, b)
                              for a in range(sig.dim) for b in range(sig.dim)))
-        assert sig.tables["gp_sign"].tolist() == list(signs)
+        assert sig.tables["gp_sign"] == signs
         # the kernels sum e_a e_b into blade a ^ b
         assert list(masks) == [a ^ b for a in range(sig.dim) for b in range(sig.dim)]
 
@@ -302,7 +362,7 @@ class TestSerialization:
         assert "*" not in str(Multivector(CL31, np.array(c)))
 
     def test_text_order_sorted_by_grade_then_mask(self):
-        order = CL31.tables["order"].tolist()
+        order = CL31.tables["order"]
         keys = [(bin(m).count("1"), m) for m in order]
         assert keys == sorted(keys)
 
@@ -395,9 +455,11 @@ class TestReferenceFormulas:
 
     @pytest.mark.parametrize("sig", [CL30, CL31, Signature(2, 0)])
     def test_shared_tables_are_read_only(self, sig):
-        for name, table in sig.tables.items():
-            with pytest.raises(ValueError, match="read-only"):
-                table[(0,) * table.ndim] = table[(0,) * table.ndim]
+        # tuples of numbers (inv_parts of tuples), so no caller can change a
+        # table every multivector reads: hash fails on anything mutable inside
+        for table in sig.tables.values():
+            assert type(table) is tuple
+            hash(table)
 
 
 # ---- products with a basis blade ---------------------------------------

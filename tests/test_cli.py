@@ -646,6 +646,34 @@ class TestUsageErrors:
         assert r.returncode == 2
 
 
+class TestNegativeExponentValues:
+    # argparse's own pattern takes -1e-5 for an option, so `--kx -1e-5` was a
+    # missing argument; each float flag now reads it as `--kx=-1e-5` does
+    @pytest.mark.parametrize("argv", [
+        ["eigens", "--model", "monolayer", "--kx", "-1e-5", "--ky", "0.5"],
+        ["spectrum", "--model", "bilayer", "--kmin", "-1e-5", "--kmax", "1",
+         "--samples", "3", "--gamma1", "0.4"],
+    ])
+    def test_same_bytes_as_the_joined_form(self, argv):
+        i = argv.index("-1e-5")
+        joined = argv[:i - 1] + [f"{argv[i - 1]}=-1e-5"] + argv[i + 1:]
+        got = run_cli(*argv)
+        assert got[0] == 0 and got == run_cli(*joined)
+
+    @pytest.mark.parametrize("command, flag", [
+        *(("eigens", flag) for flag in ("--kx", "--ky", "--alpha", "--omega", "--gamma",
+                                        "--gamma1", "--bias-u")),
+        ("spectrum", "--kmin"), ("spectrum", "--kmax"), ("verify", "--tol"),
+    ])
+    @pytest.mark.parametrize("value", ["-1e-5", "-2.5E+3", "-.5e1", "-1.", "-3"])
+    def test_every_float_flag_takes_a_negative_value(self, command, flag, value):
+        base = [command] + (["--model", "qw"] if command != "verify" else [])
+        if command == "spectrum":
+            base += ["--kmin", "-9", "--kmax", "9"]
+        parse = cli.build_parser().parse_args
+        assert parse(base + [flag, value]) == parse(base + [f"{flag}={value}"])
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv", [
         ("eigens", "--model", "monolayer", "--kx", "nan"),

@@ -668,7 +668,7 @@ class TestBilayer:
         root = math.hypot(u, g1)
         for s in (sols[0], sols[3]):
             assert not s.degenerate and abs(s.energy) == pytest.approx(root, rel=1e-15)
-            assert np.all(s.spinor.coeff_vector()[:4] == 0.0)
+            assert s.spinor.coeff_vector()[:4] == (0.0,) * 4
             # psi = I R with R a rotor; its target is R e3 ~R = sign(E) d/|d|
             carrier = -(pseudoscalar(CL31) * s.spinor.mv)
             assert (carrier * ~carrier).approx_eq(Multivector.scalar(CL31, 1.0), 1e-15)

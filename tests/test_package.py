@@ -32,37 +32,48 @@ def test_all_names_resolve_to_objects_of_the_module(name):
         assert getattr(obj, "__module__", mod.__name__) == mod.__name__, attr
 
 
+def run_fresh(script: str, *argv) -> list[str]:
+    """The lines a script prints in a fresh interpreter, which must exit 0."""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script), *map(str, argv)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_imports_load_only_what_each_command_runs(tmp_path):
-    # in a fresh interpreter: `eigens` and `spectrum` call neither the oracle
-    # nor json, and no command draws from numpy.random, so importing the CLI
-    # loads none of them.  `spectrum` runs on the closed forms alone, so it
-    # loads no geometric algebra; `eigens` imports the rotor solvers and
-    # `verify` the oracle when they run, each with unchanged output.  A
-    # degenerate `eigens` point is written from the same template, without json
+    # in a fresh interpreter: no command draws from numpy.random, `eigens`
+    # and `spectrum` call neither the oracle nor json, and only `spectrum`'s
+    # sweep and the oracle need numpy, so importing the CLI loads none of
+    # them.  `eigens` imports the rotor solvers when it runs, and still no
+    # numpy, also at a degenerate point, which is written from the same
+    # template without json.  In another fresh interpreter `spectrum` runs
+    # on the closed forms alone, so it loads no geometric algebra, and
+    # `verify` imports the oracle; each output is unchanged
     spectrum, eigens = "spectrum_bilayer_k0.json", "eigens_bilayer.json"
     degenerate = "eigens_monolayer_k0.json"
-    script = textwrap.dedent(f"""
+    outs = [tmp_path / spectrum, tmp_path / eigens, tmp_path / degenerate]
+    ga = sorted(GA_MODULES)
+    assert run_fresh(f"""
         import sys
         before = set(sys.modules)
         import rotoreig.cli
-        print(sorted({{"numpy.random", "rotoreig.oracle", "json"}} & (set(sys.modules) - before)))
-        ga = {sorted(GA_MODULES)!r}
+        print(sorted({{"numpy", "numpy.random", "rotoreig.oracle", "json"}}
+                     & (set(sys.modules) - before)))
+        code = rotoreig.cli.main({CASES[eigens]!r} + ["--out", sys.argv[1]])
+        print(code, [name for name in {ga!r} if name not in sys.modules], "numpy" in sys.modules)
+        code = rotoreig.cli.main({CASES[degenerate]!r} + ["--out", sys.argv[2]])
+        print(code, "json" in sys.modules, "numpy" in sys.modules)
+    """, outs[1], outs[2]) == ["[]", "0 [] False", "0 False False"]
+    lines = run_fresh(f"""
+        import sys
+        import rotoreig.cli
         code = rotoreig.cli.main({CASES[spectrum]!r} + ["--out", sys.argv[1]])
-        print(code, [name for name in ga if name in sys.modules])
-        code = rotoreig.cli.main({CASES[eigens]!r} + ["--out", sys.argv[2]])
-        print(code, [name for name in ga if name not in sys.modules])
-        code = rotoreig.cli.main({CASES[degenerate]!r} + ["--out", sys.argv[3]])
-        print(code, "json" in sys.modules)
+        print(code, [name for name in {ga!r} if name in sys.modules])
         import rotoreig.oracle
         print("numpy.random" in sys.modules)
         print(rotoreig.cli.main(["verify", "--trials", "1"]))
-    """)
-    outs = [tmp_path / spectrum, tmp_path / eigens, tmp_path / degenerate]
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, outs)],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[:5] == ["[]", "0 []", "0 []", "0 False", "False"]
+    """, outs[0])
+    assert lines[:2] == ["0 []", "False"]
     assert lines[-2].startswith("verify: PASS (seed=0, trials=1,") and lines[-1] == "0"
     for out in outs:
         assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
