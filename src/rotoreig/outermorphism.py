@@ -1,11 +1,10 @@
 """Linear vector maps extended to blades: outermorphisms, determinants and
-the scalar secular cubic for Cl(3,0)."""
+the scalar secular cubic for Cl(3,0).  Only the functions that read or
+return numpy arrays, and the cubic's root formulas, import numpy."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algebra import (
     CL30,
@@ -44,11 +43,16 @@ class VectorMap:
     @classmethod
     def from_matrix(cls, sig: Signature, mat) -> "VectorMap":
         """Column j of mat holds the coordinates of the image of e_{j+1}."""
+        import numpy as np
+
         mat = np.asarray(mat, dtype=float)
         images = tuple(Multivector.vector(sig, mat[:, j]) for j in range(sig.n))
         return cls(sig, images)
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self):
+        """The map as a numpy array: column j holds the image of e_{j+1}."""
+        import numpy as np
+
         return np.column_stack([img.vector_coords() for img in self.images])
 
     def compose(self, other: "VectorMap") -> "VectorMap":
@@ -111,6 +115,8 @@ def real_cubic_roots(a2: float, a1: float, a0: float) -> list[float]:
     Complex-conjugate root pairs are omitted; a map with such a spectrum has
     no real eigenvalue in those directions.
     """
+    import numpy as np
+
     # depressed cubic t^3 + p t + q with x = t - a2/3
     p = a1 - a2 * a2 / 3.0
     q = 2.0 * a2 ** 3 / 27.0 - a2 * a1 / 3.0 + a0

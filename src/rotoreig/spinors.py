@@ -3,8 +3,9 @@
 Cl(3,0) spinors live on grades {0, 2}; Cl(3,1) spinors on the 8-dimensional
 span {1, e23, e31, e12, I, e14, e24, e34}.  The column correspondences are
 real-linear bijections fixed so that every generator action commutes with
-the mapping (matrix action then map == map then GA action).  Only the
-functions that return numpy arrays import numpy.
+the mapping (matrix action then map == map then GA action).  Columns and
+matrices are tuples of Python complex numbers, so no function here imports
+numpy.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _layout(sig: Signature, tag: str, masks, signs, col_order, col_signs) -> _La
 
 
 #: the spinor layout of each algebra, keyed by its tag, by its signature and
-#: by the shape of its column spinor
+#: by the length of its column spinor
 _LAYOUTS = {key: layout for layout in (
     # a0 + a1 e23 + a2 e31 + a3 e12 (masks 0, e23, e13, e12); canonical
     # storage uses e13 = -e31, hence the sign on a2.  Column
@@ -68,7 +69,7 @@ _LAYOUTS = {key: layout for layout in (
     # [a0 + i a3, -b3 + i b0, -b2 - i b1, -a1 + i a2]
     _layout(CL31, "cl31", (0, 6, 5, 3, 15, 9, 10, 12), (1, 1, 1, 1, -1, -1, 1, 1),
             (0, 7, 6, 1, 3, 4, 5, 2), (1, -1, -1, -1, 1, 1, -1, 1)),
-) for key in (layout.tag, layout.sig, (len(layout.masks) // 2,))}
+) for key in (layout.tag, layout.sig, len(layout.masks) // 2)}
 
 
 def _layout_of(key: str | Signature) -> _Layout:
@@ -134,58 +135,70 @@ class Spinor:
 def column_to_spinor(col) -> Spinor:
     """Complex column spinor -> GA spinor: two entries give a Cl(3,0)
     spinor, four a Cl(3,1) one."""
-    import numpy as np
-
-    col = np.asarray(col, dtype=complex)
-    layout = _LAYOUTS.get(col.shape)
+    # complex() parses a string's characters and reads a one-entry array row,
+    # so a string and a 2-D array are refused before it sees them
+    try:
+        col = ([] if isinstance(col, (str, bytes)) or len(getattr(col, "shape", ())) > 1
+               else [complex(x) for x in col])
+    except TypeError:
+        col = []
+    layout = _LAYOUTS.get(len(col))
     if layout is None:
-        raise ValueError(f"a column spinor has 2 or 4 complex entries, not shape {col.shape}")
-    vec = np.empty(len(layout.masks))
-    vec[list(layout.col_order)] = np.multiply(layout.col_signs, np.append(col.real, col.imag))
+        raise ValueError("a column spinor is a sequence of 2 or 4 complex entries")
+    parts = [x.real for x in col] + [x.imag for x in col]
+    vec = [0.0] * len(parts)
+    for j, sign, x in zip(layout.col_order, layout.col_signs, parts):
+        vec[j] = sign * x
     return Spinor.from_coeff_vector(layout.tag, vec)
 
 
-def spinor_to_column(psi: Spinor):
-    """GA spinor -> complex numpy column; inverse of ``column_to_spinor``."""
-    import numpy as np
-
+def spinor_to_column(psi: Spinor) -> tuple[complex, ...]:
+    """GA spinor -> complex column; inverse of ``column_to_spinor``."""
     layout = _LAYOUTS[psi.algebra]
-    parts = np.multiply(layout.col_signs, np.take(psi.coeff_vector(), layout.col_order))
+    c = psi.coeff_vector()
+    parts = [sign * c[j] for j, sign in zip(layout.col_order, layout.col_signs)]
     n = len(parts) // 2
-    return parts[:n] + 1j * parts[n:]
+    return tuple(a + 1j * b for a, b in zip(parts[:n], parts[n:]))
 
 
 # ---- matrix representations ------------------------------------------
 
-_SIGMA = {1: ((0, 1), (1, 0)), 2: ((0, -1j), (1j, 0)), 3: ((1, 0), (0, -1))}
+def _complex_rows(rows) -> tuple[tuple[complex, ...], ...]:
+    """A matrix of numbers as a tuple of rows of Python complex numbers."""
+    return tuple(tuple(map(complex, row)) for row in rows)
 
 
-def pauli_matrix(i: int):
-    """Pauli matrix sigma_i as a new 2x2 complex numpy array."""
-    import numpy as np
+_SIGMA = {1: _complex_rows(((0, 1), (1, 0))),
+          2: _complex_rows(((0, -1j), (1j, 0))),
+          3: _complex_rows(((1, 0), (0, -1)))}
 
+#: the Cl(3,1) generators in 2x2 blocks: e1 = [[0, 1], [1, 0]],
+#: e2 = i [[0, -1], [1, 0]], e3 = [[s2, 0], [0, -s2]], e4 = i [[s3, 0], [0, -s3]]
+_GAMMA = tuple(map(_complex_rows, (
+    ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)),
+    ((0, 0, -1j, 0), (0, 0, 0, -1j), (1j, 0, 0, 0), (0, 1j, 0, 0)),
+    ((0, -1j, 0, 0), (1j, 0, 0, 0), (0, 0, 0, 1j), (0, 0, -1j, 0)),
+    ((1j, 0, 0, 0), (0, -1j, 0, 0), (0, 0, -1j, 0), (0, 0, 0, 1j)),
+)))
+
+
+def pauli_matrix(i: int) -> tuple[tuple[complex, ...], ...]:
+    """Pauli matrix sigma_i as a 2x2 tuple of complex rows."""
     if i not in _SIGMA:
         raise ValueError("Pauli index must be 1, 2 or 3")
-    return np.array(_SIGMA[i], dtype=complex)
+    return _SIGMA[i]
 
 
-def cl31_matrix_rep(mask: int):
-    """4x4 complex numpy representation of a Cl(3,1) basis blade; composite
-    blades are products of the generator matrices in ascending index order."""
-    import numpy as np
-
+def cl31_matrix_rep(mask: int) -> tuple[tuple[complex, ...], ...]:
+    """4x4 complex representation of a Cl(3,1) basis blade, a tuple of
+    rows; composite blades are products of the generator matrices in
+    ascending index order."""
     if not 0 <= mask < CL31.dim:
         raise ValueError(f"blade mask {mask} out of range for Cl(3,1)")
-    one = np.eye(2, dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
-    s2, s3 = pauli_matrix(2), pauli_matrix(3)
-    gens = [np.block([[zero, one], [one, zero]]),
-            1j * np.block([[zero, -one], [one, zero]]),
-            np.block([[s2, zero], [zero, -s2]]),
-            1j * np.block([[s3, zero], [zero, -s3]])]
-    out = np.eye(4, dtype=complex)
+    out = _complex_rows([[i == j for j in range(4)] for i in range(4)])
     for i in blade_indices(mask):
-        out = out @ gens[i - 1]
+        cols = tuple(zip(*_GAMMA[i - 1]))
+        out = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in out)
     return out
 
 

@@ -120,7 +120,7 @@ def test_criterion_4_bilayer_spectrum_and_quantization():
         params = ModelParams("bilayer", kx=kx, ky=ky, gamma1=g1, U=u, eta=eta)
         roots = bilayer_spectrum(params.k, u, g1)
         op = ga_operator_matrix(lambda s, p=params: h_bilayer(s, p), "cl31")
-        doubled = jacobi_eigh(op)
+        doubled = np.array(jacobi_eigh(op))
         oracle = (doubled[0::2] + doubled[1::2]) / 2.0
         worst_delta = max(worst_delta, energy_delta(roots, list(oracle)))
         for energy in roots:
@@ -187,6 +187,10 @@ def test_criterion_5_eigenspinor_contracts():
 def test_criterion_6_mapping_rule_equivalence():
     rng = np.random.default_rng(106)
     i_ps = pseudoscalar(CL31)
+
+    def rep31(mask):
+        return np.array(cl31_matrix_rep(mask))
+
     worst = 0.0
     for _ in range(100):
         col = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -203,16 +207,16 @@ def test_criterion_6_mapping_rule_equivalence():
         scale = max(1.0, float(np.abs(col).max()))
         for i in range(1, 5):
             lhs = spinor_to_column(ga_action_cl31("vector", psi, i))
-            rhs = cl31_matrix_rep(1 << (i - 1)) @ col
+            rhs = rep31(1 << (i - 1)) @ col
             worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
             lhs = spinor_to_column(ga_action_cl31("pseudovector", psi, i))
-            rep = i_ps.coeffs[15] * cl31_matrix_rep(0b1111) @ cl31_matrix_rep(1 << (i - 1))
+            rep = i_ps.coeffs[15] * rep31(0b1111) @ rep31(1 << (i - 1))
             worst = max(worst, float(np.max(np.abs(lhs - rep @ col))) / scale)
             for j in range(1, 5):
                 if i == j:
                     continue
                 lhs = spinor_to_column(ga_action_cl31("bivector", psi, i, j))
-                rep = cl31_matrix_rep(1 << (i - 1)) @ cl31_matrix_rep(1 << (j - 1))
+                rep = rep31(1 << (i - 1)) @ rep31(1 << (j - 1))
                 worst = max(worst, float(np.max(np.abs(lhs - rep @ col))) / scale)
         lhs = spinor_to_column(ga_action_cl31("imaginary", psi))
         worst = max(worst, float(np.max(np.abs(lhs - 1j * col))) / scale)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import struct
 import warnings
 
 import numpy as np
@@ -126,7 +127,8 @@ def numpy_jacobi_eigh(a, vectors=False, tol=1e-14, max_sweeps=100):
     else:
         raise RuntimeError("Jacobi iteration failed to converge")
     vals = np.diag(a).copy()
-    order = np.argsort(vals)
+    # stable, as ``jacobi_eigh`` sorts: equal values keep their diagonal order
+    order = np.argsort(vals, kind="stable")
     if vectors:
         return vals[order], v[:, order]
     return vals[order]
@@ -193,7 +195,7 @@ def jacobi_digest(mats) -> str:
     for m in mats:
         vals, vecs = jacobi_eigh(m, vectors=True)
         assert np.array_equal(jacobi_eigh(m), vals)
-        digest.update(vals.tobytes() + vecs.tobytes())
+        digest.update(np.array(vals).tobytes() + np.array(vecs).tobytes())
     return digest.hexdigest()
 
 
@@ -215,7 +217,7 @@ class TestJacobi:
     def test_entries_past_half_the_largest_float(self):
         # a/2 + a^H/2 does not overflow where (a + a^H)/2 did: the Jacobi
         # and the monolayer cross check at kx = ky = 1e308 give an answer
-        assert jacobi_eigh([[0.0, 1.2e308], [1.2e308, 0.0]]).tolist() == pytest.approx(
+        assert jacobi_eigh([[0.0, 1.2e308], [1.2e308, 0.0]]) == pytest.approx(
             [-1.2e308, 1.2e308], rel=1e-15)
         report = cross_check(ModelParams("monolayer", kx=1e308, ky=1e308))
         assert report.passed and report.oracle_energies[1] > 1.4e308
@@ -231,7 +233,7 @@ class TestJacobi:
             for _ in range(25):
                 m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 mats.append((m + m.conj().T) / 2.0)
-        for m in mats:
+        for m in map(np.array, mats):
             block = np.block([[m.real, -m.imag], [m.imag, m.real]])
             assert_bit_identical(block)
             doubled = jacobi_eigh(block)
@@ -246,7 +248,25 @@ class TestJacobi:
         x, y = 2.1213203435596414e-14, 5e-22
         squares = [x * x, y * y, x * x, y * y, y * y, y * y]
         assert math.sqrt(math.fsum(squares)) > 3e-14
-        assert jacobi_eigh([[0.5, x, y], [x, 0.5, y], [y, y, 0.25]]).tolist() == [0.25, 0.5, 0.5]
+        assert jacobi_eigh([[0.5, x, y], [x, 0.5, y], [y, y, 0.25]]) == [0.25, 0.5, 0.5]
+
+    @pytest.mark.parametrize("m, supports", [
+        # no rotation: the eigenvectors are basis vectors, and equal values
+        # keep their diagonal order
+        (np.eye(4), [[0], [1], [2], [3]]),
+        ([[0.5, 2.1213203435596414e-14, 5e-22], [2.1213203435596414e-14, 0.5, 5e-22],
+          [5e-22, 5e-22, 0.25]], [[2], [0], [1]]),
+        (np.diag([0.25, 0.5, 0.0, 0.0]), [[2], [3], [0], [1]]),
+        # a doubled block, eigenvalues -1, -1, 3, 3: in each equal pair the
+        # vector of the first block comes first
+        (np.kron(np.eye(2), [[1.0, 2.0], [2.0, 1.0]]), [[0, 1], [2, 3], [0, 1], [2, 3]]),
+    ], ids=["identity", "stop-sum", "diagonal", "doubled-block"])
+    def test_equal_eigenvalues_keep_their_diagonal_order(self, m, supports):
+        # the sort is stable; the rows an eigenvector column is nonzero on
+        # name the diagonal position it comes from
+        vals, vecs = jacobi_eigh(m, vectors=True)
+        assert vals == sorted(vals) == jacobi_eigh(m)
+        assert [np.flatnonzero(col).tolist() for col in np.array(vecs).T] == supports
 
     def test_rejects_zero_dimensional(self):
         with pytest.raises(ValueError):
@@ -278,7 +298,7 @@ class TestJacobi:
             m = rng.standard_normal((n, n))
             m = (m + m.T) / 2.0
             vals, vecs = jacobi_eigh(m, vectors=True)
-            for lam, v in zip(vals, vecs.T):
+            for lam, v in zip(vals, np.array(vecs).T):
                 assert np.linalg.norm(m @ v - lam * v) <= 1e-10 * max(
                     1.0, np.max(np.abs(m))
                 )
@@ -305,7 +325,7 @@ class TestJacobi:
             for _ in range(25):
                 m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
                 m = (m + m.conj().T) / 2.0
-                vals, vecs = jacobi_eigh(m, vectors=True)
+                vals, vecs = map(np.array, jacobi_eigh(m, vectors=True))
                 scale = max(1.0, np.max(np.abs(m)))
                 assert np.linalg.norm(m @ vecs - vecs * vals, 2) <= 1e-13 * scale
                 assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n), 2) <= 1e-13
@@ -469,7 +489,7 @@ class TestMatrixInvariants:
             low_minus, high_minus, high_plus, low_plus = sorted(
                 s.energy for s in models.solve(params))
             assert (low_minus, high_minus) == (-low_plus, -high_plus)
-            m = _MATRICES_4[model](params)
+            m = np.array(_MATRICES_4[model](params))
             b = np.trace(m @ m).real / 2.0  # sum of the squared levels over 2
             # bounds relative to B and B^2: both hold to 1e-15 on these draws
             assert abs(low_plus ** 2 + high_plus ** 2 - b) <= 1e-14 * b
@@ -570,8 +590,9 @@ class TestActionCheckOncePerAlgebra:
         rng = np.random.RandomState(20140)
         for cols, shape in ((oracle._SPOT_COLS_2, (2, 2)), (oracle._SPOT_COLS_4, (2, 4))):
             ref = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            assert cols.dtype == ref.dtype and cols.shape == shape
-            assert cols.tobytes() == ref.tobytes()
+            assert all(type(x) is complex for col in cols for x in col)
+            assert np.array(cols).shape == shape
+            assert np.array(cols).tobytes() == ref.tobytes()
 
 
 class TestProductCounts:
@@ -607,24 +628,100 @@ class TestProductCounts:
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, math.nan, math.inf, -math.inf]
 any_float = st.one_of(st.sampled_from(SPECIAL), st.floats())
 
+#: the Pauli matrices as numpy built them, for the reference expressions
+SIGMA_X = np.array(((0, 1), (1, 0)), dtype=complex)
+SIGMA_Y = np.array(((0, -1j), (1j, 0)), dtype=complex)
+SIGMA_Z = np.array(((1, 0), (0, -1)), dtype=complex)
+
+
+def entry_bits(x) -> tuple[bytes, bytes]:
+    """The bits of an entry's real and imaginary parts, signed zeros and NaN
+    payloads included."""
+    z = complex(x)
+    return struct.pack("<d", z.real), struct.pack("<d", z.imag)
+
+
+def assert_same_bits(got, ref):
+    """A tuple-of-rows matrix holds, entry for entry, the bits of a numpy one."""
+    assert len(got) == len(ref) and all(len(row) == len(ref) for row in got)
+    assert [[entry_bits(x) for x in row] for row in got] == [
+        [entry_bits(x) for x in row] for row in ref.tolist()]
+
+
+def nans_as_one(rows):
+    """A complex matrix with each NaN part replaced by ``math.nan``."""
+    def part(v):
+        return math.nan if math.isnan(v) else v
+    return [[complex(part(z.real), part(z.imag)) for z in row] for row in rows]
+
 
 class TestReferenceFormulas:
+    """Each oracle matrix against the numpy expression it was written as."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_float, any_float)
+    def test_matrix_monolayer(self, kx, ky):
+        got = matrix_monolayer(kx, ky)
+        assert all(type(x) is complex for row in got for x in row)
+        assert_same_bits(got, np.array([[0.0, kx - 1j * ky], [kx + 1j * ky, 0.0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_float, any_float, any_float)
+    def test_matrix_qw(self, kx, ky, alpha):
+        k2 = kx * kx + ky * ky
+        with np.errstate(all="ignore"):
+            ref = (k2 / 2.0) * np.eye(2) + alpha * (ky * SIGMA_X - kx * SIGMA_Y)
+        got = matrix_qw(kx, ky, alpha)
+        assert all(type(x) is complex for row in got for x in row)
+        # the sign and payload of a NaN follow the order in which numpy's
+        # vectorized complex product meets its operands; the Jacobi refuses
+        # every NaN, so for a NaN part only the NaN is pinned
+        assert_same_bits(nans_as_one(got), np.array(nans_as_one(ref.tolist())))
+
     @settings(max_examples=200, deadline=None)
     @given(any_float, any_float)
     def test_matrix_two_atoms(self, omega, gamma):
-        sz, sx, one = oracle.pauli_matrix(3), oracle.pauli_matrix(1), np.eye(2)
+        one = np.eye(2)
         with np.errstate(all="ignore"):
-            ref = (omega / 2.0) * (np.kron(sz, one) + np.kron(one, sz)) + gamma * np.kron(
-                sx, sx)
-            # every entry is real, so the oracle builds the matrix real
-            got = matrix_two_atoms(omega, gamma)
-            assert got.dtype == np.float64 and got.tobytes() == ref.real.tobytes()
+            ref = (omega / 2.0) * (np.kron(SIGMA_Z, one) + np.kron(one, SIGMA_Z)) + gamma * np.kron(
+                SIGMA_X, SIGMA_X)
+        # every entry is real, so the oracle builds the matrix real
+        got = matrix_two_atoms(omega, gamma)
+        assert all(type(x) is float for row in got for x in row)
+        assert_same_bits(got, ref.real)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_float, any_float, any_float, any_float, st.sampled_from([1, -1]))
+    def test_matrix_bilayer(self, kx, ky, u, gamma1, eta):
+        pi = eta * kx + 1j * ky
+        got = matrix_bilayer(kx, ky, u, gamma1, eta)
+        assert all(type(x) is complex for row in got for x in row)
+        assert_same_bits(got, np.array([[-u, pi.conjugate(), 0.0, 0.0],
+                                        [pi, -u, gamma1, 0.0],
+                                        [0.0, gamma1, u, pi.conjugate()],
+                                        [0.0, 0.0, pi, u]]))
+
+    @pytest.mark.parametrize("algebra, h", [
+        ("cl30", lambda s: models.h_monolayer(s, 0.3, -1.2)),
+        ("cl31", lambda s: models.h_bilayer(s, ModelParams(
+            "bilayer", kx=0.9, ky=-0.4, gamma1=0.5, U=0.2, eta=-1))),
+    ])
+    def test_ga_operator_matrix(self, algebra, h):
+        n = {"cl30": 4, "cl31": 8}[algebra]
+        ref = np.column_stack([
+            h(Spinor.from_coeff_vector(algebra, v)).coeff_vector() for v in np.eye(n)])
+        got = ga_operator_matrix(h, algebra)
+        assert all(type(x) is float for row in got for x in row)
+        assert_same_bits(got, ref)
 
 
-@pytest.mark.parametrize("name, table", [
-    ("oracle._SZ_SUM", oracle._SZ_SUM),
-    ("oracle._SX_SX", oracle._SX_SX),
+@pytest.mark.parametrize("name, table, ref", [
+    ("oracle._SZ_SUM", oracle._SZ_SUM,
+     np.kron(SIGMA_Z.real, np.eye(2)) + np.kron(np.eye(2), SIGMA_Z.real)),
+    ("oracle._SX_SX", oracle._SX_SX, np.kron(SIGMA_X.real, SIGMA_X.real)),
 ])
-def test_shared_constant_arrays_are_read_only(name, table):
-    with pytest.raises(ValueError, match="read-only"):
-        table[0, 0] = table[0, 0]
+def test_shared_constant_tables_are_immutable(name, table, ref):
+    # a tuple of tuples hashes only if nothing in it can change, and it
+    # holds numpy's kron bits, the -0.0 of -1 x 0 included
+    hash(table)
+    assert_same_bits(table, ref)

@@ -43,18 +43,20 @@ def run_fresh(script: str, *argv) -> list[str]:
 def test_imports_load_only_what_each_command_runs(tmp_path):
     # in a fresh interpreter: no command draws from numpy.random, `eigens`
     # and `spectrum` call neither the oracle nor json, and only `spectrum`'s
-    # sweep and the oracle need numpy, so importing the CLI loads none of
-    # them.  `eigens` imports the rotor solvers when it runs, and still no
-    # numpy, also at a degenerate point, which is written from the same
-    # template without json.  In another fresh interpreter `spectrum` runs
-    # on the closed forms alone, so it loads no geometric algebra, and
-    # `verify` imports the oracle; each output is unchanged
+    # sweep needs numpy, so importing the CLI loads none of them.  `eigens`
+    # imports the rotor solvers when it runs, and still no numpy, also at a
+    # degenerate point, which is written from the same template without
+    # json.  Importing every module of the package loads no numpy, and
+    # neither does `verify`, which runs the oracle.  In another fresh
+    # interpreter `spectrum` runs on the closed forms alone, so it loads no
+    # geometric algebra, and `verify` imports the oracle; each output is
+    # unchanged
     spectrum, eigens = "spectrum_bilayer_k0.json", "eigens_bilayer.json"
     degenerate = "eigens_monolayer_k0.json"
     outs = [tmp_path / spectrum, tmp_path / eigens, tmp_path / degenerate]
     ga = sorted(GA_MODULES)
     assert run_fresh(f"""
-        import sys
+        import contextlib, importlib, io, sys
         before = set(sys.modules)
         import rotoreig.cli
         print(sorted({{"numpy", "numpy.random", "rotoreig.oracle", "json"}}
@@ -63,7 +65,14 @@ def test_imports_load_only_what_each_command_runs(tmp_path):
         print(code, [name for name in {ga!r} if name not in sys.modules], "numpy" in sys.modules)
         code = rotoreig.cli.main({CASES[degenerate]!r} + ["--out", sys.argv[2]])
         print(code, "json" in sys.modules, "numpy" in sys.modules)
-    """, outs[1], outs[2]) == ["[]", "0 [] False", "0 False False"]
+        for name in {MODULES!r}:
+            importlib.import_module("rotoreig." + name)
+        print("numpy" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = rotoreig.cli.main(["verify", "--trials", "2"])
+        print(code, out.getvalue().splitlines()[-1].startswith("verify: PASS (seed=0, trials=2,"),
+              "numpy" in sys.modules)
+    """, outs[1], outs[2]) == ["[]", "0 [] False", "0 False False", "False", "0 True False"]
     lines = run_fresh(f"""
         import sys
         import rotoreig.cli

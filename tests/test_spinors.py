@@ -35,6 +35,11 @@ def spatial_inversion(m):
     return Multivector(m.sig, m.coeffs * sign)
 
 
+def rep31(mask):
+    """``cl31_matrix_rep`` as a numpy array, for matrix arithmetic."""
+    return np.array(cl31_matrix_rep(mask))
+
+
 def random_column(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
@@ -223,6 +228,11 @@ class TestColumnMaps:
         with pytest.raises(ValueError, match="2 or 4 complex entries"):
             column_to_spinor(np.ones(shape, dtype=complex))
 
+    @pytest.mark.parametrize("col", ["12", b"12", 1.0, [[1.0], [0.0]], np.ones((2, 1))])
+    def test_non_columns_raise(self, col):
+        with pytest.raises(ValueError, match="2 or 4 complex entries"):
+            column_to_spinor(col)
+
 
 class TestColumnMapsCl30:
     def test_basis_columns(self):
@@ -276,21 +286,21 @@ class TestColumnMapsCl31:
         e1 = cl31_matrix_rep(0b0001)
         assert np.allclose(e1, np.block([[np.zeros((2, 2)), np.eye(2)],
                                          [np.eye(2), np.zeros((2, 2))]]))
-        e4 = cl31_matrix_rep(0b1000)
+        e4 = rep31(0b1000)
         assert np.allclose(e4 @ e4, -np.eye(4))
 
     def test_representation_anticommutation(self):
         metric = [1.0, 1.0, 1.0, -1.0]
         for i in range(4):
             for j in range(4):
-                a = cl31_matrix_rep(1 << i)
-                b = cl31_matrix_rep(1 << j)
+                a = rep31(1 << i)
+                b = rep31(1 << j)
                 expected = 2.0 * metric[i] * np.eye(4) if i == j else np.zeros((4, 4))
                 assert np.allclose(a @ b + b @ a, expected)
 
     def test_composite_blade_is_product(self):
         e12 = cl31_matrix_rep(0b0011)
-        assert np.allclose(e12, cl31_matrix_rep(1) @ cl31_matrix_rep(2))
+        assert np.allclose(e12, rep31(1) @ rep31(2))
 
     def test_action_equivalence(self):
         rng = np.random.default_rng(35)
@@ -301,16 +311,16 @@ class TestColumnMapsCl31:
             scale = max(1.0, np.abs(col).max())
             for i in range(1, 5):
                 lhs = spinor_to_column(ga_action_cl31("vector", psi, i))
-                assert np.max(np.abs(lhs - cl31_matrix_rep(1 << (i - 1)) @ col)) <= 1e-12 * scale
+                assert np.max(np.abs(lhs - rep31(1 << (i - 1)) @ col)) <= 1e-12 * scale
                 lhs = spinor_to_column(ga_action_cl31("pseudovector", psi, i))
-                rep = (i_ps.coeffs[15] * cl31_matrix_rep(0b1111)) @ cl31_matrix_rep(1 << (i - 1))
+                rep = (i_ps.coeffs[15] * rep31(0b1111)) @ rep31(1 << (i - 1))
                 assert np.max(np.abs(lhs - rep @ col)) <= 1e-12 * scale
             for i in range(1, 5):
                 for j in range(1, 5):
                     if i == j:
                         continue
                     lhs = spinor_to_column(ga_action_cl31("bivector", psi, i, j))
-                    rep = cl31_matrix_rep(1 << (i - 1)) @ cl31_matrix_rep(1 << (j - 1))
+                    rep = rep31(1 << (i - 1)) @ rep31(1 << (j - 1))
                     assert np.max(np.abs(lhs - rep @ col)) <= 1e-12 * scale
             lhs = spinor_to_column(ga_action_cl31("imaginary", psi))
             assert np.max(np.abs(lhs - 1j * col)) <= 1e-12 * scale
