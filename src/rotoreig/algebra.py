@@ -14,7 +14,8 @@ Implementation of Geometric Algebra*, 2007).  It sums each target blade's
 terms from 0.0 in the order of the dense sum over all 4^n signed
 coefficient pairs (ascending i, j = i ^ k), so the bits are the dense sum's:
 the terms it drops hold a zero coefficient, and a sum that starts at +0.0
-does not change by adding +-0.
+does not change by adding +-0.  A ``Stage`` runs a stretch of such steps
+as one generated float function with the same bits (``codegen``).
 
 The constructor refuses NaN and +-inf with ValueError.  A step whose result
 has a coefficient that is not finite, which with finite operands is an
@@ -47,9 +48,16 @@ __all__ = [
 TOL = 1e-12
 
 #: generated product kernels (and projections) kept per
-#: signature; past this many, the oldest is dropped, and generated again if
-#: it is needed again
+#: signature, and generated functions per ``Stage``; past this many, the
+#: oldest is dropped, and generated again if it is needed again
 KERNEL_CACHE_SIZE = 256
+
+_NOT_FINITE = "a multivector coefficient is not finite"
+
+#: the calls per support pattern that run a ``Stage``'s body on multivectors
+#: before its function is generated: more than one solve makes, so that a
+#: one-point command generates none
+STAGE_RUNS = 8
 
 
 @dataclass(frozen=True)
@@ -203,29 +211,41 @@ class _Code:
                 self.dim, "a", [f"a{m}" if support >> m & 1 else "0.0" for m in range(self.dim)])
         return f
 
-    def kernel(self, sign_key: str, sa: int, sb: int) -> tuple:
-        """The product a b of sign table sign_key for supports sa and sb, with
-        the support of its result.  Target k sums, from 0.0 and in the dense
-        sum's order (ascending i, j = i ^ k), sign * (a_i * b_j) for each i in
-        sa and j in sb: a term of sign 0 stays as 0.0 * (a_i * b_j), which is
-        NaN, and so an OverflowError, where a_i * b_j overflows, as the dense
-        sum is not finite there."""
-        kernels = self.kernels
-        if len(kernels) >= KERNEL_CACHE_SIZE:
-            del kernels[next(iter(kernels))]
+    def terms(self, sign_key: str, sa: int, sb: int) -> tuple[list, int]:
+        """Per target blade k, the signed pairs (s, i, j) of the product a b of
+        sign table sign_key for supports sa and sb, in the dense sum's order
+        (ascending i, j = i ^ k); and the support of the result."""
         sign, dim = self.tables[sign_key], self.dim
-        left, exprs, support = _bits(sa), [], 0
+        left, rows, support = _bits(sa), [], 0
         for k in range(dim):
-            expr = "0.0"
+            row = []
             for i in left:
                 j = i ^ k
                 if sb >> j & 1:
                     s = sign[i * dim + j]
-                    expr += (f" + a{i} * b{j}" if s > 0 else f" - a{i} * b{j}" if s < 0
-                             else f" + 0.0 * (a{i} * b{j})")
+                    row.append((s, i, j))
                     support |= (s != 0) << k
+            rows.append(row)
+        return rows, support
+
+    def kernel(self, sign_key: str, sa: int, sb: int) -> tuple:
+        """The product of ``terms``, with the support of its result.  Target
+        k sums, from 0.0, sign * (a_i * b_j) for each of its terms: a term of
+        sign 0 stays as 0.0 * (a_i * b_j), which is NaN, and so an
+        OverflowError, where a_i * b_j overflows, as the dense sum is not
+        finite there."""
+        kernels = self.kernels
+        if len(kernels) >= KERNEL_CACHE_SIZE:
+            del kernels[next(iter(kernels))]
+        rows, support = self.terms(sign_key, sa, sb)
+        exprs = []
+        for row in rows:
+            expr = "0.0"
+            for s, i, j in row:
+                expr += (f" + a{i} * b{j}" if s > 0 else f" - a{i} * b{j}" if s < 0
+                         else f" + 0.0 * (a{i} * b{j})")
             exprs.append(expr)
-        entry = kernels[sign_key, sa, sb] = (_compile(dim, "a, b", exprs), support)
+        entry = kernels[sign_key, sa, sb] = (_compile(self.dim, "a, b", exprs), support)
         return entry
 
 
@@ -264,7 +284,7 @@ class Multivector:
         and calls this only where that sum is not finite."""
         if math.isfinite(sum(c)) or all(map(math.isfinite, c)):
             return cls._of(sig, c, support)
-        raise OverflowError("a multivector coefficient is not finite")
+        raise OverflowError(_NOT_FINITE)
 
     @property
     def coeffs(self):
@@ -355,7 +375,7 @@ class Multivector:
         return (-self) + other
 
     def __neg__(self):
-        return Multivector._of(self.sig, self.sig._code.neg(self._c), self._support)
+        return self._of(self.sig, self.sig._code.neg(self._c), self._support)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -381,7 +401,7 @@ class Multivector:
         return self._product(other, "inner_sign")
 
     def __invert__(self):
-        return Multivector._of(self.sig, self.sig._code.rev(self._c), self._support)
+        return self._of(self.sig, self.sig._code.rev(self._c), self._support)
 
     # ---- queries ------------------------------------------------------
     def scalar_part(self) -> float:
@@ -390,7 +410,7 @@ class Multivector:
     def _project(self, support: int) -> "Multivector":
         """The coefficients on the blades of support, 0.0 elsewhere."""
         c = self.sig._code.projection(support)(self._c)
-        return Multivector._of(self.sig, c, self._support & support)
+        return self._of(self.sig, c, self._support & support)
 
     def _without(self, mask: int) -> "Multivector":
         """This multivector with the coefficient of blade mask set to 0.0."""
@@ -475,8 +495,65 @@ def spatial_parts(m: Multivector) -> tuple[Multivector, Multivector]:
     blade by blade so neither overflows (Cl(3,1) only)."""
     if "inv_parts" not in m.sig.tables:
         raise ValueError("spatial inversion requires signature (3, 1)")
-    return tuple(Multivector._of(m.sig, part(m._c), m._support & support)
+    return tuple(m._of(m.sig, part(m._c), m._support & support)
                  for part, support in m.sig._code.spatial)
+
+
+# ---- generated stage functions ---------------------------------------
+
+def _largest_abs(values: list) -> float:
+    """max(map(abs, values)) of finite values, also in a stage body, where
+    a value may be traced (``codegen.largest_abs``)."""
+    try:
+        return max(map(abs, values))
+    except TypeError:  # a traced value has no abs()
+        from .codegen import largest_abs
+
+        return largest_abs(values)
+
+
+class Stage:
+    """A branch-free stretch of multivector steps, ``body(*args)``: its
+    first n_mv arguments are Multivectors, the rest floats, and it returns a
+    tuple of Multivectors and floats.  The first ``STAGE_RUNS`` calls per
+    pattern of the multivectors' supports run body; the next generate, by
+    running body once on traced floats (``codegen``), one straight-line
+    float function that later calls run.  Each of its temporaries is the
+    operation that body's step makes, on the same operands and in the same
+    order (only x * 1.0 -> x and x * -1.0 -> -x fold, and an operation on
+    constants runs once, at generation), and the step results that can
+    overflow are tested together, before the first division by a traced
+    float and at the end: the OverflowError of the first step that
+    overflows.  ``KERNEL_CACHE_SIZE`` functions, and as many counts, are
+    kept per stage."""
+
+    #: the key of a call, the supports of its first 1, 2 or 3 arguments
+    _KEYS = (None, lambda a: a[0]._support, lambda a: (a[0]._support, a[1]._support),
+             lambda a: (a[0]._support, a[1]._support, a[2]._support))
+
+    def __init__(self, body: Callable, n_mv: int) -> None:
+        self.body, self.n_mv, self.functions, self.runs = body, n_mv, {}, {}
+        self._key = self._KEYS[n_mv]
+
+    def __call__(self, *args) -> tuple:
+        key = self._key(args)
+        f = self.functions.get(key)
+        if f is None:
+            runs = self.runs.pop(key, 0)
+            if runs < STAGE_RUNS:
+                _bounded(self.runs)[key] = runs + 1
+                return self.body(*args)
+            from .codegen import generate
+
+            f = _bounded(self.functions)[key] = generate(self.body, self.n_mv, args)
+        return f(*args)
+
+
+def _bounded(cache: dict) -> dict:
+    """The cache, with its oldest entry dropped if it holds KERNEL_CACHE_SIZE."""
+    if len(cache) >= KERNEL_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    return cache
 
 
 CL30 = Signature(3, 0)

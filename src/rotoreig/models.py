@@ -1,7 +1,15 @@
 """GA Hamiltonians of the four models (hbar = v_F = m* = 1) and one rotor
 solver per algebra, which reads the model's blocks off H applied to fixed
 spinors and builds no matrix; eigenspinors are rotors taking e3 to a target.
-The models' parameters and closed-form energies are in ``spectra``."""
+The models' parameters and closed-form energies are in ``spectra``.
+
+The Cl(3,1) solver runs in stages (read-off, levels, per-band reduction,
+eigenpairs) whose branches and checks sit between straight-line stretches
+of multivector steps; each stretch, and each of ``h_two_atoms`` and
+``h_bilayer``, is an ``algebra.Stage``: a body written with Multivector
+operators, which after its first calls runs as one generated float
+function with the body's bits and errors.  The Cl(3,0) solver runs its
+steps one Multivector at a time."""
 
 from __future__ import annotations
 
@@ -14,11 +22,13 @@ from .algebra import (
     CL31,
     TOL,
     Multivector,
+    Stage,
     _bits,
+    _largest_abs,
     pseudoscalar,
     spatial_parts,
 )
-from .rotors import rotor_from_vectors
+from .rotors import _check_unit, _denominator, _unit_square, rotor_from_vectors
 from .spectra import DEGENERACY_TOL, MODELS, ModelParams, _check_finite, _cl31_levels, _unit_scale
 from .spinors import Spinor
 
@@ -134,26 +144,75 @@ _OFF_BLOCK_31 = [m for m in range(CL31.dim) if not _VECTOR_BITS_31 >> m & 1]
 _SINGULAR_TOL = 1e-6
 
 
-def _read_off(h) -> list[Multivector]:
+def _read_off_steps(h_one: Multivector, h_i: Multivector) -> tuple:
+    """The blocks a, c, d of <H(1)>_+ e3, -I <H(1)>_- e3, <H(I)>_+ e3 and
+    -I <H(I)>_- e3 (a, c, c again and d), whose blades off the block keep
+    x * 0.0, the signed zero of their rounding; then the largest part of
+    them that is not in a block (off the block blades, or in the second
+    c's difference from the first, which is the one kept), and their largest."""
+    rows = []
+    for mv in (h_one, h_i):
+        plus, minus = spatial_parts(mv)
+        rows += [plus * _E3_31, minus * _MIE3_31]
+    a, c, c_again, d = (row._c for row in rows)
+    apart = _largest_abs([row[m] for row in (a, c, c_again, d) for m in _OFF_BLOCK_31]
+                         + [c_again[m] - c[m] for m in _bits(_VECTOR_BITS_31)])
+    blocks = (type(h_one)._of(CL31, tuple(x if _VECTOR_BITS_31 >> m & 1 else x * 0.0
+                                          for m, x in enumerate(row)), _VECTOR_BITS_31)
+              for row in (a, c, d))
+    return (*blocks, apart, _largest_abs([x for row in rows for x in row._c]))
+
+
+def _sector_steps(keep: Multivector, c: Multivector, other: Multivector, span: float) -> tuple:
+    """A sector of H / span: its kept block, c keep + e c (phi-'s numerator)
+    and c e c, e the other block."""
+    keep, c, other = keep / span, c / span, other / span
+    return keep, c * keep + other * c, (c * other * c).grade(1)
+
+
+#: the straight-line stretches of ``solve_cl31``, each one generated function
+#: per support pattern; the branches and checks run between them
+_READ_OFF = Stage(_read_off_steps, 2)
+_SECTOR = Stage(_sector_steps, 3)
+_REDUCED = Stage(lambda keep, cec, cc, t: (keep * (cc + t) + cec,), 2)  # s h
+_RESIDUAL = Stage(lambda h_psi, psi, energy: (_largest_abs(list((h_psi - energy * psi)._c)),), 2)
+
+
+def _aim(below: bool) -> Stage:
+    """The band's target hs * scale, and b e3 and b b of rotor_from_vectors(e3,
+    b), b the target, or below the e1e2 plane minus the target (``_rotor_to``)."""
+    def steps(hs: Multivector, scale: float) -> tuple:
+        target = hs * scale
+        b = -target if below else target
+        return target, b * _E3_31, _unit_square(b)
+    return Stage(steps, 1)
+
+
+def _eigenspinor(odd: bool, below: bool) -> Stage:
+    """The rotor (1 + b e3) / denominator, turned by e31 below the e1e2 plane,
+    and psi = R + I phi- (I R + phi+ if odd), phi-+ = numerator R / t."""
+    def steps(ba: Multivector, numerator: Multivector, denominator: float,
+              inverse_t: float) -> tuple:
+        rotor = (ba + 1.0) / denominator
+        if below:
+            rotor = rotor * _E31_31
+        rest = (numerator * rotor) * inverse_t
+        return (_I31 * rotor + rest if odd else rotor + _I31 * rest,)
+    return Stage(steps, 2)
+
+
+_AIM = (_aim(False), _aim(True))
+_EIGENSPINOR = {(odd, below): _eigenspinor(odd, below) for odd in (0, 1) for below in (0, 1)}
+
+
+def _read_off(h) -> tuple:
     """The vector blocks a, c, d of h: H(1) = a e3 + I c e3, H(I) = c e3 + I d e3."""
-    read = []
-    for spinor in (_ONE_31, _I_31):
-        plus, minus = spatial_parts(h(spinor).mv)
-        read += [(plus * _E3_31)._c, (minus * _MIE3_31)._c]
-    # <H(1)>_+ e3, -I <H(1)>_- e3, <H(I)>_+ e3 and -I <H(I)>_- e3: a, c, c, d
-    a, c, c_again, d = read
-    # a part below TOL of H's largest is rounding: off the block blades, and
-    # in the second c's difference from the first, which is the one kept
-    apart = max(max(abs(row[m]) for row in read for m in _OFF_BLOCK_31),
-                max(abs(c_again[m] - c[m]) for m in _bits(_VECTOR_BITS_31)))
-    if apart > TOL * max(abs(x) for row in read for x in row):
+    a, c, d, apart, largest = _READ_OFF(h(_ONE_31).mv, h(_I_31).mv)
+    # a part below TOL of H's largest is rounding
+    if apart > TOL * largest:
         raise ValueError("H is not in Pauli-block form: a block has a scalar, e4 or "
                          "higher-grade part, or H(1) and H(I) give different couplings c")
-    # finite: each of H's results passed a Spinor check; the blades off the
-    # block keep x * 0.0, the signed zero of their rounding
-    return [Multivector._of(CL31, tuple(x if _VECTOR_BITS_31 >> m & 1 else x * 0.0
-                                        for m, x in enumerate(row)), _VECTOR_BITS_31)
-            for row in (a, c, d)]
+    return a, c, d
 
 
 def _rotor_to(target: Multivector) -> Multivector:
@@ -163,6 +222,14 @@ def _rotor_to(target: Multivector) -> Multivector:
     below = target._c[4] < 0.0
     rotor = rotor_from_vectors(_E3_31, -target if below else target).value
     return rotor * _E31_31 if below else rotor
+
+
+def _eigenpair31(h, energy: float, label: str, psi: Multivector,
+                 target: Multivector) -> EigenSolution:
+    """``_eigenpair`` in Cl(3,1), its max|H psi - E psi| one generated function."""
+    spinor = Spinor(psi)
+    (residual,) = _RESIDUAL(h(spinor).mv, psi, energy)
+    return EigenSolution(energy, spinor, target._vector(), label, residual)
 
 
 def solve_cl31(h) -> list[EigenSolution]:
@@ -175,10 +242,12 @@ def solve_cl31(h) -> list[EigenSolution]:
     d) c / s = h0 + h, s = E^2 - |d|^2, |h| = |E - h0|: with t = s - |c|^2 the
     target is (s a + c d c) / (E t) and phi- = (c a + d c) R / t.
 
-    Each band is solved on its own, on single multivectors: first, for every
-    band, its sector, t and s, s h and |h|, the crossings and the
-    quantization check; then, band by band, the rotor, psi = R + I phi- or
-    I R + phi+ and the residual."""
+    Four stages, each band solved on its own on single multivectors: the
+    read-off (blocks a, c, d); the levels (energies, t_even and t_odd); the
+    per-band reduction (sector, s, s h, |h|, the crossings and the
+    quantization check) for every band; then, band by band, the eigenpair
+    (rotor, psi = R + I phi- or I R + phi+, residual).  Their straight-line
+    stretches run as generated functions (``algebra.Stage``)."""
     a, c, d = _read_off(h)
     coords = [v._vector()[:3] for v in (a, c, d)]
     na, nc, nd = (math.hypot(*x) for x in coords)
@@ -217,7 +286,7 @@ def _coupled(h, energies, a, c, d, nc: float, t_even: float, t_odd: float) -> li
     # eigenspinors do not change when H is scaled: reduce H / span, span
     # the largest |E|, in which t is t / E+^2
     span = energies[-1]
-    a, c, d, cc = a / span, c / span, d / span, (nc / span) ** 2
+    cc = (nc / span) ** 2
     # each sector's t = E^2 - |c|^2 - |e|^2, e the eliminated block: on the
     # inner bands the even sector's is minus the odd one's on the outer,
     # and vice versa
@@ -227,13 +296,13 @@ def _coupled(h, energies, a, c, d, nc: float, t_even: float, t_odd: float) -> li
         ts.append(to if is_odd[-1] else te)
     # each sector's kept block, c keep + e c (phi-'s numerator) and c e c;
     # the odd one only if a band uses it
-    sectors = [(a, c * a + d * c, (c * d * c).grade(1))]
+    sectors = [_SECTOR(a, c, d, span)]
     if any(is_odd):
-        sectors.append((d, c * d + a * c, (c * a * c).grade(1)))
+        sectors.append(_SECTOR(d, c, a, span))
     bands = []
     for i, (energy, t, odd) in enumerate(zip(energies, ts, is_odd)):
         keep, numerator, cec = sectors[odd]
-        hs = keep * (cc + t) + cec  # s h
+        (hs,) = _REDUCED(keep, cec, cc, t)
         hnorm = math.hypot(*hs._vector())
         # |h| at most DEGENERACY_TOL of H's scale: M(E) = h0 on the whole
         # sector, and a neighbouring band lies within 2 |h| (a crossing, no
@@ -245,19 +314,23 @@ def _coupled(h, energies, a, c, d, nc: float, t_even: float, t_odd: float) -> li
         # H's scale: E^2 carries the levels' rounding, E up to its root
         if abs((energy / span) ** 2 - (hnorm / t) ** 2) > 1e-10:
             raise ValueError(f"E = {energy!r} fails the quantization condition")
-        # the target h / (E - h0) = s h / (E t), a unit vector
-        bands.append((energy, f"band-{i + 1}", hs * math.copysign(1.0 / hnorm, energy * t),
-                      numerator, 1.0 / t, odd))
-    # once every band has passed: each rotor R: e3 -> h / (E - h0) and psi =
-    # R + I phi- or I R + phi+
+        # the target h / (E - h0) = s h / (E t), a unit vector; its e3
+        # coefficient is hs_e3 * scale
+        scale = math.copysign(1.0 / hnorm, energy * t)
+        below = hs._c[4] * scale < 0.0
+        bands.append((energy, f"band-{i + 1}", *_AIM[below](hs, scale), numerator,
+                      1.0 / t, odd, below))
+    # once every band has passed: each rotor R: e3 -> h / (E - h0), by
+    # rotor_from_vectors' checks (b has no part outside grade 1, and e3 e3
+    # is 1.0), and psi = R + I phi- or I R + phi+
     out = []
     for band in bands:
         if isinstance(band, tuple):
-            energy, label, target, numerator, inverse_t, odd = band
-            rotor = _rotor_to(target)
-            rest = (numerator * rotor) * inverse_t  # phi- / t
-            band = _eigenpair(h, energy, label,
-                              _I31 * rotor + rest if odd else rotor + _I31 * rest, target)
+            energy, label, target, ba, square, numerator, inverse_t, odd, below = band
+            _check_unit(square, "b")
+            (psi,) = _EIGENSPINOR[odd, below](ba, numerator, _denominator(ba, 1.0, square),
+                                              inverse_t)
+            band = _eigenpair31(h, energy, label, psi, target)
         out.append(band)
     return out
 
@@ -279,7 +352,7 @@ def _uncoupled(h, a: Multivector, na: float, d: Multivector, nd: float) -> list[
         # overflows
         out += [(energy, f"{sector}-{i}", psi, block / energy)
                 for energy, i, psi in ((-norm, 1, upper * _E23_31), (norm, 2, upper))]
-    return sorted([_eigenpair(h, *band) if isinstance(band, tuple) else band for band in out],
+    return sorted([_eigenpair31(h, *band) if isinstance(band, tuple) else band for band in out],
                   key=lambda s: s.energy)
 
 
@@ -347,8 +420,12 @@ def h_two_atoms(psi: Spinor, omega: float, Gamma: float) -> Spinor:
     if psi.algebra != "cl31":
         raise ValueError("two-atom model lives in Cl(3,1)")
     _check_finite(omega=omega, Gamma=Gamma)
-    odd_part = spatial_parts(psi.mv)[1]
-    return Spinor((omega * (_E3_31 * odd_part) - Gamma * (_E2_31 * psi.mv)) * _E3_31)
+    return Spinor(_H_TWO_ATOMS(psi.mv, omega, Gamma)[0])
+
+
+#: H(psi) of ``h_two_atoms``, one generated function per support of psi
+_H_TWO_ATOMS = Stage(lambda psi, omega, Gamma: (
+    (omega * (_E3_31 * spatial_parts(psi)[1]) - Gamma * (_E2_31 * psi)) * _E3_31,), 1)
 
 
 # ---------------------------------------------------------------------
@@ -362,14 +439,24 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
     if psi.algebra != "cl31":
         raise ValueError("bilayer model lives in Cl(3,1)")
     # as _k_vector, in Cl(3,1)
-    k = Multivector._of_floats(CL31, (0.0, float(params.kx), float(params.ky)) + (0.0,) * 13,
-                               0b110)
-    eta = float(params.eta)
-    kin = eta * (k * psi.mv * _I31)
-    coupling = -params.gamma1 * (_E2_31 * spatial_parts(psi.mv)[1])
-    bias = eta * params.U * (_E3_31 * psi.mv)
+    return Spinor(_H_BILAYER(psi.mv, float(params.kx), float(params.ky), float(params.eta),
+                             params.gamma1, params.U)[0])
+
+
+def _h_bilayer_steps(psi: Multivector, kx: float, ky: float, eta: float, gamma1: float,
+                     U: float) -> tuple:
+    # k = kx e1 + ky e2 in one step, as _k_vector (its class is psi's, which
+    # is traced where the stage is generated)
+    k = type(psi)._of_floats(CL31, (0.0, kx, ky) + (0.0,) * 13, 0b110)
+    kin = eta * (k * psi * _I31)
+    coupling = -gamma1 * (_E2_31 * spatial_parts(psi)[1])
+    bias = eta * U * (_E3_31 * psi)
     # the three terms share the right factor e3
-    return Spinor((kin + coupling + bias) * _E3_31)
+    return ((kin + coupling + bias) * _E3_31,)
+
+
+#: H(psi) of ``h_bilayer``, one generated function per support of psi
+_H_BILAYER = Stage(_h_bilayer_steps, 1)
 
 
 # ---------------------------------------------------------------------

@@ -43,6 +43,25 @@ def is_rotor(m: Multivector) -> bool:
     return (n - 1.0).norm() <= TOL * m.sig.dim
 
 
+def _unit_square(v: Multivector) -> float:
+    """v v = sum of c_m^2 e_m e_m over v's support: a metric-weighted dot, no
+    product needed, summed from 0.0 in blade order, so its last bit (which
+    the closed-form check near antiparallel resolves) is the same on every
+    platform."""
+    c, signs, square = v._c, v.sig._code.square_sign, 0.0
+    for m in _bits(v._support):
+        square += c[m] * c[m] * signs[m]
+    return square
+
+
+def _check_unit(square: float, name: str) -> float:
+    """square, unless it is not 1 to TOL: written so that NaN fails it, as
+    squares past the largest float, one of them e4's, sum to inf - inf."""
+    if not abs(square - 1.0) <= TOL:
+        raise ValueError(f"{name} must be a unit vector")
+    return square
+
+
 def _check_unit_vector(v: Multivector, name: str) -> tuple[float, bool]:
     """Reject v unless it is a vector, unit to TOL; return v v and whether v
     has parts outside grade 1, all below TOL."""
@@ -52,17 +71,22 @@ def _check_unit_vector(v: Multivector, name: str) -> tuple[float, bool]:
     top = max(abs(c[m]) for m in _bits(outside)) if outside else 0.0
     if top > TOL:
         raise ValueError(f"{name} must be a pure vector")
-    # v v = sum of c_m^2 e_m e_m: a metric-weighted dot, no product needed,
-    # summed from 0.0 in blade order, so its last bit (which the closed-form
-    # check near antiparallel resolves) is the same on every platform
-    signs, square = code.square_sign, 0.0
-    for m in _bits(v._support):
-        square += c[m] * c[m] * signs[m]
-    # written so that NaN fails it: squares past the largest float, one of
-    # them e4's, sum to inf - inf
-    if not abs(square - 1.0) <= TOL:
-        raise ValueError(f"{name} must be a unit vector")
-    return square, top > 0.0
+    return _check_unit(_unit_square(v), name), top > 0.0
+
+
+def _denominator(ba: Multivector, a2: float, b2: float) -> float:
+    """sqrt(2 (1 + a.b)) of the rotor (1 + b a) / sqrt(2 (1 + a.b)), once
+    b a, a a and b b pass the antiparallel and rotor checks; the rotor check
+    reads only a.b, a a and b b, so it runs before the division, whose
+    result only its message shows."""
+    cos_theta = ba.scalar_part()
+    if cos_theta < -1.0 + ANTIPARALLEL_TOL:
+        raise ValueError("rotation plane undefined for antiparallel vectors")
+    denominator = math.sqrt(2.0 * (1.0 + cos_theta))
+    # written so that NaN fails it
+    if not abs(a2 * b2 - 1.0) <= TOL * ba.sig.dim * 2.0 * (1.0 + cos_theta):
+        raise ValueError(f"not a rotor: {(ba + 1.0) / denominator}")
+    return denominator
 
 
 def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
@@ -79,14 +103,9 @@ def rotor_from_vectors(a: Multivector, b: Multivector) -> Rotor:
     # a.b is the scalar part of b a: the same terms, summed in the same order
     # as in a | b
     ba = (b.grade(1) if spill else b) * a1
-    cos_theta = ba.scalar_part()
-    if cos_theta < -1.0 + ANTIPARALLEL_TOL:
-        raise ValueError("rotation plane undefined for antiparallel vectors")
+    denominator = _denominator(ba, a2, b2)
     rotor = object.__new__(Rotor)
-    rotor.value = (ba + 1.0) / math.sqrt(2.0 * (1.0 + cos_theta))
-    # written so that NaN fails it
-    if not abs(a2 * b2 - 1.0) <= TOL * a.sig.dim * 2.0 * (1.0 + cos_theta):
-        raise ValueError(f"not a rotor: {rotor.value}")
+    rotor.value = (ba + 1.0) / denominator
     return rotor
 
 

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rotoreig import algebra
 from rotoreig.algebra import (
     CL30,
     CL31,
     KERNEL_CACHE_SIZE,
     Multivector,
     Signature,
+    Stage,
+    _largest_abs,
     pseudoscalar,
     spatial_parts,
 )
@@ -700,3 +703,90 @@ class TestKernels:
             got = x._project(support)
             assert got.coeffs.tobytes() == np.where(mask, x.coeffs, 0.0).tobytes()
             assert len(code.projections) <= KERNEL_CACHE_SIZE
+
+
+# ---- generated stage functions ------------------------------------------
+
+E2_31, E3_31, I_31 = e(CL31, 2), e(CL31, 3), pseudoscalar(CL31)
+
+
+def every_step(x, y, s, t):
+    """A stage body that takes every step a stage may: products of each
+    kind, with constants on either side, sums, differences and scalings,
+    the involutions, projections, a scalar sum, a division by a traced
+    float and a largest magnitude."""
+    even, odd = spatial_parts(x)
+    u = (x * y - (x ^ y) * s + (y | x)) * E3_31 + E2_31 * odd - (s * t) * even
+    v = (~u + 2.0 - y * I_31) / t - (u.grade(1) + s) + (1.0 - x) * (s - t)
+    w = -(spatial_parts(v)[1] * 3.0) + x._project(0b1111) - 0.5
+    return u, v, w, _largest_abs(list(w._c) + [s - t])
+
+
+def outcome(call):
+    """A call's result as bits (coefficients, supports and floats), or its
+    exception's class and message."""
+    try:
+        out = call()
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+    return [(m._support, [x.hex() for x in m._c]) if isinstance(m, Multivector) else m.hex()
+            for m in out]
+
+
+def mv31(rng, scale):
+    c = rng.uniform(-1.0, 1.0, CL31.dim) * scale
+    c[rng.random(CL31.dim) < 0.4] = 0.0
+    c[rng.random(CL31.dim) < 0.1] *= -0.0
+    return Multivector(CL31, c)
+
+
+class TestStage:
+    def test_generated_function_keeps_the_bits_and_errors_of_the_body(self, monkeypatch):
+        # each call against the body run on multivectors: the same bits, or
+        # the same OverflowError or ZeroDivisionError, also where a step
+        # overflows before the division by 0.0 and where only a scaled
+        # zero overflows (0.0 * inf)
+        monkeypatch.setattr(algebra, "STAGE_RUNS", 0)
+        stage, rng = Stage(every_step, 2), np.random.default_rng(34)
+        for i in range(200):
+            scale = 10.0 ** rng.choice([0, 100, 154, 200, 308])
+            x, y = mv31(rng, scale), mv31(rng, rng.choice([1.0, scale]))
+            s = float(rng.choice([0.0, -0.0, 1.0, -2.5, 1e300, 1e308, math.inf]))
+            t = float(rng.choice([0.0, -0.0, 0.5, -3.0, 1e-300, 1e308]))
+            expect = outcome(lambda: every_step(x, y, s, t))
+            assert outcome(lambda: stage(x, y, s, t)) == expect
+        assert len(stage.functions) > 1
+        # a step that scales zeros alone, which inf makes NaN
+        zeros = Stage(lambda x, s: ((x * 0.0) * s + x,), 1)
+        for s in (math.inf, -math.inf, 1e300):
+            assert outcome(lambda: zeros(x, s)) == outcome(lambda: ((x * 0.0) * s + x,))
+        assert outcome(lambda: zeros(x, math.inf))[0] == "OverflowError"
+        x, y = mv31(rng, 1.0), mv31(rng, 1.0)
+        assert outcome(lambda: stage(x, y, 1.0, 0.0)) == ("ZeroDivisionError",
+                                                          "float division by zero")
+
+    def test_calls_run_the_body_until_the_function_is_generated(self):
+        body_calls = []
+        stage = Stage(lambda x, s: body_calls.append(s) or (x * s,), 1)
+        x = e(CL31, 1, 2)
+        for i in range(algebra.STAGE_RUNS + 3):
+            assert stage(x, float(i))[0] == x * float(i)
+        assert len(body_calls) == algebra.STAGE_RUNS + 1  # the last, traced
+        assert list(stage.functions) == [x._support] and not stage.runs
+
+    def test_function_and_count_caches_stay_bounded(self, monkeypatch):
+        # more support patterns than the caches hold: the oldest are
+        # dropped, and a function generated again gives the same bits
+        stage, rng = Stage(lambda x, y: (x * y + x,), 2), np.random.default_rng(35)
+        y = mv31(rng, 1.0)
+        xs = [Multivector(CL31, [float(m >> b & 1) for b in range(CL31.dim)])
+              for m in range(1, KERNEL_CACHE_SIZE + 40)]
+        for x in xs:
+            stage(x, y)
+            assert len(stage.runs) <= KERNEL_CACHE_SIZE
+        monkeypatch.setattr(algebra, "STAGE_RUNS", 0)
+        for x in xs:
+            assert outcome(lambda: stage(x, y)) == outcome(lambda: (x * y + x,))
+            assert len(stage.functions) <= KERNEL_CACHE_SIZE
+        assert (xs[0]._support, y._support) not in stage.functions
+        assert outcome(lambda: stage(xs[0], y)) == outcome(lambda: (xs[0] * y + xs[0],))

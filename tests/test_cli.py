@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotoreig import cli, models, spectra
-from test_golden import _FLAGS, CASES, GOLDEN
+from goldens import _FLAGS
+from test_golden import CASES, GOLDEN
 
 
 def run_cli(*argv):

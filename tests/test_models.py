@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import struct
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rotoreig import cli, models, spectra
+from rotoreig import algebra, cli, models, spectra
 from rotoreig.algebra import (
     CL30,
     CL31,
     Multivector,
+    Stage,
     pseudoscalar,
     spatial_parts,
 )
@@ -29,7 +31,7 @@ from rotoreig.models import (
     pseudospin_average,
     solve_cl30,
 )
-from rotoreig.rotors import rotor_from_vectors
+from rotoreig.rotors import _denominator, rotor_from_vectors
 from rotoreig.spectra import (
     DEGENERACY_TOL,
     MODELS,
@@ -404,6 +406,92 @@ class TestSolveCl31:
             k, u, g1 = (rng.uniform(0.01, 5.0) for _ in range(3))
             scaled = bilayer_spectrum(math.ldexp(k, j), math.ldexp(u, j), math.ldexp(g1, j))
             assert scaled == [math.ldexp(e, j) for e in bilayer_spectrum(k, u, g1)]
+
+
+# ---- the generated stages against the Multivector program --------------
+
+#: the edges of the solver's branches: signed zeros, a subnormal, values
+#: below and around DEGENERACY_TOL and _SINGULAR_TOL, and entries from 1e150
+#: up to the overflow edge
+EDGES = [0.0, -0.0, 5e-324, 1e-300, 1e-160, 1e-11, 1e-10, 1e-8, 1e-6, 1e-4, 1.0]
+huge = st.floats(150.0, 308.25).map(lambda x: 10.0 ** x)
+magnitude = st.one_of(st.sampled_from(EDGES), st.floats(0.01, 5.0), huge, huge)
+value = st.builds(lambda m, sign: math.copysign(m, sign), magnitude, st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def bilayer_points(draw):
+    """Bilayer points near each switch: k = 0 or gamma1 = 0 (uncoupled and
+    crossing points, with k = 2|U| among them), H = 0, and k a small
+    fraction of gamma1, where the outer bands' t_even nears _SINGULAR_TOL
+    t_odd."""
+    gamma1, u = draw(value), draw(value)
+    k = draw(st.one_of(value, st.just(2.0 * abs(u) if abs(u) < 1e300 else abs(u)),
+                       st.floats(1e-8, 1e-2).map(lambda r: r * abs(gamma1))))
+    phi = draw(st.sampled_from([0.0, 0.7, 2.0, math.pi, 4.5]))
+    return ModelParams("bilayer", kx=k * math.cos(phi), ky=k * math.sin(phi), gamma1=gamma1,
+                       U=u, eta=draw(st.sampled_from([1, -1])))
+
+
+@st.composite
+def block_points(draw):
+    """Generic Pauli blocks a, c, d near the switches, |c| -> 0 and |a| = |d|,
+    and off the Pauli-block form: another c on H(I), or a scalar shift."""
+    a, c, d = (draw(st.lists(value, min_size=3, max_size=3)) for _ in range(3))
+    c = draw(st.sampled_from([c, [x * 1e-9 for x in c], [0.0, 0.0, 0.0]]))
+    d = draw(st.sampled_from([d, [a[1], -a[2], a[0]]]))
+    c_odd = draw(st.sampled_from([None, None, [c[0], c[1], c[2] * 1.5 + 0.25]]))
+    return a, c, d, c_odd, draw(st.sampled_from([0.0, 0.0, 1e-8, 0.3]))
+
+
+def solve_outcome(call):
+    """A solve's eigenpairs as bits, or its exception's class and message."""
+    try:
+        sols = call()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    bits = lambda xs: xs and struct.pack(f"<{len(xs)}d", *xs)
+    return [(bits([s.energy, s.residual]), s.band_label, s.degenerate,
+             bits(s.spinor and s.spinor.mv._c), bits(s.target_vector)) for s in sols]
+
+
+def both_paths(call) -> tuple:
+    """call's outcome with every Stage running its body (the Multivector
+    program), then with every Stage running its generated function."""
+    out = []
+    for generated in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if generated:
+                mp.setattr(algebra, "STAGE_RUNS", 0)
+            else:
+                mp.setattr(Stage, "__call__", lambda stage, *args: stage.body(*args))
+            out.append(solve_outcome(call))
+    return tuple(out)
+
+
+class TestGeneratedStages:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(bilayer_points(), st.builds(
+        lambda w, g: ModelParams("atoms", omega=w, Gamma=g), value, value)))
+    # the energies overflow; a step of h_bilayer overflows, on H(1) and on
+    # an eigenspinor; 1 / t divides by 0.0
+    @example(ModelParams("atoms", omega=1.7e308, Gamma=1.7e308))
+    @example(ModelParams("bilayer", kx=1.0389701383323523e+308, ky=3.2242915050273094e+305,
+                         gamma1=6.031797330425765e+307, U=-1.0330183621068384e+308))
+    @example(ModelParams("bilayer", kx=-1.161561898849361e+304, ky=-1.314897937157516e+300,
+                         gamma1=3.090471405369562e+306, U=1.7608755138549536e+304, eta=-1))
+    @example(ModelParams("bilayer", kx=5.533100528141214e+304, ky=-1.1707796858817596e+302,
+                         gamma1=-1.2412652259100168e+307, U=-4.412590080323949e+305))
+    @example(ModelParams("bilayer", kx=1e-160, gamma1=1e-300, U=1e-06, eta=-1))
+    def test_models_keep_the_bits_and_errors_of_the_program(self, params):
+        program, generated = both_paths(lambda: models.solve(params))
+        assert generated == program
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(block_points())
+    def test_pauli_blocks_keep_the_bits_and_errors_of_the_program(self, blocks):
+        program, generated = both_paths(lambda: models.solve_cl31(cl31_h(*blocks)))
+        assert generated == program
 
 
 class TestTwoAtoms:
@@ -962,10 +1050,14 @@ class TestModelRegistry:
     @pytest.mark.parametrize("model, rotors", [
         ("monolayer", 2), ("qw", 2), ("atoms", 2), ("bilayer", 4)])
     def test_rotor_calls_per_solve(self, monkeypatch, model, rotors):
-        # one per band; uncoupled, one per sector, whose two bands share it
+        # one per band; uncoupled, one per sector, whose two bands share it.
+        # A coupled band builds its rotor in generated stages, past
+        # rotor_from_vectors' own checks (_denominator)
         calls = []
         monkeypatch.setattr(models, "rotor_from_vectors",
                             lambda a, b: calls.append(b) or rotor_from_vectors(a, b))
+        monkeypatch.setattr(models, "_denominator",
+                            lambda ba, a2, b2: calls.append(ba) or _denominator(ba, a2, b2))
         sols = models.solve(cli._draw_params(model, random.Random(20)))
         assert all(s.spinor is not None for s in sols)
         assert len(calls) == rotors

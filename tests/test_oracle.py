@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotoreig import cli, models, oracle
-from rotoreig.algebra import Multivector
+from rotoreig import algebra, cli, models, oracle
+from rotoreig.algebra import Multivector, Stage
 from rotoreig.spectra import MODELS, ModelParams
 from rotoreig.oracle import (
     cross_check,
@@ -598,17 +598,26 @@ class TestActionCheckOncePerAlgebra:
 class TestProductCounts:
     """Exact geometric-product counts per cross_check, one fixed point per
     model, each a product of two multivectors of floats (a generated
-    kernel); a change to a count must be deliberate."""
+    kernel): with every ``algebra.Stage`` running its body, the Multivector
+    program, and with each running its generated function, in which no
+    product is a call; a change to a count must be deliberate."""
 
     POINTS = {
-        ModelParams("monolayer", kx=0.3, ky=-1.2): {"kernel": 9},
-        ModelParams("qw", kx=0.3, ky=1.1, alphaR=0.7): {"kernel": 12},
-        ModelParams("atoms", omega=3.0, Gamma=4.0): {"kernel": 28},
-        ModelParams("bilayer", kx=0.5, ky=0.1, gamma1=0.4, U=0.2): {"kernel": 52},
+        ModelParams("monolayer", kx=0.3, ky=-1.2): {"program": 9, "generated": 9},
+        ModelParams("qw", kx=0.3, ky=1.1, alphaR=0.7): {"program": 12, "generated": 12},
+        # atoms: the two sectors' rotors and b e3, I R and R e23 stay steps
+        ModelParams("atoms", omega=3.0, Gamma=4.0): {"program": 28, "generated": 6},
+        ModelParams("bilayer", kx=0.5, ky=0.1, gamma1=0.4, U=0.2): {"program": 52,
+                                                                     "generated": 0},
     }
 
     @pytest.mark.parametrize("params", list(POINTS), ids=lambda p: p.model)
-    def test_products_per_cross_check(self, monkeypatch, params):
+    @pytest.mark.parametrize("mode", ["program", "generated"])
+    def test_products_per_cross_check(self, monkeypatch, params, mode):
+        if mode == "program":
+            monkeypatch.setattr(Stage, "__call__", lambda stage, *args: stage.body(*args))
+        else:
+            monkeypatch.setattr(algebra, "STAGE_RUNS", 0)
         real = Multivector._product
         counts = {}
 
@@ -620,7 +629,7 @@ class TestProductCounts:
         cross_check(params)  # the action spot check runs once per process
         monkeypatch.setattr(Multivector, "_product", counting)
         assert cross_check(params).passed
-        assert counts == self.POINTS[params]
+        assert counts.get("kernel", 0) == self.POINTS[params][mode] and "numpy" not in counts
 
 
 # ---- constant work against the formulas it replaced --------------------

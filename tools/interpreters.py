@@ -7,9 +7,11 @@ Under each interpreter, with ``PYTHONPATH=src``, runs ``python -m
 rotoreig.cli`` on every ``eigens`` and ``verify`` case of
 ``tests/test_golden.CASES``, on ``verify --trials 1000 --seed 42`` and on
 ``eigens --model monolayer --kx -1e-5`` (a negative exponent-form value as a
-separate argument).  Each output is compared byte for byte with its golden
-file; the last case has none, so its reference is ``--kx=-1e-5`` run by the
-interpreter running this script.  It also evaluates the pinned values of
+separate argument), and rebuilds the report-level goldens
+(``cross_check_draws.jsonl`` and ``eigens_draws.txt``, by
+``tests/goldens.py``).  Each output is compared byte for byte with its golden
+file; the ``--kx -1e-5`` case has none, so its reference is ``--kx=-1e-5``
+run by the interpreter running this script.  It also evaluates the pinned values of
 ``tests/test_primitives.py`` that need no numpy (``math.hypot`` and float
 ``repr``), so that a mismatch can name the primitive that moved.  Prints one
 line per (interpreter, case) and per (interpreter, primitive), and exits 1
@@ -22,6 +24,7 @@ not run, so the interpreters need nothing installed.
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -62,6 +65,20 @@ def primitive_checks() -> dict[str, list[str]]:
     return checks
 
 
+#: under an interpreter: each report-level golden's first differing byte, or -1
+REPORTS = """
+import json, sys
+sys.path.insert(0, "tests")
+from goldens import GOLDEN, report_goldens
+out = {}
+for name, text in report_goldens().items():
+    got, expected = text.encode(), (GOLDEN / name).read_bytes()
+    out[name] = -1 if got == expected else next(
+        (i for i, (a, b) in enumerate(zip(got, expected)) if a != b), min(len(got), len(expected)))
+print(json.dumps(out))
+"""
+
+
 def run(python: str, argv: list[str]) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run([python, "-m", "rotoreig.cli", *argv], capture_output=True,
@@ -98,6 +115,17 @@ def main(pythons: list[str]) -> int:
             failed += bool(moved)
             verdict = f"MOVED: {'; '.join(moved)}" if moved else "every pinned value holds"
             print(f"{tag}  {name}: {verdict} ({len(exprs)} pinned)", flush=True)
+        proc = subprocess.run([python, "-c", REPORTS], capture_output=True, text=True, cwd=ROOT,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=600)
+        if proc.returncode != 0:
+            last = (proc.stderr.strip().splitlines() or [""])[-1]
+            reports = {"report-level goldens": f"FAILED: exit {proc.returncode}: {last}"}
+        else:
+            reports = {name: "same bytes" if at < 0 else f"DIFFERS from byte {at}"
+                       for name, at in json.loads(proc.stdout).items()}
+        for name, verdict in reports.items():
+            failed += verdict != "same bytes"
+            print(f"{tag}  {name}: {verdict}", flush=True)
         for name, (argv, expected) in cases.items():
             proc = run(python, argv)
             if proc.returncode != 0:
