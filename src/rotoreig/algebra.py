@@ -516,20 +516,24 @@ class Stage:
     """A branch-free stretch of multivector steps, ``body(*args)``: its
     first n_mv arguments are Multivectors, the rest floats, and it returns a
     tuple of Multivectors and floats.  The first ``STAGE_RUNS`` calls per
-    pattern of the multivectors' supports run body; the next generate, by
-    running body once on traced floats (``codegen``), one straight-line
-    float function that later calls run.  Each of its temporaries is the
-    operation that body's step makes, on the same operands and in the same
-    order (only x * 1.0 -> x and x * -1.0 -> -x fold, and an operation on
-    constants runs once, at generation), and the step results that can
-    overflow are tested together, before the first division by a traced
-    float and at the end: the OverflowError of the first step that
-    overflows.  ``KERNEL_CACHE_SIZE`` functions, and as many counts, are
-    kept per stage."""
+    pattern of the multivectors' algebras and supports run body; the next
+    generate, by running body once on traced floats (``codegen``), one
+    straight-line float function that later calls run.  Each of its
+    temporaries is the operation that body's step makes, on the same
+    operands and in the same order (only x * 1.0 -> x and x * -1.0 -> -x
+    fold, and an operation on constants runs once, at generation), and the
+    step results that can overflow are tested together, before the first
+    division by a traced float and at the end: the OverflowError of the
+    first step that overflows.  ``KERNEL_CACHE_SIZE`` functions, and as
+    many counts, are kept per stage."""
 
-    #: the key of a call, the supports of its first 1, 2 or 3 arguments
-    _KEYS = (None, lambda a: a[0]._support, lambda a: (a[0]._support, a[1]._support),
-             lambda a: (a[0]._support, a[1]._support, a[2]._support))
+    #: the key of a call: the algebra, by its ``_Code`` (hashed by identity,
+    #: not by Signature's Python-level hash), and the support of each of its
+    #: first 1, 2 or 3 arguments
+    _KEYS = (None, lambda a: (a[0].sig._code, a[0]._support),
+             lambda a: (a[0].sig._code, a[0]._support, a[1].sig._code, a[1]._support),
+             lambda a: (a[0].sig._code, a[0]._support, a[1].sig._code, a[1]._support,
+                        a[2].sig._code, a[2]._support))
 
     def __init__(self, body: Callable, n_mv: int) -> None:
         self.body, self.n_mv, self.functions, self.runs = body, n_mv, {}, {}

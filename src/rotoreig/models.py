@@ -3,13 +3,13 @@ solver per algebra, which reads the model's blocks off H applied to fixed
 spinors and builds no matrix; eigenspinors are rotors taking e3 to a target.
 The models' parameters and closed-form energies are in ``spectra``.
 
-The Cl(3,1) solver runs in stages (read-off, levels, per-band reduction,
-eigenpairs) whose branches and checks sit between straight-line stretches
-of multivector steps; each stretch, and each of ``h_two_atoms`` and
-``h_bilayer``, is an ``algebra.Stage``: a body written with Multivector
+Each solver runs in stages, the Cl(3,0) one in three (read-off, per-band
+target, eigenpairs) and the Cl(3,1) one in four (read-off, levels, per-band
+reduction, eigenpairs), whose branches and checks sit between
+straight-line stretches of multivector steps; each stretch, and each
+model's H, is an ``algebra.Stage``: a body written with Multivector
 operators, which after its first calls runs as one generated float
-function with the body's bits and errors.  The Cl(3,0) solver runs its
-steps one Multivector at a time."""
+function with the body's bits and errors."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .algebra import (
     pseudoscalar,
     spatial_parts,
 )
-from .rotors import _check_unit, _denominator, _unit_square, rotor_from_vectors
+from .rotors import _check_unit, _check_vector, _denominator, _unit_square, rotor_from_vectors
 from .spectra import DEGENERACY_TOL, MODELS, ModelParams, _check_finite, _cl31_levels, _unit_scale
 from .spinors import Spinor
 
@@ -72,11 +72,16 @@ class EigenSolution:
     degenerate: bool = False
 
 
-def _k_vector(kx: float, ky: float) -> Multivector:
-    # kx e1 + ky e2 in one step.  The signs of k's zero coefficients reach no
-    # result: every product k enters sums its terms from +0.0
-    return Multivector._of_floats(CL30, (0.0, float(kx), float(ky), 0.0, 0.0, 0.0, 0.0, 0.0),
-                                  0b110)
+def _k_vector(psi: Multivector, kx: float, ky: float) -> Multivector:
+    # kx e1 + ky e2 in one step, in psi's algebra and of psi's class (traced
+    # where a stage is generated).  The signs of k's zero coefficients reach
+    # no result: every product k enters sums its terms from +0.0
+    sig = psi.sig
+    return type(psi)._of_floats(sig, (0.0, kx, ky) + (0.0,) * (sig.dim - 3), 0b110)
+
+
+#: max|H psi - E psi|, one generated function per algebra and supports
+_RESIDUAL = Stage(lambda h_psi, psi, energy: (_largest_abs(list((h_psi - energy * psi)._c)),), 2)
 
 
 def _eigenpair(h, energy: float, label: str, psi: Multivector,
@@ -84,12 +89,33 @@ def _eigenpair(h, energy: float, label: str, psi: Multivector,
     """The eigenpair (energy, psi) of the Hamiltonian h, with the vector
     coordinates of its rotor's target and the residual max|H psi - E psi|."""
     spinor = Spinor(psi)
-    residual = max(map(abs, (h(spinor).mv - energy * psi)._c))
+    (residual,) = _RESIDUAL(h(spinor).mv, psi, energy)
     return EigenSolution(energy, spinor, target._vector(), label, residual)
 
 
 #: the scalar spinor 1, on which ``solve_cl30`` reads a Hamiltonian off
 _ONE_30 = Spinor(Multivector.scalar(CL30, 1.0))
+
+
+def _read_off_30_steps(h_one: Multivector) -> tuple:
+    """h0 and h of H(1) = h0 + h e3, and h's coordinates."""
+    # (H(1) - h0) e3 in one product: H(1) - h0 is exactly 0.0 on the
+    # scalar, which e3 takes to e3 (blade 0b100)
+    hvec = (h_one * _E3_30)._without(0b100)
+    return (h_one.scalar_part(), hvec, *hvec._vector())
+
+
+def _aim_30_steps(hvec: Multivector, divisor: float) -> tuple:
+    """The target h / (-+|h|) = b, and b e3 and b b of rotor_from_vectors(e3, b)."""
+    target = hvec / divisor
+    return target, target * _E3_30, _unit_square(target)
+
+
+#: the straight-line stretches of ``solve_cl30``, each one generated function
+#: per support pattern; the branches and checks run between them
+_READ_OFF_30 = Stage(_read_off_30_steps, 1)
+_AIM_30 = Stage(_aim_30_steps, 1)
+_ROTOR_30 = Stage(lambda ba, denominator: ((ba + 1.0) / denominator,), 1)
 
 
 def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
@@ -99,16 +125,15 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
     (Doran & Lasenby, ch. 8), so h0 = <H(1)>_0 and h = <(H(1) - h0) e3>_1.
     Quantization: E-+ = h0 -+ |h|, with eigenspinors the rotors e3 -> -+h/|h|.
     This assumes h perpendicular to e3: a sigma_z mass term puts h.e3 into the
-    scalar part of H(1), and the quantization check raises ValueError."""
+    scalar part of H(1), and the quantization check raises ValueError.
+    Three stages, generated functions (``algebra.Stage``) between the checks:
+    the read-off (h0, h); per band its target, with b e3 and b b of its rotor
+    (``rotor_from_vectors``' checks); then its rotor, eigenspinor, residual."""
     # refused before H is applied, where an overflow reads as a NaN rotor
     if not all(map(math.isfinite, energies)):
         raise OverflowError("the energies overflow a float")
-    h_of_one = h(_ONE_30).mv
-    h0 = h_of_one.scalar_part()
-    # (H(1) - h0) e3 in one product: H(1) - h0 is exactly 0.0 on the scalar,
-    # which e3 takes to e3 (blade 0b100)
-    hvec = (h_of_one * _E3_30)._without(0b100)
-    hnorm = math.hypot(*hvec._vector())
+    h0, hvec, *coords = _READ_OFF_30(h(_ONE_30).mv)
+    hnorm = math.hypot(*coords)
     if max(abs(h0), hnorm) <= DEGENERACY_TOL:
         raise DegenerateError("degenerate point: H = 0, rotor undefined")
     out = []
@@ -120,8 +145,15 @@ def solve_cl30(h, energies: list[float]) -> list[EigenSolution]:
         if hnorm <= DEGENERACY_TOL * max(1.0, abs(h0)):
             out.append(EigenSolution(energy, None, None, label, 0.0, degenerate=True))
             continue
-        target = hvec / (sign * hnorm)  # -(x / y) = x / -y, signed zeros too
-        psi = rotor_from_vectors(_E3_30, target).value
+        # -(x / y) = x / -y, signed zeros too
+        target, ba, square = _AIM_30(hvec, sign * hnorm)
+        # the rotor e3 -> target, by rotor_from_vectors' checks (e3 e3 is
+        # 1.0); a part of b outside grade 1, all below TOL, would make it odd
+        spill = _check_vector(target, "b")
+        _check_unit(square, "b")
+        if spill:
+            ba = target.grade(1) * _E3_30
+        (psi,) = _ROTOR_30(ba, _denominator(ba, 1.0, square))
         out.append(_eigenpair(h, energy, label, psi, target))
     return out
 
@@ -175,7 +207,6 @@ def _sector_steps(keep: Multivector, c: Multivector, other: Multivector, span: f
 _READ_OFF = Stage(_read_off_steps, 2)
 _SECTOR = Stage(_sector_steps, 3)
 _REDUCED = Stage(lambda keep, cec, cc, t: (keep * (cc + t) + cec,), 2)  # s h
-_RESIDUAL = Stage(lambda h_psi, psi, energy: (_largest_abs(list((h_psi - energy * psi)._c)),), 2)
 
 
 def _aim(below: bool) -> Stage:
@@ -222,14 +253,6 @@ def _rotor_to(target: Multivector) -> Multivector:
     below = target._c[4] < 0.0
     rotor = rotor_from_vectors(_E3_31, -target if below else target).value
     return rotor * _E31_31 if below else rotor
-
-
-def _eigenpair31(h, energy: float, label: str, psi: Multivector,
-                 target: Multivector) -> EigenSolution:
-    """``_eigenpair`` in Cl(3,1), its max|H psi - E psi| one generated function."""
-    spinor = Spinor(psi)
-    (residual,) = _RESIDUAL(h(spinor).mv, psi, energy)
-    return EigenSolution(energy, spinor, target._vector(), label, residual)
 
 
 def solve_cl31(h) -> list[EigenSolution]:
@@ -330,7 +353,7 @@ def _coupled(h, energies, a, c, d, nc: float, t_even: float, t_odd: float) -> li
             _check_unit(square, "b")
             (psi,) = _EIGENSPINOR[odd, below](ba, numerator, _denominator(ba, 1.0, square),
                                               inverse_t)
-            band = _eigenpair31(h, energy, label, psi, target)
+            band = _eigenpair(h, energy, label, psi, target)
         out.append(band)
     return out
 
@@ -352,7 +375,7 @@ def _uncoupled(h, a: Multivector, na: float, d: Multivector, nd: float) -> list[
         # overflows
         out += [(energy, f"{sector}-{i}", psi, block / energy)
                 for energy, i, psi in ((-norm, 1, upper * _E23_31), (norm, 2, upper))]
-    return sorted([_eigenpair31(h, *band) if isinstance(band, tuple) else band for band in out],
+    return sorted([_eigenpair(h, *band) if isinstance(band, tuple) else band for band in out],
                   key=lambda s: s.energy)
 
 
@@ -375,7 +398,11 @@ def h_monolayer(psi: Spinor, kx: float, ky: float) -> Spinor:
     if psi.algebra != "cl30":
         raise ValueError("monolayer model lives in Cl(3,0)")
     _check_finite(kx=kx, ky=ky)
-    return Spinor(_k_vector(kx, ky) * psi.mv * _E3_30)
+    return Spinor(_H_MONOLAYER(psi.mv, float(kx), float(ky))[0])
+
+
+#: H(psi) of ``h_monolayer``, one generated function per support of psi
+_H_MONOLAYER = Stage(lambda psi, kx, ky: (_k_vector(psi, kx, ky) * psi * _E3_30,), 1)
 
 
 def pseudospin_average(psi: Spinor) -> tuple[float, ...]:
@@ -402,9 +429,12 @@ def h_qw(psi: Spinor, kx: float, ky: float, alphaR: float) -> Spinor:
         raise ValueError("quantum-well model lives in Cl(3,0)")
     _check_finite(kx=kx, ky=ky, alphaR=alphaR)
     k2 = kx * kx + ky * ky
-    kin = (k2 / 2.0) * psi.mv
-    so = alphaR * (_E12_30 * _k_vector(kx, ky) * psi.mv * _E3_30)
-    return Spinor(kin + so)
+    return Spinor(_H_QW(psi.mv, float(k2 / 2.0), float(kx), float(ky), float(alphaR))[0])
+
+
+#: H(psi) of ``h_qw``, one generated function per support of psi
+_H_QW = Stage(lambda psi, kin, kx, ky, alphaR: (
+    kin * psi + alphaR * (_E12_30 * _k_vector(psi, kx, ky) * psi * _E3_30),), 1)
 
 
 # ---------------------------------------------------------------------
@@ -438,17 +468,13 @@ def h_bilayer(psi: Spinor, params: ModelParams) -> Spinor:
     + eta U e3 psi e3 in Cl(3,1)."""
     if psi.algebra != "cl31":
         raise ValueError("bilayer model lives in Cl(3,1)")
-    # as _k_vector, in Cl(3,1)
     return Spinor(_H_BILAYER(psi.mv, float(params.kx), float(params.ky), float(params.eta),
                              params.gamma1, params.U)[0])
 
 
 def _h_bilayer_steps(psi: Multivector, kx: float, ky: float, eta: float, gamma1: float,
                      U: float) -> tuple:
-    # k = kx e1 + ky e2 in one step, as _k_vector (its class is psi's, which
-    # is traced where the stage is generated)
-    k = type(psi)._of_floats(CL31, (0.0, kx, ky) + (0.0,) * 13, 0b110)
-    kin = eta * (k * psi * _I31)
+    kin = eta * (_k_vector(psi, kx, ky) * psi * _I31)
     coupling = -gamma1 * (_E2_31 * spatial_parts(psi)[1])
     bias = eta * U * (_E3_31 * psi)
     # the three terms share the right factor e3

@@ -62,16 +62,22 @@ def _check_unit(square: float, name: str) -> float:
     return square
 
 
-def _check_unit_vector(v: Multivector, name: str) -> tuple[float, bool]:
-    """Reject v unless it is a vector, unit to TOL; return v v and whether v
-    has parts outside grade 1, all below TOL."""
+def _check_vector(v: Multivector, name: str) -> bool:
+    """Reject v unless its parts outside grade 1 are all below TOL; return
+    whether it has any that is not 0.0."""
     c, code = v._c, v.sig._code
     # the parts of its support outside grade 1
     outside = v._support & ~code.grade_bits[1]
     top = max(abs(c[m]) for m in _bits(outside)) if outside else 0.0
     if top > TOL:
         raise ValueError(f"{name} must be a pure vector")
-    return _check_unit(_unit_square(v), name), top > 0.0
+    return top > 0.0
+
+
+def _check_unit_vector(v: Multivector, name: str) -> tuple[float, bool]:
+    """``_check_vector``, then reject v unless unit to TOL; return v v too."""
+    spill = _check_vector(v, name)
+    return _check_unit(_unit_square(v), name), spill
 
 
 def _denominator(ba: Multivector, a2: float, b2: float) -> float:

@@ -57,8 +57,9 @@ def _layout(sig: Signature, tag: str, masks, signs, col_order, col_signs) -> _La
     return _Layout(sig, tag, masks, signs, sum(1 << m for m in masks), col_order, col_signs)
 
 
-#: the spinor layout of each algebra, keyed by its tag, by its signature and
-#: by the length of its column spinor
+#: the spinor layout of each algebra, keyed by its tag, by its signature, by
+#: its signature's ``_Code`` (hashed by identity, which ``Spinor`` looks up
+#: with no Python-level hash) and by the length of its column spinor
 _LAYOUTS = {key: layout for layout in (
     # a0 + a1 e23 + a2 e31 + a3 e12 (masks 0, e23, e13, e12); canonical
     # storage uses e13 = -e31, hence the sign on a2.  Column
@@ -69,7 +70,7 @@ _LAYOUTS = {key: layout for layout in (
     # [a0 + i a3, -b3 + i b0, -b2 - i b1, -a1 + i a2]
     _layout(CL31, "cl31", (0, 6, 5, 3, 15, 9, 10, 12), (1, 1, 1, 1, -1, -1, 1, 1),
             (0, 7, 6, 1, 3, 4, 5, 2), (1, -1, -1, -1, 1, 1, -1, 1)),
-) for key in (layout.tag, layout.sig, len(layout.masks) // 2)}
+) for key in (layout.tag, layout.sig, layout.sig._code, len(layout.masks) // 2)}
 
 
 def _layout_of(key: str | Signature) -> _Layout:
@@ -100,7 +101,8 @@ class Spinor:
     __slots__ = ("algebra", "mv")
 
     def __init__(self, mv: Multivector) -> None:
-        layout = _layout_of(mv.sig)
+        # an equal signature that is not CL30 or CL31 itself has its own code
+        layout = _LAYOUTS.get(mv.sig._code) or _layout_of(mv.sig)
         self.algebra = layout.tag
         # only blades of its support outside the subspace can leak
         spill, c = mv._support & ~layout.inside, mv._c

@@ -772,7 +772,28 @@ class TestStage:
         for i in range(algebra.STAGE_RUNS + 3):
             assert stage(x, float(i))[0] == x * float(i)
         assert len(body_calls) == algebra.STAGE_RUNS + 1  # the last, traced
-        assert list(stage.functions) == [x._support] and not stage.runs
+        assert list(stage.functions) == [(CL31._code, x._support)] and not stage.runs
+
+    def test_each_algebra_runs_its_own_function(self):
+        # a residual body on Cl(3,1) inputs of support 97 (1, e13, e23) until
+        # its function is generated, then on Cl(3,0) inputs of the same
+        # support, which run the body and then their own function
+        stage = Stage(lambda h_psi, psi, energy: (
+            _largest_abs(list((h_psi - energy * psi)._c)),), 2)
+
+        def inputs(sig):
+            return [Multivector(sig, [c.get(m, 0.0) for m in range(sig.dim)])
+                    for c in ({0: 1.5, 5: 1.0, 6: 0.5}, {0: 1.0, 5: 1.0, 6: 0.5})]
+
+        (h31, psi31), (h30, psi30) = inputs(CL31), inputs(CL30)
+        assert h31._support == psi31._support == h30._support == psi30._support == 97
+        for h, psi in ((h31, psi31), (h30, psi30)):
+            for _ in range(algebra.STAGE_RUNS + 2):
+                assert stage(h, psi, 1.0) == (0.5,)
+        assert set(stage.functions) == {(sig._code, 97, sig._code, 97) for sig in (CL30, CL31)}
+        # a call that mixes the algebras runs the body, which refuses it
+        with pytest.raises(ValueError, match="signature mismatch"):
+            stage(h31, psi30, 1.0)
 
     def test_function_and_count_caches_stay_bounded(self, monkeypatch):
         # more support patterns than the caches hold: the oldest are
@@ -788,5 +809,5 @@ class TestStage:
         for x in xs:
             assert outcome(lambda: stage(x, y)) == outcome(lambda: (x * y + x,))
             assert len(stage.functions) <= KERNEL_CACHE_SIZE
-        assert (xs[0]._support, y._support) not in stage.functions
+        assert (CL31._code, xs[0]._support, CL31._code, y._support) not in stage.functions
         assert outcome(lambda: stage(xs[0], y)) == outcome(lambda: (xs[0] * y + xs[0],))

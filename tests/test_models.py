@@ -221,10 +221,13 @@ class TestQuantumWell:
                 assert s.spinor.mv.approx_eq(psi, tol=1e-15)
 
 
-def cl30_h(h0, hx, hy, hz=0.0):
-    """H(psi) = h0 psi + h psi e3, the Cl(3,0) form of h0 + h.sigma."""
+def cl30_h(h0, hx, hy, hz=0.0, w=0.0):
+    """H(psi) = h0 psi + h psi e3, the Cl(3,0) form of h0 + h.sigma, plus
+    w psi e12 if w is not 0.0 (off the Pauli form: H(1) gains w e12)."""
     h = Multivector.vector(CL30, [hx, hy, hz])
-    e3 = Multivector.basis_vector(CL30, 3)
+    e3, e12 = Multivector.basis_vector(CL30, 3), Multivector.blade(CL30, 0b011)
+    if w:
+        return lambda psi: Spinor(h0 * psi.mv + h * psi.mv * e3 + w * (psi.mv * e12))
     return lambda psi: Spinor(h0 * psi.mv + h * psi.mv * e3)
 
 
@@ -469,6 +472,53 @@ def both_paths(call) -> tuple:
     return tuple(out)
 
 
+E3_30 = Multivector.basis_vector(CL30, 3)
+#: the supports the Cl(3,0) stages meet: the spinor's, 1's, h's and b's with
+#: and without e123, and b e3's
+CL30_SUPPORTS = [0b1101001, 0b1, 0b110, 0b10000110, 0b1100000, 0b1101000]
+SCALARS = [0.0, -0.0, 5e-324, 1e-300, 0.5, -2.5, 1e154, -1.4e154, 1e300, 1.7e308, -1.7e308]
+
+
+def mv30_draw(rng, supports=CL30_SUPPORTS):
+    """A Cl(3,0) multivector on one of supports, of entries from 1e-300 to
+    1.7e308."""
+    support, scale = rng.choice(supports), rng.choice([1.0, 1.0, 1e-300, 1e154, 1e300, 1.7e308])
+    return Multivector(CL30, [rng.uniform(-1.0, 1.0) * scale if support >> m & 1 else 0.0
+                              for m in range(CL30.dim)])
+
+
+#: each Cl(3,0) stage, with a draw of its arguments
+CL30_STAGES = {
+    "read_off": (models._READ_OFF_30, lambda rng: (mv30_draw(rng),)),
+    "aim": (models._AIM_30, lambda rng: (mv30_draw(rng, [0b110, 0b10000110]),
+                                         rng.choice(SCALARS))),
+    "rotor": (models._ROTOR_30, lambda rng: (mv30_draw(rng, [0b1100000, 0b1101000]),
+                                             rng.choice(SCALARS))),
+    "residual": (models._RESIDUAL, lambda rng: (mv30_draw(rng), mv30_draw(rng),
+                                                rng.choice(SCALARS))),
+    "h_monolayer": (models._H_MONOLAYER, lambda rng: (mv30_draw(rng), rng.choice(SCALARS),
+                                                      rng.choice(SCALARS))),
+    "h_qw": (models._H_QW, lambda rng: (mv30_draw(rng), *(rng.choice(SCALARS + [math.inf])
+                                                         for _ in range(4)))),
+}
+#: the outcomes each stage's draws must reach
+CL30_OUTCOMES = {"read_off": {"bits"}, "aim": {"bits", "OverflowError", "ZeroDivisionError"},
+                 "rotor": {"bits", "OverflowError", "ZeroDivisionError"},
+                 "residual": {"bits", "OverflowError"}, "h_monolayer": {"bits", "OverflowError"},
+                 "h_qw": {"bits", "OverflowError"}}
+
+
+def stage_outcome(call):
+    """A stage call's outputs as bits (coefficients and supports, floats),
+    or its exception's class and message."""
+    try:
+        out = call()
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+    return [(m._support, [x.hex() for x in m._c]) if isinstance(m, Multivector) else m.hex()
+            for m in out]
+
+
 class TestGeneratedStages:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.one_of(bilayer_points(), st.builds(
@@ -492,6 +542,74 @@ class TestGeneratedStages:
     def test_pauli_blocks_keep_the_bits_and_errors_of_the_program(self, blocks):
         program, generated = both_paths(lambda: models.solve_cl31(cl31_h(*blocks)))
         assert generated == program
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.builds(lambda kx, ky: ModelParams("monolayer", kx=kx, ky=ky), value, value),
+        st.builds(lambda kx, ky, a: ModelParams("qw", kx=kx, ky=ky, alphaR=a), value, value,
+                  value)))
+    # H = 0, spin degenerate, and k^2 or |k| past the largest float
+    @example(ModelParams("monolayer", kx=0.0, ky=-0.0))
+    @example(ModelParams("qw", kx=0.3, ky=-1.1, alphaR=0.0))
+    @example(ModelParams("qw", kx=1.4e154, ky=1e-3, alphaR=1.0))
+    @example(ModelParams("monolayer", kx=1.7e308, ky=-1.7e308))
+    def test_cl30_models_keep_the_bits_and_errors_of_the_program(self, params):
+        program, generated = both_paths(lambda: models.solve(params))
+        assert generated == program
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(value, value, value, st.sampled_from([0.0, 0.0, 1e-13, 0.5]),
+           st.sampled_from([0.0, 0.0, 1e-13, -3e-13, 1e-11]))
+    def test_pauli_forms_keep_the_bits_and_errors_of_the_program(self, h0, hx, hy, hz, w):
+        # h0 + h.sigma at its closed-form energies, with a sigma_z part hz
+        # (the quantization check) or an e12 part w of H(1), which gives b
+        # an e123 part (rotor_from_vectors' pure-vector check)
+        h = cl30_h(h0, hx, hy, hz, w)
+        hnorm = math.hypot(hx, hy)
+        program, generated = both_paths(lambda: solve_cl30(h, [h0 - hnorm, h0 + hnorm]))
+        assert generated == program
+
+    @pytest.mark.parametrize("w, error", [
+        (0.0, None), (1e-13, None), (-3e-13, None), (2e-12, "b must be a pure vector")])
+    def test_cl30_rotor_is_rotor_from_vectors(self, w, error):
+        # b = h / (-+|h|) with an e123 part w / (-+|h|): below TOL the rotor
+        # takes b's grade-1 part, above it rotor_from_vectors refuses b
+        h, hnorm = cl30_h(0.3, 0.4, -1.2, 0.0, w), math.hypot(0.4, -1.2)
+        program, generated = both_paths(lambda: solve_cl30(h, [0.3 - hnorm, 0.3 + hnorm]))
+        assert generated == program
+        if error:
+            assert program == ("ValueError", error)
+            return
+        hvec = (h(Spinor(Multivector.scalar(CL30, 1.0))).mv * E3_30)._without(0b100)
+        bits = lambda xs: struct.pack(f"<{len(xs)}d", *xs)
+        for sign, band in zip((-1.0, 1.0), program):
+            target = hvec / (sign * hnorm)
+            assert (target._c[0b111] != 0.0) == bool(w)
+            assert band[3:] == (bits(rotor_from_vectors(E3_30, target).value._c),
+                                bits(target._vector()))
+
+    def test_sigma_z_mass_fails_the_quantization_check_on_both_paths(self):
+        kx, ky, m = 0.6, 0.8, 0.5
+        root = math.sqrt(kx * kx + ky * ky + m * m)
+        program, generated = both_paths(lambda: solve_cl30(cl30_h(0.0, kx, ky, m), [-root, root]))
+        assert generated == program
+        assert program[0] == "ValueError" and "quantization condition" in program[1]
+
+    @pytest.mark.parametrize("name", list(CL30_STAGES))
+    def test_cl30_stages_keep_the_bits_and_errors_of_their_bodies(self, monkeypatch, name):
+        # each stage of the Cl(3,0) solve and Hamiltonians, generated on its
+        # first call, against its body run on multivectors, on entries up to
+        # the overflow edge, at 1e154 (where a square overflows) and with
+        # zero divisors: the same bits, OverflowError or ZeroDivisionError
+        monkeypatch.setattr(algebra, "STAGE_RUNS", 0)
+        stage, draw = CL30_STAGES[name]
+        fresh, rng, seen = Stage(stage.body, stage.n_mv), random.Random(name), set()
+        for _ in range(150):
+            args = draw(rng)
+            expect = stage_outcome(lambda: stage.body(*args))
+            assert stage_outcome(lambda: fresh(*args)) == expect
+            seen.add(expect[0] if isinstance(expect, tuple) else "bits")
+        assert seen == CL30_OUTCOMES[name]
 
 
 class TestTwoAtoms:
@@ -884,7 +1002,8 @@ class TestKVectorInOneCall:
         return kx * e1 + ky * e2
 
     def test_only_the_signs_of_zeros_differ(self):
-        old, new = self.blade_k(-1.0, -2.0).coeffs, models._k_vector(-1.0, -2.0).coeffs
+        new = models._k_vector(Multivector.scalar(CL30, 1.0), -1.0, -2.0).coeffs
+        old = self.blade_k(-1.0, -2.0).coeffs
         assert np.array_equal(old, new) and old.tobytes() != new.tobytes()
 
     @settings(max_examples=300, deadline=None)

@@ -603,8 +603,8 @@ class TestProductCounts:
     product is a call; a change to a count must be deliberate."""
 
     POINTS = {
-        ModelParams("monolayer", kx=0.3, ky=-1.2): {"program": 9, "generated": 9},
-        ModelParams("qw", kx=0.3, ky=1.1, alphaR=0.7): {"program": 12, "generated": 12},
+        ModelParams("monolayer", kx=0.3, ky=-1.2): {"program": 9, "generated": 0},
+        ModelParams("qw", kx=0.3, ky=1.1, alphaR=0.7): {"program": 12, "generated": 0},
         # atoms: the two sectors' rotors and b e3, I R and R e23 stay steps
         ModelParams("atoms", omega=3.0, Gamma=4.0): {"program": 28, "generated": 6},
         ModelParams("bilayer", kx=0.5, ky=0.1, gamma1=0.4, U=0.2): {"program": 52,

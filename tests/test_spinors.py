@@ -149,6 +149,16 @@ class TestSpinorType:
         with pytest.raises(ValueError):
             Spinor(Multivector.scalar(Signature(2, 0), 1.0))
 
+    def test_building_a_spinor_hashes_no_signature(self, monkeypatch):
+        # the layout is looked up by the signature's code, hashed by
+        # identity; a signature equal to CL30 or CL31 finds it by value
+        mvs = [Multivector.scalar(sig, 1.0) for sig in (CL30, CL31, Signature(3, 0))]
+        hashes, real = [], Signature.__hash__
+        monkeypatch.setattr(Signature, "__hash__", lambda sig: hashes.append(sig) or real(sig))
+        assert [Spinor(mv).algebra for mv in mvs[:2]] == ["cl30", "cl31"] and not hashes
+        # the patched hash is the one a lookup by signature runs
+        assert Spinor(mvs[2]).algebra == "cl30" and hashes == [CL30]
+
     def test_coeff_vector_round_trip(self):
         rng = np.random.default_rng(31)
         for algebra, n in (("cl30", 4), ("cl31", 8)):
