@@ -5,9 +5,10 @@ rotations for hermitian matrices) so the oracle shares no code path with the
 rotor method it checks.  Its matrices are tuples of rows of Python floats
 (or complex numbers), each entry built in the order of operations of the
 numpy expression for the matrix, so with its bits.  Jacobi rotates, and
-tests for convergence on, Python float (or complex) lists but, on real
-input, keeps the arithmetic, and so the bits, of the same algorithm on
-numpy arrays.  The oracle imports no numpy.
+tests for convergence on, Python floats (or complex numbers) in a function
+generated once per matrix size but, on real input, keeps the arithmetic,
+and so the bits, of the same algorithm on numpy arrays.  The oracle imports
+no numpy.
 
 Every ``cross_check`` report carries the spot check that the GA generator
 actions match the matrix actions.  Its inputs are constant, so it runs once
@@ -120,22 +121,89 @@ def ga_operator_matrix(h, algebra: str) -> tuple[tuple[float, ...], ...]:
     return tuple(zip(*cols))
 
 
+def _rotate(x: str, y: str, sx: str, sy: str) -> str:
+    """One line of generated code rotating the pair (x, y) by the cosine c
+    and the sines sx and sy: a tuple assignment, so both sides read the old
+    values."""
+    return f"            {x}, {y} = c * {x} - {sx} * {y}, {sy} * {x} + c * {y}"
+
+
+@functools.cache
+def _sweeps(n: int, vectors: bool):
+    """The Jacobi sweeps of ``jacobi_eigh`` for n x n matrices, generated
+    once per (n, vectors) as one straight-line function.
+
+    Its locals a{i}_{j} are the matrix entries and v{i}_{j} the rows of
+    v^T.  Each sweep is the stop test, then one block per pivot (p, q) in
+    cyclic order that rotates columns p and q row by row, then rows p and q,
+    then rows p and q of v^T: on real input the operations, and so the bits,
+    of the same algorithm on numpy arrays.  It takes the flat (a + a^H)/2,
+    the scale and the negligible pivot size and returns the diagonal's real
+    parts and, with vectors, the rows of v^T."""
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    v = [[f"v{i}_{j}" for j in range(n)] for i in range(n)]
+    lines = ["def f(half, scale, negligible):",
+             f"    {', '.join(itertools.chain.from_iterable(a))}, = half"]
+    if vectors:
+        lines.append(f"    {', '.join(itertools.chain.from_iterable(v))}, = "
+                     f"{''.join(f'{float(i == j)}, ' for i in range(n) for j in range(n))}")
+    # the stop test, summed left to right from 0.0: builtin sum compensates
+    # from Python 3.12 on, and the stop, so the bits, would follow it
+    lines += ["    for _ in range(100):", "        off = 0.0"]
+    lines += ["        off = off" + "".join(f" + (abs({x}) / scale) ** 2"
+                                         for j, x in enumerate(row) if j != i)
+              for i, row in enumerate(a)]
+    lines += [f"        if _sqrt(off) <= {1e-14 * n!r}:", "            break"]
+    for p, q in itertools.combinations(range(n), 2):
+        lines += [
+            f"        r = abs({a[p][q]})",
+            "        if r > negligible:",
+            f"            ph = {a[p][q]} / r",
+            f"            theta = ({a[q][q]}.real - {a[p][p]}.real) / (2.0 * r)",
+            "            if theta == 0.0:",
+            # t = +-1 both zero the pivot; on real input this choice is the
+            # textbook rotation with t = 1
+            "                t = _copysign(1.0, ph.real)",
+            "            else:",
+            "                t = _copysign(1.0, theta) / (",
+            "                    abs(theta) + _sqrt(theta * theta + 1.0))",
+            "            c = 1.0 / _sqrt(t * t + 1.0)",
+            "            s = t * c",
+            # the rotation's two sines: s ph on (p, q), s conj(ph) on (q, p)
+            "            sp, sq = s * ph, s * ph.conjugate()"]
+        lines += [_rotate(row[p], row[q], "sq", "sp") for row in a]
+        lines += [_rotate(x, y, "sp", "sq") for x, y in zip(a[p], a[q])]
+        if vectors:
+            lines += [_rotate(x, y, "sq", "sp") for x, y in zip(v[p], v[q])]
+    lines += ["    else:", '        raise RuntimeError("Jacobi iteration failed to converge")']
+    vals = f"[{', '.join(f'{a[i][i]}.real' for i in range(n))}]"
+    vt = ", ".join(f"[{', '.join(row)}]" for row in v)
+    lines.append(f"    return {vals}, [{vt}]" if vectors else f"    return {vals}")
+    namespace = {"_sqrt": math.sqrt, "_copysign": math.copysign}
+    name = f"<rotoreig jacobi n={n}{' vectors' if vectors else ''}>"
+    exec(compile("\n".join(lines) + "\n", name, "exec"), namespace)
+    return namespace["f"]
+
+
 def jacobi_eigh(a, vectors: bool = False):
     """Eigen-decomposition of a real symmetric or complex hermitian matrix by
     cyclic Jacobi (Golub & Van Loan, *Matrix Computations*, section 8.5).
 
     ``a`` is a nested sequence of numbers, or an array (read through
     ``tolist``); the arithmetic is complex when any entry is a complex.
-    Returns the real eigenvalues as a sorted list of floats and, with
-    ``vectors``, the matrix of the matching eigenvector columns as a list of
-    rows; the sort is stable, so equal eigenvalues keep the order in which
-    the rotations leave them on the diagonal.  Each pivot a_pq = |a_pq| ph
-    is rotated out by the real rotation of |a_pq| and the real diagonal,
-    with the phase ph put back on its sines.  On real input ph is +-1, so
-    the rotation is the textbook real one.  The rotations run on Python float (or complex)
-    lists in a fixed order (columns, then rows, then eigenvectors), so on
-    real input the results are bit for bit those of the same algorithm on
-    numpy arrays.  A sweep starts unless the off-diagonal norm is at most
+    An entry that is not a number, such as a string that ``float`` would
+    parse, is rejected.  Returns the real eigenvalues as a sorted list of
+    floats and, with ``vectors``, the matrix of the matching eigenvector
+    columns as a list of rows; the sort is stable, so equal eigenvalues
+    keep the order in which the rotations leave them on the diagonal.  Each
+    pivot a_pq = |a_pq| ph is rotated out by the real rotation of |a_pq|
+    and the real diagonal, with the phase ph put back on its sines.  On
+    real input ph is +-1, so the rotation is the textbook real one.  The
+    sweeps run in a function generated once per matrix size (``_sweeps``),
+    with the entries in locals and every rotation written out in a fixed
+    order (columns, then rows, then eigenvectors), so on real input the
+    results are bit for bit those of the same algorithm on numpy arrays.
+    A sweep starts unless the off-diagonal norm is at most
     1e-14 n max(1, max|a|); it is summed over the entries divided by that
     scale, so no square overflows."""
     # the checks and (a + a^H)/2 on flat lists in row order: Python's
@@ -144,9 +212,17 @@ def jacobi_eigh(a, vectors: bool = False):
     try:
         rows = [list(row) for row in (a.tolist() if hasattr(a, "tolist") else a)]
         flat = list(itertools.chain.from_iterable(rows))
-        kind = complex if any(isinstance(x, complex) for x in flat) else float
-        flat = [kind(x) for x in flat]
-    except TypeError:  # a number, a vector or a nest deeper than rows
+        kind = float
+        for t in set(map(type, flat)):
+            # a number converts without parsing text, as float("1") does:
+            # a complex (no __complex__ before Python 3.11) or a type with
+            # __float__ or __complex__ (numpy's bool_ is no numbers.Number)
+            if issubclass(t, complex):
+                kind = complex
+            elif not (hasattr(t, "__float__") or hasattr(t, "__complex__")):
+                raise TypeError
+        flat = list(map(kind, flat))
+    except TypeError:  # a number, a vector, text or a nest deeper than rows
         rows = []
     n = len(rows)
     if not 0 < n <= 16 or any(len(row) != n for row in rows):
@@ -164,56 +240,10 @@ def jacobi_eigh(a, vectors: bool = False):
         half = [h if cmath.isfinite(h) else x / 2.0 + y / 2.0
                 for h, x, y in zip(half, flat, adjoint)]
     scale = max(1.0, max(map(abs, half)))
-    negligible = 1e-14 * scale / n
-    rows = [half[i:i + n] for i in range(0, n * n, n)]
-    # eigenvector columns, stored as rows of v^T
-    vt = [[float(i == j) for j in range(n)] for i in range(n)] if vectors else None
-    for _ in range(100):
-        # summed left to right from 0.0: builtin sum compensates from
-        # Python 3.12 on, and the stop, so the bits, would follow it
-        off = 0.0
-        for i, row in enumerate(rows):
-            for j, x in enumerate(row):
-                if i != j:
-                    off += (abs(x) / scale) ** 2
-        if math.sqrt(off) <= 1e-14 * n:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = rows[p][q]
-                r = abs(apq)
-                if r <= negligible:
-                    continue
-                ph = apq / r
-                theta = (rows[q][q].real - rows[p][p].real) / (2.0 * r)
-                if theta == 0.0:
-                    # t = +-1 both zero the pivot; on real input this
-                    # choice is the textbook rotation with t = 1
-                    t = math.copysign(1.0, ph.real)
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                # the rotation's two sines: s ph on (p, q), s conj(ph) on (q, p)
-                sp, sq = s * ph, s * ph.conjugate()
-                for row in rows:
-                    ap, aq = row[p], row[q]
-                    row[p] = c * ap - sq * aq
-                    row[q] = sp * ap + c * aq
-                rp, rq = rows[p], rows[q]
-                rows[p] = [c * x - sp * y for x, y in zip(rp, rq)]
-                rows[q] = [sq * x + c * y for x, y in zip(rp, rq)]
-                if vectors:
-                    vp, vq = vt[p], vt[q]
-                    vt[p] = [c * x - sq * y for x, y in zip(vp, vq)]
-                    vt[q] = [sp * x + c * y for x, y in zip(vp, vq)]
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge")
-    vals = [rows[i][i].real for i in range(n)]
+    swept = _sweeps(n, bool(vectors))(half, scale, 1e-14 * scale / n)
     if not vectors:
-        return sorted(vals)
+        return sorted(swept)
+    vals, vt = swept
     # a stable sort: equal eigenvalues keep their diagonal order
     order = sorted(range(n), key=vals.__getitem__)
     return [vals[k] for k in order], [[vt[k][i] for k in order] for i in range(n)]

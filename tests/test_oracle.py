@@ -351,6 +351,52 @@ class TestJacobi:
         with pytest.raises(ValueError):
             jacobi_eigh(np.eye(32))
 
+    @pytest.mark.parametrize("bad", [[["1", "2"], ["2", "1"]], [[b"1", b"2"], [b"2", b"1"]],
+                                     [[1j, "2"], ["2", 1j]], [[1.0, "nan"], ["nan", 1.0]]])
+    def test_rejects_text(self, bad):
+        # float("1") parses, so text must be turned away before conversion
+        with pytest.raises(ValueError, match="expected a small square matrix"):
+            jacobi_eigh(bad)
+
+    @pytest.mark.parametrize("m", [
+        [[True, False], [False, True]], list(np.eye(2, dtype=bool)),
+        list(np.eye(2, dtype=np.float32)), list(np.eye(2, dtype=np.int8)),
+        [[np.complex128(1.0), 0], [0, np.float64(1.0)]]],
+        ids=["bool", "numpy-bool", "float32", "int8", "numpy-complex"])
+    def test_accepts_numpy_scalars_and_bools(self, m):
+        assert jacobi_eigh(m) == [1.0, 1.0]
+
+    @pytest.mark.parametrize("x", [-2.5, 0.0, 1e300, complex(3.0, 0.0)])
+    def test_one_by_one_has_no_pivot(self, x):
+        assert jacobi_eigh([[x]]) == [complex(x).real]
+        assert jacobi_eigh([[x]], vectors=True) == ([complex(x).real], [[1.0]])
+        if not isinstance(x, complex):
+            assert_bit_identical([[x]])
+
+    def test_largest_size_bit_identical_to_numpy_reference(self):
+        rng = np.random.default_rng(64)
+        for _ in range(2):
+            m = rng.standard_normal((16, 16)) * 10.0 ** rng.uniform(-3, 3)
+            assert_bit_identical((m + m.T) / 2.0)
+
+    def test_largest_hermitian_values_agree_with_and_without_vectors(self):
+        rnd = random.Random(65)
+        m = np.array(random_hermitian(rnd, 16))
+        vals, vecs = jacobi_eigh(m, vectors=True)
+        assert [x.hex() for x in jacobi_eigh(m)] == [x.hex() for x in vals]
+        vecs = np.array(vecs)
+        scale = max(1.0, np.max(np.abs(m)))
+        assert np.linalg.norm(m @ vecs - vecs * vals, 2) <= 1e-12 * scale
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(16), 2) <= 1e-13
+
+    def test_one_generated_function_per_size_and_flag(self):
+        # at most 2 per size, so at most 32 for 1 <= n <= 16
+        oracle._sweeps.cache_clear()
+        for n in range(1, 5):
+            for vectors in (False, True, 0, 1, False):
+                jacobi_eigh(np.eye(n), vectors=vectors)
+        assert oracle._sweeps.cache_info().currsize == 8
+
 
 class TestEigDense:
     def test_hermitian_embedding(self):
